@@ -45,10 +45,12 @@ right side of both flagship cases:
   swarm engine's per-root wall beats the sequential frontier sweep by
   >= ``SWARM_SPEEDUP_FLOOR`` (3x, env-overridable);
 * routing with the freshly fitted calibration table never picks a
-  backend more than ``ROUTING_SLACK`` (1.2x) slower than the best
-  backend measured on any anchor case, at batch hints of 1 and
-  ``--swarm-batch``; with calibration disabled the decision falls back
-  to the regime proxy.
+  family more than ``ROUTING_SLACK`` (1.2x) slower than the best family
+  measured on any anchor case, at batch hints of 1 and
+  ``--swarm-batch`` (the frontier family costs its single-root wall,
+  or from ``LOCKSTEP_MIN_WIDTH`` up the cheaper of that and its
+  per-root swarm wall); with calibration disabled the decision falls
+  back to the regime proxy.
 
 Mid-sweep cases where the frontier engine leads despite a ``deep``
 regime label are expected — the regime boundary is an asymptotic
@@ -81,7 +83,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.config import DiggerBeesConfig  # noqa: E402
 from repro.core.dispatch import (  # noqa: E402
-    SWARM_MIN_BATCH,
+    LOCKSTEP_MIN_WIDTH,
     calibration_path,
     choose_backend,
 )
@@ -274,13 +276,15 @@ def run_sweep(*, quick: bool, repeats: int, batch: int,
 
 
 def fit_calibration(result: Dict) -> Dict:
-    """Per-regime median wall per backend, in the dispatch table schema.
+    """Per-regime median wall per execution tier, in the dispatch table
+    schema.
 
     ``frontier`` is the single-root engine's median wall, ``dfs`` the
     per-run wall of a lockstep hive batch, ``swarm`` the per-root wall
     of a ``swarm_batch``-wide root batch — all directly comparable
-    per-query costs.  The dispatch layer picks the cheapest eligible
-    entry for a query's regime (:func:`repro.core.dispatch.choose_backend`).
+    per-query costs.  The dispatch layer prices each answer family at
+    its cheapest eligible tier for a query's regime
+    (:func:`repro.core.dispatch.choose_backend`).
     """
     per_regime: Dict[str, Dict[str, List[float]]] = {}
     for c in result["cases"]:
@@ -400,9 +404,10 @@ def _gate_swarm_floor(cases: List[Dict]) -> List[str]:
 
 
 def _gate_calibrated_routing(result: Dict) -> List[str]:
-    """Calibrated picks stay within ROUTING_SLACK of the measured best
-    on every anchor case, at single-query and swarm-batch hints; with
-    calibration disabled the decision falls back to the regime proxy."""
+    """Calibrated family picks stay within ROUTING_SLACK of the measured
+    best family on every anchor case, at single-query and swarm-batch
+    hints; with calibration disabled the decision falls back to the
+    regime proxy."""
     table = fit_calibration(result)
     swarm_batch = result["swarm_batch"]
     failures = []
@@ -411,14 +416,13 @@ def _gate_calibrated_routing(result: Dict) -> List[str]:
         case = by_name.get(name)
         if case is None:
             continue
-        walls = {
-            "frontier": case["frontier_wall_seconds"],
-            "dfs": case["dfs_wall_seconds"],
-            "swarm": case["swarm_per_root_wall_seconds"],
-        }
         for hint in (1, swarm_batch):
-            eligible = {b: w for b, w in walls.items()
-                        if b != "swarm" or hint >= SWARM_MIN_BATCH}
+            frontier = case["frontier_wall_seconds"]
+            if hint >= LOCKSTEP_MIN_WIDTH:
+                frontier = min(frontier,
+                               case["swarm_per_root_wall_seconds"])
+            eligible = {"dfs": case["dfs_wall_seconds"],
+                        "frontier": frontier}
             best_backend = min(eligible, key=eligible.get)
             decision = choose_backend(regime=case["regime"],
                                       batch_hint=hint,
@@ -429,13 +433,8 @@ def _gate_calibrated_routing(result: Dict) -> List[str]:
                     f"calibrated decision, got reason "
                     f"{decision.reason!r}")
                 continue
-            picked = eligible.get(decision.backend)
-            if picked is None:
-                failures.append(
-                    f"routing {name} (hint={hint}): calibrated pick "
-                    f"{decision.backend!r} is not eligible at this "
-                    f"batch hint")
-            elif picked > ROUTING_SLACK * eligible[best_backend]:
+            picked = eligible[decision.backend]
+            if picked > ROUTING_SLACK * eligible[best_backend]:
                 failures.append(
                     f"routing {name} (hint={hint}): calibrated pick "
                     f"{decision.backend} measured {picked*1e3:.2f}ms "
@@ -446,9 +445,9 @@ def _gate_calibrated_routing(result: Dict) -> List[str]:
     # No artifact -> the regime proxy must still answer.
     fallback = choose_backend(regime="shallow", batch_hint=swarm_batch,
                               calibration={})
-    if fallback.reason != "regime" or fallback.backend != "swarm":
+    if fallback.reason != "regime" or fallback.backend != "frontier":
         failures.append(
-            f"regime-proxy fallback broken: expected swarm/regime for "
+            f"regime-proxy fallback broken: expected frontier/regime for "
             f"a shallow batch, got {fallback.backend}/{fallback.reason}")
     return failures
 

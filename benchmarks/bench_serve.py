@@ -211,9 +211,9 @@ async def verify_mix(client, mix, graphs, backend_knob: str = "dfs",
     in this process.  ``backend_knob`` / ``batch_hint`` are the
     daemon's configured backend and admission width; the expected
     payload is resolved through the same routing policy, so the check
-    is bit-exact whichever engine family answered (swarm lanes are
-    bit-identical to single-root frontier runs, so a one-lane direct
-    swarm reproduces any daemon-side batch width).
+    is bit-exact whichever family answered (swarm lanes are
+    bit-identical to single-root frontier runs, so a direct single-root
+    run reproduces any daemon-side batch width).
     """
     from repro.core.dispatch import choose_backend
     from repro.serve.exec import execute_query

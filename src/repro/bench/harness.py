@@ -67,11 +67,10 @@ class BenchConfig:
     #: Results are jobs-invariant: every sample is a pure function of
     #: (method, graph, root, cfg) and collection preserves task order.
     jobs: int = 1
-    #: Lockstep width (1 = scalar execution, today's exact path).
-    #: > 1 groups hive-eligible DiggerBees samples that share a graph
-    #: into NumPy-batched shards of at most ``batch`` runs each
-    #: (:mod:`repro.core.hive`), and Frontier samples likewise into
-    #: swarm shards (:mod:`repro.core.swarm`); shards compose with
+    #: Lockstep width (1 = scalar execution).  > 1 groups DiggerBees
+    #: and Frontier samples that share a graph into batches of at most
+    #: ``batch`` runs, each run by :func:`repro.core.dispatch.run_batch`
+    #: (a hive batch or a swarm where eligible); batches compose with
     #: ``jobs`` as processes x batches.  Samples are batch-invariant:
     #: both lockstep engines are bit-identical to the scalar engines
     #: per run (only measured ``seconds`` amortize the batch wall).
@@ -118,11 +117,23 @@ def _sample(method: str, graph: CSRGraph, device_name: str, root: int,
                       seconds=seconds)
 
 
+def _diggerbees_sample(graph, root, cfg: BenchConfig, res) -> PerfSample:
+    return _sample("DiggerBees", graph, cfg.device.name, root,
+                   res.traversal.edges_traversed, res.cycles, res.seconds)
+
+
+def _frontier_sample(graph, root, res) -> PerfSample:
+    # Real host traversal, not a device simulation: seconds is measured
+    # wall clock (a swarm lane's share of its batch wall) and "cycles"
+    # has no meaning (recorded as 0).
+    return _sample("Frontier", graph, "host", root,
+                   res.edges_scanned, 0, res.seconds)
+
+
 def _run_diggerbees(graph, root, cfg: BenchConfig) -> PerfSample:
     res = run_diggerbees(graph, root, config=cfg.diggerbees_config(),
                          device=cfg.device)
-    return _sample("DiggerBees", graph, cfg.device.name, root,
-                   res.traversal.edges_traversed, res.cycles, res.seconds)
+    return _diggerbees_sample(graph, root, cfg, res)
 
 
 def _run_ckl(graph, root, cfg: BenchConfig) -> PerfSample:
@@ -177,15 +188,9 @@ def _run_serial(graph, root, cfg: BenchConfig) -> PerfSample:
 
 
 def _run_frontier_method(graph, root, cfg: BenchConfig) -> PerfSample:
-    # Real host traversal, not a device simulation: seconds is measured
-    # wall clock and "cycles" has no meaning (recorded as 0).  Under
-    # ``batch > 1`` these samples are regrouped into lockstep swarm
-    # shards (see ``_fan_out_batched``) with identical per-root results.
     from repro.core.frontier import run_frontier
 
-    res = run_frontier(graph, root)
-    return _sample("Frontier", graph, "host", root,
-                   res.edges_scanned, 0, res.seconds)
+    return _frontier_sample(graph, root, run_frontier(graph, root))
 
 
 DFS_METHODS: Dict[str, Callable] = {
@@ -245,58 +250,43 @@ def _resolve_task_graph(graph):
 
 
 def _execute_task(task) -> PerfSample:
-    """Module-level worker (picklable) for the process-pool fan-out."""
+    """Run one (method, graph-or-spec, root, cfg) task: one sample."""
     method, graph, root, cfg = task
     return ALL_METHODS[method](_resolve_task_graph(graph), root, cfg)
 
 
-def _hive_samples(graph, roots: List[int], cfg: BenchConfig,
-                  ) -> List[PerfSample]:
-    """Run one lockstep hive shard; one sample per root, in order."""
-    from repro.core.hive import run_hive
-
-    dbc = cfg.diggerbees_config()
-    results = run_hive(graph, [(r, dbc) for r in roots], device=cfg.device)
-    return [
-        _sample("DiggerBees", graph, cfg.device.name, root,
-                res.traversal.edges_traversed, res.cycles, res.seconds)
-        for root, res in zip(roots, results)
-    ]
-
-
-def _swarm_samples(graph, roots: List[int], cfg: BenchConfig,
-                   ) -> List[PerfSample]:
-    """Run one lockstep swarm shard; one sample per root, in order.
-
-    :func:`repro.core.swarm.run_swarm` amortizes the batch wall over its
-    lanes, so each sample's ``seconds`` is the per-root cost the shard
-    actually paid — the swarm analogue of the hive's per-run seconds.
-    """
-    from repro.core.swarm import run_swarm
-
-    results = run_swarm(graph, roots)
-    return [
-        _sample("Frontier", graph, "host", root,
-                res.edges_scanned, 0, res.seconds)
-        for root, res in zip(roots, results)
-    ]
+#: Methods whose samples :func:`repro.core.dispatch.run_batch` can run
+#: in lockstep under ``batch > 1``, by answer family.
+_LOCKSTEP_FAMILIES = {"DiggerBees": "dfs", "Frontier": "frontier"}
 
 
 def _execute_unit(unit) -> List[PerfSample]:
-    """Module-level worker for the batched fan-out.
+    """Module-level worker (picklable) for the fan-out.
 
-    A unit is ``("one", task)`` (a plain single sample),
-    ``("hive", graph, roots, cfg)`` (a lockstep DFS shard) or
-    ``("swarm", graph, roots, cfg)`` (a lockstep frontier shard); either
-    way the result is the unit's samples in shard order.
+    A unit is ``(method, graph, roots, cfg)``: one root runs as a plain
+    task through :func:`_execute_task`; several (one method, graph and
+    config) go to :func:`repro.core.dispatch.run_batch` as one batch,
+    which runs them in lockstep where eligible.  Either way the result
+    is the unit's samples in root order.
     """
-    if unit[0] == "hive":
-        _, graph, roots, cfg = unit
-        return _hive_samples(_resolve_task_graph(graph), roots, cfg)
-    if unit[0] == "swarm":
-        _, graph, roots, cfg = unit
-        return _swarm_samples(_resolve_task_graph(graph), roots, cfg)
-    return [_execute_task(unit[1])]
+    method, graph, roots, cfg = unit
+    if len(roots) == 1:
+        return [_execute_task((method, graph, roots[0], cfg))]
+    from repro.core.dispatch import run_batch
+
+    graph = _resolve_task_graph(graph)
+    family = _LOCKSTEP_FAMILIES[method]
+    dbc = cfg.diggerbees_config() if family == "dfs" else None
+    results = run_batch(graph, family, [(r, dbc) for r in roots],
+                        device=cfg.device)
+    samples = []
+    for root, res in zip(roots, results):
+        if isinstance(res, Exception):
+            raise res
+        samples.append(_diggerbees_sample(graph, root, cfg, res)
+                       if family == "dfs"
+                       else _frontier_sample(graph, root, res))
+    return samples
 
 
 #: Persistent fan-out pool.  Spinning up a ProcessPoolExecutor per call
@@ -403,138 +393,53 @@ def _fan_out(tasks: List[tuple], jobs: int, batch: int = 1,
     order-preserving ``Executor.map`` yields byte-identical aggregates
     for any ``jobs`` value.
 
-    ``batch`` > 1 adds the third execution tier: hive-eligible
-    DiggerBees samples sharing a graph are grouped into lockstep shards
-    of at most ``batch`` runs (:func:`repro.core.hive.run_hive`) and
-    the shards — plus every remaining single-sample task — fan out
-    across the same pool, so the sharding composes with ``jobs`` as
-    processes x batches.  Samples are identical for any ``batch``: the
-    hive engine is bit-exact per run regardless of batch composition.
-    ``batch <= 1`` takes exactly the historical scalar path.
+    ``batch`` > 1 groups DiggerBees and Frontier samples that share a
+    graph and config into units of at most ``batch`` roots, each one
+    :func:`repro.core.dispatch.run_batch` call (a hive batch or a swarm
+    where eligible); the units fan out across the same pool, so
+    batching composes with ``jobs`` as processes x batches.  Samples
+    are identical for any ``batch``: both lockstep engines are
+    bit-exact per run (only a Frontier sample's measured ``seconds``
+    amortizes the batch wall).  ``batch <= 1`` runs every task through
+    :func:`_execute_task`.
 
     Graph payloads are handed to workers zero-copy: each distinct graph
     is exported once into shared memory (:mod:`repro.graphs.shm`) and
-    tasks carry only a tiny spec; workers attach and cache per graph.
+    units carry only a tiny spec; workers attach and cache per graph.
     Where shared memory is unavailable the graphs are pickled into the
-    tasks as before — results are identical either way.
+    units instead — results are identical either way.
     """
-    if batch > 1 and len(tasks) > 1:
-        return _fan_out_batched(tasks, jobs, batch)
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_execute_task(t) for t in tasks]
-    from repro.graphs.shm import export_csr
-
-    exported: Dict[int, object] = {}  # id(graph) -> SharedCSR
-    try:
-        try:
-            wire_tasks = []
-            for method, graph, root, cfg in tasks:
-                handle = exported.get(id(graph))
-                if handle is None:
-                    handle = export_csr(graph)
-                    exported[id(graph)] = handle
-                wire_tasks.append((method, handle.spec, root, cfg))
-        except Exception:
-            # No shared memory here (permissions, exotic platform):
-            # fall back to pickling the graphs into the tasks.
-            for handle in exported.values():
-                handle.close()
-            exported = {}
-            wire_tasks = tasks
-        handle = lease_pool(jobs)
-        try:
-            out = list(handle.executor.map(_execute_task, wire_tasks))
-        except Exception:
-            # A broken pool (killed worker) poisons every later map on
-            # the same executor — drop it so the next lease starts clean.
-            release_pool(handle, broken=True)
-            raise
-        release_pool(handle)
-        return out
-    finally:
-        # Unlink after the batch: attached workers keep their (cached)
-        # mappings; the names disappear so nothing leaks.
-        for handle in exported.values():
-            handle.close()
-
-
-def _wire_graph(graph, exported: Dict[int, object]):
-    """Swap a graph for its shared-memory spec, exporting once per graph."""
-    from repro.graphs.shm import export_csr
-
-    handle = exported.get(id(graph))
-    if handle is None:
-        handle = export_csr(graph)
-        exported[id(graph)] = handle
-    return handle.spec
-
-
-def _fan_out_batched(tasks: List[tuple], jobs: int, batch: int,
-                     ) -> List[PerfSample]:
-    """Batched fan-out: carve lockstep shards, execute units, reassemble.
-
-    Hive-eligible DiggerBees tasks are grouped per (graph, cfg) and cut
-    into hive shards of at most ``batch`` roots; Frontier tasks sharing
-    a graph are grouped the same way into swarm shards
-    (:func:`repro.core.swarm.run_swarm` — the bit-matrix lockstep
-    analogue).  Single-root shards and every non-eligible task run as
-    plain scalar units.  Units execute in-process (``jobs <= 1``) or
-    across the persistent pool, and each sample lands back at its
-    original task index, so the returned list is positionally identical
-    to the scalar fan-out (swarm lanes are bit-identical to single-root
-    frontier runs; only ``seconds`` reflects the amortized batch wall).
-    """
-    from repro.core.hive import hive_eligible
-
+    width = max(1, batch)
     groups: Dict[tuple, List[int]] = {}
-    for i, (method, graph, root, cfg) in enumerate(tasks):
-        if (method == "DiggerBees"
-                and hive_eligible(cfg.diggerbees_config())):
-            groups.setdefault(("hive", id(graph), id(cfg)), []).append(i)
-        elif method == "Frontier":
-            # The frontier engine takes no per-task config: one shard
-            # per graph is always mergeable.
-            groups.setdefault(("swarm", id(graph)), []).append(i)
-    grouped = {i for idxs in groups.values() for i in idxs}
-
-    units: List[tuple] = []   # ("one", task) | (kind, graph, roots, cfg)
-    owners: List[List[int]] = []  # original task indices per unit
-    for i, task in enumerate(tasks):
-        if i not in grouped:
-            units.append(("one", task))
-            owners.append([i])
-    for key, idxs in groups.items():
-        kind = key[0]
-        for lo in range(0, len(idxs), batch):
-            chunk = idxs[lo:lo + batch]
-            if len(chunk) == 1:  # no lockstep partner: skip slab setup
-                units.append(("one", tasks[chunk[0]]))
-            else:
-                _, graph, _, cfg = tasks[chunk[0]]
-                units.append(
-                    (kind, graph, [tasks[j][2] for j in chunk], cfg))
-            owners.append(chunk)
+    for i, (method, graph, _, cfg) in enumerate(tasks):
+        key = ((method, id(graph), id(cfg))
+               if width > 1 and method in _LOCKSTEP_FAMILIES else (i,))
+        groups.setdefault(key, []).append(i)
+    owners = [idxs[lo:lo + width] for idxs in groups.values()
+              for lo in range(0, len(idxs), width)]
+    units = []  # (method, graph, roots, cfg), one engine call each
+    for idxs in owners:
+        method, graph, _, cfg = tasks[idxs[0]]
+        units.append((method, graph, [tasks[j][2] for j in idxs], cfg))
 
     if jobs <= 1 or len(units) <= 1:
         unit_results = [_execute_unit(u) for u in units]
     else:
-        exported: Dict[int, object] = {}
+        from repro.graphs.shm import export_csr
+
+        exported: Dict[int, object] = {}  # id(graph) -> SharedCSR
         try:
             try:
                 wire_units = []
-                for u in units:
-                    if u[0] in ("hive", "swarm"):
-                        kind, graph, roots, cfg = u
-                        wire_units.append(
-                            (kind, _wire_graph(graph, exported), roots,
-                             cfg))
-                    else:
-                        method, graph, root, cfg = u[1]
-                        wire_units.append(
-                            ("one", (method, _wire_graph(graph, exported),
-                                     root, cfg)))
+                for method, graph, roots, cfg in units:
+                    handle = exported.get(id(graph))
+                    if handle is None:
+                        handle = export_csr(graph)
+                        exported[id(graph)] = handle
+                    wire_units.append((method, handle.spec, roots, cfg))
             except Exception:
-                # No shared memory here: pickle the graphs instead.
+                # No shared memory here (permissions, exotic platform):
+                # fall back to pickling the graphs into the units.
                 for handle in exported.values():
                     handle.close()
                 exported = {}
@@ -544,10 +449,15 @@ def _fan_out_batched(tasks: List[tuple], jobs: int, batch: int,
                 unit_results = list(handle.executor.map(_execute_unit,
                                                         wire_units))
             except Exception:
+                # A broken pool (killed worker) poisons every later map
+                # on the same executor — drop it so the next lease
+                # starts clean.
                 release_pool(handle, broken=True)
                 raise
             release_pool(handle)
         finally:
+            # Unlink after the fan-out: attached workers keep their
+            # (cached) mappings; the names disappear so nothing leaks.
             for handle in exported.values():
                 handle.close()
 
@@ -568,8 +478,8 @@ def run_graph(methods: Sequence[str], graph: CSRGraph,
 
     ``jobs`` (default: ``cfg.jobs``) > 1 fans the independent
     (method, root) samples across worker processes; ``batch`` (default:
-    ``cfg.batch``) > 1 additionally runs hive-eligible DiggerBees
-    samples in lockstep shards.  Results are identical to the serial
+    ``cfg.batch``) > 1 additionally runs DiggerBees and Frontier
+    samples in lockstep batches.  Results are identical to the serial
     scalar path either way (see :func:`_fan_out`).
     """
     cfg = cfg or BenchConfig()
@@ -600,7 +510,7 @@ def run_sweep(methods: Sequence[str], graphs: Sequence[CSRGraph],
     Fans *all* samples of the sweep into one task list so the pool stays
     saturated across graph boundaries (a per-graph pool would drain at
     each graph's tail).  ``batch`` (default: ``cfg.batch``) > 1 runs
-    hive-eligible DiggerBees samples as lockstep shards, composing with
+    DiggerBees and Frontier samples as lockstep batches, composing with
     ``jobs`` as processes x batches.  Returns
     ``{graph.name: {method: [samples]}}`` with the same contents for
     any ``jobs``/``batch`` value.

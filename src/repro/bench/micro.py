@@ -28,19 +28,18 @@ cache pays generation cost; the hit/miss tally is part of the payload.
 
 Every DFS case runs the default driver — the fused loop of
 :mod:`repro.core.turbo` — whose cycles/steps the baseline pins.
-``--backend {auto,dfs,frontier,swarm}`` selects the engine *family*:
+``--backend {auto,dfs,frontier}`` selects the answer *family*:
 ``frontier`` runs every case through the bit-packed SpMV engine
 (:mod:`repro.core.frontier`), recording MTEPS and the level profile
-instead of simulated cycles; ``swarm`` runs every case as ``--batch``
-lockstep lanes of the multi-root bit-matrix engine
-(:mod:`repro.core.swarm`) and records the amortized per-root wall —
-the frontier analogue of ``--batch`` on the hive; ``auto`` routes each
-case per graph regime through
-:func:`repro.core.dispatch.choose_backend` (frontier/swarm-run cases
+instead of simulated cycles; ``auto`` routes each case per graph regime
+through :func:`repro.core.dispatch.choose_backend` (frontier-run cases
 are exempt from the cycles/wall baseline gate — they have no simulated
-schedule; DFS-run cases stay gated).  ``--record`` appends the
-run to ``benchmarks/out/trajectory.jsonl`` (timestamped) and rewrites
-the repo-root ``BENCH_engine.json`` snapshot.
+schedule; DFS-run cases stay gated).  ``--batch N`` runs every case as
+N replicas through :func:`repro.core.dispatch.run_batch` — a hive batch
+on the DFS family, a swarm on the frontier family — and records the
+per-run wall.  ``--record`` appends the run to
+``benchmarks/out/trajectory.jsonl`` (timestamped) and rewrites the
+repo-root ``BENCH_engine.json`` snapshot.
 
 Gating refuses to run when any case reports ``exact_cycles == False``
 (an engine configured with ``poll_interval > 1`` can overshoot
@@ -60,7 +59,7 @@ from datetime import datetime, timezone
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import DiggerBeesConfig
-from repro.core.diggerbees import run_diggerbees
+from repro.core.dispatch import BACKEND_CHOICES, choose_backend, run_batch
 from repro.errors import BenchmarkError
 from repro.graphs import diskcache
 from repro.graphs import generators as gen
@@ -166,37 +165,28 @@ def run_micro(repeats: int = 3,
     cache it is a fraction of a millisecond per case (see the
     ``graph_cache`` hit/miss tally in the payload).
 
-    ``batch`` > 0 runs every case as ``batch`` lockstep replicas on the
-    hive engine (:mod:`repro.core.hive`); the recorded wall time is the
-    median batch wall divided by the batch width — the per-run cost a
-    sweep actually pays — and cycles/steps are asserted identical
-    across replicas, so the same baseline gates both modes.
-
-    ``backend`` picks the engine family per case: ``"dfs"`` (default)
+    ``backend`` picks the answer family per case: ``"dfs"`` (default)
     is the simulation sweep above; ``"frontier"`` runs every case on
     the bit-packed SpMV engine (wall + MTEPS + level profile, no
-    simulated cycles); ``"swarm"`` runs every case as ``max(1, batch)``
-    lockstep lanes of the multi-root bit-matrix engine — the recorded
-    wall is the amortized per-root cost, lanes are asserted
-    bit-identical, and the payload mirrors the frontier rows (so the
-    swarm speedup over single-root frontier reads straight off the
-    trajectory); ``"auto"`` routes per graph regime through
+    simulated cycles); ``"auto"`` routes per graph regime through
     :func:`repro.core.dispatch.choose_backend`.
+
+    ``batch`` > 0 runs every case as ``batch`` replicas through
+    :func:`repro.core.dispatch.run_batch` (lockstep from width 2: the
+    hive engine for DFS, the swarm for frontier); the recorded wall
+    time is the median batch wall divided by the batch width — the
+    per-run cost a sweep actually pays — and the replicas are asserted
+    identical (cycles/steps, or the level/push/pull/edge profile), so
+    the same baseline gates every mode.
 
     The ``phases.simulate`` entry accumulates the per-case *median*
     wall, the same statistic ``wall_seconds`` reports, so it equals
     ``total_wall_seconds`` instead of summing every repeat.
     """
-    if backend not in ("auto", "dfs", "frontier", "swarm"):
+    if backend not in BACKEND_CHOICES:
         raise BenchmarkError(
-            f"backend must be auto, dfs, frontier, or swarm, "
-            f"got {backend!r}")
-    if backend in ("auto", "frontier") and batch:
-        # Swarm *is* the batched frontier tier: --batch sets its lanes.
-        raise BenchmarkError(
-            "--backend frontier/auto selects the engine family; it "
-            "cannot be combined with --batch"
-        )
+            f"backend must be one of {BACKEND_CHOICES}, got {backend!r}")
+    width = max(1, batch)
     timer = PhaseTimer()
     cases: List[Dict] = []
     diskcache.reset_stats()
@@ -204,126 +194,56 @@ def run_micro(repeats: int = 3,
         for name, build, cfg in MICRO_CASES:
             with timer.phase("generate"):
                 graph = build()
-            walls: List[float] = []
-            result = None
-            hive_stats: Optional[Dict] = None
-            use_frontier = backend == "frontier"
+            family = backend
             if backend == "auto":
-                from repro.core.dispatch import choose_backend
-
-                use_frontier = (choose_backend(graph, requested="auto")
-                                .backend == "frontier")
-            if backend == "swarm":
-                from repro.core.swarm import run_swarm
-
-                lanes = max(1, batch)
-                sres = None
-                for _ in range(max(1, repeats)):
-                    t0 = time.perf_counter()
-                    results = run_swarm(graph, [0] * lanes)
-                    # Amortized per-root wall, the cost a batched sweep
-                    # actually pays per query (mirrors hive --batch).
-                    walls.append((time.perf_counter() - t0) / lanes)
-                sres = results[0]
-                for i, r in enumerate(results[1:], start=1):
-                    if (r.n_levels != sres.n_levels
-                            or r.edges_scanned != sres.edges_scanned
-                            or (r.pushes, r.pulls) != (sres.pushes,
-                                                       sres.pulls)):
-                        raise BenchmarkError(
-                            f"{name}: swarm lane {i} diverged; lockstep "
-                            f"determinism contract broken"
-                        )
-                wall = statistics.median(walls)
-                timer.add("simulate", wall)
-                cases.append({
-                    "name": name,
-                    "backend": "swarm",
-                    "wall_seconds": wall,
-                    "cycles": None,
-                    "steps": None,
-                    "steps_per_second": None,
-                    "exact_cycles": True,
-                    "mteps": (sres.edges_scanned / wall / 1e6
-                              if wall > 0 else 0.0),
-                    "edges_scanned": sres.edges_scanned,
-                    "n_levels": sres.n_levels,
-                    "pushes": sres.pushes,
-                    "pulls": sres.pulls,
-                    "events": None,
-                    "fallback_lane_fraction": None,
-                })
-                continue
-            if use_frontier:
-                from repro.core.frontier import run_frontier
-
-                fres = None
-                for _ in range(max(1, repeats)):
-                    t0 = time.perf_counter()
-                    fres = run_frontier(graph, 0)
-                    walls.append(time.perf_counter() - t0)
-                wall = statistics.median(walls)
-                timer.add("simulate", wall)
-                cases.append({
-                    "name": name,
-                    "backend": "frontier",
-                    "wall_seconds": wall,
-                    # No simulated schedule: the frontier engine is a
-                    # real traversal, so its figure of merit is MTEPS.
-                    "cycles": None,
-                    "steps": None,
-                    "steps_per_second": None,
-                    "exact_cycles": True,
-                    "mteps": (fres.edges_scanned / wall / 1e6
-                              if wall > 0 else 0.0),
-                    "edges_scanned": fres.edges_scanned,
-                    "n_levels": fres.n_levels,
-                    "pushes": fres.pushes,
-                    "pulls": fres.pulls,
-                    "events": None,
-                    "fallback_lane_fraction": None,
-                })
-                continue
-            if batch > 0:
-                from repro.core.hive import run_hive
-
-                tasks = [(0, cfg)] * batch
-                for _ in range(max(1, repeats)):
-                    hive_stats = {}
-                    t0 = time.perf_counter()
-                    results = run_hive(graph, tasks, stats=hive_stats)
-                    walls.append((time.perf_counter() - t0) / batch)
-                result = results[0]
-                for i, r in enumerate(results[1:], start=1):
-                    if (r.cycles != result.cycles
-                            or r.engine.steps != result.engine.steps):
-                        raise BenchmarkError(
-                            f"{name}: hive replica {i} diverged "
-                            f"({r.cycles}/{r.engine.steps} vs "
-                            f"{result.cycles}/{result.engine.steps}); "
-                            f"lockstep determinism contract broken"
-                        )
-            else:
-                for _ in range(max(1, repeats)):
-                    t0 = time.perf_counter()
-                    result = run_diggerbees(graph, 0, config=cfg)
-                    walls.append(time.perf_counter() - t0)
+                family = choose_backend(graph, requested="auto",
+                                        batch_hint=width).backend
+            walls: List[float] = []
+            for _ in range(max(1, repeats)):
+                stats: Dict = {}
+                t0 = time.perf_counter()
+                results = run_batch(graph, family, [(0, cfg)] * width,
+                                    stats=stats)
+                walls.append((time.perf_counter() - t0) / width)
+            for r in results:
+                if isinstance(r, Exception):
+                    raise r
+            res = results[0]
+            signature = ((lambda r: (r.cycles, r.engine.steps))
+                         if family == "dfs" else
+                         (lambda r: (r.n_levels, r.edges_scanned,
+                                     r.pushes, r.pulls)))
+            if len({signature(r) for r in results}) > 1:
+                raise BenchmarkError(
+                    f"{name}: replicas diverged; lockstep determinism "
+                    f"contract broken")
             wall = statistics.median(walls)
             timer.add("simulate", wall)
-            cases.append({
-                "name": name,
-                "backend": "dfs",
-                "wall_seconds": wall,
-                "cycles": result.cycles,
-                "steps": result.engine.steps,
-                "steps_per_second": steps_per_second(result.engine.steps,
-                                                     wall),
-                "exact_cycles": result.engine.exact_cycles,
-                "events": _case_events(result.counters),
-                "fallback_lane_fraction": (
-                    hive_stats.get("fallback_lane_fraction")
-                    if hive_stats is not None else None),
-            })
+            row = {"name": name, "backend": family, "wall_seconds": wall}
+            if family == "dfs":
+                row.update(
+                    cycles=res.cycles,
+                    steps=res.engine.steps,
+                    steps_per_second=steps_per_second(res.engine.steps,
+                                                      wall),
+                    exact_cycles=res.engine.exact_cycles,
+                    events=_case_events(res.counters),
+                    fallback_lane_fraction=stats.get(
+                        "fallback_lane_fraction"))
+            else:
+                # No simulated schedule: the frontier engine is a real
+                # traversal, so its figure of merit is MTEPS.
+                row.update(
+                    cycles=None, steps=None, steps_per_second=None,
+                    exact_cycles=True,
+                    mteps=(res.edges_scanned / wall / 1e6
+                           if wall > 0 else 0.0),
+                    edges_scanned=res.edges_scanned,
+                    n_levels=res.n_levels,
+                    pushes=res.pushes,
+                    pulls=res.pulls,
+                    events=None, fallback_lane_fraction=None)
+            cases.append(row)
     payload = {
         "bench": "engine_micro",
         "repeats": repeats,
@@ -421,13 +341,10 @@ def record_trajectory(result: Dict) -> pathlib.Path:
 
 
 def _mode_tag(entry: Dict) -> str:
-    if entry.get("backend", "dfs") == "swarm":
-        return f"swarm:{entry.get('batch') or 1}"
-    if entry.get("batch"):
-        return f"hive:{entry['batch']}"
-    if entry.get("backend", "dfs") != "dfs":
-        return entry["backend"]
-    return "scalar"
+    backend, batch = entry.get("backend", "dfs"), entry.get("batch")
+    if backend == "dfs":
+        return f"hive:{batch}" if batch else "scalar"
+    return f"{backend}:{batch}" if batch else backend
 
 
 def compare_trajectory(a_idx: int, b_idx: int,
@@ -506,17 +423,14 @@ def compare_trajectory(a_idx: int, b_idx: int,
 
 
 def render(result: Dict) -> str:
-    mode = ""
-    if result.get("batch"):
-        mode = f" [hive batch={result['batch']}]"
-    if result.get("backend", "dfs") != "dfs":
-        mode = f" [backend={result['backend']}]"
-        if result.get("backend") == "swarm":
-            mode = f" [swarm batch={result.get('batch') or 1}]"
+    backend, batch = result.get("backend", "dfs"), result.get("batch")
+    mode = f" batch={batch}" if batch else ""
+    mode = (f" [backend={backend}{mode}]" if backend != "dfs"
+            else f" [hive{mode}]" if batch else "")
     lines = [f"{'case':<12s} {'wall(s)':>9s} {'cycles':>10s} {'steps':>7s} "
              f"{'steps/s':>10s}{mode}"]
     for c in result["cases"]:
-        if c.get("backend", "dfs") in ("frontier", "swarm"):
+        if c.get("backend", "dfs") != "dfs":
             lines.append(
                 f"{c['name']:<12s} {c['wall_seconds']:9.4f} "
                 f"{c['backend']:>10s} {c['n_levels']:>5d}L "
@@ -544,18 +458,17 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="single repeat per case")
     parser.add_argument("--batch", type=int, default=0, metavar="N",
-                        help="run every case as N lockstep replicas on "
-                             "the hive engine (bit-identical "
-                             "cycles/steps; wall time is per run)")
+                        help="run every case as N lockstep replicas (a "
+                             "hive batch for dfs, a swarm for frontier; "
+                             "bit-identical results, wall time is per "
+                             "run)")
     parser.add_argument("--backend", default="dfs",
-                        choices=("auto", "dfs", "frontier", "swarm"),
-                        help="engine family: frontier runs the "
+                        choices=BACKEND_CHOICES,
+                        help="answer family: frontier runs the "
                              "bit-packed SpMV engine (MTEPS, no "
-                             "simulated cycles); swarm runs --batch "
-                             "lockstep lanes of the multi-root engine "
-                             "(amortized per-root wall); auto routes "
-                             "per graph regime; frontier/swarm-run "
-                             "cases skip the cycles/wall baseline gate")
+                             "simulated cycles); auto routes per graph "
+                             "regime; frontier-run cases skip the "
+                             "cycles/wall baseline gate")
     parser.add_argument("--compare", nargs=2, type=int, metavar=("A", "B"),
                         default=None,
                         help="diff two recorded trajectory entries by "
@@ -585,9 +498,6 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         return 0
-    if args.backend in ("auto", "frontier") and args.batch:
-        parser.error("--backend frontier/auto cannot combine with --batch")
-
     result = run_micro(repeats=1 if args.quick else 3,
                        profile_path=args.profile,
                        batch=args.batch,

@@ -18,11 +18,9 @@ is named by the ``stage`` string a failure carries:
   schedule* (cycles, steps, parent, visited, counters), which pins the
   fused loop on every unperturbed case;
 * ``hive-diff`` (rung ``hive``) — rerun as a two-run lockstep batch on
-  the NumPy hive engine (:mod:`repro.core.hive`); every batched run must
-  replay the primary's schedule (hive-eligible cases only);
-* ``hive-steal-diff`` (rung ``hive``) — the same batch with
-  ``hive_steal="scalar"``, pinning the per-lane scalar bailout against
-  the vectorized steal/refill/leader passes;
+  the NumPy hive engine (:mod:`repro.core.hive`); every batched run,
+  vectorized steal/refill/leader passes included, must replay the
+  primary's schedule (hive-eligible cases only);
 * ``serve-diff`` (rung ``serve``) — send the case's DFS through a live
   :mod:`repro.serve` daemon; the served payload must equal the canonical
   payload of the primary result, and — for unmutated runs — the repeat
@@ -192,9 +190,8 @@ def _schedule_diff(want: DiggerBeesResult,
     """First way ``got`` fails to replay ``want``'s DFS schedule, or None.
 
     Schedule identity is the contract of every DFS execution path (fused
-    loop, reference expand, hive lanes, scalar steal bailout): identical
-    cycles, steps, parent, visited and counters — not merely a correct
-    traversal.
+    loop, reference expand, hive lanes): identical cycles, steps,
+    parent, visited and counters — not merely a correct traversal.
     """
     if (got.cycles, got.engine.steps) != (want.cycles, want.engine.steps):
         return (f"cycles/steps diverge: {want.cycles}/{want.engine.steps} "
@@ -208,6 +205,27 @@ def _schedule_diff(want: DiggerBeesResult,
     if got_c != want_c:
         keys = sorted(k for k, v in want_c.items() if got_c.get(k) != v)
         return f"counters diverge ({', '.join(keys)})"
+    return None
+
+
+def _bfs_diff(want, got) -> Optional[str]:
+    """First way BFS result ``got`` differs from ``want``, or None.
+
+    Bit identity is the contract between a swarm lane and the
+    single-root frontier engine: visited set, parent, levels and the
+    push/pull/edges-scanned execution profile.
+    """
+    for what, g, w in (
+            ("visited set", got.traversal.visited, want.traversal.visited),
+            ("parent", got.traversal.parent, want.traversal.parent),
+            ("level array", got.level, want.level)):
+        if not np.array_equal(g, w):
+            return f"{what} diverges at {_where(g != w)}"
+    profile = [(r.n_levels, r.pushes, r.pulls, r.edges_scanned)
+               for r in (want, got)]
+    if profile[0] != profile[1]:
+        return (f"execution profile diverges: levels/pushes/pulls/edges "
+                f"{profile[1]} vs {profile[0]}")
     return None
 
 
@@ -307,27 +325,21 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
         # Hive differential: the batched lockstep engine must replay the
         # identical schedule for every run in a batch.  A two-run batch
         # exercises true lockstep (shared slabs, per-tick selection)
-        # rather than degenerating to a scalar drain.  Then the same
-        # batch with hive_steal="scalar": the vectorized
-        # steal/refill/leader passes against the per-lane scalar bailout.
+        # rather than degenerating to a scalar drain.
         config = case.build_config()
         if "hive" in rungs:
             from repro.core.hive import hive_eligible, run_hive
 
-            hive_runs = (
-                ("hive-diff", "lockstep", config),
-                ("hive-steal-diff", "scalar-steal",
-                 config.with_overrides(hive_steal="scalar")),
-            ) if hive_eligible(config) else ()
-            for stage, label, cfg in hive_runs:
+            if hive_eligible(config):
                 try:
-                    pair = run_hive(graph, [(case.root, cfg)] * 2)
+                    pair = run_hive(graph, [(case.root, config)] * 2)
                 except ReproError as exc:
-                    return fail(stage, f"{type(exc).__name__}: {exc}")
+                    return fail("hive-diff", f"{type(exc).__name__}: {exc}")
                 for i, hres in enumerate(pair):
                     mismatch = _schedule_diff(result, hres)
                     if mismatch:
-                        return fail(stage, f"{label} run {i}: {mismatch}")
+                        return fail("hive-diff",
+                                    f"lockstep run {i}: {mismatch}")
 
         # Serve differential: the daemon-served payload must equal the
         # canonical payload of the direct run.  The oracle daemon
@@ -453,31 +465,12 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
             except ReproError as exc:
                 return fail("swarm-diff", f"{type(exc).__name__}: {exc}")
             for li in (0, 2):
-                lane = lanes[li]
-                for what, got, want in (
-                        ("visited set", lane.traversal.visited,
-                         single.traversal.visited),
-                        ("parent", lane.traversal.parent,
-                         single.traversal.parent),
-                        ("level array", lane.level, single.level)):
-                    if not np.array_equal(got, want):
-                        return fail(
-                            "swarm-diff",
-                            f"lane {li}: {what} diverges from the "
-                            f"single-root frontier engine at "
-                            f"{_where(got != want)} (lanes must be "
-                            f"bit-identical)")
-                profile = (lane.n_levels, lane.pushes, lane.pulls,
-                           lane.edges_scanned)
-                ref_profile = (single.n_levels, single.pushes,
-                               single.pulls, single.edges_scanned)
-                if profile != ref_profile:
+                mismatch = _bfs_diff(single, lanes[li])
+                if mismatch:
                     return fail(
                         "swarm-diff",
-                        f"lane {li}: execution profile diverges from the "
-                        f"single-root frontier engine: "
-                        f"levels/pushes/pulls/edges {profile} vs "
-                        f"{ref_profile}")
+                        f"lane {li} vs the single-root frontier engine: "
+                        f"{mismatch} (lanes must be bit-identical)")
             mismatch = _bfs_contract(
                 graph, case.root, lanes[0].traversal.visited, lanes[0].level,
                 lanes[0].traversal.parent, dfs_visited)

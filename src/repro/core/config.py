@@ -21,7 +21,7 @@ from repro.errors import SimulationError
 from repro.sim.device import DeviceSpec, H100, hotring_smem_bytes
 
 __all__ = ["DiggerBeesConfig", "ServeConfig", "SHARD_MIN_VERTICES",
-           "VICTIM_POLICIES", "HIVE_STEAL_MODES"]
+           "VICTIM_POLICIES"]
 
 #: Smallest resident graph the serve daemon will answer with the
 #: sharded tier (``ServeConfig.shards >= 2``).  Below this, partition +
@@ -30,8 +30,6 @@ __all__ = ["DiggerBeesConfig", "ServeConfig", "SHARD_MIN_VERTICES",
 SHARD_MIN_VERTICES = 1024
 
 VICTIM_POLICIES = ("two_choice", "random")
-
-HIVE_STEAL_MODES = ("vector", "scalar")
 
 
 @dataclass(frozen=True)
@@ -96,15 +94,6 @@ class DiggerBeesConfig:
         victim (seeded by ``seed``) instead of the deterministic
         max-depth victim, widening the set of steal interleavings the
         fuzzer can reach.  Off in production runs.
-    hive_steal:
-        Steal-protocol execution tier of the hive batch engine
-        (:mod:`repro.core.hive`): ``"vector"`` (default) runs refills,
-        two-phase steal reservations and inter-block leader work as
-        batched NumPy passes over the shared slabs; ``"scalar"`` keeps
-        the original per-lane ``step()`` bailout.  Both are
-        bit-identical — the scalar mode is retained as the differential
-        oracle for the vectorized protocol (``repro.check``'s
-        hive-steal-diff rung).  Ignored outside the hive engine.
     """
 
     n_blocks: int = 4
@@ -128,7 +117,6 @@ class DiggerBeesConfig:
     perturb_seed: Optional[int] = None
     jitter: int = 0
     adversarial_victims: bool = False
-    hive_steal: str = "vector"
 
     def __post_init__(self) -> None:
         if self.n_blocks < 1:
@@ -175,11 +163,6 @@ class DiggerBeesConfig:
             raise SimulationError(
                 f"cold_reserve ({self.cold_reserve}) must be >= cold_cutoff "
                 f"({self.cold_cutoff})"
-            )
-        if self.hive_steal not in HIVE_STEAL_MODES:
-            raise SimulationError(
-                f"hive_steal must be one of {HIVE_STEAL_MODES}, "
-                f"got {self.hive_steal!r}"
             )
         if self.jitter < 0:
             raise SimulationError(f"jitter must be >= 0, got {self.jitter}")
@@ -282,9 +265,10 @@ class ServeConfig:
 
     Lives next to :class:`DiggerBeesConfig` because the admission layer
     is an engine-level concern: the window/max-batch pair decides how
-    concurrent DFS queries coalesce into :mod:`repro.core.hive` lockstep
-    batches, which is the same trade (amortized per-tick cost vs. added
-    latency) the hive engine itself makes over sweep shards.
+    concurrent DFS queries coalesce into lockstep batches (hive or
+    swarm, see :func:`repro.core.dispatch.run_batch`), which is the same
+    trade (amortized per-tick cost vs. added latency) the lockstep
+    engines themselves make over sweep shards.
 
     Parameters
     ----------
@@ -294,8 +278,8 @@ class ServeConfig:
         every query runs the moment it arrives (the lowest-latency,
         lowest-throughput setting).
     max_batch:
-        Hard cap on requests per hive batch; a group flushes immediately
-        when it fills, without waiting out the window.
+        Hard cap on requests per lockstep batch; a group flushes
+        immediately when it fills, without waiting out the window.
     jobs:
         Worker processes for query execution.  ``0`` executes in the
         daemon process (thread executor) — no pickling, no shared
@@ -313,18 +297,15 @@ class ServeConfig:
         Seconds a clean shutdown waits for in-flight batches before
         abandoning them.
     backend:
-        Traversal backend for DFS queries: ``"dfs"`` (default) answers
-        every query with the DFS simulation tiers exactly as before;
-        ``"frontier"`` forces the bit-packed frontier engine
-        (:mod:`repro.core.frontier`); ``"swarm"`` forces the
-        lane-batched swarm tier (:mod:`repro.core.swarm`) — a whole
-        admission group runs as one lockstep multi-root batch; ``"auto"``
-        routes per graph shape through
-        :func:`repro.core.dispatch.choose_backend` — degenerate graphs
-        go straight to the frontier engine, shallow graphs to the
-        frontier side (swarm when ``max_batch`` allows coalescing),
-        deep/mid graphs and any query carrying engine-config overrides
-        stay on DFS, and a recorded calibration artifact
+        Answer family for DFS queries: ``"dfs"`` (default) answers
+        every query with the DFS simulation; ``"frontier"`` forces the
+        bit-packed BFS (:mod:`repro.core.frontier`; an admission group
+        of two or more runs as one lockstep swarm,
+        :mod:`repro.core.swarm`); ``"auto"`` routes per graph shape
+        through :func:`repro.core.dispatch.choose_backend` — degenerate
+        and shallow graphs go to the frontier family, deep/mid graphs
+        and any query carrying engine-config overrides stay on DFS, and
+        a recorded calibration artifact
         (``benchmarks/calibration_routing.json``) replaces the regime
         proxy with measured per-regime costs.  Routing is a
         deterministic function of the graph fingerprint and the query,

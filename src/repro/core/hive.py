@@ -35,11 +35,10 @@ it.  Per engine tick:
 4. **Vector execution** — expands run as grouped gathers/scatters over
    the batch axis (window scan via one ``(k, W)`` visited gather, with
    ``W`` capped at the tick's widest remaining window); polls update
-   masks/backoffs in bulk.  With ``config.hive_steal="vector"`` (the
-   default) the protocol families run as three more batched passes —
-   see *Vectorized steal protocol* below.  With ``"scalar"`` (the
-   differential oracle) they run the agent's generic ``step()``
-   exactly like turbo's fallback.
+   masks/backoffs in bulk.  The protocol families run as three more
+   batched passes — see *Vectorized steal protocol* below — or, on
+   patched, monitored or adversarial runs, through the agent's generic
+   ``step()`` exactly like turbo's fallback.
 5. **Reschedule** — every selected agent is rescheduled at
    ``now + cost`` with the run's next sequence number.
 
@@ -69,11 +68,12 @@ impossible and each protocol family groups into plain array passes:
   next tick, exactly the scalar conflict-resolution rule.
 
 The passes replicate the scalar agent's costs, counters, RNG streams,
-and pointer motion bit-for-bit; ``repro.check``'s hive-steal-diff rung
-asserts it per run.  Any patched protocol function (the mutation
-suite), attached monitor, or adversarial fuzz RNG routes the protocol
-families back through the scalar fallback for the whole drain, so
-instrumented semantics are preserved.
+and pointer motion bit-for-bit; ``repro.check``'s hive-diff rung
+asserts it per run against the fused scalar driver.  Any patched
+protocol function (the mutation suite), attached monitor, or
+adversarial fuzz RNG routes the protocol families back through the
+scalar fallback for the whole drain, so instrumented semantics are
+preserved.
 
 Bit-exactness contract
 ----------------------
@@ -192,8 +192,8 @@ def run_hive(
     (events routed through the scalar per-agent step), the vectorized
     protocol pass totals (``vector_refills``, ``vector_steal_selects``,
     ``vector_reserves_intra``, ``vector_reserves_inter``), and the
-    derived ``fallback_lane_fraction``.  Under ``hive_steal="vector"``
-    on an unpatched run the fallback fraction is 0.0; the micro-bench
+    derived ``fallback_lane_fraction``.  On an unpatched, unmonitored,
+    non-adversarial run the fallback fraction is 0.0; the micro-bench
     records it per case so a silent fallback regression is visible.
 
     Failure semantics: any run raising (over-budget, deadlock,
@@ -313,8 +313,7 @@ def _drain_batch(slabs: BatchSlabs, states: List[RunState],
     # StackOverflowError; keep that behaviour byte-for-byte).
     claims_patched = type(states[0]).try_claim_vertex is not _ORIG_CLAIM
     vector_protocol = (
-        config.hive_steal == "vector"
-        and states[0].monitor is None
+        states[0].monitor is None
         and states[0].fuzz_rng is None
         and not _protocol_patched()
         and (not intra or intra_amount <= H - 1)

@@ -81,7 +81,7 @@ class BatchSlabs:
         self.visited = np.zeros((batch, n_vertices), dtype=np.uint8)
         self.parent = np.full((batch, n_vertices), UNVISITED_PARENT,
                               dtype=np.int64)
-        # Vectorized steal-protocol slabs (``hive_steal="vector"``).
+        # Vectorized steal-protocol slabs.
         # Row-pinned like visited/parent: a pending reservation records
         # the kind (0 = none, 1 = intra, 2 = inter), the *victim's* flat
         # warp index, the observed CAS token (HotRing tail / ColdSeg

@@ -5,10 +5,10 @@ engine and graph setup on every invocation.  This package amortizes
 that cost across a daemon lifetime: graphs are loaded once, exported to
 POSIX shared memory, and queried over a newline-delimited JSON protocol
 on a local socket.  Concurrent DFS queries against the same graph are
-coalesced into hive lockstep batches (:mod:`repro.core.hive`), repeat
-queries are answered from a per-graph result cache, and every response
-is bit-identical to direct execution — the serve-diff oracle rung in
-:mod:`repro.check` enforces exactly that.
+coalesced into lockstep batches (:func:`repro.core.dispatch.run_batch`),
+repeat queries are answered from a per-graph result cache, and every
+response is bit-identical to direct execution — the serve-diff oracle
+rung in :mod:`repro.check` enforces exactly that.
 
 Layout: :mod:`~repro.serve.protocol` (wire format and canonical result
 payloads), :mod:`~repro.serve.admission` (pure window/max-batch

@@ -1,8 +1,9 @@
-"""Admission policy: coalesce concurrent queries into hive batches.
+"""Admission policy: coalesce concurrent queries into lockstep batches.
 
-The daemon's throughput comes from the same observation as the hive
-engine's (:mod:`repro.core.hive`): B independent DFS runs over one graph
-cost far less than B times one run when they advance in lockstep.  The
+The daemon's throughput comes from the same observation as the lockstep
+engines' (:mod:`repro.core.hive`, :mod:`repro.core.swarm`): B
+independent traversals of one graph cost far less than B times one run
+when they advance together.  The
 admission layer therefore holds each arriving DFS query briefly —
 ``batch_window`` seconds — hoping more queries for the same (graph,
 engine-config) key arrive, and flushes the group to execution when the
@@ -19,8 +20,9 @@ with synthetic schedules and asserts the three contract properties:
 * **conservation** — every admitted item is flushed exactly once, in
   arrival order within its key, never mixed across keys;
 * **invariance** — responses do not depend on the (jobs, batch, window)
-  execution shape, because batching only ever groups hive-compatible
-  work (the hive engine is bit-identical per run for any batch width).
+  execution shape, because batching only ever groups compatible work
+  (both lockstep engines are bit-identical per run for any batch
+  width).
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, default=None,
                    help="batch window in seconds")
     p.add_argument("--max-batch", type=int, default=None,
-                   help="max queries coalesced into one hive batch")
+                   help="max queries coalesced into one lockstep batch")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (0 = in-daemon threads)")
     p.add_argument("--cache-entries", type=int, default=None,
@@ -87,7 +87,7 @@ async def _run_daemon(args: argparse.Namespace) -> int:
     from repro.serve.server import ServeServer
     from repro.utils.malloc import retain_large_blocks
 
-    # The daemon runs swarm batches back to back; retaining the malloc
+    # The daemon runs lockstep batches back to back; retaining the malloc
     # arena keeps their transient state resident instead of re-faulting
     # it from the kernel on every batch.
     retain_large_blocks()

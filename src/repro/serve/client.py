@@ -6,9 +6,10 @@ Two clients over the same wire protocol:
   reader task correlates out-of-order responses to their callers by
   request ``id``, so any number of coroutines can have queries in
   flight on one connection (this is what makes daemon-side coalescing
-  observable: concurrent awaits on the same connection land in one hive
-  batch).  Cancellation-safe: a cancelled ``query`` abandons its waiter
-  and the late response is dropped without disturbing other callers.
+  observable: concurrent awaits on the same connection land in one
+  lockstep batch).  Cancellation-safe: a cancelled ``query`` abandons
+  its waiter and the late response is dropped without disturbing other
+  callers.
 * :class:`SyncServeClient` — blocking convenience wrapper for scripts
   and the CLI; one request in flight at a time, but still tolerant of
   out-of-order delivery (responses for abandoned ids are skipped).

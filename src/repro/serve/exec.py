@@ -9,10 +9,11 @@ as the graphs themselves.
 
 Failure semantics: *query* failures — an over-budget simulation, a
 toposort on a cyclic graph, an out-of-range root — are returned as
-per-task error markers so one bad query in a hive batch cannot poison
-its neighbours or look like an infrastructure fault.  Infrastructure
-failures (dangling shm segment, broken pool) raise, and the daemon's
-dispatch layer degrades: re-export, pickle, or in-process execution.
+per-task error markers so one bad query in a lockstep batch cannot
+poison its neighbours or look like an infrastructure fault.
+Infrastructure failures (dangling shm segment, broken pool) raise, and
+the daemon's dispatch layer degrades: re-export, pickle, or in-process
+execution.
 """
 
 from __future__ import annotations
@@ -71,39 +72,15 @@ def _error_marker(exc: BaseException) -> Dict[str, Any]:
     return {ERROR_KEY: {"type": type(exc).__name__, "message": str(exc)}}
 
 
+def _check_root(graph, root: int) -> None:
+    if root < 0 or root >= graph.n_vertices:
+        raise ProtocolError(
+            f"root {root} out of range for {graph.n_vertices} vertices")
+
+
 # ---------------------------------------------------------------------------
-# Single queries.
+# Non-DFS queries.
 # ---------------------------------------------------------------------------
-
-def _dfs(graph, root: int, overrides) -> Dict[str, Any]:
-    from repro.core.diggerbees import run_diggerbees
-
-    res = run_diggerbees(graph, root, config=build_engine_config(overrides))
-    return dfs_result_to_dict(res)
-
-
-def _frontier(graph, root: int, overrides) -> Dict[str, Any]:
-    # Overrides are validated (bad configs must fail their own request)
-    # but don't parameterize the frontier engine: under "auto" routing a
-    # query with overrides is pinned to DFS before it gets here, and a
-    # forced-frontier daemon answers every DFS query with the one
-    # deterministic min-parent tree.
-    build_engine_config(overrides)
-    from repro.core.frontier import run_frontier
-
-    return frontier_result_to_dict(run_frontier(graph, root))
-
-
-def _swarm_single(graph, root: int, overrides) -> Dict[str, Any]:
-    # One-lane swarm: bit-identical to _frontier except for the backend
-    # marker.  Used when a swarm-resolved admission group flushes with a
-    # single query (narrow traffic inside the window).
-    build_engine_config(overrides)
-    from repro.core.swarm import run_swarm
-
-    return frontier_result_to_dict(run_swarm(graph, [root])[0],
-                                   backend="swarm")
-
 
 def _scc(graph, root: int, overrides) -> Dict[str, Any]:
     from repro.apps import strongly_connected_components
@@ -164,14 +141,13 @@ def _spanning(graph, root: int, overrides) -> Dict[str, Any]:
 
 
 _EXECUTORS = {
-    "dfs": _dfs,
     "scc": _scc,
     "toposort": _toposort,
     "cycles": _cycles,
     "biconnectivity": _biconnectivity,
     "spanning": _spanning,
 }
-assert set(_EXECUTORS) == set(QUERY_OPS)
+assert set(_EXECUTORS) == set(QUERY_OPS) - {"dfs"}
 
 
 def execute_query(wire_graph, op: str, root: int,
@@ -179,70 +155,24 @@ def execute_query(wire_graph, op: str, root: int,
                   backend: str = "dfs") -> Dict[str, Any]:
     """Execute one query; returns the result dict or an error marker.
 
-    ``backend`` is the *resolved* engine family for ``dfs`` queries
-    (``"dfs"``, ``"frontier"`` or ``"swarm"``) — callers route through
-    :func:`repro.core.dispatch.choose_backend` first; this function
-    just executes.  Non-DFS ops ignore it.
+    ``backend`` is the *resolved* answer family for ``dfs`` queries
+    (``"dfs"`` or ``"frontier"``) — callers route through
+    :func:`repro.core.dispatch.choose_backend` first; a ``dfs`` query is
+    a batch of one (:func:`execute_dfs_batch`).  Non-DFS ops ignore it.
     """
     graph = _resolve(wire_graph)
+    if op == "dfs":
+        return execute_dfs_batch(graph, [(root, overrides)], backend)[0]
     try:
-        if root < 0 or root >= graph.n_vertices:
-            raise ProtocolError(
-                f"root {root} out of range for {graph.n_vertices} vertices")
-        if op == "dfs" and backend == "frontier":
-            return _frontier(graph, root, overrides)
-        if op == "dfs" and backend == "swarm":
-            return _swarm_single(graph, root, overrides)
+        _check_root(graph, root)
         return _EXECUTORS[op](graph, root, overrides)
     except ReproError as exc:
         return _error_marker(exc)
 
 
 # ---------------------------------------------------------------------------
-# Batched DFS.
+# DFS queries, batched.
 # ---------------------------------------------------------------------------
-
-def _swarm_batch(graph, tasks: List[Tuple[int, Optional[Dict[str, Any]]]]
-                 ) -> List[Dict[str, Any]]:
-    """One lockstep swarm over every valid task; markers for the rest."""
-    from repro.core.swarm import run_swarm
-
-    out: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    lanes: List[int] = []
-    for i, (root, ov) in enumerate(tasks):
-        try:
-            build_engine_config(ov)
-            if root < 0 or root >= graph.n_vertices:
-                raise ProtocolError(
-                    f"root {root} out of range for "
-                    f"{graph.n_vertices} vertices")
-        except ReproError as exc:
-            out[i] = _error_marker(exc)
-        else:
-            lanes.append(i)
-    if lanes:
-        try:
-            results = run_swarm(graph, [tasks[i][0] for i in lanes])
-        except ReproError as exc:
-            for i in lanes:
-                out[i] = _error_marker(exc)
-        else:
-            for i, res in zip(lanes, results):
-                out[i] = frontier_result_to_dict(res, backend="swarm")
-    return out
-
-
-def _sharded(graph, root: int, overrides, shards: int,
-             jobs: int) -> Dict[str, Any]:
-    # Overrides are validated but don't parameterize the shard tier:
-    # routing pins override-carrying queries to plain DFS before they
-    # get here (a parameterized query asks for a specific simulation).
-    build_engine_config(overrides)
-    from repro.core.shard import run_sharded
-
-    res = run_sharded(graph, root, k=shards, jobs=jobs)
-    return sharded_result_to_dict(res)
-
 
 def execute_dfs_batch(wire_graph,
                       tasks: List[Tuple[int, Optional[Dict[str, Any]]]],
@@ -250,24 +180,15 @@ def execute_dfs_batch(wire_graph,
                       shard_jobs: int = 0) -> List[Dict[str, Any]]:
     """Execute ``[(root, config-overrides), ...]`` DFS queries, batched.
 
-    Hive-eligible, mutually compatible tasks run as one
-    :func:`repro.core.hive.run_hive` lockstep batch; anything else — and
-    any batch a run aborts (the hive propagates one run's failure to its
-    whole batch, but service responses must fail per *request*) — falls
-    back to per-task scalar execution.  Per-task results are identical
-    either way; the batch's width is reported by the daemon, not here.
-
-    ``backend="frontier"`` answers every task with the frontier engine
-    instead (admission never mixes backends in one batch, so the whole
-    batch shares the resolved backend); frontier runs are per-root
-    array passes with no lockstep analogue, so the batch is a loop.
-
-    ``backend="swarm"`` runs every valid task as one lane of a single
-    :func:`repro.core.swarm.run_swarm` lockstep batch — the frontier
-    analogue of the hive path.  Tasks with a bad config or root settle
-    as per-task error markers; the remaining lanes still swarm
-    together, and each lane's payload is bit-identical to the
-    single-root frontier answer (modulo the ``backend`` marker).
+    Each task's config and root are validated first, so a bad one
+    settles as its own error marker; the valid rest run through
+    :func:`repro.core.dispatch.run_batch`, which picks scalar or
+    lockstep execution for the family (``backend="dfs"``: the DFS
+    simulation, hive-batched when eligible; ``"frontier"``: the
+    bit-packed BFS, swarm-batched — overrides are validated but do not
+    parameterize it) and settles any engine error on the task that
+    raised it.  Per-task payloads are identical whichever tier ran;
+    admission never mixes backends in one batch.
 
     ``backend="shard"`` answers every task with the sharded tier
     (:func:`repro.core.shard.run_sharded`, ``k = shards`` districts,
@@ -277,43 +198,33 @@ def execute_dfs_batch(wire_graph,
     to a pool worker would nest pools.
     """
     graph = _resolve(wire_graph)
-    if backend == "frontier":
-        return [execute_query(graph, "dfs", root, ov, backend="frontier")
-                for root, ov in tasks]
-    if backend == "swarm":
-        return _swarm_batch(graph, tasks)
+    out: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
+    valid: List[Tuple[int, int, DiggerBeesConfig]] = []
+    for i, (root, ov) in enumerate(tasks):
+        try:
+            cfg = build_engine_config(ov)
+            _check_root(graph, root)
+        except ReproError as exc:
+            out[i] = _error_marker(exc)
+        else:
+            valid.append((i, root, cfg))
     if backend == "shard":
-        out: List[Dict[str, Any]] = []
-        for root, ov in tasks:
+        from repro.core.shard import run_sharded
+
+        for i, root, _ in valid:
             try:
-                if root < 0 or root >= graph.n_vertices:
-                    raise ProtocolError(
-                        f"root {root} out of range for "
-                        f"{graph.n_vertices} vertices")
-                out.append(_sharded(graph, root, ov, shards, shard_jobs))
+                out[i] = sharded_result_to_dict(
+                    run_sharded(graph, root, k=shards, jobs=shard_jobs))
             except ReproError as exc:
-                out.append(_error_marker(exc))
+                out[i] = _error_marker(exc)
         return out
-    n = graph.n_vertices
-    try:
-        configs = [build_engine_config(ov) for _, ov in tasks]
-    except ReproError:
-        # At least one bad config: settle every task individually.
-        return [execute_query(graph, "dfs", root, ov) for root, ov in tasks]
-    roots_ok = all(0 <= root < n for root, _ in tasks)
+    from repro.core.dispatch import run_batch
 
-    if len(tasks) > 1 and roots_ok:
-        from repro.core.hive import hive_compatible, hive_eligible, run_hive
-
-        base = configs[0]
-        if (all(hive_eligible(c) for c in configs)
-                and all(hive_compatible(base, c) for c in configs[1:])):
-            try:
-                results = run_hive(
-                    graph, [(root, cfg)
-                            for (root, _), cfg in zip(tasks, configs)])
-                return [dfs_result_to_dict(r) for r in results]
-            except ReproError:
-                pass  # settle per task below for per-request errors
-
-    return [execute_query(graph, "dfs", root, ov) for root, ov in tasks]
+    payload = (dfs_result_to_dict if backend == "dfs"
+               else frontier_result_to_dict)
+    results = run_batch(graph, backend,
+                        [(root, cfg) for _, root, cfg in valid])
+    for (i, _, _), res in zip(valid, results):
+        out[i] = (_error_marker(res) if isinstance(res, ReproError)
+                  else payload(res))
+    return out

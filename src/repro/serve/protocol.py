@@ -24,7 +24,7 @@ Response fields
 ``result``       op result payload (see the ``*_result`` helpers)
 ``error``        ``{"type", "message"}`` when ``ok`` is false
 ``cached``       result came from the per-graph memo
-``batch``        lockstep width of the hive batch that computed it
+``batch``        width of the admission batch that computed it
 ``elapsed_ms``   daemon-side time from admission to completion
 
 The result payloads are **canonical**: every array is a plain list,
@@ -246,14 +246,8 @@ def _dict_key(k) -> str:
     return str(int(k))
 
 
-def dfs_result_to_dict(res) -> Dict[str, Any]:
-    """Canonical payload of one :class:`DiggerBeesResult`.
-
-    ``visited`` is sent sparse (indices of visited vertices) — dense
-    bool lists would dominate the payload on mostly-unreachable graphs —
-    together with ``n_vertices`` so the dense array is recoverable.
-    """
-    t = res.traversal
+def _traversal_to_dict(t) -> Dict[str, Any]:
+    """Traversal keys every DFS-query payload shares."""
     return {
         "n_vertices": int(t.parent.shape[0]),
         "root": int(t.root),
@@ -261,6 +255,18 @@ def dfs_result_to_dict(res) -> Dict[str, Any]:
         "visited": np.flatnonzero(t.visited).tolist(),
         "n_visited": int(t.n_visited),
         "edges_traversed": int(t.edges_traversed),
+    }
+
+
+def dfs_result_to_dict(res) -> Dict[str, Any]:
+    """Canonical payload of one :class:`DiggerBeesResult`.
+
+    ``visited`` is sent sparse (indices of visited vertices) — dense
+    bool lists would dominate the payload on mostly-unreachable graphs —
+    together with ``n_vertices`` so the dense array is recoverable.
+    """
+    return {
+        **_traversal_to_dict(res.traversal),
         "cycles": int(res.cycles),
         "steps": int(res.engine.steps),
         "counters": counters_to_wire(res.counters),
@@ -280,46 +286,29 @@ def sharded_result_to_dict(res) -> Dict[str, Any]:
     ``cycles``/``rounds``/counters carry the protocol's modeled cost,
     which is why the shard tier gets its own result-cache key.
     """
-    t = res.traversal
     return {
-        "n_vertices": int(t.parent.shape[0]),
-        "root": int(t.root),
-        "parent": [int(p) for p in t.parent.tolist()],
-        "visited": np.flatnonzero(t.visited).tolist(),
-        "n_visited": int(t.n_visited),
-        "edges_traversed": int(t.edges_traversed),
-        "cycles": int(res.cycles),
-        "steps": int(res.engine.steps),
-        "counters": counters_to_wire(res.counters),
+        **dfs_result_to_dict(res),
         "backend": "shard",
         "shards": int(res.k),
         "rounds": int(res.n_rounds),
     }
 
 
-def frontier_result_to_dict(res, backend: str = "frontier"
-                            ) -> Dict[str, Any]:
+def frontier_result_to_dict(res) -> Dict[str, Any]:
     """Canonical payload of one :class:`~repro.core.frontier.FrontierResult`.
 
     Shares the traversal keys with :func:`dfs_result_to_dict` (sparse
     ``visited``, dense ``parent``); instead of simulated cycles/steps it
     carries the frontier engine's level profile, plus a ``backend``
-    marker so clients can tell which engine family answered — the swarm
-    tier passes ``backend="swarm"`` (its lanes are bit-identical to
-    single-root frontier runs, so everything except the marker matches).
-    The payload is a pure function of the graph and root (the
-    min-parent tie-break is deterministic), so it caches and replays
-    like any DFS payload.
+    marker so clients can tell which answer family responded.  Swarm
+    lanes are bit-identical to single-root frontier runs, so the payload
+    is the same whichever tier ran.  It is a pure function of the graph
+    and root (the min-parent tie-break is deterministic), so it caches
+    and replays like any DFS payload.
     """
-    t = res.traversal
     return {
-        "n_vertices": int(t.parent.shape[0]),
-        "root": int(t.root),
-        "parent": [int(p) for p in t.parent.tolist()],
-        "visited": np.flatnonzero(t.visited).tolist(),
-        "n_visited": int(t.n_visited),
-        "edges_traversed": int(t.edges_traversed),
-        "backend": backend,
+        **_traversal_to_dict(res.traversal),
+        "backend": "frontier",
         "n_levels": int(res.n_levels),
         "pushes": int(res.pushes),
         "pulls": int(res.pulls),

@@ -14,8 +14,9 @@ Architecture (one process, one event loop):
   into one execution ("single-flight"), so a thundering herd of the
   same query costs one simulation.
 * **Execution** — flushed batches run through
-  :func:`repro.serve.exec.execute_dfs_batch` (hive lockstep where
-  eligible) either in-process (``jobs = 0``) or on the persistent
+  :func:`repro.serve.exec.execute_dfs_batch` (lockstep where
+  :func:`repro.core.dispatch.run_batch` finds it eligible) either
+  in-process (``jobs = 0``) or on the persistent
   worker pool of :mod:`repro.bench.harness` with zero-copy shm graph
   hand-off.  Infrastructure failures degrade stepwise — broken pool ->
   fresh pool -> pickled graph -> in-process — and every demotion is
@@ -71,8 +72,7 @@ class ServerStats:
         "connections", "requests", "responses", "errors",
         "cache_hits", "cache_misses", "coalesced",
         "batches", "batched_queries", "hive_batches",
-        "backend_dfs", "backend_frontier", "backend_swarm",
-        "backend_shard",
+        "backend_dfs", "backend_frontier", "backend_shard",
         "pool_broken", "shm_fallbacks", "inline_fallbacks",
         "dropped_responses", "protocol_errors",
     )
@@ -364,17 +364,17 @@ class ServeServer:
     # ------------------------------------------------------------------
 
     def _resolve_backend(self, entry: ResidentGraph, req: Request) -> str:
-        """Resolved engine family for one DFS query (deterministic).
+        """Resolved answer family for one DFS query (deterministic).
 
         Pure function of (knob, graph regime, overrides, admission
         width, calibration artifact), so cache keys and single-flight
         identity stay stable across repeats.  The regime BFS only runs
         under ``backend="auto"`` (and is memoized per resident graph);
         forced knobs never pay it.  ``batch_hint`` is the admission
-        window's ``max_batch`` — the coalescing the daemon *can* do —
-        which is what makes the swarm tier auto-eligible on shallow
-        graphs: swarm-resolved queries form their own admission groups
-        and flush as one lockstep batch.
+        window's ``max_batch`` — the coalescing the daemon *can* do — so
+        the frontier family is priced at its swarm row where that is
+        cheaper; the width a group actually flushes with decides
+        whether it runs as one swarm (``run_batch``).
         """
         from repro.core.dispatch import choose_backend
 

@@ -1,9 +1,9 @@
-"""Batch-tier coverage for the harness fan-out (processes x batches).
+"""Batch coverage for the harness fan-out (processes x batches).
 
 The contract: ``batch`` is purely an execution knob.  For any
 ``(jobs, batch)`` combination the sweep returns positionally identical
-samples, because the hive engine is bit-exact per run and the batched
-fan-out reassembles samples at their original task indices.
+samples, because both lockstep engines are bit-exact per run and the
+batched fan-out reassembles samples at their original task indices.
 """
 
 import pytest
@@ -61,3 +61,14 @@ def test_batch_mixed_methods_only_shards_diggerbees(graphs, scalar_sweep):
     for gname, per_method in out.items():
         for method, samples in per_method.items():
             assert samples == scalar_sweep[gname][method], (gname, method)
+
+
+def test_frontier_samples_run_as_one_swarm(graphs, tier_calls):
+    cfg = BenchConfig(n_roots=4)
+    scalar = run_graph(["Frontier"], graphs[0], cfg)["Frontier"]
+    tier_calls.clear()
+    out = run_graph(["Frontier"], graphs[0], cfg, batch=4)["Frontier"]
+    assert tier_calls == {"swarm": 1}
+    # Lanes are bit-identical; only the measured seconds amortize.
+    assert [(s.root, s.edges_traversed) for s in out] == \
+        [(s.root, s.edges_traversed) for s in scalar]

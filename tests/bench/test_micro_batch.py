@@ -1,5 +1,5 @@
-"""Micro-sweep coverage: hive ``--batch`` mode, phase accounting, and
-the ``--compare`` trajectory diff."""
+"""Micro-sweep coverage: lockstep ``--batch`` mode, phase accounting,
+and the ``--compare`` trajectory diff."""
 
 import json
 
@@ -46,6 +46,13 @@ def test_phases_simulate_matches_total_wall(payload_fixture, request):
 
 def test_render_tags_hive_mode(batch_payload):
     assert "[hive batch=2]" in render(batch_payload)
+
+
+def test_frontier_batch_runs_one_swarm_per_case(tier_calls):
+    payload = run_micro(repeats=1, batch=2, backend="frontier")
+    assert tier_calls == {"swarm": len(micro.MICRO_CASES)}
+    assert {c["backend"] for c in payload["cases"]} == {"frontier"}
+    assert "[backend=frontier batch=2]" in render(payload)
 
 
 # ---------------------------------------------------------------------------

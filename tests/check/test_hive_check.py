@@ -19,9 +19,8 @@ def _eligible_case() -> FuzzCase:
 
 
 def _vector_case() -> FuzzCase:
-    """Same geometry but honest victim choice, so the hive primary runs
-    the vectorized steal protocol and stage 5c compares it against the
-    ``hive_steal="scalar"`` oracle."""
+    """Same geometry but honest victim choice, so the hive rung runs the
+    vectorized steal protocol against the fused scalar driver."""
     return FuzzCase(
         seed=0, family="preferential_attachment", n_vertices=200,
         graph_seed=6, n_blocks=2, warps_per_block=2, hot_size=8,
@@ -40,16 +39,15 @@ def test_seeded_cases_pass_hive_ladder():
 
 
 def test_vector_steal_case_passes_hive_ladder():
-    """A case with real vector-protocol traffic clears both the hive
-    rung (5b, vector vs scalar engines) and the steal-mode rung (5c,
-    vector vs hive_steal="scalar")."""
+    """A case with real vector-protocol traffic clears the hive rung
+    (vector hive lanes vs the fused scalar driver)."""
     assert check_case(_vector_case(), rungs={"hive"}) is None
 
 
 def test_vector_steal_bug_caught_by_hive_ladder(monkeypatch):
     """A bug injected into the *batched* victim selection — thieves
     accept victims one entry below the cutoff — must surface through
-    the ladder's hive rungs, not be masked by the scalar oracles."""
+    the ladder's hive rung, not be masked by the scalar oracle."""
     orig = intra_steal.select_victims_batch
 
     def too_eager(heads, tails, hot_size, thief_warps, cutoff):
@@ -58,7 +56,7 @@ def test_vector_steal_bug_caught_by_hive_ladder(monkeypatch):
     monkeypatch.setattr(intra_steal, "select_victims_batch", too_eager)
     failure = check_case(_vector_case(), rungs={"hive"})
     assert failure is not None
-    assert failure.stage in ("hive-diff", "hive-steal-diff")
+    assert failure.stage == "hive-diff"
 
 
 def test_repro_command_carries_hive_flag():

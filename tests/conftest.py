@@ -79,5 +79,25 @@ def dag_graph() -> CSRGraph:
     return from_edges(5, edges, directed=True, name="dag")
 
 
+@pytest.fixture
+def tier_calls(monkeypatch):
+    """Calls into each execution tier, counted by module-level spies
+    (``run_batch`` looks engines up at call time, so it hits them)."""
+    from collections import Counter
+
+    from repro.core import diggerbees, frontier, hive, swarm
+
+    calls = Counter()
+    for mod, name, tier in ((diggerbees, "run_diggerbees", "dfs_scalar"),
+                            (hive, "run_hive", "hive"),
+                            (frontier, "run_frontier", "frontier"),
+                            (swarm, "run_swarm", "swarm")):
+        def spy(*a, _real=getattr(mod, name), _tier=tier, **k):
+            calls[_tier] += 1
+            return _real(*a, **k)
+        monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
 def assert_same_visited(a: np.ndarray, b: np.ndarray) -> None:
     assert np.array_equal(np.asarray(a, bool), np.asarray(b, bool))

@@ -10,14 +10,18 @@ import json
 
 import pytest
 
+from repro.check.differential import _bfs_diff, _schedule_diff
+from repro.core import diggerbees, frontier
+from repro.core.config import DiggerBeesConfig
 from repro.core.dispatch import (
     BACKEND_CHOICES,
     BACKENDS,
-    SWARM_MIN_BATCH,
+    LOCKSTEP_MIN_WIDTH,
     BackendDecision,
     choose_backend,
     graph_regime,
     load_calibration,
+    run_batch,
 )
 from repro.errors import SimulationError
 from repro.graphs import generators as gen
@@ -27,9 +31,9 @@ import numpy as np
 
 
 def test_choice_constants():
-    assert BACKENDS == ("dfs", "frontier", "swarm")
-    assert BACKEND_CHOICES == ("auto", "dfs", "frontier", "swarm")
-    assert SWARM_MIN_BATCH >= 2
+    assert BACKENDS == ("dfs", "frontier")
+    assert BACKEND_CHOICES == ("auto", "dfs", "frontier")
+    assert LOCKSTEP_MIN_WIDTH == 2
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -49,7 +53,6 @@ def test_forced_backend_needs_no_graph():
     # The serve layer's forced knobs must never pay the regime BFS.
     assert choose_backend(requested="dfs").backend == "dfs"
     assert choose_backend(requested="frontier").backend == "frontier"
-    assert choose_backend(requested="swarm").backend == "swarm"
 
 
 def test_auto_with_overrides_is_config_pinned():
@@ -76,22 +79,6 @@ def test_auto_routes_by_regime(regime, backend):
     assert d.backend == backend
     assert d.regime == regime
     assert d.reason == "regime"
-
-
-def test_auto_prefers_swarm_when_batchable_and_shallow():
-    d = choose_backend(requested="auto", regime="shallow",
-                       batch_hint=SWARM_MIN_BATCH, calibration={})
-    assert d.backend == "swarm"
-    assert d.reason == "regime"
-    # Deep/mid stay on DFS no matter how wide the batch is.
-    for regime in ("deep", "mid"):
-        d = choose_backend(requested="auto", regime=regime,
-                           batch_hint=256, calibration={})
-        assert d.backend == "dfs"
-    # A single root cannot amortize the lane machinery.
-    d = choose_backend(requested="auto", regime="shallow", batch_hint=1,
-                       calibration={})
-    assert d.backend == "frontier"
 
 
 def test_auto_profiles_the_graph_when_no_regime_given():
@@ -172,25 +159,41 @@ CAL = {
 }
 
 
-def test_calibrated_routing_picks_cheapest_backend():
-    d = choose_backend(requested="auto", regime="shallow", batch_hint=256,
-                       calibration=CAL)
-    assert d == BackendDecision("swarm", "shallow", "calibrated")
-    d = choose_backend(requested="auto", regime="deep", batch_hint=256,
-                       calibration=CAL)
-    assert d == BackendDecision("dfs", "deep", "calibrated")
-    # Measured table can overturn the proxy: mid routes to swarm here,
-    # where the proxy would have said dfs.
-    d = choose_backend(requested="auto", regime="mid", batch_hint=256,
-                       calibration=CAL)
-    assert d == BackendDecision("swarm", "mid", "calibrated")
-
-
 def test_calibrated_swarm_needs_a_batch():
-    # Without a batch, swarm is ineligible; the next-cheapest wins.
+    # The swarm row prices the frontier family only from the lockstep
+    # width up; a single query pays the single-root frontier row.
+    table = {"regimes": {"shallow": {"dfs": 1e-3, "frontier": 5e-3,
+                                     "swarm": 1e-4}}}
     d = choose_backend(requested="auto", regime="shallow", batch_hint=1,
-                       calibration=CAL)
+                       calibration=table)
+    assert d == BackendDecision("dfs", "shallow", "calibrated")
+    d = choose_backend(requested="auto", regime="shallow",
+                       batch_hint=LOCKSTEP_MIN_WIDTH, calibration=table)
     assert d == BackendDecision("frontier", "shallow", "calibrated")
+
+
+#: Family the previous three-backend router named at every batch hint
+#: in (1, 2, 64), its "swarm" read as "frontier": folding swarm into the
+#: frontier family must not move any routing decision.
+PARENT_FAMILY = {
+    "committed": {"deep": "frontier", "mid": "frontier",
+                  "shallow": "frontier"},
+    "CAL": {"deep": "dfs", "mid": "frontier", "shallow": "frontier"},
+    "none": {"deep": "dfs", "mid": "dfs", "shallow": "frontier"},
+}
+
+
+@pytest.mark.parametrize("table", sorted(PARENT_FAMILY))
+@pytest.mark.parametrize("regime", ["deep", "mid", "shallow"])
+@pytest.mark.parametrize("batch_hint", [1, 2, 64])
+def test_routing_names_the_same_family_as_before(table, regime,
+                                                  batch_hint):
+    calibration = {"committed": load_calibration(), "CAL": CAL,
+                   "none": {}}[table]
+    d = choose_backend(requested="auto", regime=regime,
+                       batch_hint=batch_hint, calibration=calibration)
+    assert d.backend == PARENT_FAMILY[table][regime]
+    assert d.reason == ("regime" if table == "none" else "calibrated")
 
 
 def test_calibration_falls_back_to_proxy_when_regime_missing():
@@ -223,7 +226,7 @@ def test_load_calibration_reads_and_routes(tmp_path):
     assert table["regimes"]["shallow"]["swarm"] == 5e-5
     d = choose_backend(requested="auto", regime="shallow", batch_hint=64,
                        calibration=table)
-    assert d.backend == "swarm"
+    assert d.backend == "frontier"
 
 
 def test_load_calibration_hot_reloads_on_rewrite(tmp_path):
@@ -239,10 +242,10 @@ def test_load_calibration_hot_reloads_on_rewrite(tmp_path):
 
 
 def test_invalid_requested_backend_raises():
-    with pytest.raises(SimulationError):
-        choose_backend(requested="gpu")
-    with pytest.raises(SimulationError):
-        choose_backend(requested="")
+    # "swarm" is a tier of the frontier family, not a backend.
+    for bad in ("gpu", "", "swarm"):
+        with pytest.raises(SimulationError):
+            choose_backend(requested=bad)
 
 
 def test_auto_without_graph_or_regime_raises():
@@ -255,3 +258,66 @@ def test_graph_regime_matches_properties_regime():
 
     g = gen.star_mesh(12, leaves_per_hub=9, seed=8)
     assert graph_regime(g) == regime(g, 0)
+
+
+# ---------------------------------------------------------------------------
+# run_batch: the one scalar-vs-lockstep choice.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+@pytest.mark.parametrize("family", BACKENDS)
+def test_run_batch_picks_the_tier_by_width(family, width, tier_calls):
+    graph = gen.road_network(150, seed=2)
+    tasks = [(root, DiggerBeesConfig(n_blocks=2, warps_per_block=2,
+                                     seed=seed))
+             for seed, root in enumerate([0, 3, 7, 11, 19][:width])]
+    if family == "dfs":
+        refs = [diggerbees.run_diggerbees(graph, r, config=c)
+                for r, c in tasks]
+        diff, scalar, lockstep = _schedule_diff, "dfs_scalar", "hive"
+    else:
+        refs = [frontier.run_frontier(graph, r) for r, _ in tasks]
+        diff, scalar, lockstep = _bfs_diff, "frontier", "swarm"
+    tier_calls.clear()
+    out = run_batch(graph, family, tasks)
+    assert tier_calls == ({lockstep: 1} if width >= LOCKSTEP_MIN_WIDTH
+                          else {scalar: width})
+    assert len(out) == width
+    assert [diff(ref, got) for ref, got in zip(refs, out)] == [None] * width
+
+
+def test_run_batch_runs_ineligible_or_mixed_configs_scalar(tier_calls):
+    graph = gen.road_network(150, seed=2)
+    base = DiggerBeesConfig(n_blocks=2, warps_per_block=2)
+    for other in (base.with_overrides(n_blocks=4),      # incompatible
+                  base.with_overrides(fastpath=False)):  # ineligible
+        tier_calls.clear()
+        run_batch(graph, "dfs", [(0, base), (3, other)])
+        assert tier_calls == {"dfs_scalar": 2}
+
+
+def test_run_batch_settles_a_lockstep_error_on_its_task(tier_calls):
+    # A long path and a separate triangle: under one small cycle budget
+    # the path's run is over budget and the triangle's is not.
+    n = 300
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(n, n + 1), (n + 1, n + 2), (n + 2, n)]
+    graph = from_edges(n + 3, np.array(edges, dtype=np.int64))
+    cfg = DiggerBeesConfig(n_blocks=2, warps_per_block=2)
+    small = diggerbees.run_diggerbees(graph, n, config=cfg).cycles
+    cfg = cfg.with_overrides(max_cycles=2 * small)
+    with pytest.raises(SimulationError):
+        diggerbees.run_diggerbees(graph, 0, config=cfg)
+    ref = diggerbees.run_diggerbees(graph, n, config=cfg)
+
+    tier_calls.clear()
+    big_out, small_out = run_batch(graph, "dfs", [(0, cfg), (n, cfg)])
+    assert tier_calls == {"hive": 1, "dfs_scalar": 2}
+    assert isinstance(big_out, SimulationError)
+    assert "max_cycles" in str(big_out)
+    assert _schedule_diff(ref, small_out) is None
+
+
+def test_run_batch_rejects_unknown_backends():
+    with pytest.raises(SimulationError):
+        run_batch(gen.path_graph(4), "swarm", [(0, None)])

@@ -1,14 +1,12 @@
 """Coverage for the vectorized steal protocol in the hive engine.
 
 ``repro.core.hive`` executes refills, intra-block steals and inter-block
-leader steals as batched NumPy passes when ``hive_steal="vector"`` (the
-default).  The contract is unchanged from the scalar protocol: every run
-must stay bit-identical to the scalar engines, including the protocol
-counters.  These tests drive the vector passes with real steal traffic
-(skewed trees and hub graphs on tight stack geometry) and check them
-against two independent oracles — the scalar (fused) engine and the hive
-engine's own ``hive_steal="scalar"`` mode — plus the execution-path
-accounting in the ``stats`` dict.
+leader steals as batched NumPy passes.  The contract is unchanged from
+the scalar protocol: every run must stay bit-identical to the scalar
+engines, including the protocol counters.  These tests drive the vector
+passes with real steal traffic (skewed trees and hub graphs on tight
+stack geometry) and check them against the scalar (fused) engine, plus
+the execution-path accounting in the ``stats`` dict.
 
 The scenarios deliberately include the protocol's racy corners: every
 live lane bailing out in the same tick, two thieves reserving the same
@@ -57,19 +55,17 @@ GRAPHS = {
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 def test_vector_bit_identical_and_nonvacuous(graph_name):
-    """Vector hive == scalar engine == scalar-mode hive, with real steal
-    traffic (refills, intra + inter successes, CAS failures all nonzero)
-    and no lanes routed through the scalar fallback."""
+    """Vector hive == scalar engine, with real steal traffic (refills,
+    intra + inter successes, CAS failures all nonzero) and no lanes
+    routed through the scalar fallback."""
     graph = GRAPHS[graph_name]()
     cfg = _steal_heavy_config()
     scalar = run_diggerbees(graph, 0, config=cfg)
 
     stats = {}
     vec = run_hive(graph, [(0, cfg)] * 4, stats=stats)
-    scal = run_hive(graph, [(0, cfg.with_overrides(hive_steal="scalar"))] * 4)
-    for i, (v, s) in enumerate(zip(vec, scal)):
+    for i, v in enumerate(vec):
         _assert_same(scalar, v, f"{graph_name} vector run {i}")
-        _assert_same(scalar, s, f"{graph_name} scalar-mode run {i}")
 
     c = scalar.counters
     assert c.refills > 0 and c.refill_entries > 0
@@ -161,24 +157,3 @@ def test_patched_protocol_routes_to_fallback(monkeypatch):
     assert stats["fallback_lane_fraction"] > 0.0
     assert stats["vector_refills"] == 0
     assert stats["vector_reserves_intra"] == 0
-
-
-def test_scalar_mode_stats_report_fallback():
-    """hive_steal="scalar" keeps the batched expand path but routes all
-    protocol events through the scalar fallback; the stats dict makes
-    that visible."""
-    graph = GRAPHS["hub"]()
-    cfg = _steal_heavy_config(hive_steal="scalar")
-    stats = {}
-    run_hive(graph, [(0, cfg)] * 2, stats=stats)
-    assert stats["events_total"] > 0
-    assert stats["events_fallback"] > 0
-    assert stats["fallback_lane_fraction"] > 0.0
-    assert stats["vector_refills"] == 0
-
-
-def test_hive_steal_config_validation():
-    assert DiggerBeesConfig(hive_steal="scalar").hive_steal == "scalar"
-    assert DiggerBeesConfig().hive_steal == "vector"
-    with pytest.raises(Exception):
-        DiggerBeesConfig(hive_steal="bogus")

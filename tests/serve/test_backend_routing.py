@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import ServeConfig
 from repro.core.diggerbees import run_diggerbees
+from repro.core.dispatch import load_calibration
 from repro.core.frontier import run_frontier
 from repro.errors import SimulationError
 from repro.graphs import generators as gen
@@ -69,13 +70,11 @@ def test_forced_frontier_daemon_answers_with_frontier_payloads():
 
 def test_auto_routes_by_regime_and_pins_overrides():
     async def scenario(client, server, corpus, **_):
-        # A batching daemon (max_batch=8) routes shallow graphs to the
-        # swarm tier; the payload is the frontier payload with the
-        # swarm backend marker.
+        # Shallow graphs route to the frontier family.
         shallow = await client.dfs("wide", 0)
-        assert shallow.result["backend"] == "swarm"
+        assert shallow.result["backend"] == "frontier"
         expected = frontier_result_to_dict(
-            run_frontier(corpus.get("wide").graph, 0), backend="swarm")
+            run_frontier(corpus.get("wide").graph, 0))
         assert shallow.result == expected
         deep = await client.dfs("spine", 0)
         assert "cycles" in deep.result  # DFS simulation payload
@@ -85,8 +84,7 @@ def test_auto_routes_by_regime_and_pins_overrides():
             "dfs", "wide", root=0, config={"seed": 5}, no_cache=True)
         assert "cycles" in pinned.result
         status = await client.status()
-        assert status["stats"]["backend_swarm"] == 1
-        assert status["stats"]["backend_frontier"] == 0
+        assert status["stats"]["backend_frontier"] == 1
         assert status["stats"]["backend_dfs"] == 2
         # The regime was profiled once per resident graph and memoized.
         assert corpus.get("wide")._regime == "shallow"
@@ -96,63 +94,75 @@ def test_auto_routes_by_regime_and_pins_overrides():
                   config=make_config("auto"))
 
 
-def test_auto_without_batching_stays_on_single_root_frontier():
-    async def scenario(client, server, corpus, **_):
-        resp = await client.dfs("wide", 0)
-        assert resp.result["backend"] == "frontier"
-        status = await client.status()
-        assert status["stats"]["backend_frontier"] == 1
-        assert status["stats"]["backend_swarm"] == 0
+def test_auto_without_batching_stays_on_single_root_frontier(
+        monkeypatch, tier_calls):
+    # With the committed table every override-free query routes to the
+    # frontier family; a group that flushes with one query runs the
+    # single-root engine, not a one-lane swarm.
+    import repro.core.dispatch as dispatch
+
+    monkeypatch.setattr(dispatch, "load_calibration", load_calibration)
+
+    async def scenario(client, corpus, **_):
+        for name in ("wide", "spine"):
+            tier_calls.clear()
+            resp = await client.dfs(name, 0)
+            assert tier_calls == {"frontier": 1}
+            assert resp.batch == 1
+            assert resp.result == frontier_result_to_dict(
+                run_frontier(corpus.get(name).graph, 0))
 
     serve_session(scenario, graphs=routing_graphs(),
-                  config=ServeConfig(batch_window=0.01, max_batch=1,
-                                     jobs=0, cache_dir="off",
-                                     backend="auto"))
+                  config=make_config("auto"))
 
 
-def test_forced_swarm_daemon_coalesces_into_one_lockstep_batch():
+def test_forced_frontier_daemon_coalesces_into_one_swarm(tier_calls):
     async def scenario(client, server, corpus, **_):
         import asyncio
 
         roots = [0, 3, 7, 11]
         resps = await asyncio.gather(*[
             client.dfs("spine", r) for r in roots])
-        for r, resp in zip(roots, resps):
-            assert resp.ok and resp.result["backend"] == "swarm"
-            expected = frontier_result_to_dict(
-                run_frontier(corpus.get("spine").graph, r),
-                backend="swarm")
-            assert resp.result == expected
         # All four rode one admission group -> one swarm execution.
+        assert tier_calls == {"swarm": 1}
         widths = {resp.batch for resp in resps}
         assert widths == {len(roots)}
+        for r, resp in zip(roots, resps):
+            assert resp.ok and resp.result["backend"] == "frontier"
+            expected = frontier_result_to_dict(
+                run_frontier(corpus.get("spine").graph, r))
+            assert resp.result == expected
         status = await client.status()
-        assert status["stats"]["backend_swarm"] == len(roots)
-        assert status["stats"]["backend_frontier"] == 0
+        assert status["stats"]["backend_frontier"] == len(roots)
         # Forced knobs never pay the regime BFS.
         assert corpus.get("spine")._regime is None
 
     serve_session(scenario, graphs=routing_graphs(),
-                  config=make_config("swarm"))
+                  config=make_config("frontier"))
 
 
-def test_swarm_batch_isolates_bad_roots():
+def test_frontier_batch_isolates_bad_roots(tier_calls):
     async def scenario(client, server, corpus, **_):
         import asyncio
 
         from repro.errors import ServeError
 
-        good, bad = 0, 10**6
-        ok_resp, bad_exc = await asyncio.gather(
-            client.dfs("wide", good),
-            client.query("dfs", "wide", root=bad, no_cache=True),
+        # One admission group: the bad root settles as its own error and
+        # the two good roots still run as one swarm.
+        ok1, bad_exc, ok2 = await asyncio.gather(
+            client.dfs("wide", 0, no_cache=True),
+            client.dfs("wide", 10**6, no_cache=True),
+            client.dfs("wide", 5, no_cache=True),
             return_exceptions=True)
-        assert ok_resp.ok and ok_resp.result["backend"] == "swarm"
+        assert tier_calls == {"swarm": 1}
+        for resp in (ok1, ok2):
+            assert resp.ok and resp.result["backend"] == "frontier"
+            assert resp.batch == 3
         assert isinstance(bad_exc, ServeError)
         assert "out of range" in str(bad_exc)
 
     serve_session(scenario, graphs=routing_graphs(),
-                  config=make_config("swarm"))
+                  config=make_config("frontier"))
 
 
 def test_frontier_payload_matches_dfs_reachability():
@@ -197,15 +207,13 @@ def test_result_key_separates_backends():
     fp = "deadbeef"
     dfs_key = result_key("dfs", 0, None, fp)
     assert result_key("dfs", 0, None, fp, "frontier") != dfs_key
-    assert result_key("dfs", 0, None, fp, "swarm") != dfs_key
-    assert result_key("dfs", 0, None, fp, "swarm") != \
-        result_key("dfs", 0, None, fp, "frontier")
     # The default backend is un-keyed so pre-existing DFS cache entries
     # (including disk spills) stay addressable.
     assert result_key("dfs", 0, None, fp, "dfs") == dfs_key
 
 
 def test_serve_config_backend_validation():
-    with pytest.raises(SimulationError):
-        ServeConfig(backend="gpu")
+    for bad in ("gpu", "swarm"):
+        with pytest.raises(SimulationError):
+            ServeConfig(backend=bad)
     assert ServeConfig(backend="auto").backend == "auto"

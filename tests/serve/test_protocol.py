@@ -66,11 +66,11 @@ def test_request_config_must_be_object():
 
 
 @pytest.mark.parametrize("field,value", [("turbo", True),
-                                         ("scheduler", "heap")])
+                                         ("scheduler", "heap"),
+                                         ("hive_steal", "scalar")])
 def test_turbo_and_scheduler_config_fields_fail_the_request(field, value):
-    """``turbo`` and ``scheduler`` are not engine-config fields: a config
-    naming either fails its own request with the typed unknown-field
-    error."""
+    """Deleted knobs are not engine-config fields: a config naming one
+    fails its own request with the typed unknown-field error."""
     from repro.serve.exec import ERROR_KEY, execute_query
 
     out = execute_query(gen.path_graph(8), "dfs", 0,
@@ -171,5 +171,6 @@ def test_dfs_result_to_dict_is_canonical_and_json_safe():
 def test_ops_cover_executors():
     from repro.serve.exec import _EXECUTORS
 
-    assert set(_EXECUTORS) == set(QUERY_OPS)
+    # dfs queries go through execute_dfs_batch; every other op has one.
+    assert set(_EXECUTORS) == set(QUERY_OPS) - {"dfs"}
     assert len(set(OPS)) == len(OPS)
