@@ -20,14 +20,7 @@ from typing import Optional
 from repro.errors import SimulationError
 from repro.sim.device import DeviceSpec, H100, hotring_smem_bytes
 
-__all__ = ["DiggerBeesConfig", "ServeConfig", "SHARD_MIN_VERTICES",
-           "VICTIM_POLICIES"]
-
-#: Smallest resident graph the serve daemon will answer with the
-#: sharded tier (``ServeConfig.shards >= 2``).  Below this, partition +
-#: round-barrier overhead dwarfs any concurrency win, so queries stay
-#: on the single-engine DFS path.
-SHARD_MIN_VERTICES = 1024
+__all__ = ["DiggerBeesConfig", "ServeConfig", "VICTIM_POLICIES"]
 
 VICTIM_POLICIES = ("two_choice", "random")
 
@@ -310,18 +303,6 @@ class ServeConfig:
         proxy with measured per-regime costs.  Routing is a
         deterministic function of the graph fingerprint and the query,
         and the resolved backend is part of the result-cache key.
-    shards:
-        Sharded execution tier (:mod:`repro.core.shard`) for large
-        resident graphs: ``0`` (default) and ``1`` leave sharding off;
-        ``k >= 2`` answers override-free DFS queries on graphs with at
-        least :data:`SHARD_MIN_VERTICES` vertices by partitioning the
-        graph into ``k`` districts and running one engine per district
-        (concurrently across worker processes when ``jobs > 1``).  The
-        merged traversal is the canonical sharded result — reachable set
-        and levels bit-identical to the unsharded engine, parent the
-        deterministic min-parent tree — and ``"shard"`` becomes part of
-        the result-cache key, so sharded and unsharded answers never
-        alias.
     """
 
     batch_window: float = 0.005
@@ -331,7 +312,6 @@ class ServeConfig:
     cache_dir: Optional[str] = None
     drain_timeout: float = 10.0
     backend: str = "dfs"
-    shards: int = 0
 
     def __post_init__(self) -> None:
         if self.batch_window < 0:
@@ -348,9 +328,6 @@ class ServeConfig:
         if self.drain_timeout < 0:
             raise SimulationError(
                 f"drain_timeout must be >= 0, got {self.drain_timeout}")
-        if self.shards < 0:
-            raise SimulationError(
-                f"shards must be >= 0, got {self.shards}")
         from repro.core.dispatch import BACKEND_CHOICES
 
         if self.backend not in BACKEND_CHOICES:

@@ -86,9 +86,10 @@ identical to turbo (and the generic engine) for every run regardless
 of batch composition.  The differential ladder's hive rung and the
 batch-vs-turbo tests assert this per run at several batch sizes.
 
-Eligibility mirrors turbo's (the batch engine is an explicit opt-in
-tier): two-level stacks, expand fast path, no schedule perturbation,
-and no tracing (per-event trace logs are inherently scalar).
+Eligibility mirrors turbo's: two-level stacks, expand fast path, no
+schedule perturbation, and no tracing (per-event trace logs are
+inherently scalar).  :func:`repro.core.dispatch.run_batch` picks this
+tier automatically for eligible DFS batches of two or more runs.
 """
 
 from __future__ import annotations
@@ -176,21 +177,20 @@ def run_hive(
     tasks: Sequence[Tuple[int, DiggerBeesConfig]],
     *,
     device: DeviceSpec = H100,
-    batch: Optional[int] = None,
     stats: Optional[dict] = None,
 ) -> List[DiggerBeesResult]:
-    """Run ``tasks`` = ``[(root, config), ...]`` on ``graph``, batched.
+    """Run ``tasks`` = ``[(root, config), ...]`` on ``graph`` as one
+    lockstep batch.
 
     All tasks must share the graph and device and have hive-eligible,
-    mutually compatible configs (equal modulo ``seed``).  ``batch``
-    caps the lockstep width; ``None`` runs the whole task list as one
-    batch.  Results come back in task order and are bit-identical to
-    ``run_diggerbees`` / turbo per task.
+    mutually compatible configs (equal modulo ``seed``).  Results come
+    back in task order and are bit-identical to ``run_diggerbees`` /
+    turbo per task.
 
-    ``stats``, when given a dict, receives execution-path accounting
-    summed over all batches: ``events_total``, ``events_fallback``
-    (events routed through the scalar per-agent step), the vectorized
-    protocol pass totals (``vector_refills``, ``vector_steal_selects``,
+    ``stats``, when given a dict, receives execution-path accounting:
+    ``events_total``, ``events_fallback`` (events routed through the
+    scalar per-agent step), the vectorized protocol pass totals
+    (``vector_refills``, ``vector_steal_selects``,
     ``vector_reserves_intra``, ``vector_reserves_inter``), and the
     derived ``fallback_lane_fraction``.  On an unpatched, unmonitored,
     non-adversarial run the fallback fraction is 0.0; the micro-bench
@@ -218,10 +218,7 @@ def run_hive(
                 f"config for root {root} differs from the batch's beyond "
                 f"the seed; split into separate run_hive calls"
             )
-    width = len(tasks) if batch is None else max(1, int(batch))
-    results: List[DiggerBeesResult] = []
-    for lo in range(0, len(tasks), width):
-        results.extend(_run_batch(graph, tasks[lo:lo + width], device, stats))
+    results = _run_batch(graph, tasks, device, stats)
     if stats is not None:
         total = stats.get("events_total", 0)
         stats["fallback_lane_fraction"] = (
@@ -458,7 +455,7 @@ def _drain_batch(slabs: BatchSlabs, states: List[RunState],
         st.pending = 0
         results[row] = EngineResult(cycles=int(now[slot]),
                                     steps=int(seq_ctr[slot]) - A,
-                                    agents=A, exact_cycles=True)
+                                    agents=A)
 
     nact = B
     while nact:

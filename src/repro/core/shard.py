@@ -72,32 +72,6 @@ __all__ = ["ShardedResult", "run_sharded", "sharded_levels",
 
 _IDX = np.int64
 
-#: Partition memo keyed by (name, n, m, k, seed, checksum): the serve
-#: daemon answers many queries against the same resident graph, and
-#: re-partitioning per query would dwarf the traversal itself.
-_PARTITION_CACHE: Dict[tuple, PartitionedCSR] = {}
-_PARTITION_CACHE_MAX = 8
-
-
-def _partition_key(graph: CSRGraph, k: int, seed: int) -> tuple:
-    ci = graph.column_idx
-    stride = max(1, ci.size // 64)
-    probe = int(ci[::stride].sum()) if ci.size else 0
-    return (graph.name, graph.n_vertices, graph.n_edges, k, seed, probe)
-
-
-def _cached_partition(graph: CSRGraph, k: int, seed: int) -> PartitionedCSR:
-    key = _partition_key(graph, k, seed)
-    part = _PARTITION_CACHE.get(key)
-    if part is None or part.graph is not graph and not (
-            np.array_equal(part.graph.row_ptr, graph.row_ptr)
-            and np.array_equal(part.graph.column_idx, graph.column_idx)):
-        part = partition_graph(graph, k, seed=seed)
-        if len(_PARTITION_CACHE) >= _PARTITION_CACHE_MAX:
-            _PARTITION_CACHE.pop(next(iter(_PARTITION_CACHE)))
-        _PARTITION_CACHE[key] = part
-    return part
-
 
 # ----------------------------------------------------------------------
 # Canonical merge oracles (levels + min-parent tree), computed shard-wise
@@ -223,8 +197,7 @@ def _run_district_round(payload) -> tuple:
                         directed=sub.directed, name=f"{sub.name}#round")
     res = run_diggerbees(vgraph, 0, config=config, device=device)
     newly = unvisited[res.traversal.visited[1:]]
-    return (newly, res.cycles, res.engine.steps, res.engine.exact_cycles,
-            res.counters, int(roots.size))
+    return newly, res.cycles, res.engine.steps, res.counters, int(roots.size)
 
 
 def _merge_counters(agg: SimCounters, run: SimCounters, n_roots: int,
@@ -263,8 +236,8 @@ class ShardedResult:
 
     Mirrors :class:`~repro.core.diggerbees.DiggerBeesResult` (traversal,
     cycles, seconds, counters, engine) so it drops into the same report
-    and wire-payload paths, and adds the shard-tier extras: the
-    partition, per-round protocol stats, and canonical BFS levels.
+    paths, and adds the shard-tier extras: the partition, per-round
+    protocol stats, and canonical BFS levels.
     """
 
     traversal: TraversalResult
@@ -329,12 +302,11 @@ def run_sharded(
 ) -> ShardedResult:
     """Traverse ``graph`` from ``root`` across ``k`` concurrent districts.
 
-    ``partition`` short-circuits the partitioner (callers holding a
-    :class:`PartitionedCSR` — the serve daemon memoizes per resident
-    graph); otherwise a seeded partition is computed (and memoized per
-    graph identity).  ``jobs > 1`` fans district runs of each round out
-    over the persistent worker pool; results are bit-identical for
-    every ``jobs`` and every ``k``.
+    ``partition`` short-circuits the partitioner (callers reusing one
+    :class:`PartitionedCSR` across roots, as ``bench_shard.py`` does);
+    otherwise a seeded partition is computed.  ``jobs > 1`` fans
+    district runs of each round out over the persistent worker pool;
+    results are bit-identical for every ``jobs`` and every ``k``.
     """
     graph._check_vertex(root)
     config = config or DiggerBeesConfig()
@@ -345,14 +317,13 @@ def run_sharded(
                 f"graph, got {graph.n_vertices} vertices")
         part = partition
     else:
-        part = _cached_partition(graph, k, partition_seed)
+        part = partition_graph(graph, k, seed=partition_seed)
     n = graph.n_vertices
     costs = device.costs
     visited = np.zeros(n, dtype=bool)
     counters = SimCounters()
     total_cycles = 0
     total_steps = 0
-    exact = True
     rounds: List[dict] = []
     # Activation inboxes: district -> sorted local root ids.
     inbox: Dict[int, np.ndarray] = {
@@ -409,12 +380,11 @@ def run_sharded(
             round_cycles = 0
             newly_global: List[np.ndarray] = []
             for d, out in zip(active, outs):
-                newly, cycles, steps, run_exact, run_counters, n_roots = out
+                newly, cycles, steps, run_counters, n_roots = out
                 dist = part.districts[d]
                 newly_global.append(dist.global_ids[newly])
                 round_cycles = max(round_cycles, cycles)
                 total_steps += steps
-                exact = exact and run_exact
                 _merge_counters(counters, run_counters, n_roots,
                                 d * config.n_blocks)
             new_mask = np.zeros(n, dtype=bool)
@@ -510,7 +480,6 @@ def run_sharded(
         cycles=total_cycles,
         steps=total_steps,
         agents=config.n_blocks * config.warps_per_block * part.k,
-        exact_cycles=exact,
     )
     return ShardedResult(
         traversal=traversal,

@@ -76,14 +76,13 @@ def run_turbo(
     agents: Sequence[WarpAgent],
     *,
     max_cycles: int,
-    deadlock_window: Optional[int] = None,
     on_step: Optional[Callable[[int], None]] = None,
 ) -> EngineResult:
     """Drain the simulation with the fused loop (see module docstring).
 
-    Mirrors ``EventLoop(..., poll_interval=1)`` (the calendar drain)
-    exactly: identical event order, identical costs, identical
-    termination observation point — hence identical ``EngineResult``.
+    Mirrors the calendar drain of ``EventLoop`` exactly: identical
+    event order, identical costs, identical termination observation
+    point — hence identical ``EngineResult``.
 
     Cyclic GC is paused for the duration of the drain: the run state is
     millions of container objects, and a threshold-triggered gen-2
@@ -95,8 +94,7 @@ def run_turbo(
     if gc_was_enabled:
         gc.disable()
     try:
-        return _drain(state, agents, max_cycles=max_cycles,
-                      deadlock_window=deadlock_window, on_step=on_step)
+        return _drain(state, agents, max_cycles=max_cycles, on_step=on_step)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -107,14 +105,13 @@ def _drain(
     agents: Sequence[WarpAgent],
     *,
     max_cycles: int,
-    deadlock_window: Optional[int] = None,
     on_step: Optional[Callable[[int], None]] = None,
 ) -> EngineResult:
     config = state.config
     costs = state.costs
     counters = state.counters
     n_agents = len(agents)
-    window = deadlock_window or max(10_000, 200 * n_agents)
+    window = max(10_000, 200 * n_agents)
     max_cycles = int(max_cycles)
 
     # Shared-state locals: the SoA slabs and adjacency mirrors.  Every
@@ -401,8 +398,7 @@ def _drain(
     _merge(counters, mx_hot, mx_cold, tpb_local, tpw_local, recs,
            d_edges, d_cas, d_casf, d_pops, d_pushes, d_vis,
            d_polls, d_refills, d_refille, d_flushes, d_flushe)
-    return EngineResult(cycles=now, steps=steps, agents=n_agents,
-                        exact_cycles=True)
+    return EngineResult(cycles=now, steps=steps, agents=n_agents)
 
 
 def _merge(counters, mx_hot, mx_cold, tpb_local, tpw_local, recs,

@@ -41,7 +41,7 @@ class Batch:
     key: Hashable          # grouping key: (graph, canonical engine config)
     items: Tuple[Any, ...]  # admitted items, in arrival order
     opened: float          # arrival time of the first item
-    reason: str            # "full" | "window" | "drain"
+    reason: str            # "full" | "window" | "drain" | "app"
 
 
 @dataclass
@@ -117,6 +117,3 @@ class BatchPolicy:
 
     def pending_count(self) -> int:
         return sum(len(g.items) for g in self._groups.values())
-
-    def pending_groups(self) -> int:
-        return len(self._groups)

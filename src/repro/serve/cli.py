@@ -55,10 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "dfs", "frontier"),
                    help="engine family for dfs queries (auto routes "
                         "per graph regime)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="answer override-free dfs queries on large "
-                        "graphs with the sharded tier (k districts; "
-                        "0/1 = off)")
 
     for name, help_ in (("stop", "drain and stop a running daemon"),
                         ("status", "print daemon status JSON"),
@@ -106,8 +102,6 @@ async def _run_daemon(args: argparse.Namespace) -> int:
         overrides["cache_dir"] = args.cache_dir
     if args.backend is not None:
         overrides["backend"] = args.backend
-    if args.shards is not None:
-        overrides["shards"] = args.shards
     if overrides:
         config = config.with_(**overrides)
 

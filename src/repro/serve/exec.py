@@ -26,9 +26,9 @@ from repro.core.config import DiggerBeesConfig
 from repro.errors import ProtocolError, ReproError
 from repro.serve.protocol import (
     QUERY_OPS,
+    ROOTED_OPS,
     dfs_result_to_dict,
     frontier_result_to_dict,
-    sharded_result_to_dict,
 )
 
 __all__ = [
@@ -158,13 +158,16 @@ def execute_query(wire_graph, op: str, root: int,
     ``backend`` is the *resolved* answer family for ``dfs`` queries
     (``"dfs"`` or ``"frontier"``) — callers route through
     :func:`repro.core.dispatch.choose_backend` first; a ``dfs`` query is
-    a batch of one (:func:`execute_dfs_batch`).  Non-DFS ops ignore it.
+    a batch of one (:func:`execute_dfs_batch`).  Non-DFS ops ignore it,
+    and ops outside :data:`~repro.serve.protocol.ROOTED_OPS` ignore
+    ``root`` too (it is neither validated nor used).
     """
     graph = _resolve(wire_graph)
     if op == "dfs":
         return execute_dfs_batch(graph, [(root, overrides)], backend)[0]
     try:
-        _check_root(graph, root)
+        if op in ROOTED_OPS:
+            _check_root(graph, root)
         return _EXECUTORS[op](graph, root, overrides)
     except ReproError as exc:
         return _error_marker(exc)
@@ -176,8 +179,7 @@ def execute_query(wire_graph, op: str, root: int,
 
 def execute_dfs_batch(wire_graph,
                       tasks: List[Tuple[int, Optional[Dict[str, Any]]]],
-                      backend: str = "dfs", shards: int = 0,
-                      shard_jobs: int = 0) -> List[Dict[str, Any]]:
+                      backend: str = "dfs") -> List[Dict[str, Any]]:
     """Execute ``[(root, config-overrides), ...]`` DFS queries, batched.
 
     Each task's config and root are validated first, so a bad one
@@ -189,13 +191,6 @@ def execute_dfs_batch(wire_graph,
     parameterize it) and settles any engine error on the task that
     raised it.  Per-task payloads are identical whichever tier ran;
     admission never mixes backends in one batch.
-
-    ``backend="shard"`` answers every task with the sharded tier
-    (:func:`repro.core.shard.run_sharded`, ``k = shards`` districts,
-    ``jobs = shard_jobs`` concurrent district workers).  Shard batches
-    always execute in the daemon process — the shard tier leases the
-    worker pool itself, one engine per district, so shipping the batch
-    to a pool worker would nest pools.
     """
     graph = _resolve(wire_graph)
     out: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
@@ -208,16 +203,6 @@ def execute_dfs_batch(wire_graph,
             out[i] = _error_marker(exc)
         else:
             valid.append((i, root, cfg))
-    if backend == "shard":
-        from repro.core.shard import run_sharded
-
-        for i, root, _ in valid:
-            try:
-                out[i] = sharded_result_to_dict(
-                    run_sharded(graph, root, k=shards, jobs=shard_jobs))
-            except ReproError as exc:
-                out[i] = _error_marker(exc)
-        return out
     from repro.core.dispatch import run_batch
 
     payload = (dfs_result_to_dict if backend == "dfs"

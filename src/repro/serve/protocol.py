@@ -61,7 +61,6 @@ __all__ = [
     "error_response",
     "dfs_result_to_dict",
     "frontier_result_to_dict",
-    "sharded_result_to_dict",
     "counters_to_wire",
 ]
 
@@ -270,27 +269,6 @@ def dfs_result_to_dict(res) -> Dict[str, Any]:
         "cycles": int(res.cycles),
         "steps": int(res.engine.steps),
         "counters": counters_to_wire(res.counters),
-    }
-
-
-def sharded_result_to_dict(res) -> Dict[str, Any]:
-    """Canonical payload of one :class:`~repro.core.shard.ShardedResult`.
-
-    Shares the DFS payload keys (sparse ``visited``, dense ``parent``,
-    modeled ``cycles``/``steps``, wire counters) and adds the shard-tier
-    extras: a ``backend`` marker, the district count, and the number of
-    message-passing rounds.  The traversal portion is the canonical
-    sharded merge — reachable set bit-identical to the unsharded engine,
-    parent the deterministic min-parent tree — so the payload is a pure
-    function of (graph, root) for any ``shards``/``jobs``; only
-    ``cycles``/``rounds``/counters carry the protocol's modeled cost,
-    which is why the shard tier gets its own result-cache key.
-    """
-    return {
-        **dfs_result_to_dict(res),
-        "backend": "shard",
-        "shards": int(res.k),
-        "rounds": int(res.n_rounds),
     }
 
 

@@ -40,7 +40,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.config import SHARD_MIN_VERTICES, ServeConfig
+from repro.core.config import ServeConfig
 from repro.errors import ProtocolError, ReproError, ServeError
 from repro.serve.admission import Batch, BatchPolicy
 from repro.serve.cache import (
@@ -54,6 +54,7 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     QUERY_OPS,
     MAX_LINE_BYTES,
+    ROOTED_OPS,
     Request,
     Response,
     decode_request,
@@ -72,7 +73,7 @@ class ServerStats:
         "connections", "requests", "responses", "errors",
         "cache_hits", "cache_misses", "coalesced",
         "batches", "batched_queries", "hive_batches",
-        "backend_dfs", "backend_frontier", "backend_shard",
+        "backend_dfs", "backend_frontier",
         "pool_broken", "shm_fallbacks", "inline_fallbacks",
         "dropped_responses", "protocol_errors",
     )
@@ -329,7 +330,6 @@ class ServeServer:
                 "jobs": self.config.jobs,
                 "cache_entries": self.config.cache_entries,
                 "backend": self.config.backend,
-                "shards": self.config.shards,
             },
             "pending": self.policy.pending_count(),
             "inflight_batches": len(self._exec_tasks),
@@ -380,21 +380,11 @@ class ServeServer:
 
         regime = (entry.regime()
                   if self.config.backend == "auto" else None)
-        backend = choose_backend(entry.graph,
-                                 requested=self.config.backend,
-                                 regime=regime,
-                                 overrides=req.config,
-                                 batch_hint=self.config.max_batch).backend
-        # Shard-tier promotion: with the knob on, override-free DFS
-        # queries on large graphs go to the sharded execution tier.
-        # Parameterized queries ask for a specific single-engine
-        # simulation and small graphs don't amortize the round barrier
-        # (SHARD_MIN_VERTICES), so both stay on plain DFS.
-        if (backend == "dfs" and self.config.shards >= 2
-                and not req.config
-                and entry.graph.n_vertices >= SHARD_MIN_VERTICES):
-            return "shard"
-        return backend
+        return choose_backend(entry.graph,
+                              requested=self.config.backend,
+                              regime=regime,
+                              overrides=req.config,
+                              batch_hint=self.config.max_batch).backend
 
     async def _dispatch_query(self, req: Request) -> bytes:
         loop = asyncio.get_running_loop()
@@ -408,14 +398,11 @@ class ServeServer:
 
             build_engine_config(req.config)
             backend = self._resolve_backend(entry, req)
-        # Shard payloads carry k-dependent modeled cost (cycles, rounds,
-        # counters), so the district count is part of the key — a live
-        # reconfiguration to a different k must not replay k-stale
-        # payloads.
-        key_backend = (f"shard:{self.config.shards}"
-                       if backend == "shard" else backend)
-        key = result_key(req.op, req.root, req.config, entry.fingerprint,
-                         key_backend)
+        # Unrooted ops ignore ``root``, so it must not split their cache
+        # entries or single-flight groups.
+        root = req.root if req.op in ROOTED_OPS else 0
+        key = result_key(req.op, root, req.config, entry.fingerprint,
+                         backend)
         cache = self._cache_for(entry)
 
         if not req.no_cache:
@@ -503,17 +490,8 @@ class ServeServer:
                          for p in pendings]
                 backend = pendings[0].backend  # admission-homogeneous
                 self.stats.bump(f"backend_{backend}", width)
-                if backend == "shard":
-                    # Always in the daemon process: the shard tier
-                    # leases the worker pool itself (one engine per
-                    # district), so shipping it to a pool worker would
-                    # nest pools.
-                    results = await self._execute_inline(
-                        execute_dfs_batch, entry, tasks, "shard",
-                        self.config.shards, max(1, self.config.jobs))
-                else:
-                    results = await self._execute(
-                        execute_dfs_batch, entry, tasks, backend)
+                results = await self._execute(
+                    execute_dfs_batch, entry, tasks, backend)
             else:
                 req = pendings[0].request
                 results = [await self._execute(

@@ -25,11 +25,8 @@ Termination is algorithm-defined via ``is_terminated``; the engine adds a
 deadlock guard (progress must occur within ``deadlock_window`` consecutive
 steps) and a hard ``max_cycles`` safety net.  The budget is checked
 against each event's ``ready_at`` *before* the step executes, so no
-over-budget step is ever run.  ``poll_interval`` trades termination-check
-frequency for speed: with the default of 1 the predicate is polled before
-every step (exact, bit-for-bit reproducible cycle counts); larger values
-poll every N steps, which can overshoot the final cycle count by a few
-events and is only meant for throwaway capacity sweeps.
+over-budget step is ever run.  The predicate is polled before every
+step, so cycle counts are exact and bit-for-bit reproducible.
 
 Schedule fuzzing (``repro.check``)
 ----------------------------------
@@ -132,20 +129,11 @@ class Agent(Protocol):
 
 @dataclass
 class EngineResult:
-    """Outcome of one simulation: elapsed cycles and scheduling stats.
-
-    ``exact_cycles`` is True when the termination predicate was polled
-    before every event (``poll_interval == 1``), i.e. the cycle count is
-    bit-for-bit reproducible.  With ``poll_interval > 1`` the loop may
-    execute a few events past the logical end, so ``cycles`` can
-    overshoot — consumers that gate on cycle counts (``repro.bench``)
-    must refuse inexact results.
-    """
+    """Outcome of one simulation: elapsed cycles and scheduling stats."""
 
     cycles: int
     steps: int
     agents: int
-    exact_cycles: bool = True
 
     def seconds(self, clock_hz: float) -> float:
         return self.cycles / clock_hz
@@ -171,10 +159,6 @@ class EventLoop:
         ``is_terminated`` stays False, raise ``DeadlockError``.  Sized
         generously relative to the agent count so legitimate idle phases
         (everyone polling while one warp works) never trip it.
-    poll_interval:
-        Check ``is_terminated`` every this many steps.  1 (default) is
-        exact; values > 1 are faster but may overshoot the final cycle
-        count — never use them when cycle counts must be reproducible.
     perturb_seed:
         When not None, run the *perturbed* scheduler: same-cycle events
         are drained in a random (seeded, deterministic) order instead of
@@ -195,17 +179,12 @@ class EventLoop:
         is_terminated: Callable[[], bool],
         max_cycles: int = 50_000_000_000,
         deadlock_window: Optional[int] = None,
-        poll_interval: int = 1,
         perturb_seed: Optional[int] = None,
         jitter: int = 0,
         on_step: Optional[Callable[[int], None]] = None,
     ):
         if not agents:
             raise SimulationError("event loop needs at least one agent")
-        if poll_interval < 1:
-            raise SimulationError(
-                f"poll_interval must be >= 1, got {poll_interval}"
-            )
         if jitter < 0:
             raise SimulationError(f"jitter must be >= 0, got {jitter}")
         if jitter and perturb_seed is None:
@@ -214,7 +193,6 @@ class EventLoop:
         self._is_terminated = is_terminated
         self._max_cycles = int(max_cycles)
         self._deadlock_window = deadlock_window or max(10_000, 200 * len(agents))
-        self._poll_interval = int(poll_interval)
         self._perturb_seed = perturb_seed
         self._jitter = int(jitter)
         self._on_step = on_step
@@ -240,14 +218,12 @@ class EventLoop:
         now = 0
         steps = 0
         stale = 0
-        countdown = 1
 
         pop_time = heapq.heappop
         push_time = heapq.heappush
         is_terminated = self._is_terminated
         max_cycles = self._max_cycles
         window = self._deadlock_window
-        poll = self._poll_interval
         on_step = self._on_step
 
         while times:
@@ -256,13 +232,9 @@ class EventLoop:
             for agent in bucket:
                 # Termination is observed *before* time advances to this
                 # event, so `cycles` never includes an abandoned event.
-                countdown -= 1
-                if countdown == 0:
-                    if is_terminated():
-                        return EngineResult(cycles=now, steps=steps,
-                                            agents=len(self._agents),
-                                            exact_cycles=poll == 1)
-                    countdown = poll
+                if is_terminated():
+                    return EngineResult(cycles=now, steps=steps,
+                                        agents=len(self._agents))
                 if t > now:
                     if t > max_cycles:
                         raise over_budget_error(max_cycles, t, steps)
@@ -291,8 +263,7 @@ class EventLoop:
             pop_time(times)
             del buckets[t]
 
-        return EngineResult(cycles=now, steps=steps, agents=len(self._agents),
-                            exact_cycles=poll == 1)
+        return EngineResult(cycles=now, steps=steps, agents=len(self._agents))
 
     # ------------------------------------------------------------------
     def _run_perturbed(self) -> EngineResult:
@@ -316,22 +287,17 @@ class EventLoop:
         now = 0
         steps = 0
         stale = 0
-        countdown = 1
 
         pop = heapq.heappop
         push = heapq.heappush
         is_terminated = self._is_terminated
         max_cycles = self._max_cycles
         window = self._deadlock_window
-        poll = self._poll_interval
         on_step = self._on_step
 
         while heap:
-            countdown -= 1
-            if countdown == 0:
-                if is_terminated():
-                    break
-                countdown = poll
+            if is_terminated():
+                break
             ready_at, _, _, agent = pop(heap)
             if ready_at > now:
                 if ready_at > max_cycles:
@@ -356,5 +322,4 @@ class EventLoop:
                 push(heap, (now + cost, randbits(32), next_seq, agent))
                 next_seq += 1
 
-        return EngineResult(cycles=now, steps=steps, agents=len(self._agents),
-                            exact_cycles=poll == 1)
+        return EngineResult(cycles=now, steps=steps, agents=len(self._agents))

@@ -29,7 +29,6 @@ def test_batch_payload_matches_scalar_schedule(scalar_payload, batch_payload):
         assert ca["name"] == cb["name"]
         assert ca["cycles"] == cb["cycles"], ca["name"]
         assert ca["steps"] == cb["steps"], ca["name"]
-        assert cb["exact_cycles"], ca["name"]
 
 
 @pytest.mark.parametrize("payload_fixture",
@@ -68,8 +67,7 @@ def _entry(mode, cases, ts):
 
 def _case(name, wall, steps, cycles):
     return {"name": name, "wall_seconds": wall, "steps": steps,
-            "cycles": cycles, "steps_per_second": steps / wall,
-            "exact_cycles": True}
+            "cycles": cycles, "steps_per_second": steps / wall}
 
 
 @pytest.fixture

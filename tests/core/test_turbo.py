@@ -43,7 +43,6 @@ def test_turbo_bit_identical_across_families(family):
     assert np.array_equal(fused.traversal.parent, ref.traversal.parent)
     assert np.array_equal(fused.traversal.visited, ref.traversal.visited)
     assert fused.counters == ref.counters
-    assert fused.engine.exact_cycles
 
 
 class TestEligibility:
@@ -58,15 +57,3 @@ class TestEligibility:
     ])
     def test_fallback_conditions(self, overrides):
         assert not turbo_eligible(DiggerBeesConfig(**overrides))
-
-
-def test_exact_cycles_reported():
-    """Both drivers poll termination before every event, so their cycle
-    counts are always exact."""
-    case = _family_case("grid2d")
-    graph = case.build_graph()
-    fused = run_diggerbees(graph, case.root, config=case.build_config())
-    assert fused.engine.exact_cycles is True
-    generic = run_diggerbees(graph, case.root,
-                             config=case.build_config(fastpath=False))
-    assert generic.engine.exact_cycles is True

@@ -7,6 +7,7 @@ from repro.core.config import ServeConfig
 from repro.core.diggerbees import run_diggerbees
 from repro.core.dispatch import load_calibration
 from repro.core.frontier import run_frontier
+from repro.core.shard import run_sharded
 from repro.errors import SimulationError
 from repro.graphs import generators as gen
 from repro.serve.cache import result_key
@@ -167,13 +168,18 @@ def test_frontier_batch_isolates_bad_roots(tier_calls):
 
 def test_frontier_payload_matches_dfs_reachability():
     # Different engine family, same graph truth: identical visited set
-    # and visit count (the parent trees legitimately differ).
+    # and visit count (the parent trees legitimately differ).  The
+    # sharded tier's canonical merge is the same min-parent tree, so
+    # the frontier family also serves the sharded traversal.
     async def scenario(client, corpus, **_):
         resp = await client.dfs("wide", 0)
-        ref = run_diggerbees(corpus.get("wide").graph, 0)
+        graph = corpus.get("wide").graph
+        ref = run_diggerbees(graph, 0)
         assert resp.result["visited"] == \
             np.flatnonzero(ref.traversal.visited).tolist()
         assert resp.result["n_visited"] == int(ref.traversal.n_visited)
+        sharded = run_sharded(graph, 0, k=4)
+        assert resp.result["parent"] == sharded.traversal.parent.tolist()
 
     serve_session(scenario, graphs=routing_graphs(),
                   config=make_config("frontier"))

@@ -49,6 +49,19 @@ def test_all_app_ops_roundtrip():
     serve_session(scenario)
 
 
+def test_unrooted_ops_ignore_root():
+    # spanning does not read ``root``: an out-of-range one is not an
+    # error, and every root shares one cache entry.
+    async def scenario(client, **_):
+        first = await client.query("spanning", "path", root=3)
+        second = await client.query("spanning", "path", root=10**6)
+        assert first.ok and second.ok
+        assert not first.cached and second.cached
+        assert second.result == first.result
+
+    serve_session(scenario)
+
+
 def test_cache_hit_is_identical_and_flagged():
     async def scenario(client, server, **_):
         first = await client.dfs("path", 0)

@@ -167,8 +167,3 @@ class TestSchedulerEquivalence:
             traces[drain] = [a.steps_at for a in agents]
         assert results["heap"] == results["calendar"]
         assert traces["heap"] == traces["calendar"]
-
-    def test_poll_interval_validation(self):
-        with pytest.raises(SimulationError, match="poll_interval"):
-            EventLoop([CountdownAgent(1)], is_terminated=lambda: False,
-                      poll_interval=0)
