@@ -17,7 +17,7 @@ hundreds of narrow ones, bracketed by a shallow hub-mesh anchor
 (``star_mesh``) and two deep anchors (``path_graph``, ``skewed_tree``).
 Per case the sweep records the frontier engine's median wall and MTEPS,
 the hive-DFS per-run wall (a ``--batch``-wide lockstep batch's wall
-divided by its width — the cost a served query actually pays), the
+divided by its width, the cost the calibration table prices DFS at), the
 swarm engine's per-root wall over a ``--swarm-batch``-wide root batch,
 and the backend the ``auto`` dispatch policy would pick for the graph.
 
@@ -48,9 +48,9 @@ right side of both flagship cases:
   family more than ``ROUTING_SLACK`` (1.2x) slower than the best family
   measured on any anchor case, at batch hints of 1 and
   ``--swarm-batch`` (the frontier family costs its single-root wall,
-  or from ``LOCKSTEP_MIN_WIDTH`` up the cheaper of that and its
-  per-root swarm wall); with calibration disabled the decision falls
-  back to the regime proxy.
+  or from ``LOCKSTEP_MIN_WIDTH["frontier"]`` up the cheaper of that
+  and its per-root swarm wall); with calibration disabled the decision
+  falls back to the regime proxy.
 
 Mid-sweep cases where the frontier engine leads despite a ``deep``
 regime label are expected — the regime boundary is an asymptotic
@@ -62,6 +62,28 @@ path-graph end of the axis (see docs/PERFORMANCE.md).
 dispatch layer routes by, persisting it to
 ``benchmarks/calibration_routing.json``; the micro sweep's
 ``BENCH_engine.json`` snapshot is untouched.
+
+``--widths`` runs the lockstep break-even sweep instead: on every
+``MICRO_CASES`` graph with its config it times the per-query wall of the
+scalar loop (the fused DFS driver, the single-root frontier engine)
+against its family's lockstep tier (hive, swarm) at each width of
+``WIDTHS`` over evenly spread roots, interleaved best-of-``WIDTH_ROUNDS``
+(each round times both sides at each width back to back)::
+
+    python benchmarks/bench_crossover.py --widths --record
+    python benchmarks/bench_crossover.py --widths --quick --gate
+
+A family's break-even is the smallest swept width at which lockstep is
+no slower than the scalar loop on the median case and at most
+``BREAK_EVEN_SLACK`` (1.2x) slower on every case;
+:data:`repro.core.dispatch.LOCKSTEP_MIN_WIDTH` holds those widths.
+``--quick`` sweeps road1000 and pa2000 at widths 1, 2 and each family's
+``LOCKSTEP_MIN_WIDTH``.  ``--gate`` fails when lockstep beats the scalar
+loop on the median case at width 2 (``run_batch``'s scalar pick would
+be the slower one) or costs more than ``BREAK_EVEN_SLACK`` times the
+scalar loop on any case at its family's ``LOCKSTEP_MIN_WIDTH``.
+``--record`` appends the sweep to the trajectory (kind
+``crossover_widths``); it never refits the calibration table.
 """
 
 from __future__ import annotations
@@ -81,7 +103,9 @@ import numpy as np
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.bench.micro import MICRO_CASES  # noqa: E402
 from repro.core.config import DiggerBeesConfig  # noqa: E402
+from repro.core.diggerbees import run_diggerbees  # noqa: E402
 from repro.core.dispatch import (  # noqa: E402
     LOCKSTEP_MIN_WIDTH,
     calibration_path,
@@ -123,6 +147,19 @@ SWEEP_N = 6000
 SWEEP_DEPTHS = (3, 6, 12, 30, 75, 150, 300)
 
 QUICK_DEPTHS = (3, 30, 300)
+
+#: Batch widths of the ``--widths`` break-even sweep.
+WIDTHS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+#: ``MICRO_CASES`` the quick ``--widths`` sweep runs.
+QUICK_WIDTH_CASES = ("road1000", "pa2000")
+
+#: Interleaved best-of rounds per (case, width) of the ``--widths`` sweep.
+WIDTH_ROUNDS = 3
+
+#: At its break-even width lockstep may cost at most this much more
+#: per query than the scalar loop on any case.
+BREAK_EVEN_SLACK = 1.2
 
 
 def build_corpus(quick: bool) -> List:
@@ -418,7 +455,7 @@ def _gate_calibrated_routing(result: Dict) -> List[str]:
             continue
         for hint in (1, swarm_batch):
             frontier = case["frontier_wall_seconds"]
-            if hint >= LOCKSTEP_MIN_WIDTH:
+            if hint >= LOCKSTEP_MIN_WIDTH["frontier"]:
                 frontier = min(frontier,
                                case["swarm_per_root_wall_seconds"])
             eligible = {"dfs": case["dfs_wall_seconds"],
@@ -452,7 +489,144 @@ def _gate_calibrated_routing(result: Dict) -> List[str]:
     return failures
 
 
-def record_run(result: Dict) -> None:
+# ---------------------------------------------------------------------------
+# --widths: where lockstep starts to pay, per family.
+# ---------------------------------------------------------------------------
+
+def _width_sides(graph, config: DiggerBeesConfig, family: str,
+                 width: int):
+    """``(scalar, lockstep)`` thunks running ``width`` evenly spread
+    roots of ``graph`` on one family."""
+    roots = [int(r) for r in swarm_roots(graph, width)]
+    if family == "dfs":
+        tasks = [(r, config) for r in roots]
+        return ((lambda: [run_diggerbees(graph, r, config=config)
+                          for r in roots]),
+                (lambda: run_hive(graph, tasks)))
+    return ((lambda: [run_frontier(graph, r) for r in roots]),
+            (lambda: run_swarm(graph, roots)))
+
+
+def measure_widths_case(graph, config: DiggerBeesConfig,
+                        widths: Dict[str, List[int]],
+                        rounds: int) -> Dict:
+    """Per-query walls of the scalar loop and the lockstep tier at each
+    width, interleaved best-of-``rounds`` per family."""
+    out: Dict[str, Dict] = {}
+    for family, fam_widths in widths.items():
+        sides = {w: _width_sides(graph, config, family, w)
+                 for w in fam_widths}
+        for run in sides[fam_widths[0]]:
+            run()  # warm both engines + allocator
+        best = {w: [float("inf"), float("inf")] for w in fam_widths}
+        for _ in range(rounds):
+            for w in fam_widths:
+                for side, run in enumerate(sides[w]):
+                    t0 = time.perf_counter()
+                    run()
+                    best[w][side] = min(best[w][side],
+                                        time.perf_counter() - t0)
+        out[family] = {
+            str(w): {"scalar_seconds": scalar / w,
+                     "lockstep_seconds": lockstep / w,
+                     "ratio": lockstep / scalar}
+            for w, (scalar, lockstep) in best.items()}
+    return out
+
+
+def run_widths(*, quick: bool) -> Dict:
+    """The break-even sweep over ``MICRO_CASES`` (quick: two cases and
+    widths 1, 2 and each family's ``LOCKSTEP_MIN_WIDTH``)."""
+    widths = {family: (sorted({1, 2, LOCKSTEP_MIN_WIDTH[family]})
+                       if quick else list(WIDTHS))
+              for family in LOCKSTEP_MIN_WIDTH}
+    cases = []
+    for name, build, config in MICRO_CASES:
+        if quick and name not in QUICK_WIDTH_CASES:
+            continue
+        cases.append({"name": name,
+                      **measure_widths_case(build(), config, widths,
+                                            WIDTH_ROUNDS)})
+    result = {"bench": "crossover_widths", "quick": quick,
+              "rounds": WIDTH_ROUNDS, "widths": widths,
+              "lockstep_min_width": dict(LOCKSTEP_MIN_WIDTH),
+              "cases": cases}
+    result["break_even"] = {family: break_even(result, family)
+                            for family in widths}
+    return result
+
+
+def _width_ratios(result: Dict, family: str, width: int) -> List[float]:
+    return [c[family][str(width)]["ratio"] for c in result["cases"]]
+
+
+def break_even(result: Dict, family: str) -> Optional[int]:
+    """Smallest swept width at which lockstep is no slower than the
+    scalar loop on the median case and at most ``BREAK_EVEN_SLACK``
+    slower on every case, or ``None``."""
+    for width in result["widths"][family]:
+        ratios = _width_ratios(result, family, width)
+        if (statistics.median(ratios) <= 1.0
+                and max(ratios) <= BREAK_EVEN_SLACK):
+            return width
+    return None
+
+
+def apply_widths_gate(result: Dict) -> int:
+    """``LOCKSTEP_MIN_WIDTH`` must sit where this sweep says lockstep
+    starts to pay: not above a width-2 win, not below break-even."""
+    failures = []
+    for family, widths in result["widths"].items():
+        lo = LOCKSTEP_MIN_WIDTH[family]
+        if 2 in widths and 2 < lo:
+            median = statistics.median(_width_ratios(result, family, 2))
+            if median < 1.0:
+                failures.append(
+                    f"{family}: lockstep beats the scalar loop at width "
+                    f"2 ({median:.2f}x on the median case), below "
+                    f"LOCKSTEP_MIN_WIDTH {lo}")
+        if lo not in widths:
+            failures.append(f"{family}: LOCKSTEP_MIN_WIDTH {lo} was not "
+                            f"swept")
+            continue
+        for case in result["cases"]:
+            ratio = case[family][str(lo)]["ratio"]
+            if ratio > BREAK_EVEN_SLACK:
+                failures.append(
+                    f"{family}: at LOCKSTEP_MIN_WIDTH {lo} lockstep costs "
+                    f"{ratio:.2f}x the scalar loop on {case['name']}, "
+                    f"over the {BREAK_EVEN_SLACK:.1f}x slack")
+    if failures:
+        for f in failures:
+            print(f"WIDTHS GATE FAIL: {f}", file=sys.stderr)
+        return 1
+    print(f"widths gate: ok — scalar wins width 2 and lockstep is within "
+          f"{BREAK_EVEN_SLACK:.1f}x at LOCKSTEP_MIN_WIDTH "
+          f"{dict(LOCKSTEP_MIN_WIDTH)}")
+    return 0
+
+
+def render_widths(result: Dict) -> str:
+    """Lockstep/scalar per-query wall ratio per case and width."""
+    lines = []
+    for family, widths in result["widths"].items():
+        tier = "hive" if family == "dfs" else "swarm"
+        lines.append(f"{family}: {tier} / scalar loop, per query")
+        lines.append(f"{'case':<14s}" + "".join(f"{w:>7d}"
+                                               for w in widths))
+        for c in result["cases"]:
+            lines.append(f"{c['name']:<14s}" + "".join(
+                f"{c[family][str(w)]['ratio']:>7.2f}" for w in widths))
+        for label, agg in (("median", statistics.median), ("worst", max)):
+            lines.append(f"{label:<14s}" + "".join(
+                f"{agg(_width_ratios(result, family, w)):>7.2f}"
+                for w in widths))
+        lines.append(f"break-even: {result['break_even'][family]} "
+                     f"(LOCKSTEP_MIN_WIDTH {LOCKSTEP_MIN_WIDTH[family]})")
+    return "\n".join(lines)
+
+
+def append_trajectory(result: Dict) -> None:
     TRAJECTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
     entry = dict(result)
     entry["timestamp"] = datetime.now(timezone.utc).isoformat(
@@ -460,6 +634,10 @@ def record_run(result: Dict) -> None:
     with TRAJECTORY_PATH.open("a", encoding="utf-8") as f:
         f.write(json.dumps(entry) + "\n")
     print(f"recorded -> {TRAJECTORY_PATH}")
+
+
+def record_run(result: Dict) -> None:
+    append_trajectory(result)
     path = write_calibration(fit_calibration(result))
     print(f"calibration -> {path}")
 
@@ -488,13 +666,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="BFS-vs-DFS crossover sweep over a depth-controlled "
                     "corpus")
     parser.add_argument("--quick", action="store_true",
-                        help="3-point depth axis, single repeat")
+                        help="3-point depth axis, single repeat (with "
+                             "--widths: two cases, widths 1, 2 and "
+                             "LOCKSTEP_MIN_WIDTH)")
+    parser.add_argument("--widths", action="store_true",
+                        help="run the lockstep break-even sweep (scalar "
+                             "loop vs hive/swarm per width on the micro "
+                             "cases) instead of the crossover sweep")
     parser.add_argument("--repeats", type=int, default=3,
                         help="per-case repeats; the median wall is kept")
     parser.add_argument("--batch", type=int, default=32,
                         help="hive lockstep width; DFS cost is per run "
-                             "(wide batches amortize the lockstep "
-                             "sweep, the daemon's steady-state shape)")
+                             "(the width the calibration table's dfs "
+                             "row prices)")
     parser.add_argument("--swarm-batch", type=int, default=256,
                         help="root-batch width for the swarm tier")
     parser.add_argument("--swarm-rounds", type=int, default=5,
@@ -507,10 +691,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                              f"clears {SWARM_SPEEDUP_FLOOR:.0f}x per "
                              "root on the flagships, and calibrated "
                              "routing stays within "
-                             f"{ROUTING_SLACK:.1f}x of best")
+                             f"{ROUTING_SLACK:.1f}x of best (with "
+                             "--widths: unless the scalar loop wins "
+                             "width 2 and lockstep is within "
+                             f"{BREAK_EVEN_SLACK:.1f}x of it at "
+                             "LOCKSTEP_MIN_WIDTH)")
     parser.add_argument("--record", action="store_true",
                         help="append to benchmarks/out/trajectory.jsonl "
-                             "and refit benchmarks/"
+                             "and (without --widths) refit benchmarks/"
                              "calibration_routing.json")
     parser.add_argument("--json", default=None,
                         help="write the full result payload to this file")
@@ -521,20 +709,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     # measures the engines, not the kernel's page zeroing.
     retain_large_blocks()
 
-    repeats = 1 if args.quick else max(1, args.repeats)
-    swarm_rounds = (min(args.swarm_rounds, 3) if args.quick
-                    else max(1, args.swarm_rounds))
-    result = run_sweep(quick=args.quick, repeats=repeats,
-                       batch=args.batch, swarm_batch=args.swarm_batch,
-                       swarm_rounds=swarm_rounds)
-    print(render(result))
+    if args.widths:
+        result = run_widths(quick=args.quick)
+        show, record, gate = (render_widths, append_trajectory,
+                              apply_widths_gate)
+    else:
+        repeats = 1 if args.quick else max(1, args.repeats)
+        swarm_rounds = (min(args.swarm_rounds, 3) if args.quick
+                        else max(1, args.swarm_rounds))
+        result = run_sweep(quick=args.quick, repeats=repeats,
+                           batch=args.batch, swarm_batch=args.swarm_batch,
+                           swarm_rounds=swarm_rounds)
+        show, record, gate = render, record_run, apply_gate
+    print(show(result))
     if args.json:
         pathlib.Path(args.json).write_text(
             json.dumps(result, indent=2, sort_keys=True) + "\n")
     if args.record:
-        record_run(result)
+        record(result)
     if args.gate:
-        return apply_gate(result)
+        return gate(result)
     return 0
 
 

@@ -67,10 +67,11 @@ class BenchConfig:
     #: Results are jobs-invariant: every sample is a pure function of
     #: (method, graph, root, cfg) and collection preserves task order.
     jobs: int = 1
-    #: Lockstep width (1 = scalar execution).  > 1 groups DiggerBees
+    #: Batch width (1 = scalar execution).  > 1 groups DiggerBees
     #: and Frontier samples that share a graph into batches of at most
     #: ``batch`` runs, each run by :func:`repro.core.dispatch.run_batch`
-    #: (a hive batch or a swarm where eligible); batches compose with
+    #: (a hive batch or a swarm where eligible and at least the
+    #: family's ``LOCKSTEP_MIN_WIDTH`` wide); batches compose with
     #: ``jobs`` as processes x batches.  Samples are batch-invariant:
     #: both lockstep engines are bit-identical to the scalar engines
     #: per run (only measured ``seconds`` amortize the batch wall).
@@ -266,8 +267,8 @@ def _execute_unit(unit) -> List[PerfSample]:
     A unit is ``(method, graph, roots, cfg)``: one root runs as a plain
     task through :func:`_execute_task`; several (one method, graph and
     config) go to :func:`repro.core.dispatch.run_batch` as one batch,
-    which runs them in lockstep where eligible.  Either way the result
-    is the unit's samples in root order.
+    which runs them in lockstep where eligible and wide enough.  Either
+    way the result is the unit's samples in root order.
     """
     method, graph, roots, cfg = unit
     if len(roots) == 1:
@@ -396,9 +397,10 @@ def _fan_out(tasks: List[tuple], jobs: int, batch: int = 1,
     ``batch`` > 1 groups DiggerBees and Frontier samples that share a
     graph and config into units of at most ``batch`` roots, each one
     :func:`repro.core.dispatch.run_batch` call (a hive batch or a swarm
-    where eligible); the units fan out across the same pool, so
-    batching composes with ``jobs`` as processes x batches.  Samples
-    are identical for any ``batch``: both lockstep engines are
+    where eligible and at least the family's ``LOCKSTEP_MIN_WIDTH``
+    wide, the scalar loop otherwise); the units fan out across the same
+    pool, so batching composes with ``jobs`` as processes x batches.
+    Samples are identical for any ``batch``: both lockstep engines are
     bit-exact per run (only a Frontier sample's measured ``seconds``
     amortizes the batch wall).  ``batch <= 1`` runs every task through
     :func:`_execute_task`.
@@ -479,8 +481,9 @@ def run_graph(methods: Sequence[str], graph: CSRGraph,
     ``jobs`` (default: ``cfg.jobs``) > 1 fans the independent
     (method, root) samples across worker processes; ``batch`` (default:
     ``cfg.batch``) > 1 additionally runs DiggerBees and Frontier
-    samples in lockstep batches.  Results are identical to the serial
-    scalar path either way (see :func:`_fan_out`).
+    samples in batches (lockstep where wide enough).  Results are
+    identical to the serial scalar path either way (see
+    :func:`_fan_out`).
     """
     cfg = cfg or BenchConfig()
     roots = list(roots) if roots is not None else pick_roots(graph, cfg)
@@ -510,8 +513,8 @@ def run_sweep(methods: Sequence[str], graphs: Sequence[CSRGraph],
     Fans *all* samples of the sweep into one task list so the pool stays
     saturated across graph boundaries (a per-graph pool would drain at
     each graph's tail).  ``batch`` (default: ``cfg.batch``) > 1 runs
-    DiggerBees and Frontier samples as lockstep batches, composing with
-    ``jobs`` as processes x batches.  Returns
+    DiggerBees and Frontier samples as batches (lockstep where wide
+    enough), composing with ``jobs`` as processes x batches.  Returns
     ``{graph.name: {method: [samples]}}`` with the same contents for
     any ``jobs``/``batch`` value.
     """

@@ -36,8 +36,9 @@ through :func:`repro.core.dispatch.choose_backend` (frontier-run cases
 are exempt from the cycles/wall baseline gate — they have no simulated
 schedule; DFS-run cases stay gated).  ``--batch N`` runs every case as
 N replicas through :func:`repro.core.dispatch.run_batch` — a hive batch
-on the DFS family, a swarm on the frontier family — and records the
-per-run wall.  ``--record`` appends the run to
+on the DFS family, a swarm on the frontier family, once N reaches the
+family's ``LOCKSTEP_MIN_WIDTH``, else the scalar loop — and records the
+per-run wall and the tier that ran it.  ``--record`` appends the run to
 ``benchmarks/out/trajectory.jsonl`` (timestamped) and rewrites the
 repo-root ``BENCH_engine.json`` snapshot.
 """
@@ -167,12 +168,14 @@ def run_micro(repeats: int = 3,
     :func:`repro.core.dispatch.choose_backend`.
 
     ``batch`` > 0 runs every case as ``batch`` replicas through
-    :func:`repro.core.dispatch.run_batch` (lockstep from width 2: the
-    hive engine for DFS, the swarm for frontier); the recorded wall
-    time is the median batch wall divided by the batch width — the
-    per-run cost a sweep actually pays — and the replicas are asserted
-    identical (cycles/steps, or the level/push/pull/edge profile), so
-    the same baseline gates every mode.
+    :func:`repro.core.dispatch.run_batch` (lockstep from the family's
+    ``LOCKSTEP_MIN_WIDTH`` up: the hive engine for DFS, the swarm for
+    frontier; the scalar loop below it); each row's ``tier`` names the
+    tier that ran it.  The recorded wall time is the median batch wall
+    divided by the batch width — the per-run cost a sweep actually
+    pays — and the replicas are asserted identical (cycles/steps, or
+    the level/push/pull/edge profile), so the same baseline gates every
+    mode.
 
     The ``phases.simulate`` entry accumulates the per-case *median*
     wall, the same statistic ``wall_seconds`` reports, so it equals
@@ -214,7 +217,8 @@ def run_micro(repeats: int = 3,
                     f"contract broken")
             wall = statistics.median(walls)
             timer.add("simulate", wall)
-            row = {"name": name, "backend": family, "wall_seconds": wall}
+            row = {"name": name, "backend": family, "tier": stats["tier"],
+                   "wall_seconds": wall}
             if family == "dfs":
                 row.update(
                     cycles=res.cycles,
@@ -321,11 +325,22 @@ def record_trajectory(result: Dict) -> pathlib.Path:
     return out
 
 
+def _tiers(entry: Dict) -> str:
+    """``[backend/]tiers`` that ran ``entry``'s cases, e.g. ``hive`` or
+    ``auto/scalar+swarm``; entries recorded before rows named their
+    tier ran every batch in lockstep."""
+    backend = entry.get("backend", "dfs")
+    tiers = {c["tier"] for c in entry.get("cases", []) if "tier" in c}
+    if not tiers:
+        lockstep = "hive" if backend == "dfs" else "swarm"
+        tiers = {lockstep if entry.get("batch") else "scalar"}
+    tag = "+".join(sorted(tiers))
+    return tag if backend == "dfs" else f"{backend}/{tag}"
+
+
 def _mode_tag(entry: Dict) -> str:
-    backend, batch = entry.get("backend", "dfs"), entry.get("batch")
-    if backend == "dfs":
-        return f"hive:{batch}" if batch else "scalar"
-    return f"{backend}:{batch}" if batch else backend
+    batch = entry.get("batch")
+    return f"{_tiers(entry)}:{batch}" if batch else _tiers(entry)
 
 
 def compare_trajectory(a_idx: int, b_idx: int,
@@ -406,8 +421,8 @@ def compare_trajectory(a_idx: int, b_idx: int,
 def render(result: Dict) -> str:
     backend, batch = result.get("backend", "dfs"), result.get("batch")
     mode = f" batch={batch}" if batch else ""
-    mode = (f" [backend={backend}{mode}]" if backend != "dfs"
-            else f" [hive{mode}]" if batch else "")
+    mode = (f" [{_tiers(result)}{mode}]" if batch or backend != "dfs"
+            else "")
     lines = [f"{'case':<12s} {'wall(s)':>9s} {'cycles':>10s} {'steps':>7s} "
              f"{'steps/s':>10s}{mode}"]
     for c in result["cases"]:

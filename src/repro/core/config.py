@@ -258,10 +258,12 @@ class ServeConfig:
 
     Lives next to :class:`DiggerBeesConfig` because the admission layer
     is an engine-level concern: the window/max-batch pair decides how
-    concurrent DFS queries coalesce into lockstep batches (hive or
-    swarm, see :func:`repro.core.dispatch.run_batch`), which is the same
-    trade (amortized per-tick cost vs. added latency) the lockstep
-    engines themselves make over sweep shards.
+    concurrent DFS queries coalesce into batches, which run in lockstep
+    (hive or swarm, see :func:`repro.core.dispatch.run_batch`) from
+    their family's ``LOCKSTEP_MIN_WIDTH`` up — the same trade (amortized
+    per-tick cost vs. added latency) the lockstep engines themselves
+    make over sweep shards.  Only a family whose lockstep width fits in
+    ``max_batch`` waits out the window; the others run at once.
 
     Parameters
     ----------
@@ -293,9 +295,10 @@ class ServeConfig:
         Answer family for DFS queries: ``"dfs"`` (default) answers
         every query with the DFS simulation; ``"frontier"`` forces the
         bit-packed BFS (:mod:`repro.core.frontier`; an admission group
-        of two or more runs as one lockstep swarm,
-        :mod:`repro.core.swarm`); ``"auto"`` routes per graph shape
-        through :func:`repro.core.dispatch.choose_backend` — degenerate
+        of at least ``LOCKSTEP_MIN_WIDTH["frontier"]`` queries runs as
+        one lockstep swarm, :mod:`repro.core.swarm`); ``"auto"`` routes
+        per graph shape through
+        :func:`repro.core.dispatch.choose_backend` — degenerate
         and shallow graphs go to the frontier family, deep/mid graphs
         and any query carrying engine-config overrides stay on DFS, and
         a recorded calibration artifact

@@ -28,7 +28,7 @@ Routing rules, in order:
    smallest *measured* per-query wall for the graph's regime wins; the
    table prices execution tiers, and a family costs its cheapest
    tier — ``frontier`` counts its ``swarm`` row only once
-   ``batch_hint`` reaches :data:`LOCKSTEP_MIN_WIDTH`;
+   ``batch_hint`` reaches the family's :data:`LOCKSTEP_MIN_WIDTH`;
 5. otherwise the regime proxy: shallow graphs go to the frontier
    family and deep/mid graphs to DFS.
 
@@ -38,9 +38,11 @@ fingerprint — the serve layer caches the regime per resident graph and
 bakes the resolved backend into result-cache keys.
 
 How a family runs the batch it is handed is not the router's choice:
-:func:`run_batch` runs :data:`LOCKSTEP_MIN_WIDTH` or more tasks in
-lockstep (one hive batch or one swarm) and narrower batches task by
-task, so every caller gets the same tier for the same batch.
+:func:`run_batch` runs a batch in lockstep (one hive batch or one
+swarm) only from its family's :data:`LOCKSTEP_MIN_WIDTH` up — the
+measured width at which lockstep stops costing more per query than the
+scalar loop — and narrower batches task by task, so every caller gets
+the same tier for the same batch.
 """
 
 from __future__ import annotations
@@ -64,9 +66,13 @@ BACKENDS = ("dfs", "frontier")
 #: Valid values for the ``ServeConfig.backend`` knob / ``--backend`` flags.
 BACKEND_CHOICES = ("auto",) + BACKENDS
 
-#: Narrowest batch :func:`run_batch` runs in lockstep — a one-lane hive
-#: or swarm is its scalar engine plus slab set-up.
-LOCKSTEP_MIN_WIDTH = 2
+#: Narrowest batch :func:`run_batch` runs in lockstep, per family: the
+#: smallest width of ``bench_crossover.py --widths`` at which the
+#: lockstep tier (hive, swarm) is no slower per query than the scalar
+#: loop on the median micro case and at most 1.2x slower on every case
+#: (docs/PERFORMANCE.md).  Below it a lockstep tick's fixed NumPy cost
+#: has too few lanes to amortize over.
+LOCKSTEP_MIN_WIDTH = {"dfs": 256, "frontier": 16}
 
 #: Where ``bench_crossover.py --record`` persists the fitted table.
 CALIBRATION_FILENAME = "calibration_routing.json"
@@ -137,13 +143,13 @@ def _calibrated_choice(table: Mapping[str, Any], regime: str,
     """Cheapest measured family for ``regime``, or ``None``.
 
     Each family costs its cheapest measured tier row: ``frontier`` is
-    the single-root engine, or the swarm once ``batch_hint`` allows a
-    lockstep batch.
+    the single-root engine, or the swarm once ``batch_hint`` reaches
+    the frontier family's lockstep width.
     """
     entry = table.get("regimes", {}).get(regime)
     if not isinstance(entry, Mapping):
         return None
-    lockstep = batch_hint >= LOCKSTEP_MIN_WIDTH
+    lockstep = batch_hint >= LOCKSTEP_MIN_WIDTH["frontier"]
     tiers = {"dfs": ("dfs",),
              "frontier": ("frontier", "swarm") if lockstep else ("frontier",)}
     costs = {}
@@ -171,9 +177,9 @@ def choose_backend(graph: Optional[CSRGraph] = None, *,
     profiled the graph (the serve layer memoizes it per resident
     entry); otherwise ``graph`` is profiled on the spot.  ``batch_hint``
     is how many same-graph roots the caller can coalesce into one
-    engine invocation (the serve admission window, a bench batch); at
-    >= :data:`LOCKSTEP_MIN_WIDTH` the frontier family is priced at its
-    swarm row when that is cheaper.  ``calibration`` overrides the
+    engine invocation (the serve admission window, a bench batch); from
+    ``LOCKSTEP_MIN_WIDTH["frontier"]`` up the frontier family is priced
+    at its swarm row when that is cheaper.  ``calibration`` overrides the
     on-disk table (``None`` loads the default artifact; an empty mapping
     disables calibration).
     """
@@ -212,9 +218,9 @@ def run_batch(graph: CSRGraph, backend: str,
               stats: Optional[dict] = None) -> List[Any]:
     """Run ``[(root, config), ...]`` on ``graph`` with one engine family.
 
-    The one place that picks scalar or lockstep execution.  At least
-    :data:`LOCKSTEP_MIN_WIDTH` tasks run as one hive batch
-    (``backend="dfs"``, when the configs are hive-eligible and
+    The one place that picks scalar or lockstep execution.  A batch at
+    least its family's :data:`LOCKSTEP_MIN_WIDTH` wide runs as one hive
+    batch (``backend="dfs"``, when the configs are hive-eligible and
     compatible) or as one swarm (``backend="frontier"``, which ignores
     the configs: a BFS answer does not depend on DFS simulation knobs);
     anything else runs task by task on the DFS driver or the single-root
@@ -224,28 +230,40 @@ def run_batch(graph: CSRGraph, backend: str,
     Returns one entry per task, in order: the engine result, or the
     :class:`~repro.errors.ReproError` that task raised.  A lockstep
     batch that raises is re-run task by task, so each error lands on
-    the task that caused it.  ``stats`` receives the hive engine's
-    execution-path accounting (:func:`repro.core.hive.run_hive`).
-    Engines are looked up at call time, so instrumented copies apply.
+    the task that caused it.  ``stats`` receives ``"tier"`` — the tier
+    whose results are returned (``"hive"``, ``"swarm"`` or
+    ``"scalar"``, the last also after a lockstep error or an ineligible
+    hive group) — plus the hive engine's execution-path accounting
+    (:func:`repro.core.hive.run_hive`).  Engines are looked up at call
+    time, so instrumented copies apply.
     """
     if backend not in BACKENDS:
         raise SimulationError(
             f"backend must be one of {BACKENDS}, got {backend!r}")
-    if len(tasks) >= LOCKSTEP_MIN_WIDTH:
+    out: Optional[List[Any]] = None
+    tier = "scalar"
+    if len(tasks) >= LOCKSTEP_MIN_WIDTH[backend]:
         try:
             if backend == "frontier":
                 from repro.core import swarm
 
-                return swarm.run_swarm(graph, [root for root, _ in tasks])
-            from repro.core import hive
+                out = swarm.run_swarm(graph, [root for root, _ in tasks])
+                tier = "swarm"
+            else:
+                from repro.core import hive
 
-            base = tasks[0][1]
-            if all(hive.hive_eligible(c) and hive.hive_compatible(base, c)
-                   for _, c in tasks):
-                return hive.run_hive(graph, list(tasks), device=device,
-                                     stats=stats)
+                base = tasks[0][1]
+                if all(hive.hive_eligible(c)
+                       and hive.hive_compatible(base, c) for _, c in tasks):
+                    out = hive.run_hive(graph, list(tasks), device=device,
+                                        stats=stats)
+                    tier = "hive"
         except ReproError:
             pass  # settle task by task below
+    if stats is not None:
+        stats["tier"] = tier
+    if out is not None:
+        return out
     if backend == "frontier":
         from repro.core import frontier
 
@@ -257,7 +275,7 @@ def run_batch(graph: CSRGraph, backend: str,
         def run(root, cfg):
             return diggerbees.run_diggerbees(graph, root, config=cfg,
                                              device=device)
-    out: List[Any] = []
+    out = []
     for root, cfg in tasks:
         try:
             out.append(run(root, cfg))

@@ -89,7 +89,8 @@ batch-vs-turbo tests assert this per run at several batch sizes.
 Eligibility mirrors turbo's: two-level stacks, expand fast path, no
 schedule perturbation, and no tracing (per-event trace logs are
 inherently scalar).  :func:`repro.core.dispatch.run_batch` picks this
-tier automatically for eligible DFS batches of two or more runs.
+tier automatically for eligible DFS batches at least
+``LOCKSTEP_MIN_WIDTH["dfs"]`` runs wide.
 """
 
 from __future__ import annotations

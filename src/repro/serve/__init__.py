@@ -5,7 +5,8 @@ engine and graph setup on every invocation.  This package amortizes
 that cost across a daemon lifetime: graphs are loaded once, exported to
 POSIX shared memory, and queried over a newline-delimited JSON protocol
 on a local socket.  Concurrent DFS queries against the same graph are
-coalesced into lockstep batches (:func:`repro.core.dispatch.run_batch`),
+coalesced into batches that run in lockstep once they are wide enough
+(:func:`repro.core.dispatch.run_batch`),
 repeat queries are answered from a per-graph result cache, and every
 response is bit-identical to direct execution — the serve-diff oracle
 rung in :mod:`repro.check` enforces exactly that.

@@ -3,11 +3,14 @@
 The daemon's throughput comes from the same observation as the lockstep
 engines' (:mod:`repro.core.hive`, :mod:`repro.core.swarm`): B
 independent traversals of one graph cost far less than B times one run
-when they advance together.  The
-admission layer therefore holds each arriving DFS query briefly —
-``batch_window`` seconds — hoping more queries for the same (graph,
-engine-config) key arrive, and flushes the group to execution when the
-window expires or ``max_batch`` fills, whichever comes first.
+when they advance together — once B reaches the family's
+:data:`~repro.core.dispatch.LOCKSTEP_MIN_WIDTH`.  The daemon therefore
+holds an arriving DFS query briefly — ``batch_window`` seconds — only
+when its family can reach that width within ``max_batch``, hoping more
+queries for the same (graph, engine-config) key arrive, and flushes the
+group to execution when the window expires or ``max_batch`` fills,
+whichever comes first.  Queries of any other family skip this policy
+and run at once as one-query ``"scalar"`` batches.
 
 This module is the *pure* policy core: no clocks, no asyncio, no I/O.
 Time enters exclusively through the ``now`` arguments, which makes every
@@ -41,7 +44,7 @@ class Batch:
     key: Hashable          # grouping key: (graph, canonical engine config)
     items: Tuple[Any, ...]  # admitted items, in arrival order
     opened: float          # arrival time of the first item
-    reason: str            # "full" | "window" | "drain" | "app"
+    reason: str            # "full" | "window" | "drain" | "app" | "scalar"
 
 
 @dataclass

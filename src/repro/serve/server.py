@@ -10,13 +10,17 @@ Architecture (one process, one event loop):
   config, resolved backend) in a
   :class:`~repro.serve.admission.BatchPolicy`; a group
   flushes to execution when its ``batch_window`` expires or it reaches
-  ``max_batch``.  Identical in-flight queries additionally coalesce
-  into one execution ("single-flight"), so a thundering herd of the
-  same query costs one simulation.
+  ``max_batch``.  Only families whose lockstep width
+  (:data:`repro.core.dispatch.LOCKSTEP_MIN_WIDTH`) fits in ``max_batch``
+  wait there; a query of any other family could only ever run scalar,
+  so it launches at once as a one-query ``"scalar"`` batch.  Identical
+  in-flight queries additionally coalesce into one execution
+  ("single-flight"), so a thundering herd of the same query costs one
+  simulation.
 * **Execution** — flushed batches run through
   :func:`repro.serve.exec.execute_dfs_batch` (lockstep where
-  :func:`repro.core.dispatch.run_batch` finds it eligible) either
-  in-process (``jobs = 0``) or on the persistent
+  :func:`repro.core.dispatch.run_batch` finds the batch wide enough and
+  eligible) either in-process (``jobs = 0``) or on the persistent
   worker pool of :mod:`repro.bench.harness` with zero-copy shm graph
   hand-off.  Infrastructure failures degrade stepwise — broken pool ->
   fresh pool -> pickled graph -> in-process — and every demotion is
@@ -41,6 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import ServeConfig
+from repro.core.dispatch import LOCKSTEP_MIN_WIDTH
 from repro.errors import ProtocolError, ReproError, ServeError
 from repro.serve.admission import Batch, BatchPolicy
 from repro.serve.cache import (
@@ -439,8 +444,15 @@ class ServeServer:
             # reconfiguration).
             admission_key = (entry.name, _canonical_config(req.config),
                              bool(req.no_cache), backend)
-            batch = self.policy.add(admission_key,
-                                    (entry, pending), loop.time())
+            if LOCKSTEP_MIN_WIDTH[backend] > self.policy.max_batch:
+                # No group of this family reaches lockstep, so waiting
+                # for companions would only add latency.
+                batch = Batch(key=admission_key,
+                              items=((entry, pending),), opened=t0,
+                              reason="scalar")
+            else:
+                batch = self.policy.add(admission_key,
+                                        (entry, pending), loop.time())
             if batch is not None:
                 self._launch_batch(batch)
             else:

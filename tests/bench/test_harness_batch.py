@@ -63,7 +63,9 @@ def test_batch_mixed_methods_only_shards_diggerbees(graphs, scalar_sweep):
             assert samples == scalar_sweep[gname][method], (gname, method)
 
 
-def test_frontier_samples_run_as_one_swarm(graphs, tier_calls):
+def test_frontier_samples_run_as_one_swarm(graphs, tier_calls,
+                                           lockstep_from):
+    lockstep_from(2)
     cfg = BenchConfig(n_roots=4)
     scalar = run_graph(["Frontier"], graphs[0], cfg)["Frontier"]
     tier_calls.clear()

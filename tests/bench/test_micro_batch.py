@@ -17,6 +17,16 @@ def scalar_payload():
 
 @pytest.fixture(scope="module")
 def batch_payload():
+    # Width-2 hive batches, so the replicas below are lockstep ones.
+    from repro.core import dispatch
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(dispatch.LOCKSTEP_MIN_WIDTH, "dfs", 2)
+        return run_micro(repeats=1, batch=2)
+
+
+@pytest.fixture(scope="module")
+def narrow_payload():
     return run_micro(repeats=1, batch=2)
 
 
@@ -25,6 +35,7 @@ def test_batch_payload_matches_scalar_schedule(scalar_payload, batch_payload):
     the same committed baseline gates every execution mode."""
     assert batch_payload["batch"] == 2
     assert scalar_payload["batch"] == 0
+    assert {c["tier"] for c in batch_payload["cases"]} == {"hive"}
     for ca, cb in zip(scalar_payload["cases"], batch_payload["cases"]):
         assert ca["name"] == cb["name"]
         assert ca["cycles"] == cb["cycles"], ca["name"]
@@ -43,15 +54,24 @@ def test_phases_simulate_matches_total_wall(payload_fixture, request):
     assert abs(simulate - total) <= max(1e-6, 0.01 * total)
 
 
-def test_render_tags_hive_mode(batch_payload):
+def test_narrow_batches_run_the_scalar_loop(narrow_payload):
+    # Below LOCKSTEP_MIN_WIDTH["dfs"] the fused loop runs each replica.
+    assert {c["tier"] for c in narrow_payload["cases"]} == {"scalar"}
+
+
+def test_render_tags_hive_mode(batch_payload, narrow_payload):
+    # The label names the tier that ran, not the one --batch suggests.
     assert "[hive batch=2]" in render(batch_payload)
+    assert "[scalar batch=2]" in render(narrow_payload)
 
 
-def test_frontier_batch_runs_one_swarm_per_case(tier_calls):
+def test_frontier_batch_runs_one_swarm_per_case(tier_calls, lockstep_from):
+    lockstep_from(2)
     payload = run_micro(repeats=1, batch=2, backend="frontier")
     assert tier_calls == {"swarm": len(micro.MICRO_CASES)}
     assert {c["backend"] for c in payload["cases"]} == {"frontier"}
-    assert "[backend=frontier batch=2]" in render(payload)
+    assert {c["tier"] for c in payload["cases"]} == {"swarm"}
+    assert "[frontier/swarm batch=2]" in render(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -121,3 +141,16 @@ def test_compare_missing_file(tmp_path):
 def test_compare_out_of_range(trajectory):
     with pytest.raises(BenchmarkError, match="out\nof range|out of range"):
         compare_trajectory(0, 7, path=trajectory)
+
+
+def test_compare_labels_modes_by_recorded_tier(tmp_path):
+    narrow = _entry("hive", [_case("road1000", 0.01, 2576, 130728)], "t0")
+    narrow["cases"][0]["tier"] = "scalar"
+    wide = dict(_entry("scalar", [], "t1"), backend="frontier", batch=16,
+                cases=[{"name": "road1000", "backend": "frontier",
+                        "tier": "swarm", "wall_seconds": 0.001}])
+    path = tmp_path / "trajectory.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in (narrow, wide)))
+    out = compare_trajectory(0, 1, path=path)
+    assert "A: entry 0 [scalar:16]" in out
+    assert "B: entry 1 [frontier/swarm:16]" in out

@@ -99,5 +99,19 @@ def tier_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def lockstep_from(monkeypatch):
+    """``lockstep_from(width)`` lowers both families' entry of
+    ``dispatch.LOCKSTEP_MIN_WIDTH`` to ``width`` for one test, so
+    mechanism tests can drive hive and swarm batches (and the daemon's
+    admission window) at small widths."""
+    from repro.core import dispatch
+
+    def lower(width: int) -> None:
+        for family in dispatch.LOCKSTEP_MIN_WIDTH:
+            monkeypatch.setitem(dispatch.LOCKSTEP_MIN_WIDTH, family, width)
+    return lower
+
+
 def assert_same_visited(a: np.ndarray, b: np.ndarray) -> None:
     assert np.array_equal(np.asarray(a, bool), np.asarray(b, bool))

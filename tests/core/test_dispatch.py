@@ -23,7 +23,7 @@ from repro.core.dispatch import (
     load_calibration,
     run_batch,
 )
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.graphs import generators as gen
 from repro.graphs.csr import from_edges
 
@@ -33,7 +33,7 @@ import numpy as np
 def test_choice_constants():
     assert BACKENDS == ("dfs", "frontier")
     assert BACKEND_CHOICES == ("auto", "dfs", "frontier")
-    assert LOCKSTEP_MIN_WIDTH == 2
+    assert LOCKSTEP_MIN_WIDTH == {"dfs": 256, "frontier": 16}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -160,15 +160,17 @@ CAL = {
 
 
 def test_calibrated_swarm_needs_a_batch():
-    # The swarm row prices the frontier family only from the lockstep
-    # width up; a single query pays the single-root frontier row.
+    # The swarm row prices the frontier family only from its lockstep
+    # width up; narrower hints pay the single-root frontier row.
     table = {"regimes": {"shallow": {"dfs": 1e-3, "frontier": 5e-3,
                                      "swarm": 1e-4}}}
-    d = choose_backend(requested="auto", regime="shallow", batch_hint=1,
-                       calibration=table)
-    assert d == BackendDecision("dfs", "shallow", "calibrated")
+    lo = LOCKSTEP_MIN_WIDTH["frontier"]
+    for hint in (1, lo - 1):
+        d = choose_backend(requested="auto", regime="shallow",
+                           batch_hint=hint, calibration=table)
+        assert d == BackendDecision("dfs", "shallow", "calibrated")
     d = choose_backend(requested="auto", regime="shallow",
-                       batch_hint=LOCKSTEP_MIN_WIDTH, calibration=table)
+                       batch_hint=lo, calibration=table)
     assert d == BackendDecision("frontier", "shallow", "calibrated")
 
 
@@ -264,13 +266,17 @@ def test_graph_regime_matches_properties_regime():
 # run_batch: the one scalar-vs-lockstep choice.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("width", [1, 2, 5])
+@pytest.mark.parametrize("width", [1, 2, 5, "min-1", "min"])
 @pytest.mark.parametrize("family", BACKENDS)
 def test_run_batch_picks_the_tier_by_width(family, width, tier_calls):
+    # The production widths: narrower batches hit only the scalar spies,
+    # a batch of the family's LOCKSTEP_MIN_WIDTH one lockstep call.
+    lo = LOCKSTEP_MIN_WIDTH[family]
+    width = {"min-1": lo - 1, "min": lo}.get(width, width)
     graph = gen.road_network(150, seed=2)
-    tasks = [(root, DiggerBeesConfig(n_blocks=2, warps_per_block=2,
-                                     seed=seed))
-             for seed, root in enumerate([0, 3, 7, 11, 19][:width])]
+    tasks = [(7 * i % graph.n_vertices,
+              DiggerBeesConfig(n_blocks=2, warps_per_block=2, seed=i))
+             for i in range(width)]
     if family == "dfs":
         refs = [diggerbees.run_diggerbees(graph, r, config=c)
                 for r, c in tasks]
@@ -280,7 +286,7 @@ def test_run_batch_picks_the_tier_by_width(family, width, tier_calls):
         diff, scalar, lockstep = _bfs_diff, "frontier", "swarm"
     tier_calls.clear()
     out = run_batch(graph, family, tasks)
-    assert tier_calls == ({lockstep: 1} if width >= LOCKSTEP_MIN_WIDTH
+    assert tier_calls == ({lockstep: 1} if width >= lo
                           else {scalar: width})
     assert len(out) == width
     assert [diff(ref, got) for ref, got in zip(refs, out)] == [None] * width
@@ -296,7 +302,9 @@ def test_run_batch_runs_ineligible_or_mixed_configs_scalar(tier_calls):
         assert tier_calls == {"dfs_scalar": 2}
 
 
-def test_run_batch_settles_a_lockstep_error_on_its_task(tier_calls):
+def test_run_batch_settles_a_lockstep_error_on_its_task(tier_calls,
+                                                        lockstep_from):
+    lockstep_from(2)
     # A long path and a separate triangle: under one small cycle budget
     # the path's run is over budget and the triangle's is not.
     n = 300
@@ -316,6 +324,32 @@ def test_run_batch_settles_a_lockstep_error_on_its_task(tier_calls):
     assert isinstance(big_out, SimulationError)
     assert "max_cycles" in str(big_out)
     assert _schedule_diff(ref, small_out) is None
+
+
+def test_run_batch_reports_the_tier_that_answered(lockstep_from):
+    # stats["tier"] names the tier whose results come back, so a
+    # lockstep batch settled task by task never reads as lockstep.
+    lockstep_from(2)
+    graph = gen.road_network(150, seed=2)
+    base = DiggerBeesConfig(n_blocks=2, warps_per_block=2)
+    cases = [
+        ("dfs", [(0, base), (3, base)], "hive"),
+        ("frontier", [(0, None), (3, None)], "swarm"),
+        ("dfs", [(0, base)], "scalar"),                     # too narrow
+        ("frontier", [(0, None)], "scalar"),
+        ("dfs", [(0, base), (3, base.with_overrides(fastpath=False))],
+         "scalar"),                                         # ineligible
+        ("dfs", [(0, base), (3, base.with_overrides(n_blocks=4))],
+         "scalar"),                                         # incompatible
+        ("frontier", [(0, None), (10**6, None)], "scalar"),  # lockstep error
+    ]
+    for family, tasks, tier in cases:
+        stats = {}
+        out = run_batch(graph, family, tasks, stats=stats)
+        assert stats["tier"] == tier, (family, tasks)
+        assert len(out) == len(tasks)
+    assert isinstance(out[1], ReproError) and \
+        not isinstance(out[0], ReproError)
 
 
 def test_run_batch_rejects_unknown_backends():

@@ -11,6 +11,7 @@ from repro.core.shard import run_sharded
 from repro.errors import SimulationError
 from repro.graphs import generators as gen
 from repro.serve.cache import result_key
+from repro.serve.exec import execute_dfs_batch, execute_query
 from repro.serve.protocol import frontier_result_to_dict
 
 from tests.serve.conftest import serve_session
@@ -117,7 +118,10 @@ def test_auto_without_batching_stays_on_single_root_frontier(
                   config=make_config("auto"))
 
 
-def test_forced_frontier_daemon_coalesces_into_one_swarm(tier_calls):
+def test_forced_frontier_daemon_coalesces_into_one_swarm(tier_calls,
+                                                        lockstep_from):
+    lockstep_from(2)
+
     async def scenario(client, server, corpus, **_):
         import asyncio
 
@@ -142,7 +146,9 @@ def test_forced_frontier_daemon_coalesces_into_one_swarm(tier_calls):
                   config=make_config("frontier"))
 
 
-def test_frontier_batch_isolates_bad_roots(tier_calls):
+def test_frontier_batch_isolates_bad_roots(tier_calls, lockstep_from):
+    lockstep_from(2)
+
     async def scenario(client, server, corpus, **_):
         import asyncio
 
@@ -164,6 +170,21 @@ def test_frontier_batch_isolates_bad_roots(tier_calls):
 
     serve_session(scenario, graphs=routing_graphs(),
                   config=make_config("frontier"))
+
+
+@pytest.mark.parametrize("backend,scalar", [("dfs", "dfs_scalar"),
+                                            ("frontier", "frontier")])
+def test_coalesced_pair_runs_on_the_scalar_engines(backend, scalar,
+                                                   tier_calls):
+    # Two queries are below both families' lockstep width: the pair
+    # costs two scalar runs, not one hive batch or swarm.
+    graph = routing_graphs()["wide"]
+    tasks = [(0, None), (5, None)]
+    tier_calls.clear()
+    got = execute_dfs_batch(graph, tasks, backend)
+    assert tier_calls == {scalar: 2}
+    assert got == [execute_query(graph, "dfs", root, None, backend=backend)
+                   for root, _ in tasks]
 
 
 def test_frontier_payload_matches_dfs_reachability():

@@ -11,6 +11,7 @@ from repro.core.diggerbees import run_diggerbees
 from repro.errors import ServeError
 from repro.graphs import generators as gen
 from repro.serve.client import AsyncServeClient
+from repro.serve.exec import execute_query
 from repro.serve.protocol import dfs_result_to_dict
 
 from tests.serve.conftest import serve_session
@@ -75,19 +76,51 @@ def test_cache_hit_is_identical_and_flagged():
     serve_session(scenario)
 
 
-def test_concurrent_queries_coalesce_into_hive_batch():
-    async def scenario(client, server, **_):
+def test_concurrent_queries_coalesce_into_hive_batch(tier_calls,
+                                                    lockstep_from):
+    lockstep_from(2)
+
+    async def scenario(client, server, corpus, **_):
         resps = await asyncio.gather(*[
             client.dfs("tree", r, no_cache=True) for r in range(6)])
         assert all(r.ok for r in resps)
         assert {r.batch for r in resps} == {6}
-        assert server.stats.hive_batches >= 1
-        # Batched results still equal scalar execution.
+        assert tier_calls == {"hive": 1}
+        assert server.stats.hive_batches == 1
+        # Batched results equal in-process scalar execution.
+        graph = corpus.get("tree").graph
         for root, resp in enumerate(resps):
-            direct = await client.dfs("tree", root, no_cache=True)
-            assert resp.result == direct.result or direct.batch > 1
+            assert resp.result == execute_query(graph, "dfs", root)
 
     serve_session(scenario)
+
+
+def test_scalar_only_family_skips_the_admission_window():
+    # At max_batch=64 no DFS-family group can reach hive's lockstep
+    # width, so a config-pinned query runs at once instead of parking
+    # for the 30 s window.
+    async def scenario(client, server, **_):
+        resp = await asyncio.wait_for(
+            client.dfs("tree", 3, config={"seed": 4}), timeout=5.0)
+        assert resp.ok and resp.batch == 1
+        assert server.policy.pending_count() == 0
+
+    serve_session(scenario, config=ServeConfig(
+        batch_window=30.0, max_batch=64, jobs=0, cache_dir="off"))
+
+
+def test_frontier_family_keeps_its_admission_window():
+    async def scenario(client, server, **_):
+        task = asyncio.ensure_future(client.dfs("tree", 3))
+        await asyncio.sleep(0.05)            # admitted, window still open
+        assert server.policy.pending_count() == 1
+        await server.stop(drain=True)
+        resp = await asyncio.wait_for(task, timeout=10)
+        assert resp.ok and resp.batch == 1
+
+    serve_session(scenario, config=ServeConfig(
+        batch_window=30.0, max_batch=64, jobs=0, cache_dir="off",
+        backend="frontier"))
 
 
 def test_identical_inflight_queries_singleflight():

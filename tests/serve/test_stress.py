@@ -118,7 +118,8 @@ def test_randomized_cancellation_leaves_survivors_intact():
                                      jobs=0, cache_dir="off"))
 
 
-def test_disconnect_mid_batch_does_not_hurt_batchmates():
+def test_disconnect_mid_batch_does_not_hurt_batchmates(lockstep_from):
+    lockstep_from(2)  # a DFS-family group parks only if it can go hive
     graphs = _graphs()
     expected = _expected_payloads(graphs)
 
@@ -148,7 +149,8 @@ def test_disconnect_mid_batch_does_not_hurt_batchmates():
                                      jobs=0, cache_dir="off"))
 
 
-def test_clean_shutdown_drains_admitted_queries():
+def test_clean_shutdown_drains_admitted_queries(lockstep_from):
+    lockstep_from(2)  # a DFS-family group parks only if it can go hive
     graphs = _graphs()
     expected = _expected_payloads(graphs)
 
