@@ -1,9 +1,8 @@
 """CPU work-stealing parallel DFS baselines: CKL-PDFS and ACR-PDFS.
 
-Both baselines run on the same event engine as DiggerBees, but with a
-multicore CPU model (:class:`~repro.sim.device.CpuSpec`): one agent per
-core, a private work deque per core, a shared ``visited`` array with
-atomic claims.  Per the paper's Table 2, these methods report only
+Both baselines model a multicore CPU (:class:`~repro.sim.device.CpuSpec`):
+a private work deque per core and a shared ``visited`` array with atomic
+claims.  Per the paper's Table 2, these methods report only
 **reachability** (no DFS tree), which is also how we validate them.
 
 The two differ in their stealing protocol, following the cited systems:
@@ -20,19 +19,54 @@ The two differ in their stealing protocol, following the cited systems:
   mailbox.  This removes contention on the deque (work efficiency) at
   the price of donation latency — visible on small graphs, which is why
   the paper's speedup over ACR (1.83x) exceeds that over CKL (1.37x).
+
+The fused drain
+---------------
+One loop, :func:`_drain`, runs both protocols.  It replays the calendar
+order of :class:`~repro.sim.engine.EventLoop` exactly: every core is
+ready at time 0 in id order, events run in ``(ready_at, seq)`` order
+(ties go to the earlier scheduling), and termination (``pending == 0``)
+is observed before every event, so ``cycles`` is the time of the last
+executed event.  A plain heap of ``(ready_at, seq, core)`` entries holds
+that order: with a handful of cores almost every event has its own
+timestamp, so the engine's per-timestamp buckets would each hold one
+entry.
+
+The step that dominates every run — expand or pop the top deque entry,
+scanning at most :data:`CPU_SCAN_WIDTH` neighbours — runs inline over the
+graph's memoized plain-list adjacency and a ``memoryview`` of
+``visited``, with counter deltas (and the per-core task tallies) kept in
+locals and merged into :class:`~repro.sim.trace.SimCounters` once.  The
+rare protocol moves stay small functions over :class:`_CpuRunState`:
+:func:`_ckl_steal`, :func:`_acr_service` and :func:`_acr_idle`.  A
+victim draw takes one scalar ``integers`` call on the idle core's own
+NumPy ``Generator`` (a bulk draw would consume the stream differently),
+so each core's stream depends only on its own idle attempts.
+
+Why a core's CAS never fails
+----------------------------
+A step is atomic: the window scan that finds ``v`` unvisited and the
+claim of ``v`` happen in the same step, so no other core can claim ``v``
+in between.  Every claim counts one ``cas_attempts`` and pays
+``visited_cas``; ``cas_failures`` stays 0 and ``cas_retry`` is never
+charged.  A losable CAS would need the scan and the claim in separate
+steps, which would move every recorded schedule.
 """
 
 from __future__ import annotations
 
+import gc
+import heapq
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.graphs.csr import CSRGraph
 from repro.sim.device import CpuSpec, XEON_MAX_9462
-from repro.sim.engine import EventLoop, StepOutcome
+from repro.sim.engine import (DEFAULT_MAX_CYCLES, deadlocked_error,
+                              non_positive_cost_error, over_budget_error)
 from repro.sim.metrics import mteps as _mteps
 from repro.sim.trace import SimCounters
 from repro.utils.rng import make_rng, spawn
@@ -80,8 +114,10 @@ class _CpuRunState:
         self.pending = 0
         self.counters = SimCounters()
         self.rngs = spawn(make_rng(seed), cores)
-        # Per-core deques of [vertex, offset] plus ACR request/mailbox cells.
+        # Per-core deques of [vertex, offset], idle backoff, and the ACR
+        # request/mailbox cells.
         self.deques: List[List[list]] = [[] for _ in range(cores)]
+        self.backoff: List[int] = [self.costs.idle_poll] * cores
         self.requests: List[Optional[int]] = [None] * cores   # thief id or None
         self.mailboxes: List[Optional[list]] = [None] * cores  # donated batches
 
@@ -92,175 +128,216 @@ class _CpuRunState:
         self.counters.pushes += 1
         self.pending = 1
 
-    def is_terminated(self) -> bool:
-        return self.pending == 0
+
+# ----------------------------------------------------------------------
+# Protocol moves.  Each is one core step; it returns ``(cost, progress)``
+# where ``progress`` feeds the drain's deadlock guard.  None of them
+# creates or retires deque entries, so none touches ``pending``.
+# ----------------------------------------------------------------------
+def _back_off(state: _CpuRunState, core: int) -> int:
+    """Return ``core``'s current idle backoff and double it (capped)."""
+    backoff = state.backoff[core]
+    state.backoff[core] = min(backoff * 2, state.costs.idle_backoff_max)
+    return backoff
 
 
-class _CoreAgent:
-    """One CPU core: private-deque DFS plus the configured steal protocol."""
-
-    __slots__ = ("state", "core_id", "protocol", "backoff")
-
-    def __init__(self, state: _CpuRunState, core_id: int, protocol: str):
-        if protocol not in ("ckl", "acr"):
-            raise SimulationError(f"unknown CPU protocol {protocol!r}")
-        self.state = state
-        self.core_id = core_id
-        self.protocol = protocol
-        self.backoff = state.costs.idle_poll
-
-    # ------------------------------------------------------------------
-    def step(self, now: int) -> StepOutcome:
-        state = self.state
-        if state.is_terminated():
-            return StepOutcome(cost=0, made_progress=False, done=True)
-
-        # ACR: victims service pending steal requests between DFS steps.
-        if self.protocol == "acr":
-            serviced = self._service_request()
-            if serviced is not None:
-                return serviced
-
-        deque = state.deques[self.core_id]
-        if deque:
-            return self._expand(deque)
-
-        # Idle: collect a donation (ACR) or steal (CKL) or post a request.
-        if self.protocol == "acr":
-            return self._acr_idle()
-        return self._ckl_idle()
-
-    # ------------------------------------------------------------------
-    def _expand(self, deque: List[list]) -> StepOutcome:
-        """One DFS step on the top deque entry (Algorithm 1 body, CPU costs).
-
-        Cost = per-step overhead + (row-open miss on the row's first
-        window) + one line cost per 4 scanned neighbours; see
-        :class:`~repro.sim.device.CpuOpCosts` for the calibration.
-        """
-        state = self.state
-        costs = state.costs
-        counters = state.counters
-        rp, ci = state.graph.row_ptr, state.graph.column_idx
-        top = deque[-1]
-        u, i = top
-        row_end = int(rp[u + 1])
-        self.backoff = costs.idle_poll
-        if i >= row_end:
-            deque.pop()
-            counters.pops += 1
-            state.pending -= 1
-            return StepOutcome(cost=costs.pop)
-
-        window = min(CPU_SCAN_WIDTH, row_end - i)
-        nbrs = ci[i:i + window]
-        unvis = np.flatnonzero(state.visited[nbrs] == 0)
-        lines = -(-window // costs.line_width)  # ceil division
-        cost = costs.visit_base + costs.visit_per_line * lines
-        if i == int(rp[u]):
-            cost += costs.row_open
-        if unvis.size == 0:
-            counters.edges_traversed += window
-            new_off = i + window
-            if new_off >= row_end:
-                deque.pop()
-                counters.pops += 1
-                state.pending -= 1
-                cost += costs.pop
-            else:
-                top[1] = new_off
-            return StepOutcome(cost=cost)
-
-        k = i + int(unvis[0])
-        counters.edges_traversed += int(unvis[0]) + 1
-        v = int(ci[k])
-        top[1] = k + 1
-        counters.cas_attempts += 1
-        cost += costs.visited_cas
-        if state.visited[v]:
-            counters.cas_failures += 1
-            return StepOutcome(cost=cost + costs.cas_retry)
-        state.visited[v] = 1
-        counters.vertices_visited += 1
-        counters.record_task(0, self.core_id)
-        deque.append([v, int(rp[v])])
-        counters.pushes += 1
-        state.pending += 1
-        return StepOutcome(cost=cost + costs.push)
-
-    # ------------------------------------------------------------------
-    # CKL: receiver-initiated adaptive steal-half.
-    # ------------------------------------------------------------------
-    def _ckl_idle(self) -> StepOutcome:
-        state = self.state
-        costs = state.costs
-        counters = state.counters
-        rng = state.rngs[self.core_id]
-        victim = int(rng.integers(0, state.cores))
-        counters.intra_steal_attempts += 1
-        vdq = state.deques[victim]
-        if victim == self.core_id or len(vdq) < 2:
-            counters.idle_polls += 1
-            cost = costs.steal_fail + self.backoff
-            self.backoff = min(self.backoff * 2, costs.idle_backoff_max)
-            return StepOutcome(cost=cost, made_progress=False)
-        # Adaptive: steal half the victim's deque from the oldest end.
-        amount = max(1, len(vdq) // 2)
-        stolen = vdq[:amount]
-        del vdq[:amount]
-        state.deques[self.core_id].extend(stolen)
-        counters.intra_steal_successes += 1
-        counters.intra_steal_entries += amount
-        self.backoff = costs.idle_poll
-        return StepOutcome(cost=costs.steal_base + costs.steal_per_entry * amount)
-
-    # ------------------------------------------------------------------
-    # ACR: sender-initiated communication-by-request.
-    # ------------------------------------------------------------------
-    def _service_request(self) -> Optional[StepOutcome]:
-        """Victim side: donate half the deque to a requesting thief."""
-        state = self.state
-        costs = state.costs
-        thief = state.requests[self.core_id]
-        if thief is None:
-            return None
-        deque = state.deques[self.core_id]
-        state.requests[self.core_id] = None
-        if len(deque) < 2 or state.mailboxes[thief] is not None:
-            # Nothing to donate (or thief mailbox still full): decline.
-            return StepOutcome(cost=costs.pop, made_progress=False)
-        amount = max(1, len(deque) // 2)
-        donated = deque[:amount]
-        del deque[:amount]
-        state.mailboxes[thief] = donated
-        c = state.counters
-        c.intra_steal_successes += 1
-        c.intra_steal_entries += amount
-        return StepOutcome(cost=costs.steal_base + costs.steal_per_entry * amount)
-
-    def _acr_idle(self) -> StepOutcome:
-        state = self.state
-        costs = state.costs
-        counters = state.counters
-        # Collect a donation if one arrived.
-        mail = state.mailboxes[self.core_id]
-        if mail is not None:
-            state.mailboxes[self.core_id] = None
-            state.deques[self.core_id].extend(mail)
-            self.backoff = costs.idle_poll
-            return StepOutcome(cost=costs.steal_per_entry * len(mail) + costs.pop)
-        # Post a request to a random busy victim (one outstanding at a time).
-        rng = state.rngs[self.core_id]
-        victim = int(rng.integers(0, state.cores))
-        counters.intra_steal_attempts += 1
-        if (victim != self.core_id and state.deques[victim]
-                and state.requests[victim] is None):
-            state.requests[victim] = self.core_id
-            return StepOutcome(cost=costs.steal_fail, made_progress=False)
+def _ckl_steal(state: _CpuRunState, core: int) -> Tuple[int, bool]:
+    """CKL idle step: steal half a random victim's deque, oldest end first."""
+    costs = state.costs
+    counters = state.counters
+    victim = int(state.rngs[core].integers(0, state.cores))
+    counters.intra_steal_attempts += 1
+    vdq = state.deques[victim]
+    if victim == core or len(vdq) < 2:
         counters.idle_polls += 1
-        cost = self.backoff
-        self.backoff = min(self.backoff * 2, costs.idle_backoff_max)
-        return StepOutcome(cost=cost, made_progress=False)
+        return costs.steal_fail + _back_off(state, core), False
+    # Adaptive: the batch scales with the victim's deque.
+    amount = len(vdq) // 2
+    state.deques[core].extend(vdq[:amount])
+    del vdq[:amount]
+    counters.intra_steal_successes += 1
+    counters.intra_steal_entries += amount
+    state.backoff[core] = costs.idle_poll
+    return costs.steal_base + costs.steal_per_entry * amount, True
+
+
+def _acr_service(state: _CpuRunState, core: int) -> Tuple[int, bool]:
+    """ACR victim step: answer the request in ``core``'s cell.
+
+    Donates the oldest half of the deque to the thief's mailbox, or
+    declines when there is too little to split or the thief's mailbox
+    is still full.  The cell is cleared either way.
+    """
+    costs = state.costs
+    thief = state.requests[core]
+    state.requests[core] = None
+    deque = state.deques[core]
+    if len(deque) < 2 or state.mailboxes[thief] is not None:
+        return costs.pop, False
+    amount = len(deque) // 2
+    state.mailboxes[thief] = deque[:amount]
+    del deque[:amount]
+    counters = state.counters
+    counters.intra_steal_successes += 1
+    counters.intra_steal_entries += amount
+    return costs.steal_base + costs.steal_per_entry * amount, True
+
+
+def _acr_idle(state: _CpuRunState, core: int) -> Tuple[int, bool]:
+    """ACR idle step: collect a donation, else post a request, else back off."""
+    costs = state.costs
+    mail = state.mailboxes[core]
+    if mail is not None:
+        state.mailboxes[core] = None
+        state.deques[core].extend(mail)
+        state.backoff[core] = costs.idle_poll
+        return costs.steal_per_entry * len(mail) + costs.pop, True
+    # Post to a random busy victim.  A thief may have requests out at
+    # several victims; each victim's cell holds one request, so a cell
+    # already taken is left alone.
+    counters = state.counters
+    victim = int(state.rngs[core].integers(0, state.cores))
+    counters.intra_steal_attempts += 1
+    if (victim != core and state.deques[victim]
+            and state.requests[victim] is None):
+        state.requests[victim] = core
+        return costs.steal_fail, False
+    counters.idle_polls += 1
+    return _back_off(state, core), False
+
+
+# ----------------------------------------------------------------------
+# The drain.
+# ----------------------------------------------------------------------
+def _drain(state: _CpuRunState, protocol: str, *,
+           max_cycles: int = DEFAULT_MAX_CYCLES) -> int:
+    """Run ``state`` to termination under ``protocol``; return the cycles.
+
+    See the module docstring for the order it replays.  The guards are
+    the event engine's, with its messages: an event due after
+    ``max_cycles`` is not run, more than ``max(10_000, 200 * cores)``
+    consecutive steps without progress is a deadlock, and a step must
+    cost at least one cycle.
+
+    Counter deltas and ``pending`` are written back to ``state`` on
+    every exit, so a run stopped by a guard leaves the state exactly as
+    its executed steps made it.  Cyclic GC is paused meanwhile, as in
+    :func:`repro.core.turbo.run_turbo`: the loop creates no reference
+    cycles, and a collection would only rescan the caller's heap.
+    """
+    if protocol not in ("ckl", "acr"):
+        raise SimulationError(f"unknown CPU protocol {protocol!r}")
+    acr = protocol == "acr"
+    idle = _acr_idle if acr else _ckl_steal
+    cores = state.cores
+    window = max(10_000, 200 * cores)
+    costs = state.costs
+    c_idle = costs.idle_poll
+    c_pop = costs.pop
+    c_row_open = costs.row_open
+    c_claim = costs.visited_cas + costs.push
+    lw = costs.line_width
+    # Step cost by window width w: per-step overhead plus one line per
+    # lw scanned neighbours (see CpuOpCosts for the calibration).  A
+    # row's first window also pays the row-open miss.
+    scan_cost = [costs.visit_base + costs.visit_per_line * -(-w // lw)
+                 for w in range(CPU_SCAN_WIDTH + 1)]
+
+    rp, ci = state.graph.adjacency_lists()
+    visited = memoryview(state.visited)
+    deques = state.deques
+    backoff = state.backoff
+    requests = state.requests
+    replace = heapq.heapreplace
+
+    tasks = [0] * cores     # claims per core
+    d_edges = d_pops = 0
+    pending = state.pending
+    heap = [(0, c, c) for c in range(cores)]  # (ready_at, seq, core)
+    seq = cores             # steps executed so far == seq - cores
+    now = 0
+    stale = 0
+
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while pending:
+            t, _, core = heap[0]
+            if t > now:
+                if t > max_cycles:
+                    raise over_budget_error(max_cycles, t, seq - cores)
+                now = t
+            dq = deques[core]
+            if acr and requests[core] is not None:
+                cost, progress = _acr_service(state, core)
+            elif dq:
+                # ---- expand or pop the top entry (Algorithm 1 body) ----
+                progress = True
+                backoff[core] = c_idle
+                top = dq[-1]
+                u, i = top
+                row_end = rp[u + 1]
+                if i >= row_end:
+                    dq.pop()
+                    d_pops += 1
+                    pending -= 1
+                    cost = c_pop
+                else:
+                    wend = i + CPU_SCAN_WIDTH
+                    if wend > row_end:
+                        wend = row_end
+                    cost = scan_cost[wend - i]
+                    if i == rp[u]:
+                        cost += c_row_open
+                    for k in range(i, wend):
+                        v = ci[k]
+                        if not visited[v]:
+                            # Scan and claim are one atomic step: the
+                            # CAS cannot lose (module docstring).
+                            d_edges += k - i + 1
+                            top[1] = k + 1
+                            visited[v] = 1
+                            tasks[core] += 1
+                            dq.append([v, rp[v]])
+                            pending += 1
+                            cost += c_claim
+                            break
+                    else:
+                        d_edges += wend - i
+                        if wend >= row_end:
+                            dq.pop()
+                            d_pops += 1
+                            pending -= 1
+                            cost += c_pop
+                        else:
+                            top[1] = wend
+            else:
+                cost, progress = idle(state, core)
+            if progress:
+                stale = 0
+            else:
+                stale += 1
+                if stale > window:
+                    raise deadlocked_error(stale, now)
+            if cost < 1:
+                raise non_positive_cost_error(core, cost)
+            replace(heap, (now + cost, seq, core))
+            seq += 1
+    finally:
+        state.pending = pending
+        counters = state.counters
+        claims = sum(tasks)
+        counters.edges_traversed += d_edges
+        counters.pops += d_pops
+        counters.cas_attempts += claims
+        counters.vertices_visited += claims
+        counters.pushes += claims
+        for core, n in enumerate(tasks):
+            if n:
+                counters.record_task(0, core, n)
+        if gc_was_enabled:
+            gc.enable()
+    return now
 
 
 def _run_cpu_pdfs(graph: CSRGraph, root: int, protocol: str, method: str, *,
@@ -269,9 +346,7 @@ def _run_cpu_pdfs(graph: CSRGraph, root: int, protocol: str, method: str, *,
     if cores is None:
         cores = device.default_cores(sim_scale)
     state = _CpuRunState(graph, root, cores, device, seed)
-    agents = [_CoreAgent(state, c, protocol) for c in range(cores)]
-    loop = EventLoop(agents, is_terminated=state.is_terminated)
-    engine = loop.run()
+    cycles = _drain(state, protocol)
     if state.pending != 0:
         raise SimulationError(f"CPU PDFS stopped with {state.pending} pending")
     # Un-donated mailbox entries would be lost work; assert none remain.
@@ -288,11 +363,10 @@ def _run_cpu_pdfs(graph: CSRGraph, root: int, protocol: str, method: str, *,
         order=np.empty(0, dtype=np.int64),
         edges_traversed=state.counters.edges_traversed,
     )
-    seconds = device.cycles_to_seconds(engine.cycles)
     return CpuDfsResult(
         traversal=traversal,
-        cycles=engine.cycles,
-        seconds=seconds,
+        cycles=cycles,
+        seconds=device.cycles_to_seconds(cycles),
         counters=state.counters,
         cores=cores,
         device=device,

@@ -1,7 +1,8 @@
 """Deterministic event-driven execution engine.
 
-The engine steps a set of :class:`Agent` objects (warps on the GPU model,
-cores on the CPU model) in global cycle order.  Each ``step`` performs one
+The engine steps a set of :class:`Agent` objects (DiggerBees warps on
+runs the fused loop cannot take, and the naive GPU DFS baseline's warps)
+in global cycle order.  Each ``step`` performs one
 atomic action against shared state and returns its cost in cycles; the
 agent is then re-scheduled at ``now + cost``.  Atomicity at step
 granularity gives exact CAS semantics: the winner's mutation is visible to
@@ -19,7 +20,8 @@ distinct timestamps.  Because an agent is always rescheduled at
 currently draining, and because ``seq`` order equals scheduling order,
 bucket FIFO order *is* ``(ready_at, seq)`` order.  DiggerBees runs that
 use the expand fast path replay exactly this order in the fused loop of
-:mod:`repro.core.turbo`.
+:mod:`repro.core.turbo`, and the CPU baselines replay it in the fused
+drain of :mod:`repro.baselines.pdfs_cpu`.
 
 Termination is algorithm-defined via ``is_terminated``; the engine adds a
 deadlock guard (progress must occur within ``deadlock_window`` consecutive
@@ -53,14 +55,20 @@ from typing import Callable, Optional, Protocol, Sequence
 from repro.errors import DeadlockError, SimulationError
 
 __all__ = ["Agent", "StepOutcome", "EngineResult", "EventLoop",
-           "over_budget_error", "deadlocked_error", "non_positive_cost_error"]
+           "DEFAULT_MAX_CYCLES", "over_budget_error", "deadlocked_error",
+           "non_positive_cost_error"]
+
+#: Default ``max_cycles``: a runaway guard far above any calibrated run.
+DEFAULT_MAX_CYCLES = 50_000_000_000
 
 
 # ----------------------------------------------------------------------
 # Shared error formatting.  The generic engine, the turbo fused loop,
-# and the hive batch engine all promise *identical* failure behavior:
-# one message format per failure class, asserted by the differential
-# ladder, so the three drains build their exceptions here.
+# the hive batch engine and the CPU baselines' drain
+# (``repro.baselines.pdfs_cpu._drain``) all promise *identical* failure
+# behavior: one message format per failure class, asserted by the
+# differential ladder and the CPU drain's white-box tests, so the four
+# drains build their exceptions here.
 def over_budget_error(max_cycles: int, ready_at: int,
                       steps: int) -> SimulationError:
     return SimulationError(
@@ -177,7 +185,7 @@ class EventLoop:
         agents: Sequence[Agent],
         *,
         is_terminated: Callable[[], bool],
-        max_cycles: int = 50_000_000_000,
+        max_cycles: int = DEFAULT_MAX_CYCLES,
         deadlock_window: Optional[int] = None,
         perturb_seed: Optional[int] = None,
         jitter: int = 0,

@@ -47,39 +47,42 @@ def serial_dfs(graph: CSRGraph, root: int) -> TraversalResult:
     into ``column_idx`` (i.e. an absolute CSR offset, as in the paper).
     With sorted adjacency lists this produces the unique lexicographically
     ordered DFS tree.
+
+    The loop runs on plain Python containers (the graph's memoized
+    adjacency lists, a ``bytearray`` for ``visited``, lists for
+    ``parent`` and ``order``): indexing NumPy arrays one element at a
+    time boxes a scalar per read.  The arrays are built once at the end.
     """
     graph._check_vertex(root)
-    n = graph.n_vertices
-    rp, ci = graph.row_ptr, graph.column_idx
-    visited = np.zeros(n, dtype=bool)
-    parent = np.full(n, UNVISITED_PARENT, dtype=np.int64)
-    order = []
+    rp, ci = graph.adjacency_lists()
+    visited = bytearray(graph.n_vertices)
+    parent = [UNVISITED_PARENT] * graph.n_vertices
+    order = [root]
     edges = 0
 
-    visited[root] = True
+    visited[root] = 1
     parent[root] = ROOT_PARENT
-    order.append(root)
     # Stack of [node, next_idx]; lists are cheaper than tuple churn here.
-    stack = [[root, int(rp[root])]]
+    stack = [[root, rp[root]]]
     while stack:
         top = stack[-1]
         u, i = top
         if i < rp[u + 1]:
-            v = int(ci[i])
+            v = ci[i]
             top[1] = i + 1
             edges += 1
             if not visited[v]:
-                visited[v] = True
+                visited[v] = 1
                 parent[v] = u
                 order.append(v)
-                stack.append([v, int(rp[v])])
+                stack.append([v, rp[v]])
         else:
             stack.pop()
     return TraversalResult(
         root=root,
-        visited=visited,
-        parent=parent,
-        order=np.asarray(order, dtype=np.int64),
+        visited=np.frombuffer(visited, dtype=bool),
+        parent=np.array(parent, dtype=np.int64),
+        order=np.array(order, dtype=np.int64),
         edges_traversed=edges,
     )
 

@@ -5,13 +5,18 @@ import pytest
 
 from repro.baselines.pdfs_cpu import (
     CPU_SCAN_WIDTH,
-    _CoreAgent,
+    _acr_idle,
+    _acr_service,
+    _ckl_steal,
     _CpuRunState,
+    _drain,
     run_acr_pdfs,
     run_ckl_pdfs,
 )
+from repro.errors import SimulationError
 from repro.graphs import generators as gen
 from repro.sim.device import XEON_MAX_9462
+from repro.sim.engine import over_budget_error
 
 
 def make_state(graph, cores=4, root=0, seed=1):
@@ -24,13 +29,12 @@ class TestCklProtocol:
         state = make_state(g, cores=2)
         # Hand-build a victim deque of 8 entries on core 0.
         state.deques[0] = [[v, 0] for v in range(10, 18)]
-        thief = _CoreAgent(state, 1, "ckl")
         # Force the RNG to pick victim 0 by monkeypatching the stream.
         state.rngs[1] = np.random.default_rng(0)
         for _ in range(20):
             if state.deques[1]:
                 break
-            thief.step(0)
+            _ckl_steal(state, 1)
         assert state.deques[1], "thief never stole"
         stolen = [v for v, _ in state.deques[1]]
         assert stolen == list(range(10, 14))       # oldest half
@@ -42,21 +46,19 @@ class TestCklProtocol:
         for size, expected in ((2, 1), (8, 4), (20, 10)):
             state = make_state(g, cores=2)
             state.deques[0] = [[v, 0] for v in range(size)]
-            thief = _CoreAgent(state, 1, "ckl")
             state.rngs[1] = np.random.default_rng(0)
             for _ in range(30):
                 if state.deques[1]:
                     break
-                thief.step(0)
+                _ckl_steal(state, 1)
             assert len(state.deques[1]) == expected
 
     def test_no_steal_from_singleton(self):
         g = gen.path_graph(8)
         state = make_state(g, cores=2)
         # Core 0 holds only the root entry: not a valid victim.
-        thief = _CoreAgent(state, 1, "ckl")
         for _ in range(10):
-            thief.step(0)
+            _ckl_steal(state, 1)
         assert not state.deques[1]
 
 
@@ -65,22 +67,20 @@ class TestAcrProtocol:
         g = gen.path_graph(64)
         state = make_state(g, cores=2)
         state.deques[0] = [[v, 0] for v in range(10, 18)]
-        victim = _CoreAgent(state, 0, "acr")
-        thief = _CoreAgent(state, 1, "acr")
         state.rngs[1] = np.random.default_rng(0)
         # 1. Thief posts a request.
         for _ in range(10):
             if state.requests[0] is not None:
                 break
-            thief.step(0)
+            _acr_idle(state, 1)
         assert state.requests[0] == 1
         # 2. Victim services it on its next step (donates half).
-        victim.step(0)
+        _acr_service(state, 0)
         assert state.requests[0] is None
         assert state.mailboxes[1] is not None
         assert [v for v, _ in state.mailboxes[1]] == list(range(10, 14))
         # 3. Thief collects the donation.
-        thief.step(0)
+        _acr_idle(state, 1)
         assert state.mailboxes[1] is None
         assert [v for v, _ in state.deques[1]] == list(range(10, 14))
 
@@ -88,8 +88,7 @@ class TestAcrProtocol:
         g = gen.path_graph(8)
         state = make_state(g, cores=2)
         state.requests[0] = 1        # pending request, deque has 1 entry
-        victim = _CoreAgent(state, 0, "acr")
-        victim.step(0)
+        _acr_service(state, 0)
         assert state.requests[0] is None     # cleared
         assert state.mailboxes[1] is None    # but nothing donated
 
@@ -97,10 +96,8 @@ class TestAcrProtocol:
         g = gen.path_graph(8)
         state = make_state(g, cores=2, root=0)
         state.deques[0].clear()
-        state.pending = 1            # keep the run notionally alive
         state.requests[0] = 1
-        victim = _CoreAgent(state, 0, "acr")
-        victim.step(0)
+        _acr_service(state, 0)
         assert state.requests[0] is None
 
     def test_one_outstanding_request_per_victim(self):
@@ -108,10 +105,9 @@ class TestAcrProtocol:
         state = make_state(g, cores=3)
         state.deques[0] = [[v, 0] for v in range(10, 18)]
         state.requests[0] = 2        # core 2 already asked
-        thief = _CoreAgent(state, 1, "acr")
         state.rngs[1] = np.random.default_rng(0)
         for _ in range(10):
-            thief.step(0)
+            _acr_idle(state, 1)
         assert state.requests[0] == 2  # never overwritten
 
 
@@ -122,11 +118,27 @@ class TestScanWindow:
     def test_wide_rows_take_multiple_steps(self):
         g = gen.star_graph(40)  # hub degree 39
         state = make_state(g, cores=1)
-        core = _CoreAgent(state, 0, "ckl")
-        core.step(0)  # first window claims leaf at offset 0
+        # A zero budget stops the drain after the steps at time 0: the
+        # first window claims the leaf at offset 0.
+        with pytest.raises(SimulationError):
+            _drain(state, "ckl", max_cycles=0)
         assert state.counters.edges_traversed == 1
         # Hub entry's offset advanced by exactly one claim.
         assert state.deques[0][0][0] == 0  # hub still at the bottom
+
+
+class TestDrainGuards:
+    def test_over_budget_raises_the_engine_message(self):
+        g = gen.star_graph(40)
+        state = make_state(g, cores=1)
+        c = XEON_MAX_9462.costs
+        # The hub's first step: an 8-neighbour window (two lines), the
+        # row open, and the claim of the first leaf.
+        first = (c.visit_base + 2 * c.visit_per_line + c.row_open
+                 + c.visited_cas + c.push)
+        with pytest.raises(SimulationError) as exc:
+            _drain(state, "ckl", max_cycles=0)
+        assert str(exc.value) == str(over_budget_error(0, first, 1))
 
 
 class TestEndToEndAgreement:
