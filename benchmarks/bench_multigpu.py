@@ -2,33 +2,19 @@
 
 The paper's related work cites remote work stealing for multi-GPU graph
 analytics (Meng et al. ICDE'23, Lima et al. SBAC-PAD'12) as the natural
-next step for DiggerBees.  Two execution models are measured side by
-side on the same graph:
+next step for DiggerBees.  The execution is *modeled*: one engine,
+blocks partitioned across 1/2/4 GPUs via the ``n_gpus`` knob; stealing
+stays GPU-local until a whole GPU runs dry, then the GPU's leader block
+steals across NVLink at ~4x the cost of a local inter-block steal.
+Everything runs in one process; the multi-device cost lives in the
+cycle ledger.
 
-* **modeled** — one engine, blocks partitioned across 1/2/4 GPUs via
-  the ``n_gpus`` knob; stealing stays GPU-local until a whole GPU runs
-  dry, then the GPU's leader block steals across NVLink at ~4x the cost
-  of a local inter-block steal.  Everything runs in one process; the
-  multi-device cost is *modeled* in the cycle ledger.
-* **sharded** — the :mod:`repro.core.shard` tier: the graph is cut into
-  k districts (one per device), one engine per district runs **truly
-  concurrently** across worker processes, and cut edges carry a
-  message-passing round protocol priced with the same NVLink remote
-  steal costs.  ``remote_steal_successes`` counts (src, dst) district
-  pairs that exchanged activations per barrier — real inter-partition
-  traffic, not a modeled funnel.
-
-Expected shape: correctness always (sharded visited/edges bit-identical
-to the unsharded engine); remote steals appear exactly when devices > 1
-in both models; the shard tier's round accounting is internally
-consistent (successes == sum of per-round district pairs, entries ==
-sum of delivered activations); modeled throughput never collapses from
-the partitioning (NVLink funnel bounded — an honest Amdahl story).
+Expected shape: correctness always; remote steals never happen on one
+GPU; throughput never collapses from the partitioning (NVLink funnel
+bounded — an honest Amdahl story).
 """
 
-import numpy as np
-
-from repro.core import DiggerBeesConfig, run_diggerbees, run_sharded
+from repro.core import DiggerBeesConfig, run_diggerbees
 from repro.graphs import collections as col
 from repro.sim.device import H100
 from repro.utils.tables import format_table
@@ -39,13 +25,6 @@ def _run_modeled(graph, gpus, blocks_per_gpu=8, seed=7):
     cfg = DiggerBeesConfig(n_blocks=gpus * blocks_per_gpu, warps_per_block=8,
                            n_gpus=gpus, seed=seed)
     return run_diggerbees(graph, 0, config=cfg, device=H100)
-
-
-def _run_sharded(graph, gpus, blocks_per_gpu=8, seed=7):
-    cfg = DiggerBeesConfig(n_blocks=blocks_per_gpu, warps_per_block=8,
-                           seed=seed)
-    return run_sharded(graph, 0, config=cfg, k=gpus, jobs=gpus,
-                       device=H100)
 
 
 def test_multigpu_scaling(benchmark, archive, quick):
@@ -71,59 +50,10 @@ def test_multigpu_scaling(benchmark, archive, quick):
     by_gpus = {r[0]: r for r in rows}
     # Remote steals never happen on one GPU; with several they only
     # happen when a whole GPU actually runs dry, which needs the
-    # full-scale graph (the quick corpus drains before any GPU starves
-    # — the *sharded* model below has guaranteed cross-device traffic
-    # at every scale, because district boundaries are structural).
+    # full-scale graph (the quick corpus drains before any GPU starves).
     assert by_gpus[1][4] == 0
     if not quick:
         assert by_gpus[2][4] > 0
     # Partitioning never collapses throughput (NVLink funnel bounded).
     assert by_gpus[2][2] > 0.7 * by_gpus[1][2]
     assert by_gpus[4][2] > 0.5 * by_gpus[1][2]
-
-
-def test_sharded_concurrency(benchmark, archive, quick):
-    """Real concurrency: one engine per district across worker processes."""
-    g = col.load("euro_osm", scale=1 if quick else 2)
-    base = run_diggerbees(
-        g, 0, config=DiggerBeesConfig(n_blocks=8, warps_per_block=8,
-                                      seed=7), device=H100)
-
-    def run():
-        rows = []
-        for gpus in (1, 2, 4):
-            res = _run_sharded(g, gpus)
-            validate_traversal(g, res.traversal)
-            rows.append([gpus, res.n_rounds, res.mteps,
-                         res.counters.remote_steal_successes,
-                         res.counters.remote_steal_entries,
-                         res.partition.edge_cut_fraction, res])
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    archive("multigpu_sharded",
-            format_table(
-                ["districts", "rounds", "MTEPS", "remote steals",
-                 "remote entries", "cut"],
-                [r[:-1] for r in rows], floatfmt=".3f",
-                title="Extension — sharded multi-device DiggerBees "
-                      "(euro_osm, concurrent district processes)"))
-
-    by_k = {r[0]: r for r in rows}
-    for gpus, res in ((k, r[-1]) for k, r in by_k.items()):
-        # Sharded traversal is bit-identical to the unsharded engine on
-        # reachability and edge inspections, for every district count.
-        assert np.array_equal(res.traversal.visited, base.traversal.visited)
-        assert (res.traversal.edges_traversed
-                == base.traversal.edges_traversed)
-        # remote_steal_successes accounting: the counter is exactly the
-        # per-round district-pair activity the round log records, and
-        # entries are exactly the delivered activations.
-        assert res.counters.remote_steal_successes == sum(
-            r["district_pairs"] for r in res.rounds)
-        assert res.counters.remote_steal_entries == sum(
-            r["delivered_activations"] for r in res.rounds)
-    # Remote steals appear exactly when there is more than one district.
-    assert by_k[1][3] == 0
-    assert by_k[2][3] > 0
-    assert by_k[4][3] > 0

@@ -8,7 +8,7 @@ The oracle hierarchy (weakest to strongest coupling to the protocol):
 3. steal-protocol invariant hooks (:class:`InvariantMonitor`) firing at
    every steal / flush / refill plus a periodic global sweep;
 4. differential reruns (fused loop vs the reference expansion, opt-in
-   hive/serve/frontier/shard/swarm rungs, CPU PDFS baselines).
+   hive/serve/frontier/swarm rungs, CPU PDFS baselines).
 
 See ``docs/TESTING.md`` for the full map and CLI usage.
 """

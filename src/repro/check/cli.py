@@ -11,8 +11,8 @@ Subcommands::
     python -m repro.check mutants [--names a,b] [--budget N] [--rungs R,...]
 
 ``--rungs`` takes a comma-separated subset of ``hive``, ``serve``,
-``frontier``, ``shard`` and ``swarm`` (or ``none``, the default) and
-adds those opt-in differential rungs to the oracle ladder.
+``frontier`` and ``swarm`` (or ``none``, the default) and adds those
+opt-in differential rungs to the oracle ladder.
 
 ``fuzz`` samples seed-derived cases and runs each through the oracle
 ladder, shrinking the first failure and exiting non-zero with a one-line

@@ -30,9 +30,6 @@ is named by the ``stage`` string a failure carries:
   reachability, :func:`~repro.graphs.properties.bfs_levels`, the
   independent min-parent oracle), and forced push/pull runs must be
   bit-identical to the auto-switched one;
-* ``shard-diff`` (rung ``shard``) — the sharded tier
-  (:mod:`repro.core.shard`) at k=2 and k=4 must meet the BFS contract,
-  match the primary's edge count, and be bit-identical across k;
 * ``swarm-diff`` (rung ``swarm``) — the case root runs as lanes 0 and 2
   of a three-lane lockstep swarm batch (:mod:`repro.core.swarm`); every
   case-root lane must be bit-identical to single-root
@@ -70,7 +67,7 @@ __all__ = ["CheckFailure", "check_case", "run_monitored", "case_to_json",
 PDFS_MAX_VERTICES = 400
 
 #: Opt-in rungs, in ladder order (``--rungs`` names).
-RUNGS = ("hive", "serve", "frontier", "shard", "swarm")
+RUNGS = ("hive", "serve", "frontier", "swarm")
 
 
 def parse_rungs(spec: Iterable[str] | str) -> frozenset:
@@ -234,7 +231,7 @@ def _bfs_contract(graph, root: int, visited: np.ndarray,
                   dfs_visited: np.ndarray) -> Optional[str]:
     """First breach of the BFS result contract, or None.
 
-    A BFS-family result (frontier, shard, swarm) must reach exactly the
+    A BFS-family result (frontier, swarm) must reach exactly the
     DFS's vertex set, carry :func:`~repro.graphs.properties.bfs_levels`
     levels, and — on undirected graphs, where the oracle and the pull
     path read each row as in-edges — the independent min-parent tree.
@@ -404,46 +401,6 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
                         "frontier-diff",
                         f"forced {forced} mode diverges from auto "
                         f"(modes promise bit-identical results)")
-
-        # Shard differential: the sharded tier partitions the graph,
-        # runs the case's engine per district, and its canonical merge
-        # must meet the BFS contract, match the primary's edge
-        # inspections, and be invariant between k=2 and k=4.
-        if "shard" in rungs:
-            from repro.core.shard import run_sharded
-
-            sharded = {}
-            for kk in (2, 4):
-                try:
-                    sres = run_sharded(graph, case.root, config=config,
-                                       k=kk)
-                    validate_traversal(graph, sres.traversal)
-                except ReproError as exc:
-                    return fail("shard-diff",
-                                f"k={kk}: {type(exc).__name__}: {exc}")
-                sharded[kk] = sres
-                mismatch = _bfs_contract(
-                    graph, case.root, sres.traversal.visited, sres.levels,
-                    sres.traversal.parent, dfs_visited)
-                if mismatch:
-                    return fail("shard-diff", f"k={kk}: {mismatch}")
-                if (sres.traversal.edges_traversed
-                        != result.traversal.edges_traversed):
-                    return fail(
-                        "shard-diff",
-                        f"k={kk}: edge inspections diverge: sharded="
-                        f"{sres.traversal.edges_traversed}, primary="
-                        f"{result.traversal.edges_traversed}")
-            p2, p4 = sharded[2].traversal.parent, sharded[4].traversal.parent
-            if not np.array_equal(p2, p4):
-                return fail(
-                    "shard-diff",
-                    f"k=2 vs k=4 parent arrays diverge at {_where(p2 != p4)}"
-                    f" — the canonical merge must be k-invariant")
-            if (sharded[2].traversal.edges_traversed
-                    != sharded[4].traversal.edges_traversed):
-                return fail("shard-diff",
-                            "k=2 vs k=4 edge inspections diverge")
 
         # Swarm differential: the case root runs as lanes 0 and 2 of a
         # three-lane lockstep batch (a *different* root in the middle, so

@@ -4,7 +4,6 @@ stealing DFS (DiggerBees)."""
 from repro.core.config import DiggerBeesConfig
 from repro.core.diggerbees import DiggerBeesResult, run_diggerbees
 from repro.core.multi_source import MultiSourceResult, run_diggerbees_multi
-from repro.core.shard import ShardedResult, run_sharded
 from repro.core.twolevel_stack import ColdSeg, HotRing, OneLevelStack, WarpStack
 
 __all__ = [
@@ -13,8 +12,6 @@ __all__ = [
     "DiggerBeesResult",
     "run_diggerbees_multi",
     "MultiSourceResult",
-    "run_sharded",
-    "ShardedResult",
     "HotRing",
     "ColdSeg",
     "WarpStack",

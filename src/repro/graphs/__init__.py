@@ -1,13 +1,6 @@
 """Graph substrate: CSR structure, generators, corpus, I/O, properties."""
 
 from repro.graphs.csr import CSRGraph, from_adjacency, from_edges
-from repro.graphs.partition import (
-    District,
-    PartitionedCSR,
-    partition_graph,
-    partition_labels,
-    partition_quality,
-)
 from repro.graphs.properties import (
     GraphProfile,
     approximate_diameter,
@@ -31,9 +24,4 @@ __all__ = [
     "degree_statistics",
     "GraphProfile",
     "profile_graph",
-    "District",
-    "PartitionedCSR",
-    "partition_graph",
-    "partition_labels",
-    "partition_quality",
 ]

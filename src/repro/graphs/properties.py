@@ -10,7 +10,7 @@ graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -155,11 +155,6 @@ class GraphProfile:
     approx_diameter: int
     heavy_tail: bool
     group: str
-    # Partition quality (filled when profile_graph gets partition_k;
-    # None means no partition was requested).
-    partition_k: Optional[int] = None
-    edge_cut_fraction: Optional[float] = None
-    balance_factor: Optional[float] = None
 
     @property
     def regime(self) -> str:
@@ -193,27 +188,10 @@ def regime(graph: CSRGraph, root: int = 0) -> str:
     return classify_regime(graph.n_vertices, num_bfs_levels(graph, root))
 
 
-def profile_graph(graph: CSRGraph, *, seed: RngLike = None,
-                  partition_k: Optional[int] = None,
-                  partition_seed: RngLike = 0) -> GraphProfile:
-    """Compute a :class:`GraphProfile` for ``graph``.
-
-    With ``partition_k`` set, a balanced k-way partition is computed
-    (:func:`repro.graphs.partition.partition_labels`) and its quality —
-    edge-cut fraction and balance factor, the two axes the sharded
-    execution tier cares about — lands in the profile.
-    """
+def profile_graph(graph: CSRGraph, *, seed: RngLike = None) -> GraphProfile:
+    """Compute a :class:`GraphProfile` for ``graph``."""
     deg = degree_statistics(graph)
     levels = num_bfs_levels(graph, 0) if graph.n_vertices else 0
-    cut = balance = None
-    if partition_k is not None and graph.n_vertices:
-        from repro.graphs.partition import partition_labels, partition_quality
-
-        labels = partition_labels(graph, partition_k, seed=partition_seed)
-        quality = partition_quality(graph, labels)
-        partition_k = quality["k"]
-        cut = quality["edge_cut_fraction"]
-        balance = quality["balance_factor"]
     return GraphProfile(
         name=graph.name or "unnamed",
         n_vertices=graph.n_vertices,
@@ -224,7 +202,4 @@ def profile_graph(graph: CSRGraph, *, seed: RngLike = None,
         approx_diameter=approximate_diameter(graph, seed=seed),
         heavy_tail=deg["heavy_tail"],
         group=str(graph.meta.get("group", "unknown")),
-        partition_k=partition_k,
-        edge_cut_fraction=cut,
-        balance_factor=balance,
     )

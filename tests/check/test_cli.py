@@ -77,6 +77,7 @@ def test_rungs_flag_takes_lists_and_none_and_rejects_unknown(capsys):
     assert parser.parse_args(["fuzz", "--rungs", "swarm,hive"]).rungs == {
         "hive", "swarm"}
     assert parser.parse_args(["fuzz", "--rungs", "none"]).rungs == set()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["fuzz", "--rungs", "turbo"])
-    assert "unknown rung(s) ['turbo']" in capsys.readouterr().err
+    for gone in ("turbo", "shard"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["fuzz", "--rungs", gone])
+        assert f"unknown rung(s) ['{gone}']" in capsys.readouterr().err

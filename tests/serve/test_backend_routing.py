@@ -6,10 +6,10 @@ import pytest
 from repro.core.config import ServeConfig
 from repro.core.diggerbees import run_diggerbees
 from repro.core.dispatch import load_calibration
-from repro.core.frontier import run_frontier
-from repro.core.shard import run_sharded
+from repro.core.frontier import min_parent_tree, run_frontier
 from repro.errors import SimulationError
 from repro.graphs import generators as gen
+from repro.graphs.properties import bfs_levels
 from repro.serve.cache import result_key
 from repro.serve.exec import execute_dfs_batch, execute_query
 from repro.serve.protocol import frontier_result_to_dict
@@ -189,9 +189,7 @@ def test_coalesced_pair_runs_on_the_scalar_engines(backend, scalar,
 
 def test_frontier_payload_matches_dfs_reachability():
     # Different engine family, same graph truth: identical visited set
-    # and visit count (the parent trees legitimately differ).  The
-    # sharded tier's canonical merge is the same min-parent tree, so
-    # the frontier family also serves the sharded traversal.
+    # and visit count (the parent trees legitimately differ).
     async def scenario(client, corpus, **_):
         resp = await client.dfs("wide", 0)
         graph = corpus.get("wide").graph
@@ -199,8 +197,8 @@ def test_frontier_payload_matches_dfs_reachability():
         assert resp.result["visited"] == \
             np.flatnonzero(ref.traversal.visited).tolist()
         assert resp.result["n_visited"] == int(ref.traversal.n_visited)
-        sharded = run_sharded(graph, 0, k=4)
-        assert resp.result["parent"] == sharded.traversal.parent.tolist()
+        canonical = min_parent_tree(graph, bfs_levels(graph, 0), 0)
+        assert resp.result["parent"] == canonical.tolist()
 
     serve_session(scenario, graphs=routing_graphs(),
                   config=make_config("frontier"))
