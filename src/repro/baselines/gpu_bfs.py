@@ -54,17 +54,18 @@ class GpuBfsResult:
 
 
 def _frontier_edge_counts(graph: CSRGraph, level: np.ndarray) -> List[int]:
-    """Edges expanded per BFS level (degree sum of each level's frontier)."""
-    deg = graph.degree()
+    """Edges expanded per BFS level (degree sum of each level's frontier).
+
+    One int64 pass over the reached vertices, so the cost does not grow
+    with the number of levels.
+    """
     reached = level >= 0
     if not np.any(reached):
         return []
-    n_levels = int(level[reached].max()) + 1
-    counts = []
-    for d in range(n_levels):
-        frontier = level == d
-        counts.append(int(deg[frontier].sum()))
-    return counts
+    lv = level[reached]
+    counts = np.zeros(int(lv.max()) + 1, dtype=np.int64)
+    np.add.at(counts, lv, graph.degree()[reached])
+    return counts.tolist()
 
 
 def _run_bfs(graph: CSRGraph, root: int, device: DeviceSpec, sim_scale: float,

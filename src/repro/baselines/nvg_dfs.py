@@ -136,13 +136,15 @@ def _tree_depths(parent: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Depth of each visited vertex in a parent tree (root depth 0).
 
     ``order`` must list vertices parents-before-children (discovery
-    order), so one pass suffices.
+    order), so one pass suffices.  The pass runs on plain lists: indexing
+    NumPy arrays one element at a time boxes a scalar per read.
     """
-    depth = np.zeros(parent.shape[0], dtype=np.int64)
-    for v in order:
-        p = parent[v]
+    par = parent.tolist()
+    depth = [0] * len(par)
+    for v in order.tolist():
+        p = par[v]
         depth[v] = 0 if p < 0 else depth[p] + 1
-    return depth
+    return np.array(depth, dtype=np.int64)
 
 
 def _topological_order(graph: CSRGraph) -> List[int]:

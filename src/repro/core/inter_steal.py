@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.state import RunState
 from repro.core.twolevel_stack import WarpStack
+from repro.utils.fastrand import BoundedDraws
 
 __all__ = ["InterStealPlan", "select_victim", "select_victim_block",
            "select_victim_warps_batch", "execute_steal"]
@@ -56,7 +57,10 @@ def _sample_active_blocks(state: RunState, my_block: int,
     Mirrors the hardware reality that the leader probes a few random mask
     words rather than scanning all blocks.  With ``gpu_id`` set, sampling
     is restricted to that GPU's block range (same-GPU stealing); with
-    ``gpu_id=None`` any block qualifies (remote fallback).
+    ``gpu_id=None`` any block qualifies (remote fallback).  A
+    :class:`~repro.utils.fastrand.BoundedDraws` replica runs the whole
+    loop in one call (same values, same stream consumption); a plain
+    ``Generator`` draws one ``integers`` call at a time.
     """
     cfg = state.config
     if gpu_id is None:
@@ -65,10 +69,12 @@ def _sample_active_blocks(state: RunState, my_block: int,
         lo = gpu_id * cfg.blocks_per_gpu
         hi = lo + cfg.blocks_per_gpu
     amask = state.active_mask_slab  # direct slab reads: skip property dispatch
+    max_attempts = 4 * k + 8
+    if type(rng) is BoundedDraws:
+        return rng.sample_hits(lo, hi, max_attempts, k, my_block, amask)
     draw = rng.integers
     found = []
     n_found = 0
-    max_attempts = 4 * k + 8
     for _ in range(max_attempts):
         b = int(draw(lo, hi))
         if b == my_block:
@@ -154,8 +160,8 @@ def select_victim(state: RunState, my_block: int,
     """Steps 1-2 of Algorithm 4: pick a victim block, then its fullest warp.
 
     ``rng`` is the leader's ``Generator`` or its bit-exact
-    :class:`repro.utils.fastrand.BoundedDraws` replica — only the
-    two-argument ``integers(lo, hi)`` surface is used.
+    :class:`repro.utils.fastrand.BoundedDraws` replica; both draw the
+    same values from the same stream (see :func:`_sample_active_blocks`).
 
     Returns None when no active block was found or no warp in the chosen
     block reaches ``cold_cutoff``.

@@ -6,15 +6,25 @@ This is the DFS driver of every run that allows it (see
 expand/pop state machine into one monomorphic inner loop.  The generic
 engine pays one ``agent.step()`` call, one ``StepOutcome`` consume, and a
 chain of attribute reads per simulated step; the fused loop instead
-inlines the three transitions that dominate every run — expand, refill,
-and the pure idle poll — over local bindings of the structure-of-arrays
+inlines the transitions that dominate every run — expand, refill, and
+an idle warp's whole idle step (victim search, then a backoff poll when
+there is no victim) — over local bindings of the structure-of-arrays
 slabs preallocated by :class:`~repro.core.state.RunState` (hot entry
-rows, the head/tail pointer slab, active masks, contention debt).
+rows, the head/tail pointer slabs, active masks, contention debt).
 
-Everything else — steal victim selection, the two-phase reservation
-steps, leader-warp inter-block stealing — falls back to the agent's
-generic ``step()``, so the protocol code (and the ``repro.check``
-invariant monitor hooks inside it) runs unchanged.
+The inline victim search replays ``intra_steal.select_victim`` (largest
+peer hot rest) and ``inter_steal.select_victim`` (leader warp of an
+idle block: a victim block by ``victim_policy``, then its largest cold
+rest) on the pointer slabs, draws from the leader's generator through
+the shared ``inter_steal._sample_active_blocks``, and builds the same
+steal plans.  Those two functions stay the generic loop's code and the
+reference the fastpath rung compares against.  Two kinds of run still
+call ``WarpAgent._idle``: adversarial-victim fuzzing (it draws from
+``fuzz_rng``) and multi-GPU grids (the remote-steal fallback).  The
+two-phase reservation steps always run through ``_reserve_intra`` /
+``_reserve_inter`` and ``execute_steal``, so the protocol code that
+the mutation suite patches, and the ``repro.check`` invariant monitor
+hooks inside it, run unchanged.
 
 Counter accumulation: the hot counters (edges, pops, pushes, CAS stats,
 idle polls, flush/refill stats, depth maxima) accumulate in loop locals
@@ -46,6 +56,9 @@ import gc
 import heapq
 from typing import Callable, Optional, Sequence
 
+from repro.core import inter_steal
+from repro.core.inter_steal import InterStealPlan
+from repro.core.intra_steal import IntraStealPlan
 from repro.core.state import RunState
 from repro.core.warp_dfs import WarpAgent, _Phase
 from repro.sim.engine import (EngineResult, deadlocked_error,
@@ -141,6 +154,15 @@ def _drain(
     inter = config.enable_inter_steal
     n_blocks = config.n_blocks
     wpb = config.warps_per_block
+    # Victim search runs inline unless the run draws adversarial victims
+    # from ``fuzz_rng`` or has the multi-GPU remote fallback.
+    inline_steal = state.fuzz_rng is None and config.n_gpus == 1
+    hot_cutoff = config.hot_cutoff
+    cold_cutoff = config.cold_cutoff
+    intra_amount = config.intra_steal_amount
+    inter_amount = config.inter_steal_amount
+    two_choice = config.victim_policy == "two_choice"
+    sample = inter_steal._sample_active_blocks
 
     # Cost constants (gstack penalty is zero: two-level only).
     c_pop = costs.hot_pop
@@ -155,6 +177,10 @@ def _drain(
     c_refill_entry = costs.refill_per_entry
     c_idle = costs.idle_poll
     backoff_max = costs.idle_backoff_max
+    # Victim-search costs, as WarpAgent._idle charges them (the leader
+    # pays 40 cycles over the peer scan).
+    c_scan_intra = costs.steal_scan_per_warp * wpb
+    c_scan_inter = c_scan_intra + 40
 
     # Claim tallies accumulate in flat lists (one slot per block / per
     # agent) and merge into the counters dicts at the flush points —
@@ -164,6 +190,7 @@ def _drain(
     tpw_local = [0] * (n_blocks * wpb)
     RUN = _Phase.RUN
     RESERVE_INTRA = _Phase.RESERVE_INTRA
+    RESERVE_INTER = _Phase.RESERVE_INTER
 
     # Local counter deltas (merged at the flush points; see docstring).
     d_edges = d_cas = d_casf = d_pops = d_pushes = d_vis = 0
@@ -323,15 +350,16 @@ def _drain(
                                         record(now, bid, wid, "visit",
                                                (u, v))
                 else:
-                    # Stack fully empty: idle.  Steal selection falls
-                    # back to the generic idle handler (the agent clears
-                    # its own mask bit there); the pure poll is inlined.
-                    # Calling _idle directly skips step()'s pending /
-                    # phase / emptiness re-checks, all of which this loop
-                    # has already established.
+                    # Stack fully empty: idle.  Clear our mask bit, look
+                    # for a victim (mirrors WarpAgent._idle), and poll
+                    # with backoff when there is none.
                     m = masks[bid] & ~bit
-                    if (intra and m) or (inter and wid == 0 and m == 0
-                                         and n_blocks > 1):
+                    if not inline_steal and (
+                            (intra and m) or (inter and wid == 0 and m == 0
+                                              and n_blocks > 1)):
+                        # Calling _idle directly skips step()'s pending /
+                        # phase / emptiness re-checks, all of which this
+                        # loop has already established.
                         state.pending = pending
                         outcome = agent._idle(now)
                         pending = state.pending
@@ -340,12 +368,82 @@ def _drain(
                         done = outcome.done
                     else:
                         masks[bid] = m
-                        d_polls += 1
-                        cost = agent.backoff
-                        b = cost * 2
-                        agent.backoff = (b if b < backoff_max
-                                         else backoff_max)
-                        progress = False
+                        extra = 0
+                        found = False
+                        if intra and m:
+                            # intra_steal.select_victim: the peer with
+                            # the largest hot rest (first wins ties).
+                            extra = c_scan_intra
+                            best = 0
+                            vw = -1
+                            j = 2 * wpb * bid
+                            for w in range(wpb):
+                                if w != wid:
+                                    rest = ptrs[j] - ptrs[j + 1]
+                                    if rest < 0:
+                                        rest += hsize
+                                    if rest > best:
+                                        best = rest
+                                        vw = w
+                                j += 2
+                            if vw >= 0 and best >= hot_cutoff:
+                                agent.intra_plan = IntraStealPlan(
+                                    vw, ptrs[2 * (bid * wpb + vw) + 1],
+                                    best, intra_amount)
+                                agent.phase = RESERVE_INTRA
+                                found = True
+                        elif (inter and wid == 0 and m == 0
+                                and n_blocks > 1):
+                            # inter_steal.select_victim: a victim block
+                            # (the busier of two sampled active blocks,
+                            # or one uniform draw), then its largest
+                            # cold rest (first wins ties).
+                            extra = c_scan_inter
+                            vb = -1
+                            if two_choice:
+                                cands = sample(state, bid, agent.rng, 2,
+                                               gpu_id=0)
+                                if cands:
+                                    vb = cands[0]
+                                    if len(cands) == 2 and (
+                                            _workload(ptrs, cptrs, vb,
+                                                      wpb, hsize)
+                                            < _workload(ptrs, cptrs,
+                                                        cands[1], wpb,
+                                                        hsize)):
+                                        vb = cands[1]
+                            else:
+                                vb = int(agent.rng.integers(0, n_blocks))
+                                if vb == bid:
+                                    vb = -1
+                            if vb >= 0:
+                                best = 0
+                                vw = -1
+                                j = 2 * wpb * vb
+                                for w in range(wpb):
+                                    rest = cptrs[j] - cptrs[j + 1]
+                                    if rest > best:
+                                        best = rest
+                                        vw = w
+                                    j += 2
+                                if vw >= 0 and best >= cold_cutoff:
+                                    agent.inter_plan = InterStealPlan(
+                                        vb, vw,
+                                        cptrs[2 * (vb * wpb + vw) + 1],
+                                        best, inter_amount)
+                                    agent.phase = RESERVE_INTER
+                                    found = True
+                        if found:
+                            cost = extra
+                        else:
+                            # WarpAgent._poll: no victim, back off.
+                            d_polls += 1
+                            b = agent.backoff
+                            cost = extra + b
+                            b *= 2
+                            agent.backoff = (b if b < backoff_max
+                                             else backoff_max)
+                            progress = False
             else:
                 # Reservation phases: generic two-phase steal protocol
                 # (pending > 0 is established above, so step()'s
@@ -399,6 +497,17 @@ def _drain(
            d_edges, d_cas, d_casf, d_pops, d_pushes, d_vis,
            d_polls, d_refills, d_refille, d_flushes, d_flushe)
     return EngineResult(cycles=now, steps=steps, agents=n_agents)
+
+
+def _workload(ptrs, cptrs, block: int, wpb: int, hsize: int) -> int:
+    """``BlockState.workload`` read straight from the pointer slabs."""
+    total = 0
+    for j in range(2 * wpb * block, 2 * wpb * (block + 1), 2):
+        d = ptrs[j] - ptrs[j + 1]
+        if d < 0:
+            d += hsize
+        total += d + cptrs[j] - cptrs[j + 1]
+    return total
 
 
 def _merge(counters, mx_hot, mx_cold, tpb_local, tpw_local, recs,

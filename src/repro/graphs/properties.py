@@ -33,8 +33,13 @@ __all__ = [
 def bfs_levels(graph: CSRGraph, root: int) -> np.ndarray:
     """Level (hop distance) of every vertex from ``root``; -1 if unreachable.
 
-    Frontier-vectorized: each iteration expands the whole frontier with
-    array indexing rather than per-vertex Python loops.
+    Frontier-vectorized: each level gathers every neighbour of the whole
+    frontier in one pass, the flat CSR index of each adjacency entry
+    being its row start plus a ramp (``repeat(start - offset, degree) +
+    arange(total)``).  Deep graphs have near-singleton levels, where the
+    per-level overhead dominates: a one-vertex frontier is gathered with
+    one slice, and ``np.unique`` runs only when more than one unvisited
+    candidate is left.
     """
     n = graph.n_vertices
     graph._check_vertex(root)
@@ -45,20 +50,20 @@ def bfs_levels(graph: CSRGraph, root: int) -> np.ndarray:
     rp, ci = graph.row_ptr, graph.column_idx
     while frontier.size:
         depth += 1
-        # Gather all neighbours of the frontier in one shot.
-        starts = rp[frontier]
-        ends = rp[frontier + 1]
-        total = int(np.sum(ends - starts))
-        if total == 0:
-            break
-        out = np.empty(total, dtype=np.int64)
-        pos = 0
-        for s, e in zip(starts, ends):
-            cnt = e - s
-            out[pos:pos + cnt] = ci[s:e]
-            pos += cnt
-        cand = np.unique(out)
+        if frontier.size == 1:
+            v = frontier[0]
+            cand = ci[rp[v]:rp[v + 1]]
+        else:
+            starts = rp[frontier]
+            counts = rp[frontier + 1] - starts
+            offset = np.cumsum(counts)
+            total = int(offset[-1])
+            offset -= counts  # exclusive prefix sum: each row's start in cand
+            cand = ci[np.repeat(starts - offset, counts)
+                      + np.arange(total, dtype=np.int64)]
         new = cand[level[cand] < 0]
+        if new.size > 1:
+            new = np.unique(new)
         level[new] = depth
         frontier = new
     return level

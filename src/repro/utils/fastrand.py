@@ -15,11 +15,19 @@ the half-word buffering and the rejection loop makes every draw — value
 *and* stream consumption — identical to what the wrapped generator would
 have produced, so schedules stay bit-identical with recorded baselines.
 
+The leader warp's two-choice probe makes up to ``4k + 8`` such draws,
+all of them when it finds no active block.
+:meth:`BoundedDraws.sample_hits` runs that whole bounded-retry loop
+(``inter_steal._sample_active_blocks``) in one call over the same
+buffered halves, so a probe pays one Python call instead of one per
+draw; ``_sample_active_blocks`` uses it whenever its generator is a
+replica and keeps its ``integers`` loop otherwise.
+
 Because the replica depends on NumPy internals that are stable but not
 contractual, :func:`wrap_generator` validates the replica against a real
 ``Generator`` once per process and silently falls back to the plain
-generator on any mismatch.  Callers only ever see the two-argument
-``integers(lo, hi)`` surface that both objects share.
+generator on any mismatch.  Every other caller only uses the
+two-argument ``integers(lo, hi)`` surface that both objects share.
 """
 
 from __future__ import annotations
@@ -38,21 +46,30 @@ class BoundedDraws:
     """Duck-typed stand-in for ``Generator.integers(lo, hi)`` (small ranges).
 
     Draws raw 64-bit words in chunks via ``BitGenerator.random_raw`` and
-    serves them as buffered 32-bit halves (low half first, high half
-    stored), exactly like NumPy's ``next_uint32``.  Only the two-argument
+    serves them as 32-bit halves, low half first, exactly like NumPy's
+    buffered ``next_uint32``.  The halves of one chunk sit in one list,
+    so the stream position is a single index.  Only the two-argument
     half-open ``integers`` form is supported, for ranges below 2**32.
     """
 
-    __slots__ = ("_bg", "_raw", "_i", "_n", "_has32", "_buf32", "_chunk")
+    __slots__ = ("_bg", "_chunk", "_halves", "_i")
 
     def __init__(self, gen: np.random.Generator, chunk: int = 64):
         self._bg = gen.bit_generator
         self._chunk = chunk
-        self._raw: list = []
+        self._halves: list = []
         self._i = 0
-        self._n = 0
-        self._has32 = False
-        self._buf32 = 0
+
+    def _refill(self) -> list:
+        """The next chunk's 32-bit halves, in NumPy's consumption order.
+
+        NumPy serves the low half of a raw word first, then the high
+        half; a little-endian ``uint32`` view lists them in that order.
+        """
+        raw = self._bg.random_raw(self._chunk).astype("<u8", copy=False)
+        halves = raw.view("<u4").tolist()
+        self._halves = halves
+        return halves
 
     def integers(self, lo: int, hi: int) -> int:
         """A draw from ``[lo, hi)``, identical to ``Generator.integers``."""
@@ -62,44 +79,70 @@ class BoundedDraws:
         if rng < 0 or rng >= _U32_MASK:
             raise ValueError(f"unsupported range [{lo}, {hi})")
         rng_excl = rng + 1
-        # -- inline buffered next_uint32 ------------------------------
-        if self._has32:
-            self._has32 = False
-            x = self._buf32
-        else:
-            i = self._i
-            if i >= self._n:
-                self._raw = self._bg.random_raw(self._chunk).tolist()
-                self._n = self._chunk
-                i = 0
-            r = self._raw[i]
-            self._i = i + 1
-            self._has32 = True
-            self._buf32 = r >> 32
-            x = r & _U32_MASK
-        # -- Lemire rejection (buffered_bounded_lemire_uint32) --------
-        m = x * rng_excl
-        leftover = m & _U32_MASK
-        if leftover < rng_excl:
+        halves = self._halves
+        i = self._i
+        if i == len(halves):
+            halves = self._refill()
+            i = 0
+        m = halves[i] * rng_excl
+        self._i = i + 1
+        # -- Lemire rejection (buffered_bounded_lemire_uint32) ----------
+        if (m & _U32_MASK) < rng_excl:
             threshold = (_U32_MASK - rng) % rng_excl
-            while leftover < threshold:
-                if self._has32:
-                    self._has32 = False
-                    x = self._buf32
-                else:
-                    i = self._i
-                    if i >= self._n:
-                        self._raw = self._bg.random_raw(self._chunk).tolist()
-                        self._n = self._chunk
-                        i = 0
-                    r = self._raw[i]
-                    self._i = i + 1
-                    self._has32 = True
-                    self._buf32 = r >> 32
-                    x = r & _U32_MASK
-                m = x * rng_excl
-                leftover = m & _U32_MASK
+            while (m & _U32_MASK) < threshold:
+                i = self._i
+                if i == len(halves):
+                    halves = self._refill()
+                    i = 0
+                m = halves[i] * rng_excl
+                self._i = i + 1
         return (m >> 32) + lo
+
+    def sample_hits(self, lo: int, hi: int, draws: int, k: int,
+                    skip: int, flags) -> list:
+        """Replay of ``inter_steal._sample_active_blocks``' retry loop.
+
+        Makes at most ``draws`` draws from ``[lo, hi)``, exactly as that
+        many ``integers(lo, hi)`` calls would (same values, same stream
+        consumption), and keeps each draw ``b`` that is not ``skip`` and
+        has ``flags[b]`` set, stopping after ``k`` of them.  Returns the
+        kept draws in draw order.
+        """
+        rng = hi - lo - 1
+        if rng == 0:  # every draw is ``lo`` and consumes no stream
+            return [lo] * k if lo != skip and flags[lo] else []
+        if rng < 0 or rng >= _U32_MASK:
+            raise ValueError(f"unsupported range [{lo}, {hi})")
+        rng_excl = rng + 1
+        # ``integers`` tests ``leftover < rng_excl`` before it computes
+        # the threshold, as NumPy does; the threshold (2**32 mod
+        # rng_excl) is below rng_excl, so testing it alone rejects the
+        # same words.  A rejected word is not a draw: the loop takes the
+        # next word for the same draw.
+        threshold = (_U32_MASK - rng) % rng_excl
+        mask = _U32_MASK
+        halves = self._halves
+        n = len(halves)
+        i = self._i
+        left = draws
+        found = []
+        while left:
+            if i == n:
+                halves = self._refill()
+                n = len(halves)
+                i = 0
+            m = halves[i] * rng_excl
+            i += 1
+            if (m & mask) < threshold:
+                continue
+            left -= 1
+            b = (m >> 32) + lo
+            if b != skip and flags[b]:
+                found.append(b)
+                if len(found) == k:
+                    break
+        self._i = i
+        return found
 
 
 def draw_bounded_many(rngs, lo: int, hi: int) -> np.ndarray:

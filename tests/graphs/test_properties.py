@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.check.cases import FAMILIES, FuzzCase
 from repro.graphs import generators as gen
+from repro.graphs.csr import from_edges
 from repro.graphs.properties import (
     approximate_diameter,
     bfs_levels,
@@ -13,6 +15,40 @@ from repro.graphs.properties import (
     num_bfs_levels,
     profile_graph,
 )
+
+
+def _disconnected():
+    """A triangle, a 4-vertex path, an edge and an isolated vertex."""
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (7, 8)]
+    return from_edges(10, edges + [(v, u) for u, v in edges])
+
+
+#: ``bfs_levels`` is the oracle the frontier-diff rung and
+#: ``reachable_mask`` check against, so it is pinned to networkx on
+#: every fuzz family plus the shapes that stress its gather: singleton
+#: frontiers (a path), frontier vertices with no out-arcs (directed rmat
+#: and citation graphs) and unreachable components.
+BFS_ORACLE_GRAPHS = {
+    "pa200": lambda: gen.preferential_attachment(200, m=3, seed=9),
+    **{f: (lambda f=f: FuzzCase(seed=0, family=f, n_vertices=150,
+                                graph_seed=5).build_graph())
+       for f in FAMILIES},
+    "path300": lambda: gen.path_graph(300),
+    "rmat7-directed": lambda: gen.rmat(7, 4, seed=3, symmetrize=False),
+    "citation150-directed": lambda: gen.citation_graph(
+        150, seed=4, symmetrize=False),
+    "disconnected": _disconnected,
+}
+
+
+def _networkx_levels(nx, graph, root):
+    G = nx.DiGraph() if graph.directed else nx.Graph()
+    G.add_nodes_from(range(graph.n_vertices))
+    G.add_edges_from(graph.edge_array().tolist())
+    expected = np.full(graph.n_vertices, -1, dtype=np.int64)
+    for v, d in nx.single_source_shortest_path_length(G, root).items():
+        expected[v] = d
+    return expected
 
 
 class TestBfsLevels:
@@ -33,12 +69,14 @@ class TestBfsLevels:
 
     def test_matches_networkx(self):
         nx = pytest.importorskip("networkx")
-        g = gen.preferential_attachment(200, m=3, seed=9)
-        G = nx.Graph(list(g.iter_edges()))
-        expected = nx.single_source_shortest_path_length(G, 0)
-        lv = bfs_levels(g, 0)
-        for v, d in expected.items():
-            assert lv[v] == d
+        for name, build in BFS_ORACLE_GRAPHS.items():
+            g = build()
+            n = g.n_vertices
+            for root in sorted({0, 1, n // 3, n // 2, n - 1}):
+                lv = bfs_levels(g, root)
+                assert lv.dtype == np.int64
+                assert np.array_equal(lv, _networkx_levels(nx, g, root)), (
+                    name, root)
 
     def test_star_levels(self):
         g = gen.star_graph(50)
