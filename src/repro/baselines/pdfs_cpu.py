@@ -22,15 +22,15 @@ The two differ in their stealing protocol, following the cited systems:
 
 The fused drain
 ---------------
-One loop, :func:`_drain`, runs both protocols.  It replays the calendar
+One loop, :func:`_drain`, runs both protocols.  It replays the event
 order of :class:`~repro.sim.engine.EventLoop` exactly: every core is
 ready at time 0 in id order, events run in ``(ready_at, seq)`` order
 (ties go to the earlier scheduling), and termination (``pending == 0``)
 is observed before every event, so ``cycles`` is the time of the last
 executed event.  A plain heap of ``(ready_at, seq, core)`` entries holds
 that order: with a handful of cores almost every event has its own
-timestamp, so the engine's per-timestamp buckets would each hold one
-entry.
+timestamp, so the calendar queue of :mod:`repro.core.turbo` would hold
+one entry per bucket.
 
 The step that dominates every run — expand or pop the top deque entry,
 scanning at most :data:`CPU_SCAN_WIDTH` neighbours — runs inline over the
@@ -65,8 +65,9 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.graphs.csr import CSRGraph
 from repro.sim.device import CpuSpec, XEON_MAX_9462
-from repro.sim.engine import (DEFAULT_MAX_CYCLES, deadlocked_error,
-                              non_positive_cost_error, over_budget_error)
+from repro.sim.engine import (DEFAULT_MAX_CYCLES, deadlock_window,
+                              deadlocked_error, non_positive_cost_error,
+                              over_budget_error)
 from repro.sim.metrics import mteps as _mteps
 from repro.sim.trace import SimCounters
 from repro.utils.rng import make_rng, spawn
@@ -215,7 +216,7 @@ def _drain(state: _CpuRunState, protocol: str, *,
 
     See the module docstring for the order it replays.  The guards are
     the event engine's, with its messages: an event due after
-    ``max_cycles`` is not run, more than ``max(10_000, 200 * cores)``
+    ``max_cycles`` is not run, more than ``deadlock_window(cores)``
     consecutive steps without progress is a deadlock, and a step must
     cost at least one cycle.
 
@@ -230,7 +231,7 @@ def _drain(state: _CpuRunState, protocol: str, *,
     acr = protocol == "acr"
     idle = _acr_idle if acr else _ckl_steal
     cores = state.cores
-    window = max(10_000, 200 * cores)
+    window = deadlock_window(cores)
     costs = state.costs
     c_idle = costs.idle_poll
     c_pop = costs.pop

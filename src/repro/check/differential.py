@@ -13,10 +13,11 @@ is named by the ``stage`` string a failure carries:
   validity + visited/reachable equality);
 * ``serial-diff`` — visited set must equal
   :func:`~repro.validate.reference.serial_dfs`'s (the ground truth);
-* ``fastpath-diff`` — rerun with ``fastpath=False``: the generic loop
-  with the reference expand must replay the primary's *identical
-  schedule* (cycles, steps, parent, visited, counters), which pins the
-  fused loop on every unperturbed case;
+* ``reference-diff`` — only when the primary ran the fused loop: the
+  oracle :func:`~repro.core.diggerbees.run_reference` (the generic loop
+  with the reference expand) must replay the primary's *identical
+  schedule* (cycles, steps, parent, visited, counters).  Every other
+  case already ran the reference code in the primary pass;
 * ``serve-diff`` (rung ``serve``) — send the case's DFS through a live
   :mod:`repro.serve` daemon; the served payload must equal the canonical
   payload of the primary result, and — for unmutated runs — the repeat
@@ -44,14 +45,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Callable, Iterable, Optional
 
 import numpy as np
 
 from repro.check.cases import FuzzCase
 from repro.check.invariants import InvariantMonitor
 from repro.check.mutations import apply_mutation
-from repro.core.diggerbees import DiggerBeesResult, run_diggerbees
+from repro.core.diggerbees import (DiggerBeesResult, run_diggerbees,
+                                   run_reference)
+from repro.core.turbo import turbo_eligible
 from repro.errors import ReproError
 from repro.validate.reference import serial_dfs
 from repro.validate.tree import validate_traversal
@@ -151,12 +154,17 @@ def _payload_diff(expected: dict, got: dict) -> str:
 
 
 def run_monitored(case: FuzzCase, *, check_every: int = 64,
-                  **config_overrides) -> DiggerBeesResult:
-    """Run one case under a fresh invariant monitor; raises on violation."""
+                  run: Callable[..., DiggerBeesResult] = run_diggerbees,
+                  ) -> DiggerBeesResult:
+    """Run one case under a fresh invariant monitor; raises on violation.
+
+    ``run`` is the DFS entry point: :func:`run_diggerbees` (the primary
+    pass) or :func:`run_reference` (its oracle).
+    """
     graph = case.build_graph()
-    config = case.build_config(**config_overrides)
+    config = case.build_config()
     monitor = InvariantMonitor(check_every=check_every)
-    result = run_diggerbees(
+    result = run(
         graph, case.root, config=config,
         check_invariants=True, instrument=monitor.attach,
     )
@@ -302,18 +310,19 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
                         f"visited set differs from serial DFS: "
                         f"{_set_diff(ref.visited, dfs_visited)}")
 
-        # Fastpath differential: the generic loop with the reference
-        # expand must reproduce the *identical* schedule, not just a
-        # correct one.  On unperturbed two-level cases the primary ran
-        # the fused loop, so this pins it too.
-        try:
-            reference = run_monitored(case, check_every=check_every,
-                                      fastpath=False)
-        except ReproError as exc:
-            return fail("fastpath-diff", f"{type(exc).__name__}: {exc}")
-        mismatch = _schedule_diff(result, reference)
-        if mismatch:
-            return fail("fastpath-diff", f"fastpath vs reference: {mismatch}")
+        # Reference differential: when the primary ran the fused loop,
+        # the generic loop with the reference expand must reproduce the
+        # *identical* schedule, not just a correct one.
+        if turbo_eligible(result.config):
+            try:
+                reference = run_monitored(case, check_every=check_every,
+                                          run=run_reference)
+            except ReproError as exc:
+                return fail("reference-diff", f"{type(exc).__name__}: {exc}")
+            mismatch = _schedule_diff(result, reference)
+            if mismatch:
+                return fail("reference-diff",
+                            f"fused loop vs reference: {mismatch}")
 
         # Serve differential: the daemon-served payload must equal the
         # canonical payload of the direct run.  The oracle daemon

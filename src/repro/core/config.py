@@ -48,6 +48,9 @@ class DiggerBeesConfig:
     two_level:
         ``False`` selects the v1 ablation: the whole stack lives in
         global memory and every stack operation pays global latency.
+        Such runs, like perturbed ones, drain through the generic event
+        loop with the reference expand; every other run takes the fused
+        loop (:func:`repro.core.turbo.turbo_eligible`).
     enable_intra_steal / enable_inter_steal:
         Mechanism switches for the §4.5 breakdown.
     victim_policy:
@@ -67,14 +70,6 @@ class DiggerBeesConfig:
         multi-GPU systems the paper's related work cites).
     seed:
         Seed for victim sampling; runs are fully deterministic given it.
-    fastpath:
-        Use the expand fast path (default): with two-level stacks and no
-        schedule perturbation the run drains through the fused
-        scheduler-agent loop (:func:`repro.core.turbo.run_turbo`).
-        ``False`` selects the reference NumPy expand on the generic event
-        loop — the named oracle for the fused loop; both produce
-        identical cycles, steps, counters, and DFS trees (the
-        ``repro.check`` fastpath-diff rung asserts it).
     perturb_seed / jitter:
         Schedule-fuzzing knobs (``repro.check``): with ``perturb_seed``
         set the engine drains same-cycle events in a seeded random order
@@ -106,7 +101,6 @@ class DiggerBeesConfig:
     seed: int = 0
     trace: bool = False
     max_cycles: int = 200_000_000_000
-    fastpath: bool = True
     perturb_seed: Optional[int] = None
     jitter: int = 0
     adversarial_victims: bool = False

@@ -6,6 +6,9 @@ This is the public entry point of the core package::
     result = run_diggerbees(graph, root=0,
                             config=DiggerBeesConfig.v4(H100, sim_scale=0.25))
     print(result.mteps)
+
+:func:`run_reference` is the fused loop's named oracle: the same run on
+the generic event loop with the reference expand.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.sim.metrics import mteps as _mteps
 from repro.sim.trace import SimCounters, TraceLog
 from repro.validate.reference import TraversalResult
 
-__all__ = ["DiggerBeesResult", "run_diggerbees", "drain", "package_result"]
+__all__ = ["DiggerBeesResult", "run_diggerbees", "run_reference", "drain"]
 
 
 @dataclass(frozen=True)
@@ -107,15 +110,33 @@ def run_diggerbees(
     DiggerBeesResult
         Traversal output, simulated time, MTEPS, and full counters.
     """
-    config = config or DiggerBeesConfig()
-    if record_order and not config.trace:
-        config = config.with_overrides(trace=True)
-    state = RunState(graph, root, config, device)
-    on_step = instrument(state) if instrument is not None else None
-    engine = drain(state, on_step=on_step)
-    if check_invariants:
-        state.check_invariants()
-    return package_result(state, engine, record_order=record_order)
+    return _run(graph, root, config, device, check_invariants,
+                record_order, instrument, reference=False)
+
+
+def run_reference(
+    graph: CSRGraph,
+    root: int,
+    *,
+    config: Optional[DiggerBeesConfig] = None,
+    device: DeviceSpec = H100,
+    check_invariants: bool = False,
+    record_order: bool = False,
+    instrument: Optional[Callable[[RunState], Optional[Callable[[int], None]]]] = None,
+) -> DiggerBeesResult:
+    """The fused loop's oracle: :func:`run_diggerbees` on the generic loop.
+
+    Every warp steps through :meth:`WarpAgent.step` and its reference
+    expand on the generic :class:`EventLoop`, whatever the config.  On
+    a config the fused loop takes (:func:`turbo_eligible`) the result
+    must equal :func:`run_diggerbees`'s bit for bit — cycles, steps,
+    counters, DFS tree — which the ``repro.check`` reference-diff stage
+    and the golden determinism tests assert; on any other config the two
+    functions run the same code.  Parameters as for
+    :func:`run_diggerbees`.
+    """
+    return _run(graph, root, config, device, check_invariants,
+                record_order, instrument, reference=True)
 
 
 def drain(state: RunState, *,
@@ -123,18 +144,23 @@ def drain(state: RunState, *,
     """Run a seeded :class:`RunState` to termination: the one DFS driver.
 
     Eligible configs (see :func:`repro.core.turbo.turbo_eligible`) drain
-    through the fused scheduler-agent loop; the rest — the
-    ``fastpath=False`` reference, one-level stacks, perturbed schedules —
-    through the generic :class:`EventLoop`.  Both replay the identical
-    schedule.  Raises if work is still pending when the engine stops.
+    through the fused scheduler-agent loop; the rest — one-level stacks,
+    perturbed schedules — through the generic :class:`EventLoop` with
+    the reference expand.  Raises if work is still pending when the
+    engine stops.
     """
+    return _drain(state, turbo_eligible(state.config), on_step)
+
+
+def _drain(state: RunState, fused: bool,
+           on_step: Optional[Callable[[int], None]]) -> EngineResult:
     config = state.config
     agents = [
         WarpAgent(state, b, w)
         for b in range(config.n_blocks)
         for w in range(config.warps_per_block)
     ]
-    if turbo_eligible(config):
+    if fused:
         engine = run_turbo(state, agents, max_cycles=config.max_cycles,
                            on_step=on_step)
     else:
@@ -153,20 +179,17 @@ def drain(state: RunState, *,
     return engine
 
 
-def package_result(state: RunState, engine: EngineResult, *,
-                   record_order: bool = False) -> DiggerBeesResult:
-    """Package a drained run into a :class:`DiggerBeesResult`.
-
-    Shared by both DFS drivers (generic engine, turbo fused loop): the
-    pending-entry sanity check, traversal assembly, and simulated-time
-    conversion are identical, so the tiers produce identical results by
-    construction.
-    """
-    if state.pending != 0:
-        raise SimulationError(
-            f"engine stopped with {state.pending} entries pending"
-        )
-    root = state.root
+def _run(graph, root, config, device, check_invariants, record_order,
+         instrument, *, reference: bool) -> DiggerBeesResult:
+    """Build, drain and package one run (see :func:`run_diggerbees`)."""
+    config = config or DiggerBeesConfig()
+    if record_order and not config.trace:
+        config = config.with_overrides(trace=True)
+    state = RunState(graph, root, config, device)
+    on_step = instrument(state) if instrument is not None else None
+    engine = _drain(state, not reference and turbo_eligible(config), on_step)
+    if check_invariants:
+        state.check_invariants()
     order = np.empty(0, dtype=np.int64)
     if record_order:
         # Trace events are appended in execution order (steps run
@@ -186,14 +209,12 @@ def package_result(state: RunState, engine: EngineResult, *,
         order=order,
         edges_traversed=state.counters.edges_traversed,
     )
-    device = state.device
-    seconds = device.cycles_to_seconds(engine.cycles)
     return DiggerBeesResult(
         traversal=traversal,
         cycles=engine.cycles,
-        seconds=seconds,
+        seconds=device.cycles_to_seconds(engine.cycles),
         counters=state.counters,
-        config=state.config,
+        config=config,
         device=device,
         engine=engine,
         trace=state.trace,

@@ -1,7 +1,7 @@
 """Linear-algebra BFS: bit-packed frontiers advanced by masked gathers.
 
 This is the repo's second engine family, after the DFS simulation
-(fastpath / turbo): a *real* level-synchronous traversal in the
+(the fused turbo loop): a *real* level-synchronous traversal in the
 GraphBLAST/BLEST mold.  The frontier and visited sets are bit-packed
 ``uint64`` vectors (:mod:`repro.core.bitset`); one level advance is a
 masked gather over the CSR arrays — semantically the masked SpMV

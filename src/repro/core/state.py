@@ -146,11 +146,12 @@ class RunState:
         # Fast-path mirrors of the hot read-only data.  The simulator's
         # inner loop inspects <= 32 neighbours per step; at that size the
         # per-call overhead of NumPy fancy indexing dominates, so the
-        # expand fast path scans plain Python lists (C-array of object
-        # pointers, no per-read boxing of int64 scalars) and reads the
-        # visited flags through a memoryview of the *same* buffer as
-        # ``self.visited`` — every write through the NumPy array is
-        # immediately visible here, so there is a single source of truth.
+        # fused loop's inline expand (repro.core.turbo) scans plain
+        # Python lists (C-array of object pointers, no per-read boxing of
+        # int64 scalars) and reads the visited flags through a
+        # memoryview of the *same* buffer as ``self.visited`` — every
+        # write through the NumPy array is immediately visible here, so
+        # there is a single source of truth.
         self.row_ptr_list, self.col_idx_list = graph.adjacency_lists()
         self.visited_mv = memoryview(self.visited)
 

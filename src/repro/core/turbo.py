@@ -1,8 +1,8 @@
 """Turbo execution core: the fused scheduler-agent hot loop.
 
 This is the DFS driver of every run that allows it (see
-``turbo_eligible``).  ``run_turbo`` merges the calendar-queue drain of
-:class:`repro.sim.engine.EventLoop` with the :class:`WarpAgent`
+``turbo_eligible``).  ``run_turbo`` merges the ``(ready_at, seq)``
+drain of :class:`repro.sim.engine.EventLoop` with the :class:`WarpAgent`
 expand/pop state machine into one monomorphic inner loop.  The generic
 engine pays one ``agent.step()`` call, one ``StepOutcome`` consume, and a
 chain of attribute reads per simulated step; the fused loop instead
@@ -18,7 +18,7 @@ idle block: a victim block by ``victim_policy``, then its largest cold
 rest) on the pointer slabs, draws from the leader's generator through
 the shared ``inter_steal._sample_active_blocks``, and builds the same
 steal plans.  Those two functions stay the generic loop's code and the
-reference the fastpath rung compares against.  Two kinds of run still
+reference the reference-diff stage compares against.  Two kinds of run still
 call ``WarpAgent._idle``: adversarial-victim fuzzing (it draws from
 ``fuzz_rng``) and multi-GPU grids (the remote-steal fallback).  The
 two-phase reservation steps always run through ``_reserve_intra`` /
@@ -36,18 +36,21 @@ the object API compose correctly with unmerged local deltas.
 
 Bit-exactness contract
 ----------------------
-The fused loop replays the calendar scheduler's event order exactly
-(FIFO buckets per distinct timestamp, termination polled before every
-event) and charges identical costs, so cycles, steps, counters, traces,
-and traversal output are bit-for-bit equal to the generic engine.  The
-golden determinism tests and the ``repro.check`` oracle ladder's
-fastpath rung (fused loop vs the generic loop with the ``fastpath=False``
-reference expand) assert this on every unperturbed run.
+The fused loop replays the generic engine's ``(ready_at, seq)`` event
+order exactly — with a calendar queue (FIFO buckets per distinct
+timestamp) where the engine drains a heap, so the two orders are
+independent implementations of one contract — polls termination before
+every event and charges identical costs, so cycles, steps, counters,
+traces, and traversal output are bit-for-bit equal to the generic
+engine running the reference expand.  The golden determinism tests and
+the ``repro.check`` oracle ladder's reference-diff stage (fused loop vs
+:func:`repro.core.diggerbees.run_reference`) assert this on every
+unperturbed two-level run.
 
-Eligibility: the loop only understands the homogeneous two-level
-fastpath grid with no schedule perturbation; ``turbo_eligible`` gates
-dispatch and :mod:`repro.core.diggerbees` drains every other config
-through the generic :class:`~repro.sim.engine.EventLoop`.
+Eligibility: the loop only understands the homogeneous two-level grid
+with no schedule perturbation; ``turbo_eligible`` gates dispatch and
+:mod:`repro.core.diggerbees` drains every other config through the
+generic :class:`~repro.sim.engine.EventLoop`.
 """
 
 from __future__ import annotations
@@ -61,8 +64,9 @@ from repro.core.inter_steal import InterStealPlan
 from repro.core.intra_steal import IntraStealPlan
 from repro.core.state import RunState
 from repro.core.warp_dfs import WarpAgent, _Phase
-from repro.sim.engine import (EngineResult, deadlocked_error,
-                              non_positive_cost_error, over_budget_error)
+from repro.sim.engine import (EngineResult, deadlock_window,
+                              deadlocked_error, non_positive_cost_error,
+                              over_budget_error)
 
 __all__ = ["turbo_eligible", "run_turbo"]
 
@@ -76,12 +80,10 @@ def turbo_eligible(config) -> bool:
     """True when the fused loop can run ``config`` bit-identically.
 
     Requirements: two-level stacks (the loop addresses HotRings through
-    the SoA slabs), the expand fast path (the inline transitions mirror
-    it), and no schedule perturbation (the fuzzer's randomized drain
-    order cannot be fused).
+    the SoA slabs) and no schedule perturbation (the fuzzer's randomized
+    drain order cannot be fused).
     """
-    return (config.fastpath and config.two_level
-            and config.perturb_seed is None)
+    return config.two_level and config.perturb_seed is None
 
 
 def run_turbo(
@@ -93,9 +95,9 @@ def run_turbo(
 ) -> EngineResult:
     """Drain the simulation with the fused loop (see module docstring).
 
-    Mirrors the calendar drain of ``EventLoop`` exactly: identical
-    event order, identical costs, identical termination observation
-    point — hence identical ``EngineResult``.
+    Mirrors the drain of ``EventLoop`` exactly: identical event order,
+    identical costs, identical termination observation point — hence
+    identical ``EngineResult``.
 
     Cyclic GC is paused for the duration of the drain: the run state is
     millions of container objects, and a threshold-triggered gen-2
@@ -124,7 +126,7 @@ def _drain(
     costs = state.costs
     counters = state.counters
     n_agents = len(agents)
-    window = max(10_000, 200 * n_agents)
+    window = deadlock_window(n_agents)
     max_cycles = int(max_cycles)
 
     # Shared-state locals: the SoA slabs and adjacency mirrors.  Every
@@ -198,13 +200,17 @@ def _drain(
     mx_hot = mx_cold = 0
 
     # One record per agent: the agent plus every per-warp binding the
-    # inline transitions need, unpacked once per event.
+    # inline transitions need, unpacked once per event.  The HotRing's
+    # entry lists and its slot indices into the pointer slab alias the
+    # storage the object API uses, so steal and flush code observe
+    # every inline mutation.
     recs = []
     for a in agents:
+        hot = a.stack.hot
         recs.append((
             a, a.stack, a.stack.cold, a.block_id, a.warp_id, a._bit,
             a.block_id * wpb + a.warp_id,  # global debt-slab index
-            a._hv, a._ho, a._hpi, a._tpi,
+            hot.vertex, hot.offset, hot._hi, hot._ti,
             (a.block_id, a.warp_id),       # tasks_per_warp key
         ))
 
@@ -255,7 +261,7 @@ def _drain(
                             record(now, bid, wid, "refill", (moved,))
                         cost = debt + c_refill_base + c_refill_entry * moved
                     else:
-                        # ---- inline expand (mirrors WarpAgent._expand) --
+                        # ---- inline expand (WarpAgent._expand_reference)
                         pos = head - 1
                         if pos < 0:
                             pos = hsize - 1

@@ -20,18 +20,17 @@ Costs come from the device's :class:`~repro.sim.device.OpCosts`; the v1
 ablation (one-level stack) pays global-memory latency on every stack
 operation (``gstack_penalty``).
 
-Fast path
----------
-``_expand`` (selected by ``config.fastpath``, the default) scans the
-neighbour window over the plain-Python adjacency mirrors precomputed in
-:class:`~repro.core.state.RunState` (``row_ptr_list``/``col_idx_list``)
-and reads visited flags through ``visited_mv`` — a memoryview aliasing
-the NumPy ``visited`` buffer.  At window width <= 32 this removes the
-per-step NumPy dispatch/allocation overhead that dominates the simulator
-wall-clock.  ``_expand_reference`` keeps the original NumPy
-implementation; both charge identical costs and mutate identical state,
-so schedules are bit-for-bit equal (the golden determinism test asserts
-cycles, steps, and the DFS tree match).
+The fused loop
+--------------
+Runs on two-level stacks with no schedule perturbation never call
+:meth:`WarpAgent.step`: :mod:`repro.core.turbo` inlines the expand,
+refill and idle transitions over the run's structure-of-arrays slabs and
+calls only :meth:`WarpAgent._idle` and the two reservation steps.  The
+generic :class:`~repro.sim.engine.EventLoop` steps every other run (the
+one-level v1 ablation, perturbed schedules) and the oracle
+:func:`repro.core.diggerbees.run_reference` through ``step``, whose one
+expand body, :meth:`WarpAgent._expand_reference`, is the NumPy
+implementation the fused loop's inline expand must replay bit for bit.
 """
 
 from __future__ import annotations
@@ -68,12 +67,7 @@ class WarpAgent:
 
     __slots__ = ("state", "block_id", "warp_id", "block", "stack", "rng",
                  "phase", "intra_plan", "inter_plan", "backoff",
-                 "_two_level", "_gpenalty", "_bit", "_fastpath", "_out",
-                 "_hv", "_ho", "_ptrs", "_hpi", "_tpi", "_hsize",
-                 "_cptrs", "_cti", "_cbi",
-                 "_c_pop", "_c_visit_base", "_c_visit_per_edge",
-                 "_c_push", "_c_visited_cas", "_c_cas_retry",
-                 "_c_flush_base", "_c_flush_per_entry")
+                 "_two_level", "_gpenalty", "_bit", "_out")
 
     def __init__(self, state: RunState, block_id: int, warp_id: int):
         self.state = state
@@ -93,46 +87,12 @@ class WarpAgent:
         self.intra_plan: Optional[intra_steal.IntraStealPlan] = None
         self.inter_plan: Optional[inter_steal.InterStealPlan] = None
         self.backoff = state.costs.idle_poll
-        # Per-run constants hoisted out of the hot loop.  The gstack
-        # penalty folds into the per-operation constants so the fast
-        # expand path does one attribute read per cost term.
         self._two_level = isinstance(self.stack, WarpStack)
         self._gpenalty = 0 if self._two_level else GSTACK_PENALTY
         self._bit = 1 << warp_id
-        self._fastpath = state.config.fastpath
-        # SoA fast-path bindings: the HotRing's entry lists and the
-        # run-wide head/tail pointer slab with this ring's slot indices.
-        # All alias the same storage the HotRing object exposes, so the
-        # steal/flush code paths observe every mutation made here.
-        if self._two_level:
-            hot = self.stack.hot
-            self._hv = hot.vertex
-            self._ho = hot.offset
-            self._ptrs = hot._ptrs
-            self._hpi = hot._hi
-            self._tpi = hot._ti
-            self._hsize = hot.size
-            cold = self.stack.cold
-            self._cptrs = cold._ptrs
-            self._cti = cold._ti
-            self._cbi = cold._bi
-        else:
-            self._hv = self._ho = self._ptrs = None
-            self._hpi = self._tpi = self._hsize = 0
-            self._cptrs = None
-            self._cti = self._cbi = 0
-        costs = state.costs
-        self._c_pop = costs.hot_pop + self._gpenalty
-        self._c_visit_base = costs.visit_base + self._gpenalty
-        self._c_visit_per_edge = costs.visit_per_edge
-        self._c_push = costs.hot_push + self._gpenalty
-        self._c_visited_cas = costs.visited_cas
-        self._c_cas_retry = costs.cas_retry
-        self._c_flush_base = costs.flush_base
-        self._c_flush_per_entry = costs.flush_per_entry
-        # One StepOutcome reused across this agent's steps.  The engine
-        # (and every test) consumes an outcome before the agent steps
-        # again, so reuse removes one allocation per simulated step.
+        # One StepOutcome reused across this agent's idle polls.  The
+        # engine (and every test) consumes an outcome before the agent
+        # steps again, so reuse removes one allocation per poll.
         self._out = StepOutcome(cost=0)
 
     # ------------------------------------------------------------------
@@ -145,40 +105,7 @@ class WarpAgent:
             if phase is _Phase.RESERVE_INTRA:
                 return self._reserve_intra(now)
             return self._reserve_inter(now)
-        stack = self.stack
-        if self._two_level and self._fastpath:
-            # Inlined _work() for the common case: two-level stack on the
-            # fast path (identical costs/effects, fewer Python frames).
-            cptrs = self._cptrs
-            ptrs = self._ptrs
-            hot_empty = ptrs[self._hpi] == ptrs[self._tpi]
-            if not hot_empty or cptrs[self._cti] != cptrs[self._cbi]:
-                block = self.block
-                bit = self._bit
-                if not block.active_mask & bit:
-                    block.active_mask |= bit
-                costs = state.costs
-                self.backoff = costs.idle_poll
-                # Pay any victim-side contention accrued from steals on us.
-                debt = block.contention_debt[self.warp_id]
-                if debt:
-                    block.contention_debt[self.warp_id] = 0
-                if hot_empty:  # cold is non-empty here: refill
-                    moved = stack.refill()
-                    counters = state.counters
-                    counters.refills += 1
-                    counters.refill_entries += moved
-                    if state.trace is not None:
-                        state.record(now, self.block_id, self.warp_id,
-                                     "refill", (moved,))
-                    return StepOutcome(cost=debt + costs.refill_base
-                                       + costs.refill_per_entry * moved)
-                out = self._expand(now)
-                if debt:
-                    out.cost += debt  # not yet visible outside this step
-                return out
-            return self._idle(now)
-        if not stack.is_empty:
+        if not self.stack.is_empty:
             return self._work(now)
         return self._idle(now)
 
@@ -206,167 +133,18 @@ class WarpAgent:
             state.record(now, self.block_id, self.warp_id, "refill", (moved,))
             return StepOutcome(cost=debt + costs.refill_base
                                + costs.refill_per_entry * moved)
-        if self._fastpath:
-            out = self._expand(now)
-        else:
-            out = self._expand_reference(now)
+        out = self._expand_reference(now)
         if debt:
             out.cost += debt  # StepOutcome not yet visible outside this step
         return out
 
-    def _expand(self, now: int) -> StepOutcome:
+    def _expand_reference(self, now: int) -> StepOutcome:
         """One warp-wide DFS step on the top stack entry (Algorithm 1 body).
 
-        Fast path: identical costs, counters, and mutations to
-        :meth:`_expand_reference`, but the neighbour-window scan runs over
-        the RunState's plain-Python adjacency mirrors instead of NumPy
-        fancy indexing (see module docstring).
-        """
-        state = self.state
-        counters = state.counters
-        two_level = self._two_level
-        out = self._out
-        out.made_progress = True
-        out.done = False
-
-        # Inline HotRing top access for the two-level case: peek, pop and
-        # update_top_offset all address the same ``head - 1`` slot, and the
-        # step is atomic, so reading the pointers once is safe.  Reads go
-        # through the SoA bindings (pointer slab + entry memoryviews) —
-        # unboxed int64 scalars with no NumPy dispatch.
-        if two_level:
-            ptrs = self._ptrs
-            hpi = self._hpi
-            pos = ptrs[hpi] - 1
-            if pos < 0:
-                pos = self._hsize - 1
-            hv = self._hv
-            ho = self._ho
-            u = hv[pos]
-            i = ho[pos]
-        else:
-            top = self.stack
-            u, i = top.peek()
-        row_end = state.row_ptr_list[u + 1]
-        if i >= row_end:
-            # Adjacency exhausted: fast pop (offset notionally set to -1).
-            if two_level:
-                ptrs[hpi] = pos
-            else:
-                top.pop()
-            counters.pops += 1
-            state.pending -= 1
-            if state.trace is not None:
-                state.record(now, self.block_id, self.warp_id, "pop", (u,))
-            out.cost = self._c_pop
-            return out
-
-        wend = i + WARP_WIDTH
-        if wend > row_end:
-            wend = row_end
-        window = wend - i
-        ci = state.col_idx_list
-        visited = state.visited_mv
-        k = -1
-        for j in range(i, wend):
-            if not visited[ci[j]]:
-                k = j
-                break
-        cost = self._c_visit_base + self._c_visit_per_edge * window
-
-        if k < 0:
-            # Whole window already visited: consume it.
-            counters.edges_traversed += window
-            if wend >= row_end:
-                if two_level:
-                    ptrs[hpi] = pos
-                else:
-                    top.pop()
-                counters.pops += 1
-                state.pending -= 1
-                cost += self._c_pop
-                if state.trace is not None:
-                    state.record(now, self.block_id, self.warp_id, "pop", (u,))
-            else:
-                if two_level:
-                    ho[pos] = wend
-                else:
-                    top.update_top_offset(wend)
-            out.cost = cost
-            return out
-
-        # Claim the first unvisited neighbour in the window.
-        counters.edges_traversed += k - i + 1
-        v = ci[k]
-        if two_level:
-            ho[pos] = k + 1
-        else:
-            top.update_top_offset(k + 1)
-        claimed = state.try_claim_vertex(v, u)
-        cost += self._c_visited_cas
-        if not claimed:
-            # Lost the CAS to a concurrent warp (cannot happen under step
-            # atomicity after the visited check, but kept for safety).
-            out.cost = cost + self._c_cas_retry
-            return out
-
-        # Inlined counters.record_task(block_id, warp_id).
-        bid = self.block_id
-        tpb = counters.tasks_per_block
-        tpb[bid] = tpb.get(bid, 0) + 1
-        tpw = counters.tasks_per_warp
-        key = (bid, self.warp_id)
-        tpw[key] = tpw.get(key, 0) + 1
-        # Push <v | row_ptr[v]>, flushing first when the HotRing is full.
-        if two_level:
-            stack = self.stack
-            hsize = self._hsize
-            tpi = self._tpi
-            head = ptrs[hpi]
-            nxt = head + 1
-            if nxt == hsize:
-                nxt = 0
-            if nxt == ptrs[tpi]:  # inlined needs_flush(): ring is full
-                moved = stack.flush()
-                counters.flushes += 1
-                counters.flush_entries += moved
-                cost += self._c_flush_base + self._c_flush_per_entry * moved
-                if state.trace is not None:
-                    state.record(now, self.block_id, self.warp_id, "flush",
-                                 (moved,))
-                head = ptrs[hpi]  # the "head" flush policy retracts it
-                nxt = head + 1
-                if nxt == hsize:
-                    nxt = 0
-            # Inlined hot.push(): the flush guarantees a free slot.
-            hv[head] = v
-            ho[head] = state.row_ptr_list[v]
-            ptrs[hpi] = nxt
-            depth = nxt - ptrs[tpi]
-            if depth < 0:
-                depth += hsize
-            if depth > counters.max_hot_depth:
-                counters.max_hot_depth = depth
-            cptrs = self._cptrs
-            depth = cptrs[self._cti] - cptrs[self._cbi]
-            if depth > counters.max_cold_depth:
-                counters.max_cold_depth = depth
-        else:
-            self.stack.push(v, state.row_ptr_list[v])
-        counters.pushes += 1
-        state.pending += 1
-        cost += self._c_push
-        if state.trace is not None:
-            state.record(now, self.block_id, self.warp_id, "visit", (u, v))
-        out.cost = cost
-        return out
-
-    def _expand_reference(self, now: int) -> StepOutcome:
-        """Reference NumPy implementation of the expand step.
-
-        Selected by ``config.fastpath=False``; kept verbatim so the
-        golden determinism test can assert the fast path reproduces it
-        bit-for-bit.
+        The reference NumPy implementation: the fused loop's inline
+        expand (:mod:`repro.core.turbo`) must charge identical costs and
+        make identical mutations, which the golden determinism tests and
+        the ``repro.check`` reference-diff stage assert bit for bit.
         """
         state = self.state
         costs = state.costs

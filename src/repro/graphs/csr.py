@@ -141,8 +141,8 @@ class CSRGraph:
     def adjacency_lists(self) -> Tuple[list, list]:
         """Plain-list mirrors of ``(row_ptr, column_idx)``, memoized.
 
-        The simulator's expand fast path scans Python lists instead of
-        NumPy arrays (no per-read scalar boxing); the graph is immutable,
+        The fused DFS loop and the CPU baselines' drain scan Python lists
+        instead of NumPy arrays (no per-read scalar boxing); the graph is immutable,
         so repeated runs over it — benchmark repeats, oracle cross-checks,
         parameter sweeps — share one conversion.
         """

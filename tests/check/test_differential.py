@@ -8,6 +8,8 @@ from repro.check.differential import (
     case_to_json,
     check_case,
 )
+from repro.core import diggerbees
+from repro.sim.engine import EventLoop
 
 
 class TestCaseGeneration:
@@ -92,3 +94,42 @@ class TestOracleLadder:
         # The embedded spec must round-trip to the same case.
         spec = failure.repro_command.split("--case '")[1].split("'")[0]
         assert case_from_json(spec) == case
+
+
+class TestReferenceStage:
+    """The generic loop runs once per case: as the primary pass of a case
+    the fused loop cannot take, or as the reference-diff oracle of one
+    it can."""
+
+    @pytest.fixture
+    def drains(self, monkeypatch):
+        counts = {"fused": 0, "generic": 0}
+        run_turbo = diggerbees.run_turbo
+        run_loop = EventLoop.run
+
+        def fused(*args, **kwargs):
+            counts["fused"] += 1
+            return run_turbo(*args, **kwargs)
+
+        def generic(self):
+            counts["generic"] += 1
+            return run_loop(self)
+
+        monkeypatch.setattr(diggerbees, "run_turbo", fused)
+        monkeypatch.setattr(EventLoop, "run", generic)
+        return counts
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({}, id="perturbed"),
+        pytest.param({"perturb_seed": None, "jitter": 0, "two_level": False},
+                     id="one-level"),
+    ])
+    def test_generic_primary_drains_once(self, drains, overrides):
+        case = case_from_seed(1).with_(**overrides)
+        assert check_case(case) is None
+        assert drains == {"fused": 0, "generic": 1}
+
+    def test_fused_primary_is_replayed_by_the_reference(self, drains):
+        case = case_from_seed(1).with_(perturb_seed=None, jitter=0)
+        assert check_case(case) is None
+        assert drains == {"fused": 1, "generic": 1}

@@ -1,8 +1,8 @@
 """Checker coverage for the fused loop as the ladder's primary.
 
 Unperturbed two-level cases run the fused loop (``repro.core.turbo``)
-in the monitored primary pass, and the fastpath rung replays them on
-the generic loop with the reference expand.  Two obligations: clean
+in the monitored primary pass, and the reference-diff stage replays
+them on the generic loop with the reference expand.  Two obligations: clean
 cases pass that comparison, and every injected steal-protocol bug is
 still caught when the fused loop executes the mutated protocol — i.e.
 the default driver has no blind spot.

@@ -228,7 +228,7 @@ def test_run_batch_runs_ineligible_or_mixed_configs_scalar(tier_calls,
     graph = gen.road_network(150, seed=2)
     base = DiggerBeesConfig(n_blocks=2, warps_per_block=2)
     for other in (base.with_overrides(n_blocks=4),
-                  base.with_overrides(fastpath=False)):
+                  base.with_overrides(two_level=False)):
         tasks = [(0, base), (3, other)]
         refs = [diggerbees.run_diggerbees(graph, r, config=c)
                 for r, c in tasks]

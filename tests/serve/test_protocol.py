@@ -30,7 +30,7 @@ from repro.serve.protocol import (
 
 def test_request_roundtrip_all_fields():
     req = Request(op="dfs", id="q-1", graph="g", root=7,
-                  config={"seed": 3, "fastpath": False}, no_cache=True)
+                  config={"seed": 3, "two_level": False}, no_cache=True)
     back = decode_request(encode_request(req))
     assert back == req
 
@@ -67,7 +67,8 @@ def test_request_config_must_be_object():
 
 @pytest.mark.parametrize("field,value", [("turbo", True),
                                          ("scheduler", "heap"),
-                                         ("hive_steal", "scalar")])
+                                         ("hive_steal", "scalar"),
+                                         ("fastpath", False)])
 def test_turbo_and_scheduler_config_fields_fail_the_request(field, value):
     """Deleted knobs are not engine-config fields: a config naming one
     fails its own request with the typed unknown-field error."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.engine import EventLoop, StepOutcome
+from repro.sim.engine import EventLoop, StepOutcome, deadlock_window
 
 
 class CountdownAgent:
@@ -88,13 +88,19 @@ class TestEventLoop:
 
     def test_deadlock_detection(self):
         class Spinner:
+            def __init__(self):
+                self.n = 0
+
             def step(self, now):
+                self.n += 1
                 return StepOutcome(cost=10, made_progress=False)
 
-        loop = EventLoop([Spinner()], is_terminated=lambda: False,
-                         deadlock_window=100)
+        spinner = Spinner()
+        loop = EventLoop([spinner], is_terminated=lambda: False)
         with pytest.raises(DeadlockError):
             loop.run()
+        # The step one past the window raises.
+        assert spinner.n == deadlock_window(1) + 1
 
     def test_progress_resets_deadlock_window(self):
         class Mostly:
@@ -103,14 +109,15 @@ class TestEventLoop:
 
             def step(self, now):
                 self.n += 1
-                if self.n >= 500:
+                if self.n >= 3 * window:
                     return StepOutcome(cost=1, done=True)
-                # Progress every 50 steps keeps the guard quiet.
-                return StepOutcome(cost=1, made_progress=self.n % 50 == 0)
+                # Progress once per window keeps the guard quiet.
+                return StepOutcome(cost=1, made_progress=self.n % window == 0)
 
-        loop = EventLoop([Mostly()], is_terminated=lambda: False,
-                         deadlock_window=100)
-        loop.run()  # must not raise
+        window = deadlock_window(1)
+        mostly = Mostly()
+        EventLoop([mostly], is_terminated=lambda: False).run()  # no raise
+        assert mostly.n == 3 * window
 
     def test_engine_result_seconds(self):
         a = CountdownAgent(2, cost=1000)
@@ -118,8 +125,9 @@ class TestEventLoop:
         assert res.seconds(1e9) == pytest.approx(res.cycles / 1e9)
 
 
-#: The engine's two drains: the production calendar queue and the
-#: schedule fuzzer's seeded binary heap (no jitter, so timing is exact).
+#: The engine's two tie-break modes: FIFO (``calendar``, the order the
+#: fused loop's calendar queue replays) and the schedule fuzzer's
+#: seeded draws (``heap``; no jitter, so timing is exact).
 DRAINS = {"calendar": {}, "heap": {"perturb_seed": 0}}
 
 
@@ -148,8 +156,9 @@ class TestMaxCyclesBoundary:
 
 
 class TestSchedulerEquivalence:
-    """Both drains advance every agent on the same ``ready_at`` timeline;
-    without jitter the seeded heap only reorders same-cycle ties."""
+    """Both tie-break modes advance every agent on the same ``ready_at``
+    timeline; without jitter the seeded draws only reorder same-cycle
+    ties."""
 
     def test_identical_step_order_and_result(self):
         def make_agents():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import DiggerBeesConfig, run_diggerbees
+from repro.core.diggerbees import run_reference
 from repro.errors import SimulationError
 from repro.graphs import generators as gen
 from repro.sim.engine import EventLoop
@@ -80,8 +81,7 @@ class TestDefaultPathUnchanged:
         loop replays the generic loop with the reference expand."""
         g = gen.road_network(300, seed=11)
         fused = run_diggerbees(g, 0, config=CFG)
-        generic = run_diggerbees(g, 0,
-                                 config=CFG.with_overrides(fastpath=False))
+        generic = run_reference(g, 0, config=CFG)
         assert fused.cycles == generic.cycles
         assert fused.engine.steps == generic.engine.steps
         assert np.array_equal(fused.traversal.parent,

@@ -64,3 +64,40 @@ def test_runs_are_reproducible(seed, costs):
     r1 = EventLoop([ScriptedAgent(costs)], is_terminated=lambda: False).run()
     r2 = EventLoop([ScriptedAgent(costs)], is_terminated=lambda: False).run()
     assert (r1.cycles, r1.steps) == (r2.cycles, r2.steps)
+
+
+@given(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=10),
+                min_size=1, max_size=6))
+@settings(max_examples=80)
+def test_order_is_ready_at_then_scheduling_order(cost_lists):
+    """Same-cycle events run in the order they were scheduled: the step
+    sequence equals a brute-force ``(ready_at, seq)`` scheduler's — the
+    order the fused DFS loop replays with its calendar queue."""
+    order = []
+
+    class Recorder(ScriptedAgent):
+        def __init__(self, tag, costs):
+            super().__init__(costs)
+            self.tag = tag
+
+        def step(self, now):
+            order.append((now, self.tag))
+            return super().step(now)
+
+    EventLoop([Recorder(i, c) for i, c in enumerate(cost_lists)],
+              is_terminated=lambda: False).run()
+
+    expected = []
+    left = [list(c) for c in cost_lists]
+    pending = [(0, i, i) for i in range(len(left))]  # (ready_at, seq, tag)
+    seq = len(pending)
+    while pending:
+        event = min(pending)
+        pending.remove(event)
+        now, _, tag = event
+        expected.append((now, tag))
+        cost = left[tag].pop(0)
+        if left[tag]:
+            pending.append((now + cost, seq, tag))
+            seq += 1
+    assert order == expected
