@@ -306,8 +306,8 @@ async def amain(args) -> int:
 
         corpus = load_corpus(args.corpus, share=args.jobs > 0)
         server = ServeServer(corpus, ServeConfig(
-            batch_window=args.window, max_batch=args.max_batch,
-            jobs=args.jobs, cache_dir="off", backend=args.backend))
+            max_batch=args.max_batch, jobs=args.jobs, cache_dir="off",
+            backend=args.backend))
         socket_path = os.path.join(
             tempfile.mkdtemp(prefix="repro-bench-serve-"), "bench.sock")
         await server.start(socket_path)
@@ -421,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connections", type=int, default=4)
     p.add_argument("--roots-per-graph", type=int, default=8)
     p.add_argument("--seed", type=int, default=123)
-    p.add_argument("--window", type=float, default=0.002,
-                   help="daemon batch window for --self (seconds)")
     p.add_argument("--max-batch", type=int, default=64)
     p.add_argument("--jobs", type=int, default=0,
                    help="daemon worker processes for --self")

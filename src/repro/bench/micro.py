@@ -26,20 +26,11 @@ systematically understates the cost the gate will later measure.
 The corpus routes through :mod:`repro.graphs.diskcache`, so only a cold
 cache pays generation cost; the hit/miss tally is part of the payload.
 
-Every DFS case runs the default driver — the fused loop of
-:mod:`repro.core.turbo` — whose cycles/steps the baseline pins.
-``--backend {auto,dfs,frontier}`` selects the answer *family*:
-``frontier`` runs every case through the bit-packed SpMV engine
-(:mod:`repro.core.frontier`), recording MTEPS and the level profile
-instead of simulated cycles; ``auto`` routes each case by BFS levels
-per vertex through :func:`repro.core.dispatch.choose_backend`
-(frontier-run cases are exempt from the cycles/wall baseline gate —
-they have no simulated schedule; DFS-run cases stay gated).
-``--batch N`` runs every case as N replicas through
-:func:`repro.core.dispatch.run_batch` — one swarm on the frontier
-family once N reaches ``SWARM_MIN_WIDTH``, else the scalar loop (always
-on the DFS family) — and records the per-run wall and the tier that ran
-it.  ``--record`` appends the run to
+Every case runs the default DFS driver — the fused loop of
+:mod:`repro.core.turbo` — whose cycles/steps the baseline pins: the
+sweep is the DFS schedule gate.  Both answer families, and the swarm at
+every width, are timed on the same cases by
+``benchmarks/bench_crossover.py``.  ``--record`` appends the run to
 ``benchmarks/out/trajectory.jsonl`` (timestamped) and rewrites the
 repo-root ``BENCH_engine.json`` snapshot.
 """
@@ -56,7 +47,7 @@ from datetime import datetime, timezone
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import DiggerBeesConfig
-from repro.core.dispatch import BACKEND_CHOICES, choose_backend, run_batch
+from repro.core.diggerbees import run_diggerbees
 from repro.errors import BenchmarkError
 from repro.graphs import diskcache
 from repro.graphs import generators as gen
@@ -121,9 +112,8 @@ MICRO_CASES: Tuple[Tuple[str, Callable, DiggerBeesConfig], ...] = (
                       refill_batch=4, cold_reserve=64, seed=6)),
     # Shallow-wide regime: the frontier engine's winning shape (few BFS
     # levels, huge frontiers).  starmesh2400 is a hub mesh with pendant
-    # leaves; layers2000 is a root feeding five 400-wide layers.  The
-    # DFS engines run them too, so --backend can compare both families
-    # on the same cases.
+    # leaves; layers2000 is a root feeding five 400-wide layers.
+    # bench_crossover.py times both families on them.
     ("starmesh2400",
      _corpus_case("star_mesh", "starmesh2400",
                   {"n_hubs": 120, "leaves_per_hub": 19}, 7),
@@ -151,9 +141,7 @@ def _case_events(counters) -> Dict:
 
 
 def run_micro(repeats: int = 3,
-              profile_path: Optional[str] = None,
-              batch: int = 0,
-              backend: str = "dfs") -> Dict:
+              profile_path: Optional[str] = None) -> Dict:
     """Run the fixed micro-sweep; returns the ``BENCH_engine.json`` payload.
 
     Per case: median-of-``repeats`` wall time, plus the (deterministic)
@@ -162,30 +150,10 @@ def run_micro(repeats: int = 3,
     cache it is a fraction of a millisecond per case (see the
     ``graph_cache`` hit/miss tally in the payload).
 
-    ``backend`` picks the answer family per case: ``"dfs"`` (default)
-    is the simulation sweep above; ``"frontier"`` runs every case on
-    the bit-packed SpMV engine (wall + MTEPS + level profile, no
-    simulated cycles); ``"auto"`` routes each case by BFS levels per
-    vertex through :func:`repro.core.dispatch.choose_backend` (every
-    micro case routes to frontier).
-
-    ``batch`` > 0 runs every case as ``batch`` replicas through
-    :func:`repro.core.dispatch.run_batch` (one swarm for frontier from
-    ``SWARM_MIN_WIDTH`` up; the scalar loop below it and for every DFS
-    batch); each row's ``tier`` names the tier that ran it.  The
-    recorded wall time is the median batch wall divided by the batch
-    width — the per-run cost a sweep actually pays — and the replicas
-    are asserted identical (cycles/steps, or the level/push/pull/edge
-    profile), so the same baseline gates every mode.
-
     The ``phases.simulate`` entry accumulates the per-case *median*
     wall, the same statistic ``wall_seconds`` reports, so it equals
     ``total_wall_seconds`` instead of summing every repeat.
     """
-    if backend not in BACKEND_CHOICES:
-        raise BenchmarkError(
-            f"backend must be one of {BACKEND_CHOICES}, got {backend!r}")
-    width = max(1, batch)
     timer = PhaseTimer()
     cases: List[Dict] = []
     diskcache.reset_stats()
@@ -193,57 +161,25 @@ def run_micro(repeats: int = 3,
         for name, build, cfg in MICRO_CASES:
             with timer.phase("generate"):
                 graph = build()
-            family = backend
-            if backend == "auto":
-                family = choose_backend(graph, requested="auto").backend
             walls: List[float] = []
             for _ in range(max(1, repeats)):
-                stats: Dict = {}
                 t0 = time.perf_counter()
-                results = run_batch(graph, family, [(0, cfg)] * width,
-                                    stats=stats)
-                walls.append((time.perf_counter() - t0) / width)
-            for r in results:
-                if isinstance(r, Exception):
-                    raise r
-            res = results[0]
-            signature = ((lambda r: (r.cycles, r.engine.steps))
-                         if family == "dfs" else
-                         (lambda r: (r.n_levels, r.edges_scanned,
-                                     r.pushes, r.pulls)))
-            if len({signature(r) for r in results}) > 1:
-                raise BenchmarkError(
-                    f"{name}: replicas diverged; lockstep determinism "
-                    f"contract broken")
+                res = run_diggerbees(graph, 0, config=cfg)
+                walls.append(time.perf_counter() - t0)
             wall = statistics.median(walls)
             timer.add("simulate", wall)
-            row = {"name": name, "backend": family, "tier": stats["tier"],
-                   "wall_seconds": wall}
-            if family == "dfs":
-                row.update(
-                    cycles=res.cycles,
-                    steps=res.engine.steps,
-                    steps_per_second=steps_per_second(res.engine.steps,
-                                                      wall),
-                    events=_case_events(res.counters))
-            else:
-                # No simulated schedule: the frontier engine is a real
-                # traversal, so its figure of merit is MTEPS.
-                row.update(
-                    cycles=None, steps=None, steps_per_second=None,
-                    mteps=(res.edges_scanned / wall / 1e6
-                           if wall > 0 else 0.0),
-                    edges_scanned=res.edges_scanned,
-                    n_levels=res.n_levels,
-                    pushes=res.pushes,
-                    pulls=res.pulls,
-                    events=None)
-            cases.append(row)
+            cases.append({
+                "name": name,
+                "wall_seconds": wall,
+                "cycles": res.cycles,
+                "steps": res.engine.steps,
+                "steps_per_second": steps_per_second(res.engine.steps,
+                                                     wall),
+                "events": _case_events(res.counters),
+            })
     payload = {
         "bench": "engine_micro",
         "repeats": repeats,
-        "batch": batch,
-        "backend": backend,
         "cases": cases,
         "total_wall_seconds": sum(c["wall_seconds"] for c in cases),
         "phases": timer.as_dict(),
@@ -272,11 +208,6 @@ def check_against_baseline(result: Dict, baseline: Dict,
     for case in result["cases"]:
         base = base_cases.get(case["name"])
         if base is None:
-            continue
-        if case.get("backend", "dfs") != "dfs":
-            # Frontier-run cases carry no simulated schedule and their
-            # wall measures a different engine; the DFS baseline does
-            # not apply.
             continue
         if case["cycles"] != base["cycles"] or case["steps"] != base["steps"]:
             problems.append(
@@ -323,25 +254,6 @@ def record_trajectory(result: Dict) -> pathlib.Path:
     return out
 
 
-def _tiers(entry: Dict) -> str:
-    """``[backend/]tiers`` that ran ``entry``'s cases, e.g. ``scalar`` or
-    ``auto/scalar+swarm``; entries recorded before rows named their
-    tier ran every batch in lockstep (tagged ``lockstep`` on the DFS
-    family, whose batched engine is gone)."""
-    backend = entry.get("backend", "dfs")
-    tiers = {c["tier"] for c in entry.get("cases", []) if "tier" in c}
-    if not tiers:
-        lockstep = "lockstep" if backend == "dfs" else "swarm"
-        tiers = {lockstep if entry.get("batch") else "scalar"}
-    tag = "+".join(sorted(tiers))
-    return tag if backend == "dfs" else f"{backend}/{tag}"
-
-
-def _mode_tag(entry: Dict) -> str:
-    batch = entry.get("batch")
-    return f"{_tiers(entry)}:{batch}" if batch else _tiers(entry)
-
-
 def compare_trajectory(a_idx: int, b_idx: int,
                        path: Optional[pathlib.Path] = None) -> str:
     """Diff two recorded trajectory entries; returns a per-case table.
@@ -352,7 +264,9 @@ def compare_trajectory(a_idx: int, b_idx: int,
     wall time and steps/s for both entries plus the relative change,
     flagging >5% moves as regression/improvement; schedule drift
     (cycles/steps differing between the entries) is flagged too, since
-    that invalidates the perf comparison.
+    that invalidates the perf comparison.  A row without steps/s — the
+    frontier and swarm rows of the retired ``--backend``/``--batch``
+    modes, or another bench's rows — prints as not comparable.
     """
     path = path or (repo_root() / "benchmarks" / "out" / "trajectory.jsonl")
     if not path.exists():
@@ -370,8 +284,8 @@ def compare_trajectory(a_idx: int, b_idx: int,
             f"of range"
         ) from None
     lines = [
-        f"A: entry {a_idx % n} [{_mode_tag(ea)}] {ea.get('timestamp', '?')}",
-        f"B: entry {b_idx % n} [{_mode_tag(eb)}] {eb.get('timestamp', '?')}",
+        f"A: entry {a_idx % n} {ea.get('timestamp', '?')}",
+        f"B: entry {b_idx % n} {eb.get('timestamp', '?')}",
         f"{'case':<10s} {'wall A':>9s} {'wall B':>9s} {'steps/s A':>10s} "
         f"{'steps/s B':>10s} {'change':>8s}",
     ]
@@ -379,21 +293,16 @@ def compare_trajectory(a_idx: int, b_idx: int,
     flagged = 0
     for cb in eb.get("cases", []):
         ca = a_cases.get(cb["name"])
-        if (cb.get("backend", "dfs") != "dfs"
-                or (ca is not None and ca.get("backend", "dfs") != "dfs")):
-            # Frontier rows have no steps/s; cross-family wall diffs
-            # belong to the crossover bench, not this table.
-            lines.append(f"{cb['name']:<10s}   [{cb.get('backend', 'dfs')}] "
-                         f"wall {cb['wall_seconds']:.4f}s — "
-                         f"not comparable across engine families")
+        sps_b = cb.get("steps_per_second")
+        sps_a = None if ca is None else ca.get("steps_per_second")
+        if sps_b is None or (ca is not None and sps_a is None):
+            lines.append(f"{cb['name']:<10s}   not comparable (no steps/s)")
             continue
         if ca is None:
             lines.append(f"{cb['name']:<10s} {'—':>9s} "
                          f"{cb['wall_seconds']:9.4f} {'—':>10s} "
-                         f"{cb['steps_per_second']:>10.0f}   (new case)")
+                         f"{sps_b:>10.0f}   (new case)")
             continue
-        sps_a = ca["steps_per_second"]
-        sps_b = cb["steps_per_second"]
         change = (sps_b / sps_a - 1.0) if sps_a > 0 else float("inf")
         mark = ""
         if (ca["cycles"], ca["steps"]) != (cb["cycles"], cb["steps"]):
@@ -418,20 +327,9 @@ def compare_trajectory(a_idx: int, b_idx: int,
 
 
 def render(result: Dict) -> str:
-    backend, batch = result.get("backend", "dfs"), result.get("batch")
-    mode = f" batch={batch}" if batch else ""
-    mode = (f" [{_tiers(result)}{mode}]" if batch or backend != "dfs"
-            else "")
     lines = [f"{'case':<12s} {'wall(s)':>9s} {'cycles':>10s} {'steps':>7s} "
-             f"{'steps/s':>10s}{mode}"]
+             f"{'steps/s':>10s}"]
     for c in result["cases"]:
-        if c.get("backend", "dfs") != "dfs":
-            lines.append(
-                f"{c['name']:<12s} {c['wall_seconds']:9.4f} "
-                f"{c['backend']:>10s} {c['n_levels']:>5d}L "
-                f"{c['mteps']:>8.1f} MTEPS"
-            )
-            continue
         lines.append(
             f"{c['name']:<12s} {c['wall_seconds']:9.4f} {c['cycles']:>10d} "
             f"{c['steps']:>7d} {c['steps_per_second']:>10.0f}"
@@ -452,19 +350,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--quick", action="store_true",
                         help="single repeat per case")
-    parser.add_argument("--batch", type=int, default=0, metavar="N",
-                        help="run every case as N replicas through "
-                             "run_batch (a swarm for frontier from "
-                             "SWARM_MIN_WIDTH up, the scalar loop "
-                             "otherwise; bit-identical results, wall "
-                             "time is per run)")
-    parser.add_argument("--backend", default="dfs",
-                        choices=BACKEND_CHOICES,
-                        help="answer family: frontier runs the "
-                             "bit-packed SpMV engine (MTEPS, no "
-                             "simulated cycles); auto routes by BFS "
-                             "levels per vertex; frontier-run cases "
-                             "skip the cycles/wall baseline gate")
     parser.add_argument("--compare", nargs=2, type=int, metavar=("A", "B"),
                         default=None,
                         help="diff two recorded trajectory entries by "
@@ -495,9 +380,7 @@ def main(argv=None) -> int:
             return 1
         return 0
     result = run_micro(repeats=1 if args.quick else 3,
-                       profile_path=args.profile,
-                       batch=args.batch,
-                       backend=args.backend)
+                       profile_path=args.profile)
     args.json.write_text(json.dumps(result, indent=1) + "\n")
     print(render(result))
     print(f"[wrote {args.json}]")

@@ -38,11 +38,9 @@ __all__ = ["ServeOracle", "serve_oracle", "shutdown_oracle"]
 class ServeOracle:
     """A daemon on a background thread, queried synchronously."""
 
-    def __init__(self, *, batch_window: float = 0.0,
-                 cache_entries: int = 512):
+    def __init__(self, *, cache_entries: int = 512):
         self._tempdir = tempfile.mkdtemp(prefix="repro-serve-oracle-")
         self.socket_path = os.path.join(self._tempdir, "oracle.sock")
-        self._batch_window = batch_window
         self._cache_entries = cache_entries
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
@@ -73,7 +71,6 @@ class ServeOracle:
             # exports would only leak segments if the process dies hard.
             corpus = ResidentCorpus(share=False)
             server = ServeServer(corpus, ServeConfig(
-                batch_window=self._batch_window,
                 cache_entries=self._cache_entries,
                 jobs=0, cache_dir="off", drain_timeout=5.0))
             await server.start(self.socket_path)

@@ -251,29 +251,24 @@ class ServeConfig:
     """Knobs of the traversal query service (:mod:`repro.serve`).
 
     Lives next to :class:`DiggerBeesConfig` because the admission layer
-    is an engine-level concern: the window/max-batch pair decides how
-    concurrent frontier-family queries coalesce into batches, which run
-    as one lockstep swarm (see :func:`repro.core.dispatch.run_batch`)
-    from ``SWARM_MIN_WIDTH`` up — the same trade (amortized per-level
-    cost vs. added latency) the swarm itself makes.  Frontier queries
-    wait out the window only when that width fits in ``max_batch``;
-    DFS-family queries never wait and run at once.
+    is an engine-level concern: frontier-family queries that arrive
+    while every executor slot is busy coalesce into batches of at most
+    ``max_batch``, which run as one lockstep swarm (see
+    :func:`repro.core.dispatch.run_batch`) from ``SWARM_MIN_WIDTH`` up.
+    No query waits while a slot is free, and DFS-family queries never
+    coalesce (:mod:`repro.serve.admission`).
 
     Parameters
     ----------
-    batch_window:
-        Seconds a newly opened admission group waits for companions
-        before it is flushed to execution.  ``0`` disables coalescing:
-        every query runs the moment it arrives (the lowest-latency,
-        lowest-throughput setting).
     max_batch:
-        Hard cap on requests per admission batch; a group flushes
-        immediately when it fills, without waiting out the window.
+        Hard cap on requests per admission batch.  ``1`` disables
+        coalescing: every query runs alone.
     jobs:
-        Worker processes for query execution.  ``0`` executes in the
-        daemon process (thread executor) — no pickling, no shared
-        memory, ideal for tests and the check oracle; ``>= 1`` routes
-        batches through the persistent process pool in
+        Worker processes for query execution, and so the executor
+        slots admission fills (two per worker).  ``0`` executes in the
+        daemon process (two threads, two slots) — no pickling, no
+        shared memory, ideal for tests and the check oracle; ``>= 1``
+        routes batches through the persistent process pool in
         :mod:`repro.bench.harness` with zero-copy shm graph hand-off.
     cache_entries:
         Per-graph result-cache capacity (LRU).  ``0`` disables caching.
@@ -301,7 +296,6 @@ class ServeConfig:
         part of the result-cache key.
     """
 
-    batch_window: float = 0.005
     max_batch: int = 64
     jobs: int = 0
     cache_entries: int = 4096
@@ -310,9 +304,6 @@ class ServeConfig:
     backend: str = "dfs"
 
     def __post_init__(self) -> None:
-        if self.batch_window < 0:
-            raise SimulationError(
-                f"batch_window must be >= 0, got {self.batch_window}")
         if self.max_batch < 1:
             raise SimulationError(
                 f"max_batch must be >= 1, got {self.max_batch}")

@@ -49,7 +49,6 @@ from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, SimulationError
 from repro.graphs.csr import CSRGraph
-from repro.sim.device import DeviceSpec, H100
 
 __all__ = ["BACKENDS", "BACKEND_CHOICES", "DFS_MIN_LEVELS_PER_VERTEX",
            "SWARM_MIN_WIDTH", "BackendDecision", "choose_backend",
@@ -140,9 +139,7 @@ def choose_backend(graph: Optional[CSRGraph] = None, *,
 
 
 def run_batch(graph: CSRGraph, backend: str,
-              tasks: Sequence[Tuple[int, Any]], *,
-              device: DeviceSpec = H100,
-              stats: Optional[dict] = None) -> List[Any]:
+              tasks: Sequence[Tuple[int, Any]]) -> List[Any]:
     """Run ``[(root, config), ...]`` on ``graph`` with one engine family.
 
     The one place that picks scalar or lockstep execution.  A
@@ -156,9 +153,7 @@ def run_batch(graph: CSRGraph, backend: str,
     Returns one entry per task, in order: the engine result, or the
     :class:`~repro.errors.ReproError` that task raised.  A swarm that
     raises is re-run task by task, so each error lands on the task that
-    caused it.  ``stats`` receives ``"tier"`` — the tier whose results
-    are returned (``"swarm"`` or ``"scalar"``, the latter also after a
-    swarm error).  Engines are looked up at call time, so instrumented
+    caused it.  Engines are looked up at call time, so instrumented
     copies apply.
     """
     if backend not in BACKENDS:
@@ -168,15 +163,9 @@ def run_batch(graph: CSRGraph, backend: str,
         from repro.core import swarm
 
         try:
-            out = swarm.run_swarm(graph, [root for root, _ in tasks])
+            return swarm.run_swarm(graph, [root for root, _ in tasks])
         except ReproError:
             pass  # settle task by task below
-        else:
-            if stats is not None:
-                stats["tier"] = "swarm"
-            return out
-    if stats is not None:
-        stats["tier"] = "scalar"
     if backend == "frontier":
         from repro.core import frontier
 
@@ -186,8 +175,7 @@ def run_batch(graph: CSRGraph, backend: str,
         from repro.core import diggerbees
 
         def run(root, cfg):
-            return diggerbees.run_diggerbees(graph, root, config=cfg,
-                                             device=device)
+            return diggerbees.run_diggerbees(graph, root, config=cfg)
     out = []
     for root, cfg in tasks:
         try:

@@ -43,6 +43,8 @@ from repro.validate.reference import (
 )
 
 __all__ = [
+    "ALPHA",
+    "BETA",
     "FrontierConfig",
     "FrontierResult",
     "run_frontier",
@@ -52,31 +54,31 @@ __all__ = [
 
 FRONTIER_MODES = ("auto", "push", "pull")
 
+#: Beamer's direction-switch thresholds (shared with :mod:`repro.core.
+#: swarm`): go bottom-up when the frontier's outgoing edges exceed
+#: ``1/ALPHA`` of the edges still touching unvisited vertices, return
+#: top-down when the frontier shrinks below ``n / BETA`` vertices.
+ALPHA = 14
+BETA = 24
+
 
 @dataclass(frozen=True)
 class FrontierConfig:
     """Knobs of the frontier engine.
 
     ``mode`` pins the traversal direction; ``"auto"`` switches per level
-    with Beamer's heuristic: go bottom-up when the frontier's outgoing
-    edges exceed ``1/alpha`` of the edges still touching unvisited
-    vertices, return top-down when the frontier shrinks below
-    ``n / beta`` vertices.  The mode never changes the result — only
-    which side of the gather pays the scan.
+    with Beamer's heuristic (:data:`ALPHA`, :data:`BETA`).  The mode
+    never changes the result — only which side of the gather pays the
+    scan.
     """
 
     mode: str = "auto"
-    alpha: float = 14.0
-    beta: float = 24.0
 
     def __post_init__(self) -> None:
         if self.mode not in FRONTIER_MODES:
             raise SimulationError(
                 f"frontier mode must be one of {FRONTIER_MODES}, "
                 f"got {self.mode!r}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise SimulationError(
-                f"alpha/beta must be positive, got {self.alpha}/{self.beta}")
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,9 @@ def run_frontier(graph: CSRGraph, root: int, *,
         depth += 1
         if mode == "auto":
             m_frontier = int(deg[frontier].sum())
-            if not pulling and m_frontier * config.alpha > m_unvisited:
+            if not pulling and m_frontier * ALPHA > m_unvisited:
                 pulling = True
-            elif pulling and frontier.size * config.beta < n:
+            elif pulling and frontier.size * BETA < n:
                 pulling = False
 
         if pulling:

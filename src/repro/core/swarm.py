@@ -72,6 +72,8 @@ import numpy as np
 
 from repro.core import bitset
 from repro.core.frontier import (
+    ALPHA,
+    BETA,
     FrontierConfig,
     FrontierResult,
     _gather,
@@ -164,12 +166,12 @@ def run_swarm(graph: CSRGraph, roots: Sequence[int], *,
         depth += 1
         if mode == "auto":
             # Per-lane Beamer switch on the exact single-root operands:
-            # frontier edge mass vs unvisited edge mass (alpha), then
-            # frontier vertex count vs n (beta).  Inactive lanes get a
+            # frontier edge mass vs unvisited edge mass (ALPHA), then
+            # frontier vertex count vs n (BETA).  Inactive lanes get a
             # harmless update — their frontier is empty, so both masses
             # are zero and they never run again.
-            go_pull = m_front * config.alpha > m_unvisited
-            go_push = f_size * config.beta < n
+            go_pull = m_front * ALPHA > m_unvisited
+            go_push = f_size * BETA < n
             pulling = (pulling & ~go_push) | (~pulling & go_pull)
 
         live = f_size > 0

@@ -2,19 +2,20 @@
 
 The batch entry points (:mod:`repro.bench`, :mod:`repro.check`) pay
 engine and graph setup on every invocation.  This package amortizes
-that cost across a daemon lifetime: graphs are loaded once, exported to
-POSIX shared memory, and queried over a newline-delimited JSON protocol
-on a local socket.  Concurrent DFS queries against the same graph are
-coalesced into batches that run in lockstep once they are wide enough
-(:func:`repro.core.dispatch.run_batch`),
+that cost across a daemon lifetime: graphs are loaded once (and
+exported to POSIX shared memory when worker processes serve them), and
+queried over a newline-delimited JSON protocol on a local socket.
+Frontier-family queries against the same graph that arrive while every
+executor slot is busy coalesce into batches that run in lockstep once
+they are wide enough (:func:`repro.core.dispatch.run_batch`),
 repeat queries are answered from a per-graph result cache, and every
 response is bit-identical to direct execution — the serve-diff oracle
 rung in :mod:`repro.check` enforces exactly that.
 
 Layout: :mod:`~repro.serve.protocol` (wire format and canonical result
-payloads), :mod:`~repro.serve.admission` (pure window/max-batch
-coalescing policy), :mod:`~repro.serve.corpus` (resident shm graph
-set), :mod:`~repro.serve.cache` (per-graph result LRU with best-effort
+payloads), :mod:`~repro.serve.admission` (pure slot-bounded
+admission and coalescing policy), :mod:`~repro.serve.corpus` (resident
+graph set), :mod:`~repro.serve.cache` (per-graph result LRU with best-effort
 disk spill), :mod:`~repro.serve.exec` (picklable query executors),
 :mod:`~repro.serve.server` (the asyncio daemon),
 :mod:`~repro.serve.client` (async + sync clients),

@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="Persistent traversal query daemon over a resident "
-                    "shared-memory graph corpus.")
+                    "graph corpus.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("start", help="run the daemon (foreground)")
@@ -38,19 +38,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default="micro",
                    help="corpus selector: micro | representative | demo "
                         "| comma-separated collection names")
-    p.add_argument("--window", type=float, default=None,
-                   help="batch window in seconds")
     p.add_argument("--max-batch", type=int, default=None,
                    help="max queries coalesced into one lockstep batch")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (0 = in-daemon threads)")
+                   help="worker processes (0 = in-daemon threads); "
+                        "graphs are exported to shared memory only "
+                        "for workers")
     p.add_argument("--cache-entries", type=int, default=None,
                    help="per-graph result-cache capacity (0 disables)")
     p.add_argument("--cache-dir", default=None,
                    help="result-cache spill directory ('off' = memory "
                         "only)")
-    p.add_argument("--no-shm", action="store_true",
-                   help="do not export graphs to shared memory")
     p.add_argument("--backend", default=None,
                    choices=("auto", "dfs", "frontier"),
                    help="engine family for dfs queries (auto routes "
@@ -91,8 +89,6 @@ async def _run_daemon(args: argparse.Namespace) -> int:
 
     config = ServeConfig()
     overrides = {}
-    if args.window is not None:
-        overrides["batch_window"] = args.window
     if args.max_batch is not None:
         overrides["max_batch"] = args.max_batch
     if args.jobs is not None:
@@ -120,7 +116,7 @@ async def _run_daemon(args: argparse.Namespace) -> int:
         except ServeError:
             os.unlink(socket_path)
 
-    corpus = load_corpus(args.corpus, share=not args.no_shm)
+    corpus = load_corpus(args.corpus, share=config.jobs >= 1)
     server = ServeServer(corpus, config)
     await server.start(socket_path)
     print(f"serving {len(corpus)} graph(s) "

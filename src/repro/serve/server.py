@@ -6,18 +6,19 @@ Architecture (one process, one event loop):
   local (Unix-domain) stream socket.  Requests are admitted as they
   arrive; responses are written as results complete, so a connection
   may receive them out of request order (clients correlate by ``id``).
-* **Admission** — DFS queries are grouped by (graph, canonical engine
-  config, resolved backend) in a
-  :class:`~repro.serve.admission.BatchPolicy`; a group
-  flushes to execution when its ``batch_window`` expires or it reaches
-  ``max_batch``.  Only frontier-family queries wait there, and only
-  when the swarm width (:data:`repro.core.dispatch.SWARM_MIN_WIDTH`)
-  fits in ``max_batch``; any other query could only ever run scalar,
-  so it launches at once as a one-query ``"scalar"`` batch.  Identical
+* **Admission** — every query that needs execution enters one
+  :class:`~repro.serve.admission.BatchPolicy`, which owns the executor
+  slots (:data:`SLOTS_PER_WORKER` per worker process, else
+  :data:`INLINE_THREADS` in-process threads).  A query launches the
+  moment a slot is free; while every slot is busy it is held, and
+  frontier-family queries with one admission key (graph, canonical
+  engine config, ``no_cache``) join one group of at most
+  ``max_batch``.  A finishing batch releases its slot and the oldest
+  held group takes it.  DFS and app queries never coalesce.  Identical
   in-flight queries additionally coalesce into one execution
   ("single-flight"), so a thundering herd of the same query costs one
   simulation.
-* **Execution** — flushed batches run through
+* **Execution** — launched batches run through
   :func:`repro.serve.exec.execute_dfs_batch` (one swarm where
   :func:`repro.core.dispatch.run_batch` finds a frontier batch wide
   enough) either in-process (``jobs = 0``) or on the persistent
@@ -30,7 +31,7 @@ Architecture (one process, one event loop):
   (:mod:`repro.serve.cache`), keyed by (op, root, config, graph
   fingerprint, resolved backend); hits are answered inline on the
   event loop from the pre-serialized JSON.
-* **Shutdown** — stops accepting, flushes every admission group,
+* **Shutdown** — stops accepting, launches every held admission group,
   drains in-flight executions (bounded by ``drain_timeout``), spills
   caches, then closes.  Client disconnects never cancel executions
   their batch-mates are waiting on; the orphaned responses are dropped.
@@ -68,7 +69,24 @@ from repro.serve.protocol import (
     error_response,
 )
 
-__all__ = ["ServeServer", "ServerStats"]
+__all__ = ["INLINE_THREADS", "SLOTS_PER_WORKER", "ServeServer",
+           "ServerStats"]
+
+#: Threads that run queries in-process when ``jobs = 0``: the executor
+#: slots admission fills.  The default loop executor would spawn
+#: ~cpu+4 threads, and that many GIL-bound simulations starve the event
+#: loop (cache hits stall behind compute); two keep misses flowing
+#: while the loop retains enough GIL share to answer hits at full rate.
+INLINE_THREADS = 2
+
+#: Admission slots per worker process when ``jobs >= 1``: one batch
+#: running and one queued behind it.  With one slot a worker idles
+#: while its result travels back and the daemon launches the next
+#: batch, which cost 64-query DFS bursts about a fifth of their
+#: throughput at ``jobs`` 1 and 2.  Inline threads need no queued
+#: batch: they share the GIL, so while one thread's result travels
+#: back the other computes.
+SLOTS_PER_WORKER = 2
 
 
 class ServerStats:
@@ -97,15 +115,13 @@ class ServerStats:
 class _PendingQuery:
     """One admitted query waiting for its result."""
 
-    __slots__ = ("request", "key", "future", "admitted", "backend")
+    __slots__ = ("request", "key", "future", "backend")
 
     def __init__(self, request: Request, key: str,
-                 future: "asyncio.Future", admitted: float,
-                 backend: str = "dfs"):
+                 future: "asyncio.Future", backend: str = "dfs"):
         self.request = request
         self.key = key          # cache key (single-flight identity)
         self.future = future    # resolves to (result, raw, batch_width)
-        self.admitted = admitted
         self.backend = backend  # resolved engine family (dfs queries)
 
 
@@ -121,8 +137,10 @@ class ServeServer:
                  config: Optional[ServeConfig] = None):
         self.corpus = corpus
         self.config = config or ServeConfig()
-        self.policy = BatchPolicy(self.config.batch_window,
-                                  self.config.max_batch)
+        jobs = self.config.jobs
+        self.policy = BatchPolicy(
+            jobs * SLOTS_PER_WORKER if jobs >= 1 else INLINE_THREADS,
+            self.config.max_batch)
         self.stats = ServerStats()
         self.started_at = time.time()
         self._caches: Dict[str, GraphResultCache] = {}
@@ -130,14 +148,7 @@ class ServeServer:
         self._inflight_keys: Dict[Tuple[str, str], List[_PendingQuery]] = {}
         self._exec_tasks: "set[asyncio.Task]" = set()
         self._server: Optional[asyncio.AbstractServer] = None
-        # Dedicated bounded executor for jobs=0 execution: the default
-        # loop executor spawns ~cpu+4 threads, and that many GIL-bound
-        # simulations starve the event loop (cache hits stall behind
-        # compute).  Two workers keep misses flowing while the loop
-        # retains enough GIL share to answer hits at full rate.
         self._thread_exec: Optional[ThreadPoolExecutor] = None
-        self._flusher: Optional[asyncio.Task] = None
-        self._wake = asyncio.Event()
         self._accepting = False
         self._closing = False
         self._shutdown_done = asyncio.Event()
@@ -156,7 +167,6 @@ class ServeServer:
         self._server = await asyncio.start_unix_server(
             self._on_connection, path=socket_path,
             limit=MAX_LINE_BYTES)
-        self._flusher = asyncio.ensure_future(self._flush_loop())
 
     async def serve_until_shutdown(self) -> None:
         """Block until a ``shutdown`` request (or :meth:`stop`) lands."""
@@ -171,18 +181,12 @@ class ServeServer:
         self._accepting = False
         if self._server is not None:
             self._server.close()
-        # Flush every held admission group so queued queries complete.
+        # Launch every held admission group so queued queries complete.
         for batch in self.policy.flush_all():
             self._launch_batch(batch)
         if drain and self._exec_tasks:
             await asyncio.wait(set(self._exec_tasks),
                                timeout=self.config.drain_timeout)
-        if self._flusher is not None:
-            self._flusher.cancel()
-            try:
-                await self._flusher
-            except (asyncio.CancelledError, Exception):
-                pass
         if self._server is not None:
             try:
                 await self._server.wait_closed()
@@ -330,7 +334,6 @@ class ServeServer:
             "uptime_seconds": time.time() - self.started_at,
             "graphs": self.corpus.names(),
             "config": {
-                "batch_window": self.config.batch_window,
                 "max_batch": self.config.max_batch,
                 "jobs": self.config.jobs,
                 "cache_entries": self.config.cache_entries,
@@ -376,7 +379,7 @@ class ServeServer:
         ``backend="auto"`` a graph whose BFS has at least
         ``DFS_MIN_LEVELS_PER_VERTEX`` levels per vertex routes to DFS
         and any other to the frontier family, priced as if the query
-        runs alone; the width a group actually flushes with only
+        runs alone; the width a group actually launches with only
         decides whether it runs in lockstep (``run_batch``).  The
         regime BFS only runs under ``"auto"`` (and is memoized per
         resident graph); forced knobs never pay it.
@@ -423,42 +426,25 @@ class ServeServer:
             waiters = self._inflight_keys.get(flight_key)
             if waiters is not None:
                 self.stats.bump("coalesced")
-                pending = _PendingQuery(req, key, loop.create_future(), t0,
+                pending = _PendingQuery(req, key, loop.create_future(),
                                         backend)
                 waiters.append(pending)
                 return await self._await_pending(pending, t0)
 
-        pending = _PendingQuery(req, key, loop.create_future(), t0, backend)
+        pending = _PendingQuery(req, key, loop.create_future(), backend)
         if not req.no_cache:
             self._inflight_keys[(entry.name, key)] = [pending]
 
-        if req.op == "dfs":
-            # The resolved backend is part of the admission identity so
-            # one flushed batch is always backend-homogeneous (a single
-            # auto daemon never mixes engines within a batch anyway —
-            # the decision is per graph — but a forced knob must not
-            # merge with a differently-keyed group after a live
-            # reconfiguration).
-            admission_key = (entry.name, _canonical_config(req.config),
-                             bool(req.no_cache), backend)
-            if (backend != "frontier"
-                    or dispatch.SWARM_MIN_WIDTH > self.policy.max_batch):
-                # No group of this family reaches a swarm, so waiting
-                # for companions would only add latency.
-                batch = Batch(key=admission_key,
-                              items=((entry, pending),), opened=t0,
-                              reason="scalar")
-            else:
-                batch = self.policy.add(admission_key,
-                                        (entry, pending), loop.time())
-            if batch is not None:
-                self._launch_batch(batch)
-            else:
-                self._wake.set()   # flusher recomputes its deadline
-        else:
-            self._launch_batch(Batch(
-                key=(entry.name, req.op), items=((entry, pending),),
-                opened=t0, reason="app"))
+        # Only frontier-family queries share a key, so only they can
+        # coalesce (into a swarm); a DFS or app query (key None) always
+        # runs alone.
+        admission_key = ((entry.name, _canonical_config(req.config),
+                          bool(req.no_cache))
+                         if backend == "frontier" else None)
+        batch = self.policy.add(admission_key, (entry, pending),
+                                loop.time())
+        if batch is not None:
+            self._launch_batch(batch)
         return await self._await_pending(pending, t0)
 
     async def _await_pending(self, pending: _PendingQuery,
@@ -500,7 +486,7 @@ class ServeServer:
             if pendings[0].request.op == "dfs":
                 tasks = [(p.request.root, p.request.config)
                          for p in pendings]
-                backend = pendings[0].backend  # admission-homogeneous
+                backend = pendings[0].backend  # one family per batch
                 self.stats.bump(f"backend_{backend}", width)
                 results = await self._execute(
                     execute_dfs_batch, entry, tasks, backend)
@@ -516,8 +502,11 @@ class ServeServer:
         except Exception as exc:   # infrastructure failure after fallbacks
             marker = {ERROR_KEY: {"type": type(exc).__name__,
                                   "message": str(exc)}}
-            self._settle(entry, pendings, [marker] * width, width)
-            return
+            results = [marker] * width
+        finally:
+            held = self.policy.release()
+            if held is not None:
+                self._launch_batch(held)
         self._settle(entry, pendings, results, width)
 
     def _settle(self, entry: ResidentGraph,
@@ -587,27 +576,9 @@ class ServeServer:
         loop = asyncio.get_running_loop()
         if self._thread_exec is None:
             self._thread_exec = ThreadPoolExecutor(
-                max_workers=2, thread_name_prefix="serve-exec")
+                max_workers=INLINE_THREADS, thread_name_prefix="serve-exec")
         return await loop.run_in_executor(
             self._thread_exec, fn, entry.graph, *args)
-
-    # ------------------------------------------------------------------
-    # Window flusher.
-    # ------------------------------------------------------------------
-
-    async def _flush_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while not self._closing:
-            deadline = self.policy.next_deadline()
-            timeout = (None if deadline is None
-                       else max(0.0, deadline - loop.time()))
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout)
-            except asyncio.TimeoutError:
-                pass
-            self._wake.clear()
-            for batch in self.policy.due(loop.time()):
-                self._launch_batch(batch)
 
 
 def _ms(seconds: float) -> float:

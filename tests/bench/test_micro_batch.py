@@ -1,78 +1,31 @@
-"""Micro-sweep coverage: ``--batch`` mode, phase accounting, and the
-``--compare`` trajectory diff."""
+"""Micro-sweep coverage: phase accounting and the ``--compare``
+trajectory diff."""
 
 import json
 
 import pytest
 
-from repro.bench import micro
-from repro.bench.micro import compare_trajectory, render, run_micro
+from repro.bench.micro import compare_trajectory, run_micro
 from repro.errors import BenchmarkError
 
 
-@pytest.fixture(scope="module")
-def scalar_payload():
-    return run_micro(repeats=1)
-
-
-@pytest.fixture(scope="module")
-def batch_payload():
-    return run_micro(repeats=1, batch=2)
-
-
-def test_batch_payload_matches_scalar_schedule(scalar_payload, batch_payload):
-    """Batched replicas must reproduce the scalar run's exact schedule —
-    the same committed baseline gates every execution mode."""
-    assert batch_payload["batch"] == 2
-    assert scalar_payload["batch"] == 0
-    assert {c["tier"] for c in batch_payload["cases"]} == {"scalar"}
-    for ca, cb in zip(scalar_payload["cases"], batch_payload["cases"]):
-        assert ca["name"] == cb["name"]
-        assert ca["cycles"] == cb["cycles"], ca["name"]
-        assert ca["steps"] == cb["steps"], ca["name"]
-
-
-@pytest.mark.parametrize("payload_fixture",
-                         ["scalar_payload", "batch_payload"])
-def test_phases_simulate_matches_total_wall(payload_fixture, request):
+def test_phases_simulate_matches_total_wall():
     """phases.simulate accumulates the per-case *median*, so it must
     agree with total_wall_seconds (the pre-fix code summed every repeat,
     overstating simulate by ~repeats x)."""
-    payload = request.getfixturevalue(payload_fixture)
+    payload = run_micro(repeats=1)
     simulate = payload["phases"]["simulate"]
     total = payload["total_wall_seconds"]
     assert abs(simulate - total) <= max(1e-6, 0.01 * total)
-
-
-def test_narrow_batches_run_the_scalar_loop(tier_calls, lockstep_from):
-    # The DFS family has no lockstep tier: the fused loop runs each
-    # replica even at a width the swarm would take, and the label names
-    # the tier that ran, not the one --batch suggests.
-    lockstep_from(2)
-    payload = run_micro(repeats=1, batch=2)
-    assert tier_calls == {"dfs_scalar": 2 * len(micro.MICRO_CASES)}
-    assert {c["tier"] for c in payload["cases"]} == {"scalar"}
-    assert "[scalar batch=2]" in render(payload)
-
-
-def test_frontier_batch_runs_one_swarm_per_case(tier_calls, lockstep_from):
-    lockstep_from(2)
-    payload = run_micro(repeats=1, batch=2, backend="frontier")
-    assert tier_calls == {"swarm": len(micro.MICRO_CASES)}
-    assert {c["backend"] for c in payload["cases"]} == {"frontier"}
-    assert {c["tier"] for c in payload["cases"]} == {"swarm"}
-    assert "[frontier/swarm batch=2]" in render(payload)
 
 
 # ---------------------------------------------------------------------------
 # --compare trajectory diff
 # ---------------------------------------------------------------------------
 
-def _entry(mode, cases, ts):
-    entry = {"bench": "engine_micro", "repeats": 3, "timestamp": ts,
-             "batch": 16 if mode == "lockstep" else 0,
-             "cases": cases}
-    return entry
+def _entry(cases, ts):
+    return {"bench": "engine_micro", "repeats": 3, "timestamp": ts,
+            "cases": cases}
 
 
 def _case(name, wall, steps, cycles):
@@ -82,13 +35,13 @@ def _case(name, wall, steps, cycles):
 
 @pytest.fixture
 def trajectory(tmp_path):
-    a = _entry("scalar", [
+    a = _entry([
         _case("road1000", 0.020, 2576, 130728),
         _case("pa2000", 0.030, 5209, 124828),
         _case("mesh1500", 0.020, 3989, 111898),
         _case("retired", 0.010, 1000, 5000),
     ], "2026-08-01T00:00:00+00:00")
-    b = _entry("lockstep", [
+    b = _entry([
         _case("road1000", 0.008, 2576, 130728),   # >5% faster
         _case("pa2000", 0.040, 5209, 124828),     # >5% slower
         _case("mesh1500", 0.020, 4001, 111898),   # schedule drift
@@ -103,8 +56,8 @@ def trajectory(tmp_path):
 
 def test_compare_flags_and_modes(trajectory):
     out = compare_trajectory(0, 1, path=trajectory)
-    assert "A: entry 0 [scalar]" in out
-    assert "B: entry 1 [lockstep:16]" in out
+    assert "A: entry 0 2026-08-01T00:00:00+00:00" in out
+    assert "B: entry 1 2026-08-02T00:00:00+00:00" in out
     road = next(line for line in out.splitlines()
                 if line.startswith("road1000"))
     assert "improvement" in road
@@ -133,15 +86,30 @@ def test_compare_out_of_range(trajectory):
         compare_trajectory(0, 7, path=trajectory)
 
 
-def test_compare_labels_modes_by_recorded_tier(tmp_path):
-    narrow = _entry("lockstep", [_case("road1000", 0.01, 2576, 130728)],
-                    "t0")
-    narrow["cases"][0]["tier"] = "scalar"
-    wide = dict(_entry("scalar", [], "t1"), backend="frontier", batch=16,
-                cases=[{"name": "road1000", "backend": "frontier",
-                        "tier": "swarm", "wall_seconds": 0.001}])
+def test_compare_reads_retired_batch_and_backend_entries(tmp_path):
+    # Entries recorded by the retired --batch/--backend modes: DFS rows
+    # still compare; frontier and swarm rows carry no steps/s.
+    scalar = _entry([_case("road1000", 0.01, 2576, 130728),
+                     _case("pa2000", 0.02, 5209, 124828)], "t0")
+    batched = dict(_entry([_case("road1000", 0.01, 2576, 130728)], "t1"),
+                   batch=256, backend="dfs")
+    batched["cases"][0]["backend"] = "dfs"
+    swarm = dict(_entry([], "t2"), batch=256, backend="swarm", cases=[
+        {"name": "road1000", "backend": "swarm", "wall_seconds": 0.001,
+         "cycles": None, "steps": None, "steps_per_second": None},
+        {"name": "pa2000", "backend": "frontier", "tier": "swarm",
+         "wall_seconds": 0.001}])
     path = tmp_path / "trajectory.jsonl"
-    path.write_text("".join(json.dumps(e) + "\n" for e in (narrow, wide)))
+    path.write_text("".join(json.dumps(e) + "\n"
+                            for e in (scalar, batched, swarm)))
     out = compare_trajectory(0, 1, path=path)
-    assert "A: entry 0 [scalar:16]" in out
-    assert "B: entry 1 [frontier/swarm:16]" in out
+    road = next(line for line in out.splitlines()
+                if line.startswith("road1000"))
+    assert "+0.0%" in road
+    for a, b in ((0, 2), (2, 0)):
+        out = compare_trajectory(a, b, path=path)
+        rows = [line for line in out.splitlines()
+                if line.startswith(("road1000", "pa2000"))]
+        assert len(rows) == 2
+        assert all("not comparable (no steps/s)" in r for r in rows)
+        assert "flagged: 0" in out

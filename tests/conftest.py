@@ -102,7 +102,7 @@ def tier_calls(monkeypatch):
 def lockstep_from(monkeypatch):
     """``lockstep_from(width)`` lowers ``dispatch.SWARM_MIN_WIDTH`` to
     ``width`` for one test, so mechanism tests can drive swarm batches
-    (and the daemon's admission window) at small widths."""
+    (in the daemon too) at small widths."""
     from repro.core import dispatch
 
     def lower(width: int) -> None:

@@ -273,28 +273,6 @@ def test_run_batch_settles_a_lockstep_error_on_its_task(tier_calls,
     assert _bfs_diff(ref, good_out) is None
 
 
-def test_run_batch_reports_the_tier_that_answered(lockstep_from):
-    # stats["tier"] names the tier whose results come back, so a
-    # lockstep batch settled task by task never reads as lockstep.
-    lockstep_from(2)
-    graph = gen.road_network(150, seed=2)
-    base = DiggerBeesConfig(n_blocks=2, warps_per_block=2)
-    cases = [
-        ("dfs", [(0, base), (3, base)], "scalar"),          # no lockstep
-        ("frontier", [(0, None), (3, None)], "swarm"),
-        ("dfs", [(0, base)], "scalar"),
-        ("frontier", [(0, None)], "scalar"),                # too narrow
-        ("frontier", [(0, None), (10**6, None)], "scalar"),  # swarm error
-    ]
-    for family, tasks, tier in cases:
-        stats = {}
-        out = run_batch(graph, family, tasks, stats=stats)
-        assert stats["tier"] == tier, (family, tasks)
-        assert len(out) == len(tasks)
-    assert isinstance(out[1], ReproError) and \
-        not isinstance(out[0], ReproError)
-
-
 def test_run_batch_rejects_unknown_backends():
     with pytest.raises(SimulationError):
         run_batch(gen.path_graph(4), "swarm", [(0, None)])

@@ -105,10 +105,6 @@ def test_single_vertex_and_root_checks():
 def test_config_validation():
     with pytest.raises(SimulationError):
         FrontierConfig(mode="sideways")
-    with pytest.raises(SimulationError):
-        FrontierConfig(alpha=0)
-    with pytest.raises(SimulationError):
-        FrontierConfig(beta=-1)
 
 
 def test_mteps_and_profile_counters():

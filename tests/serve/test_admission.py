@@ -1,18 +1,21 @@
-"""Admission-policy properties: bounds, conservation, invariance.
+"""Admission-policy properties: work conservation, bounds, conservation,
+fairness, invariance.
 
-The policy is pure and time-injected, so Hypothesis can drive it with
-arbitrary synthetic schedules — arrivals interleaved with timer polls —
-and check the contract exhaustively:
+The policy is pure and its only inputs are arrivals and slot releases,
+so Hypothesis can drive it with arbitrary synthetic schedules and check
+the contract exhaustively:
 
+* no item is held while a slot is free (work conservation);
 * no batch ever exceeds ``max_batch``;
-* once ``due()`` is polled at/after a group's deadline, its items flush
-  (no request waits past the window unless the batch filled first);
-* every admitted item flushes exactly once, in arrival order, never
-  mixed across keys (conservation);
-* and the *results* of batched DFS execution are invariant to how the
-  admission knobs sliced the work (the execution-level half of the
-  "(jobs, batch, window) invariance" acceptance criterion; the socket
-  e2e half lives in ``test_server.py``).
+* every admitted item launches exactly once, in arrival order within
+  its key, never mixed across keys (conservation);
+* held groups launch oldest first;
+* items admitted under key ``None`` (the daemon's DFS and app queries)
+  always launch alone;
+* and the *results* of batched DFS execution are invariant to how
+  admission sliced the work (the execution-level half of the
+  "(jobs, batch) invariance" acceptance criterion; the socket e2e half
+  lives in ``test_server.py``).
 """
 
 from collections import defaultdict
@@ -23,107 +26,133 @@ from hypothesis import strategies as st
 
 from repro.serve.admission import BatchPolicy
 
-# Schedule alphabet: ("add", key, item_id, dt) | ("poll", dt) — dt is the
-# time advance before the event fires.
+# Schedule alphabet: ("add", key, dt) | ("release",) — key None is a
+# query that never coalesces; dt is the time advance before the arrival.
 _events = st.lists(
     st.one_of(
-        st.tuples(st.just("add"), st.integers(0, 2),
-                  st.integers(), st.floats(0, 0.05)),
-        st.tuples(st.just("poll"), st.floats(0, 0.05)),
+        st.tuples(st.just("add"), st.one_of(st.none(), st.integers(0, 2)),
+                  st.floats(0, 0.05)),
+        st.tuples(st.just("release")),
     ),
-    min_size=1, max_size=60,
+    min_size=1, max_size=80,
 )
 
 
-@given(events=_events, window=st.floats(0.001, 0.1),
+@given(events=_events, slots=st.integers(1, 3),
        max_batch=st.integers(1, 6))
-@settings(max_examples=200)
-def test_policy_bounds_and_conservation(events, window, max_batch):
-    policy = BatchPolicy(window, max_batch)
+@settings(max_examples=300)
+def test_policy_bounds_and_conservation(events, slots, max_batch):
+    policy = BatchPolicy(slots, max_batch)
     now = 0.0
-    admitted = defaultdict(list)   # key -> item ids in arrival order
-    flushed = defaultdict(list)
-    deadlines = {}                 # item id -> latest allowed flush poll
-    item_seq = 0
+    seq = 0
+    admitted = defaultdict(list)   # key -> item seqs in arrival order
+    launched = defaultdict(list)
+    held_firsts = []               # first item of each held-group launch
 
-    def consume(batches, at):
-        for batch in batches:
-            assert 1 <= len(batch.items) <= max_batch
-            assert batch.reason in ("full", "window", "drain")
-            for key, item in batch.items:
-                assert key == batch.key
-                flushed[key].append(item)
+    def consume(batch, held):
+        assert 1 <= len(batch.items) <= max_batch
+        for key, item in batch.items:
+            assert key == batch.key            # never mixed across keys
+            launched[key].append(item)
+        if batch.key is None:
+            assert len(batch.items) == 1       # never coalesces
+        if held:
+            assert batch.reason in ("full", "queued", "drain")
+            assert batch.reason != "full" or len(batch.items) == max_batch
+            held_firsts.append(batch.items[0][1])
+        else:
+            assert batch.reason == "idle" and len(batch.items) == 1
 
     for ev in events:
         if ev[0] == "add":
-            _, key, _, dt = ev
+            _, key, dt = ev
             now += dt
-            item_seq += 1
-            admitted[key].append(item_seq)
-            deadlines[item_seq] = now + window
-            out = policy.add(key, (key, item_seq), now)
-            consume([out] if out is not None else [], now)
-        else:
-            now += ev[1]
-            due = policy.due(now)
-            consume(due, now)
-            # Window bound: nothing still pending is past its deadline.
-            nd = policy.next_deadline()
-            if nd is not None:
-                assert nd > now or abs(nd - now) < 1e-12
+            seq += 1
+            free = policy.busy < policy.slots
+            admitted[key].append(seq)
+            out = policy.add(key, (key, seq), now)
+            # A free slot takes the item at once.
+            assert (out is not None) == free
+            if out is not None:
+                consume(out, held=False)
+        elif policy.busy:
+            out = policy.release()
+            assert (out is None) == (policy.pending_count() == 0
+                                     and policy.busy < policy.slots)
+            if out is not None:
+                consume(out, held=True)
+        # Work conservation: nothing is held while a slot is free.
+        assert policy.pending_count() == 0 or policy.busy >= policy.slots
+        assert policy.busy <= policy.slots
 
-    consume(policy.flush_all(now), now)
+    for batch in policy.flush_all():
+        consume(batch, held=True)
     assert policy.pending_count() == 0
 
     # Conservation: exactly once, in arrival order, per key.
-    assert dict(flushed) == {k: v for k, v in admitted.items() if v}
+    assert dict(launched) == dict(admitted)
+    # Fairness: held groups launch in the order they opened.
+    assert held_firsts == sorted(held_firsts)
 
 
-@given(window=st.floats(0.001, 0.1), max_batch=st.integers(2, 8),
+@given(slots=st.integers(1, 3), max_batch=st.integers(2, 8),
        n=st.integers(0, 20))
 @settings(max_examples=100)
-def test_policy_full_flush_fires_at_capacity(window, max_batch, n):
-    policy = BatchPolicy(window, max_batch)
-    full_batches = 0
+def test_policy_full_flush_fires_at_capacity(slots, max_batch, n):
+    # With every slot busy, n same-key arrivals pile into groups of
+    # max_batch; each freed slot launches the oldest, full ones first.
+    policy = BatchPolicy(slots, max_batch)
+    for i in range(slots):
+        assert policy.add(None, f"busy{i}", 0.0) is not None
     for i in range(n):
-        out = policy.add("k", i, 0.0)
-        if out is not None:
-            assert out.reason == "full"
-            assert len(out.items) == max_batch
-            full_batches += 1
-    assert full_batches == n // max_batch
-    assert policy.pending_count() == n % max_batch
-
-
-def test_zero_window_dispatches_immediately():
-    policy = BatchPolicy(0.0, 64)
-    out = policy.add("k", "item", 123.0)
-    assert out is not None and out.items == ("item",)
-    assert policy.pending_count() == 0
-    assert policy.next_deadline() is None
+        assert policy.add("k", i, 0.0) is None
+    assert policy.pending_count() == n
+    widths = []
+    while policy.pending_count():
+        batch = policy.release()
+        widths.append(len(batch.items))
+        assert batch.reason == ("full" if len(batch.items) == max_batch
+                                else "queued")
+    assert widths == [max_batch] * (n // max_batch) + (
+        [n % max_batch] if n % max_batch else [])
 
 
 def test_max_batch_one_dispatches_immediately():
-    policy = BatchPolicy(10.0, 1)
+    policy = BatchPolicy(1, 1)
     out = policy.add("k", "item", 0.0)
     assert out is not None and out.items == ("item",)
+    # Coalescing is off: held same-key items still launch one by one.
+    assert policy.add("k", "a", 1.0) is None
+    assert policy.add("k", "b", 2.0) is None
+    assert policy.release().items == ("a",)
+    assert policy.release().items == ("b",)
+    assert policy.release() is None and policy.busy == 0
 
 
-def test_due_respects_per_key_deadlines():
-    policy = BatchPolicy(1.0, 64)
-    policy.add("a", 1, 0.0)
-    policy.add("b", 2, 0.5)
-    assert policy.next_deadline() == pytest.approx(1.0)
-    first = policy.due(1.0)
-    assert [b.key for b in first] == ["a"]
-    assert policy.due(1.2) == []
-    second = policy.due(1.5)
-    assert [b.key for b in second] == ["b"]
+def test_drain_launches_every_held_group_and_keeps_the_slot_count():
+    policy = BatchPolicy(1, 8)
+    policy.add(None, "running", 0.0)
+    policy.add("k", 1, 0.1)
+    policy.add(None, 2, 0.2)
+    policy.add("k", 3, 0.3)
+    drained = policy.flush_all()
+    assert [(b.key, b.items, b.reason) for b in drained] == [
+        ("k", (1, 3), "drain"), (None, (2,), "drain")]
+    # Each drained batch releases like any other; a late arrival waits
+    # until the count is back under the slots.
+    assert policy.busy == 3
+    assert policy.add("k", 4, 1.0) is None
+    assert policy.release() is None and policy.release() is None
+    assert policy.release().items == (4,)
 
 
 def test_rejects_bad_max_batch():
     with pytest.raises(ValueError):
-        BatchPolicy(0.01, 0)
+        BatchPolicy(2, 0)
+    with pytest.raises(ValueError):
+        BatchPolicy(0, 8)
+    with pytest.raises(ValueError):
+        BatchPolicy(2, 8).release()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Backend routing in the daemon: knob, auto dispatch, counters, keys."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.serve.cache import result_key
 from repro.serve.exec import execute_dfs_batch, execute_query
 from repro.serve.protocol import frontier_result_to_dict
 
-from tests.serve.conftest import serve_session
+from tests.serve.conftest import hold_every_slot, serve_session, until
 
 
 def routing_graphs():
@@ -24,8 +26,8 @@ def routing_graphs():
 
 
 def make_config(backend):
-    return ServeConfig(batch_window=0.01, max_batch=8, jobs=0,
-                       cache_dir="off", backend=backend)
+    return ServeConfig(max_batch=8, jobs=0, cache_dir="off",
+                       backend=backend)
 
 
 def test_default_daemon_stays_dfs():
@@ -113,11 +115,14 @@ def test_forced_frontier_daemon_coalesces_into_one_swarm(tier_calls,
     lockstep_from(2)
 
     async def scenario(client, server, corpus, **_):
-        import asyncio
-
+        gate, holders = await hold_every_slot(client, server, "wide")
         roots = [0, 3, 7, 11]
-        resps = await asyncio.gather(*[
-            client.dfs("spine", r) for r in roots])
+        tasks = [asyncio.ensure_future(client.dfs("spine", r))
+                 for r in roots]
+        await until(lambda: server.policy.pending_count() == len(roots))
+        gate.set()   # a slot frees: the held group launches whole
+        resps = await asyncio.gather(*tasks)
+        assert all(h.ok for h in await asyncio.gather(*holders))
         # All four rode one admission group -> one swarm execution.
         assert tier_calls == {"swarm": 1}
         widths = {resp.batch for resp in resps}
@@ -144,17 +149,20 @@ def test_frontier_batch_isolates_bad_roots(tier_calls, lockstep_from):
     lockstep_from(2)
 
     async def scenario(client, server, corpus, **_):
-        import asyncio
-
         from repro.errors import ServeError
 
         # One admission group: the bad root settles as its own error and
         # the two good roots still run as one swarm.
-        ok1, bad_exc, ok2 = await asyncio.gather(
+        gate, holders = await hold_every_slot(client, server, "wide")
+        tasks = asyncio.gather(
             client.dfs("wide", 0, no_cache=True),
             client.dfs("wide", 10**6, no_cache=True),
             client.dfs("wide", 5, no_cache=True),
             return_exceptions=True)
+        await until(lambda: server.policy.pending_count() == 3)
+        gate.set()
+        ok1, bad_exc, ok2 = await tasks
+        assert all(h.ok for h in await asyncio.gather(*holders))
         assert tier_calls == {"swarm": 1}
         for resp in (ok1, ok2):
             assert resp.ok and resp.result["backend"] == "frontier"

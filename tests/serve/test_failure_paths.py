@@ -55,8 +55,8 @@ def test_daemon_survives_worker_pool_death():
         assert again.ok and again.result == _expected(graphs["g"], 11)
 
     serve_session(scenario, graphs=graphs,
-                  config=ServeConfig(batch_window=0.0, max_batch=1,
-                                     jobs=1, cache_dir="off"))
+                  config=ServeConfig(max_batch=1, jobs=1,
+                                     cache_dir="off"))
 
 
 def test_dangling_shm_demotes_to_pickle_and_stays_correct():
@@ -85,8 +85,8 @@ def test_dangling_shm_demotes_to_pickle_and_stays_correct():
         assert server.stats.shm_fallbacks == 1
 
     serve_session(scenario, graphs=graphs, share=True,
-                  config=ServeConfig(batch_window=0.0, max_batch=1,
-                                     jobs=1, cache_dir="off"))
+                  config=ServeConfig(max_batch=1, jobs=1,
+                                     cache_dir="off"))
 
 
 def test_all_fallbacks_exhausted_runs_in_process():
@@ -123,8 +123,8 @@ def test_all_fallbacks_exhausted_runs_in_process():
         assert server.stats.inline_fallbacks >= 1
 
     serve_session(scenario, graphs=graphs,
-                  config=ServeConfig(batch_window=0.0, max_batch=1,
-                                     jobs=1, cache_dir="off"))
+                  config=ServeConfig(max_batch=1, jobs=1,
+                                     cache_dir="off"))
 
 
 def test_cache_file_corruption_recomputes_correctly(tmp_path):
@@ -136,8 +136,8 @@ def test_cache_file_corruption_recomputes_correctly(tmp_path):
         assert resp.result == expected
 
     serve_session(populate, graphs=graphs,
-                  config=ServeConfig(batch_window=0.0, max_batch=1,
-                                     jobs=0, cache_dir=str(tmp_path)))
+                  config=ServeConfig(max_batch=1, jobs=0,
+                                     cache_dir=str(tmp_path)))
 
     files = list(tmp_path.glob("*.json"))
     assert files, "daemon shutdown should have flushed the result cache"
@@ -151,8 +151,8 @@ def test_cache_file_corruption_recomputes_correctly(tmp_path):
         assert server.stats.cache_misses >= 1
 
     serve_session(recompute, graphs=graphs,
-                  config=ServeConfig(batch_window=0.0, max_batch=1,
-                                     jobs=0, cache_dir=str(tmp_path)))
+                  config=ServeConfig(max_batch=1, jobs=0,
+                                     cache_dir=str(tmp_path)))
 
 
 def test_cache_survives_daemon_restart_when_intact(tmp_path):
@@ -168,7 +168,7 @@ def test_cache_survives_daemon_restart_when_intact(tmp_path):
         resp = await client.dfs("g", 2)
         assert resp.cached and resp.result == expected
 
-    cfg = ServeConfig(batch_window=0.0, max_batch=1, jobs=0,
+    cfg = ServeConfig(max_batch=1, jobs=0,
                       cache_dir=str(tmp_path))
     serve_session(populate, graphs=graphs, config=cfg)
     serve_session(reuse, graphs=graphs, config=cfg)
@@ -189,5 +189,5 @@ def test_dangling_shm_with_jobs_zero_is_a_non_event():
         assert server.stats.shm_fallbacks == 0
 
     serve_session(scenario, graphs=graphs, share=True,
-                  config=ServeConfig(batch_window=0.0, max_batch=1,
-                                     jobs=0, cache_dir="off"))
+                  config=ServeConfig(max_batch=1, jobs=0,
+                                     cache_dir="off"))

@@ -11,9 +11,11 @@ from repro.core.diggerbees import run_diggerbees
 from repro.errors import ServeError
 from repro.graphs import generators as gen
 from repro.serve.client import AsyncServeClient
+from repro.serve.corpus import ResidentCorpus
 from repro.serve.protocol import dfs_result_to_dict
+from repro.serve.server import ServeServer
 
-from tests.serve.conftest import serve_session
+from tests.serve.conftest import gate_executor, serve_session, until
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +79,8 @@ def test_cache_hit_is_identical_and_flagged():
 
 @pytest.mark.parametrize("max_batch", [64, 256])
 def test_scalar_only_family_skips_the_admission_window(max_batch):
-    # The DFS family has no lockstep tier, so at any max_batch a
-    # config-pinned query runs at once instead of parking for the 30 s
-    # window.
+    # The DFS family has no lockstep tier and never coalesces: at any
+    # max_batch a config-pinned query runs alone, at once.
     async def scenario(client, server, **_):
         resp = await asyncio.wait_for(
             client.dfs("tree", 3, config={"seed": 4}), timeout=5.0)
@@ -87,21 +88,36 @@ def test_scalar_only_family_skips_the_admission_window(max_batch):
         assert server.policy.pending_count() == 0
 
     serve_session(scenario, config=ServeConfig(
-        batch_window=30.0, max_batch=max_batch, jobs=0, cache_dir="off"))
+        max_batch=max_batch, jobs=0, cache_dir="off"))
 
 
-def test_frontier_family_keeps_its_admission_window():
+def test_a_lone_frontier_query_launches_at_once():
+    # A free slot takes a frontier query on arrival: it never waits for
+    # company that is not coming.
     async def scenario(client, server, **_):
+        gate = gate_executor(server)
         task = asyncio.ensure_future(client.dfs("tree", 3))
-        await asyncio.sleep(0.05)            # admitted, window still open
-        assert server.policy.pending_count() == 1
-        await server.stop(drain=True)
+        await until(lambda: server.stats.batches
+                    + server.policy.pending_count() > 0)   # admitted
+        assert server.stats.batches == 1
+        assert server.policy.pending_count() == 0
+        gate.set()
         resp = await asyncio.wait_for(task, timeout=10)
         assert resp.ok and resp.batch == 1
+        assert resp.result["backend"] == "frontier"
 
     serve_session(scenario, config=ServeConfig(
-        batch_window=30.0, max_batch=64, jobs=0, cache_dir="off",
-        backend="frontier"))
+        max_batch=64, jobs=0, cache_dir="off", backend="frontier"))
+
+
+@pytest.mark.parametrize("jobs,slots", [(0, 2), (1, 2), (2, 4)])
+def test_admission_slots_follow_the_executor(jobs, slots):
+    # Inline threads take one batch each; a worker process takes one
+    # running and one queued, so it never idles while its result
+    # travels back to the daemon.
+    server = ServeServer(ResidentCorpus(share=False),
+                         ServeConfig(jobs=jobs, cache_dir="off"))
+    assert server.policy.slots == slots
 
 
 def test_identical_inflight_queries_singleflight():
@@ -246,16 +262,16 @@ def test_shutdown_op_stops_the_server():
 
 
 # ---------------------------------------------------------------------------
-# Invariance: responses do not depend on (jobs, window, max_batch).
+# Invariance: responses do not depend on (jobs, max_batch).
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("window,max_batch,jobs", [
-    (0.0, 1, 0),      # no coalescing at all
-    (0.02, 4, 0),     # batched in-process
-    (0.0, 1, 1),      # scalar through the worker pool
-    (0.02, 4, 2),     # batched through the worker pool (shm hand-off)
+@pytest.mark.parametrize("max_batch,jobs", [
+    (1, 0),      # no coalescing at all
+    (4, 0),      # batched in-process
+    (1, 1),      # scalar through the worker pool
+    (4, 2),      # batched through the worker pool (shm hand-off)
 ])
-def test_responses_invariant_to_execution_shape(window, max_batch, jobs):
+def test_responses_invariant_to_execution_shape(max_batch, jobs):
     graphs = {"g": gen.binary_tree(4)}
     expected = [
         dfs_result_to_dict(run_diggerbees(graphs["g"], r,
@@ -271,8 +287,8 @@ def test_responses_invariant_to_execution_shape(window, max_batch, jobs):
 
     got = serve_session(
         scenario, graphs=graphs, share=jobs > 0,
-        config=ServeConfig(batch_window=window, max_batch=max_batch,
-                           jobs=jobs, cache_dir="off"))
+        config=ServeConfig(max_batch=max_batch, jobs=jobs,
+                           cache_dir="off"))
     assert got == expected
 
 

@@ -20,7 +20,7 @@ from repro.graphs import generators as gen
 from repro.serve.client import AsyncServeClient
 from repro.serve.protocol import dfs_result_to_dict, frontier_result_to_dict
 
-from tests.serve.conftest import serve_session
+from tests.serve.conftest import hold_every_slot, serve_session, until
 
 
 def _graphs():
@@ -81,8 +81,7 @@ def test_many_clients_no_lost_duplicated_or_bled_responses():
                 await c.close()
 
     serve_session(scenario, graphs=graphs,
-                  config=ServeConfig(batch_window=0.005, max_batch=16,
-                                     jobs=0, cache_dir="off"))
+                  config=ServeConfig(max_batch=16, jobs=0, cache_dir="off"))
 
 
 def test_randomized_cancellation_leaves_survivors_intact():
@@ -123,65 +122,68 @@ def test_randomized_cancellation_leaves_survivors_intact():
             await other.close()
 
     serve_session(scenario, graphs=graphs,
-                  config=ServeConfig(batch_window=0.005, max_batch=8,
-                                     jobs=0, cache_dir="off"))
+                  config=ServeConfig(max_batch=8, jobs=0, cache_dir="off"))
 
 
 def test_disconnect_mid_batch_does_not_hurt_batchmates(lockstep_from):
-    # Only a frontier-family group parks, and only if it can reach a
-    # swarm within max_batch.
     lockstep_from(2)
     graphs = _graphs()
     expected = _expected_frontier_payloads(graphs)
 
     async def scenario(client, server, socket_path, **_):
+        gate, holders = await hold_every_slot(client, server, "b")
         doomed = await AsyncServeClient().connect(socket_path)
-        # Both queries land in the same admission group (same graph,
-        # same config, window long enough to hold them).
+        # Both queries land in the same held admission group (same
+        # graph, same config, every slot busy).
         doomed_task = asyncio.ensure_future(
             doomed.dfs("a", 7, no_cache=True))
         survivor_task = asyncio.ensure_future(
             client.dfs("a", 0, no_cache=True))
-        await asyncio.sleep(0.02)           # inside the 0.2s window
-        await doomed.close()                # connection dies pre-flush
+        await until(lambda: server.policy.pending_count() == 2)
+        await doomed.close()                # connection dies pre-launch
         doomed_task.cancel()
         try:
             await doomed_task
         except (asyncio.CancelledError, Exception):
             pass
+        gate.set()
         resp = await asyncio.wait_for(survivor_task, timeout=30)
         assert resp.ok and resp.result == expected[("a", 0)]
         assert resp.batch == 2              # it rode the doomed one's group
+        assert all(h.ok for h in await asyncio.gather(*holders))
         # The dead client's response was dropped, not crashed on.
         await asyncio.sleep(0.05)
         assert server.stats.errors == 0
 
     serve_session(scenario, graphs=graphs,
-                  config=ServeConfig(batch_window=0.2, max_batch=8,
-                                     jobs=0, cache_dir="off",
+                  config=ServeConfig(max_batch=8, jobs=0, cache_dir="off",
                                      backend="frontier"))
 
 
 def test_clean_shutdown_drains_admitted_queries(lockstep_from):
-    lockstep_from(2)  # a frontier group parks only if it can go swarm
+    lockstep_from(2)
     graphs = _graphs()
     expected = _expected_frontier_payloads(graphs)
 
     async def scenario(client, server, **_):
-        # Park queries in an admission group with a long window, then
-        # stop: the drain must flush and answer them.
+        # Hold queries in an admission group behind two busy slots, then
+        # stop: the drain must launch and answer them.
+        gate, holders = await hold_every_slot(client, server, "b")
         tasks = [asyncio.ensure_future(
             client.dfs("a", r, no_cache=True)) for r in (0, 7, 14)]
-        await asyncio.sleep(0.05)           # admitted, not yet flushed
-        assert server.policy.pending_count() == 3
-        await server.stop(drain=True)
+        await until(lambda: server.policy.pending_count() == 3)
+        stopping = asyncio.ensure_future(server.stop(drain=True))
+        await until(lambda: server.policy.pending_count() == 0)
+        gate.set()
+        await stopping
         for root, t in zip((0, 7, 14), tasks):
             resp = await asyncio.wait_for(t, timeout=10)
             assert resp.ok and resp.result == expected[("a", root)]
+            assert resp.batch == 3
+        assert all(h.ok for h in await asyncio.gather(*holders))
 
     serve_session(scenario, graphs=graphs,
-                  config=ServeConfig(batch_window=30.0, max_batch=64,
-                                     jobs=0, cache_dir="off",
+                  config=ServeConfig(max_batch=64, jobs=0, cache_dir="off",
                                      backend="frontier"))
 
 
