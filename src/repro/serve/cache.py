@@ -6,9 +6,12 @@ overrides, graph fingerprint, CACHE_VERSION)`` — so two requests hit the
 same entry iff they are semantically the same query against the same
 graph *content* (the fingerprint hashes the CSR arrays, not the name).
 
-Each resident graph gets its own bounded LRU.  Entries store both the
-decoded result dict and its serialized JSON, so the daemon's hit path
-answers without re-serializing multi-thousand-entry parent arrays.
+Each resident graph gets its own bounded LRU.  An entry is one answer's
+compact JSON text and nothing else: the daemon's hit path splices it
+into the response and a spill writes it out verbatim, so neither ever
+re-serializes a multi-thousand-entry parent array, and no decoded
+answer (about 7x the size of its text) outlives the batch that
+computed it.
 
 Disk spill is strictly best-effort, mirroring the corpus cache's
 contract: a corrupt, truncated, or version-skewed cache file is
@@ -25,7 +28,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 __all__ = [
     "CACHE_VERSION",
@@ -92,8 +95,8 @@ class GraphResultCache:
         self.hits = 0
         self.misses = 0
         self._dirty = 0
-        #: key -> (result dict, serialized JSON)
-        self._entries: "OrderedDict[str, Tuple[Dict, str]]" = OrderedDict()
+        #: key -> the answer's compact JSON text
+        self._entries: "OrderedDict[str, str]" = OrderedDict()
         self._path: Optional[Path] = None
         if directory is not None and self.max_entries > 0:
             stem = "".join(c if c.isalnum() or c in "-_" else "_"
@@ -103,23 +106,22 @@ class GraphResultCache:
             self._load()
 
     # ------------------------------------------------------------------
-    def get(self, key: str) -> Optional[Tuple[Dict, str]]:
-        """Look up ``key``; returns ``(result, raw_json)`` or None."""
-        hit = self._entries.get(key)
-        if hit is None:
+    def get(self, key: str) -> Optional[str]:
+        """Look up ``key``; returns the answer's JSON text or None."""
+        raw = self._entries.get(key)
+        if raw is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return hit
+        return raw
 
-    def put(self, key: str, result: Dict[str, Any],
-            raw: Optional[str] = None) -> None:
+    def put(self, key: str, raw: str) -> None:
+        """Cache one answer as its compact JSON text (the bytes a
+        response carries)."""
         if self.max_entries <= 0 or key in self._entries:
             return
-        if raw is None:
-            raw = json.dumps(result, separators=(",", ":"))
-        self._entries[key] = (result, raw)
+        self._entries[key] = raw
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
         self._dirty += 1
@@ -130,8 +132,9 @@ class GraphResultCache:
         return len(self._entries)
 
     def stats(self) -> Dict[str, Any]:
-        return {"entries": len(self._entries), "hits": self.hits,
-                "misses": self.misses,
+        return {"entries": len(self._entries),
+                "bytes": sum(map(len, self._entries.values())),
+                "hits": self.hits, "misses": self.misses,
                 "file": str(self._path) if self._path else None}
 
     # ------------------------------------------------------------------
@@ -150,8 +153,8 @@ class GraphResultCache:
             # capacity keeps the newest entries, as the LRU would.
             entries = list(data["entries"].items())[-self.max_entries:]
             for key, result in entries:
-                self._entries[str(key)] = (
-                    result, json.dumps(result, separators=(",", ":")))
+                self._entries[str(key)] = json.dumps(
+                    result, separators=(",", ":"))
         except Exception:
             # Corrupt/partial/version-skewed: recompute rather than fail.
             self._entries.clear()
@@ -166,19 +169,22 @@ class GraphResultCache:
         if path is None or not self._dirty:
             return
         self._dirty = 0
-        body = ('{"version":%d,"graph_fp":%s,"entries":{%s}}' % (
-            CACHE_VERSION,
-            json.dumps(self.graph_fingerprint),
-            ",".join(f"{json.dumps(k)}:{raw}"
-                     for k, (_, raw) in self._entries.items()),
-        ))
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                        suffix=".tmp.json")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as f:
-                    f.write(body)
+                    # Entry by entry: a body joined in memory first
+                    # would hold every cached text twice more.
+                    f.write('{"version":%d,"graph_fp":%s,"entries":{' % (
+                        CACHE_VERSION, json.dumps(self.graph_fingerprint)))
+                    sep = ""
+                    for key, raw in self._entries.items():
+                        f.write(f"{sep}{json.dumps(key)}:")
+                        f.write(raw)
+                        sep = ","
+                    f.write("}}")
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):

@@ -214,14 +214,18 @@ class SyncServeClient:
         self.socket_path = socket_path or default_socket_path()
         self._ids = itertools.count(1)
         self._id_prefix = os.urandom(4).hex()
+        sock = None
         try:
-            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(timeout)
-            self._sock.connect(self.socket_path)
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(timeout)
+            sock.connect(self.socket_path)
         except (ConnectionError, FileNotFoundError, OSError) as exc:
+            if sock is not None:
+                sock.close()
             raise ServeError(
                 f"cannot connect to daemon at {self.socket_path}: "
                 f"{exc}") from None
+        self._sock = sock
         self._file = self._sock.makefile("rb")
 
     def __enter__(self) -> "SyncServeClient":

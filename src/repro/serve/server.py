@@ -29,8 +29,9 @@ Architecture (one process, one event loop):
   worst.
 * **Caching** — results are memoized per graph
   (:mod:`repro.serve.cache`), keyed by (op, root, config, graph
-  fingerprint, resolved backend); hits are answered inline on the
-  event loop from the pre-serialized JSON.
+  fingerprint, resolved backend).  An entry is the answer's JSON text,
+  serialized once when its batch settles; hits splice it into the
+  response inline on the event loop.
 * **Shutdown** — stops accepting, launches every held admission group,
   drains in-flight executions (bounded by ``drain_timeout``), spills
   caches, then closes.  Client disconnects never cancel executions
@@ -121,7 +122,7 @@ class _PendingQuery:
                  future: "asyncio.Future", backend: str = "dfs"):
         self.request = request
         self.key = key          # cache key (single-flight identity)
-        self.future = future    # resolves to (result, raw, batch_width)
+        self.future = future    # resolves to (error, raw, batch_width)
         self.backend = backend  # resolved engine family (dfs queries)
 
 
@@ -411,10 +412,9 @@ class ServeServer:
         cache = self._cache_for(entry)
 
         if not req.no_cache:
-            hit = cache.get(key)
-            if hit is not None:
+            raw = cache.get(key)
+            if raw is not None:
                 self.stats.bump("cache_hits")
-                result, raw = hit
                 return encode_response_with_raw_result(
                     Response(op=req.op, id=req.id, cached=True,
                              elapsed_ms=_ms(loop.time() - t0)), raw)
@@ -450,14 +450,14 @@ class ServeServer:
     async def _await_pending(self, pending: _PendingQuery,
                              t0: float) -> bytes:
         loop = asyncio.get_running_loop()
-        result, raw, width = await pending.future
+        error, raw, width = await pending.future
         elapsed = _ms(loop.time() - t0)
         req = pending.request
-        if ERROR_KEY in result:
+        if error is not None:
             self.stats.bump("errors")
             return encode_response(Response(
                 op=req.op, id=req.id, ok=False,
-                error=dict(result[ERROR_KEY]), batch=width,
+                error=dict(error), batch=width,
                 elapsed_ms=elapsed))
         return encode_response_with_raw_result(
             Response(op=req.op, id=req.id, batch=width,
@@ -512,15 +512,18 @@ class ServeServer:
     def _settle(self, entry: ResidentGraph,
                 pendings: List[_PendingQuery],
                 results: List[Dict[str, Any]], width: int) -> None:
+        """Serialize each answer once and resolve its single-flight
+        group with ``(error or None, JSON text, width)``; the text is
+        what the cache keeps, so no decoded answer outlives its batch."""
         cache = self._cache_for(entry)
         for pending, result in zip(pendings, results):
-            ok = ERROR_KEY not in result
+            error = result.get(ERROR_KEY)
             raw = (json.dumps(result, separators=(",", ":"))
-                   if ok else "")
+                   if error is None else "")
             waiters: List[_PendingQuery] = []
             if not pending.request.no_cache:
-                if ok:
-                    cache.put(pending.key, result, raw)
+                if error is None:
+                    cache.put(pending.key, raw)
                 # Resolve the single-flight group (leader is member 0);
                 # no_cache queries never own a group, so they must not
                 # pop one that a cached-path leader is still executing.
@@ -529,7 +532,7 @@ class ServeServer:
             group = [pending] + [w for w in waiters if w is not pending]
             for member in group:
                 if not member.future.done():
-                    member.future.set_result((result, raw, width))
+                    member.future.set_result((error, raw, width))
 
     async def _execute(self, fn, entry: ResidentGraph, *args):
         """Run ``fn(graph, *args)`` at the configured execution tier.

@@ -1,7 +1,12 @@
-"""Result-cache unit tests: keys, LRU, disk spill, corruption recovery."""
+"""Result-cache unit tests: keys, LRU, disk spill, corruption recovery,
+and what one cached answer costs."""
 
+import asyncio
 import json
+import tracemalloc
 
+from repro.core.config import ServeConfig
+from repro.graphs import generators as gen
 from repro.serve.cache import (
     CACHE_VERSION,
     FLUSH_EVERY,
@@ -9,10 +14,19 @@ from repro.serve.cache import (
     default_cache_dir,
     result_key,
 )
+from repro.serve.corpus import ResidentCorpus
+from repro.serve.exec import execute_query
+from repro.serve.protocol import Request
+from repro.serve.server import ServeServer, _PendingQuery
 
 
 def _mk(tmp_path=None, *, fp="f" * 16, max_entries=8):
     return GraphResultCache("g", fp, tmp_path, max_entries=max_entries)
+
+
+def _text(payload) -> str:
+    """An answer's compact JSON text, as the daemon serializes it."""
+    return json.dumps(payload, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -40,37 +54,89 @@ def test_result_key_order_independent_config():
 
 def test_lru_eviction_prefers_least_recently_used():
     cache = _mk(max_entries=2)
-    cache.put("a", {"v": 1})
-    cache.put("b", {"v": 2})
+    cache.put("a", _text({"v": 1}))
+    cache.put("b", _text({"v": 2}))
     assert cache.get("a") is not None   # refresh a
-    cache.put("c", {"v": 3})            # evicts b
+    cache.put("c", _text({"v": 3}))     # evicts b
     assert cache.get("b") is None
-    assert cache.get("a")[0] == {"v": 1}
-    assert cache.get("c")[0] == {"v": 3}
+    assert cache.get("a") == _text({"v": 1})
+    assert cache.get("c") == _text({"v": 3})
 
 
-def test_get_returns_result_and_raw_json():
+def test_get_returns_the_text_that_was_put():
     cache = _mk()
-    cache.put("k", {"x": [1, 2]})
-    result, raw = cache.get("k")
-    assert result == {"x": [1, 2]}
-    assert json.loads(raw) == result
+    raw = _text({"x": [1, 2]})
+    cache.put("k", raw)
+    assert cache.get("k") is raw
+    cache.put("k", _text({"x": [3]}))   # a key is cached once
+    assert cache.get("k") is raw
 
 
 def test_stats_track_hits_and_misses():
     cache = _mk()
-    cache.put("k", {})
+    cache.put("k", _text({}))
     cache.get("k")
     cache.get("nope")
     s = cache.stats()
     assert s["hits"] == 1 and s["misses"] == 1 and s["entries"] == 1
 
 
+def test_stats_bytes_is_the_length_of_the_texts_held(tmp_path):
+    cache = _mk(tmp_path, max_entries=3)
+    texts = {key: _text({"v": list(range(i * 5))})
+             for i, key in enumerate("abcd")}
+    for key in "abc":
+        cache.put(key, texts[key])
+    assert cache.stats()["bytes"] == sum(len(texts[k]) for k in "abc")
+    cache.put("d", texts["d"])          # evicts a
+    assert cache.get("a") is None
+    assert cache.stats()["bytes"] == sum(len(texts[k]) for k in "bcd")
+    cache.flush()
+    again = _mk(tmp_path, max_entries=3)
+    assert again.stats()["bytes"] == sum(len(texts[k]) for k in "bcd")
+    assert _mk(tmp_path, max_entries=1).stats()["bytes"] == len(texts["d"])
+
+
 def test_zero_capacity_disables_cache(tmp_path):
     cache = GraphResultCache("g", "f" * 16, tmp_path, max_entries=0)
-    cache.put("k", {"v": 1})
+    cache.put("k", _text({"v": 1}))
     assert cache.get("k") is None
+    assert cache.stats()["bytes"] == 0
     assert len(list(tmp_path.iterdir())) == 0
+
+
+def test_settled_answers_retain_only_their_text():
+    # A served answer is a whole DFS tree; the decoded dict costs about
+    # 7x its JSON text.  Settling 30 of them through the daemon (a fresh
+    # decoded answer each, as the executor hands it over) may retain
+    # their texts and little else.
+    graph = gen.road_network(1500)
+    texts = [_text(execute_query(graph, "dfs", root, None))
+             for root in range(30)]
+    total = sum(len(t) for t in texts)
+
+    async def settle_all():
+        loop = asyncio.get_running_loop()
+        corpus = ResidentCorpus(share=False)
+        entry = corpus.add(graph, "road")
+        server = ServeServer(corpus, ServeConfig(jobs=0, cache_dir="off"))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for root, text in enumerate(texts):
+                pending = _PendingQuery(
+                    Request(op="dfs", graph="road", root=root),
+                    f"key-{root}", loop.create_future())
+                server._settle(entry, [pending], [json.loads(text)], 1)
+                assert pending.future.result() == (None, text, 1)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        return retained, server._caches["road"].stats()
+
+    retained, stats = asyncio.run(settle_all())
+    assert stats["entries"] == 30 and stats["bytes"] == total
+    assert retained - total < 0.25 * total, (retained, total)
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +144,27 @@ def test_zero_capacity_disables_cache(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_flush_and_reload_roundtrip(tmp_path):
+    texts = {"k1": _text({"v": 1}),
+             "k2": _text(execute_query(gen.binary_tree(4), "dfs", 0, None))}
     cache = _mk(tmp_path)
-    cache.put("k1", {"v": 1})
-    cache.put("k2", {"v": [1, 2, 3]})
+    for key, raw in texts.items():
+        cache.put(key, raw)
     cache.flush()
     again = _mk(tmp_path)
-    assert again.get("k1")[0] == {"v": 1}
-    assert again.get("k2")[0] == {"v": [1, 2, 3]}
+    for key, raw in texts.items():
+        assert again.get(key) == raw    # byte-identical text
+
+
+def test_spill_file_format(tmp_path):
+    # CACHE_VERSION 1's layout: daemons on either side of a change to
+    # the in-memory entries must keep reading each other's spills.
+    cache = _mk(tmp_path)
+    cache.put("k1", _text({"v": 1}))
+    cache.put("k2", _text({"v": [1, 2.5, None]}))
+    cache.flush()
+    assert cache._path.read_text() == (
+        '{"version":1,"graph_fp":"ffffffffffffffff","entries":'
+        '{"k1":{"v":1},"k2":{"v":[1,2.5,null]}}}')
 
 
 def test_reload_into_a_smaller_cache_keeps_the_newest_entries(tmp_path):
@@ -92,7 +172,7 @@ def test_reload_into_a_smaller_cache_keeps_the_newest_entries(tmp_path):
     # would have kept: the most recently used results.
     cache = _mk(tmp_path)
     for i, key in enumerate("abcd"):
-        cache.put(key, {"v": i})
+        cache.put(key, _text({"v": i}))
     assert cache.get("a") is not None   # refresh a
     cache.flush()
     small = _mk(tmp_path, max_entries=2)
@@ -102,26 +182,26 @@ def test_reload_into_a_smaller_cache_keeps_the_newest_entries(tmp_path):
 def test_autoflush_after_flush_every_inserts(tmp_path):
     cache = _mk(tmp_path, max_entries=FLUSH_EVERY + 8)
     for i in range(FLUSH_EVERY):
-        cache.put(f"k{i}", {"v": i})
+        cache.put(f"k{i}", _text({"v": i}))
     assert _mk(tmp_path, max_entries=FLUSH_EVERY + 8).get("k0") is not None
 
 
 def test_corrupt_cache_file_discarded_and_unlinked(tmp_path):
     cache = _mk(tmp_path)
-    cache.put("k", {"v": 1})
+    cache.put("k", _text({"v": 1}))
     cache.flush()
     path = cache._path
     path.write_text("{ not json at all")
     again = _mk(tmp_path)
     assert again.get("k") is None       # corrupt content was dropped
     assert not path.exists()            # and the bad file removed
-    again.put("k", {"v": 2})            # cache still fully functional
-    assert again.get("k")[0] == {"v": 2}
+    again.put("k", _text({"v": 2}))     # cache still fully functional
+    assert again.get("k") == _text({"v": 2})
 
 
 def test_version_skew_discards_file(tmp_path):
     cache = _mk(tmp_path)
-    cache.put("k", {"v": 1})
+    cache.put("k", _text({"v": 1}))
     cache.flush()
     data = json.loads(cache._path.read_text())
     data["version"] = CACHE_VERSION + 1
@@ -131,7 +211,7 @@ def test_version_skew_discards_file(tmp_path):
 
 def test_fingerprint_mismatch_discards_file(tmp_path):
     cache = _mk(tmp_path, fp="a" * 16)
-    cache.put("k", {"v": 1})
+    cache.put("k", _text({"v": 1}))
     cache.flush()
     # Same graph name, different content: stale entries must not load.
     other = GraphResultCache("g", "b" * 16, tmp_path, max_entries=8)
@@ -140,7 +220,7 @@ def test_fingerprint_mismatch_discards_file(tmp_path):
 
 def test_truncated_file_discarded(tmp_path):
     cache = _mk(tmp_path)
-    cache.put("k", {"v": 1})
+    cache.put("k", _text({"v": 1}))
     cache.flush()
     body = cache._path.read_text()
     cache._path.write_text(body[: len(body) // 2])

@@ -1,13 +1,17 @@
 """The ``python -m repro.serve`` daemon as a real process."""
 
 import os
+import socket
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.errors import ServeError
 from repro.serve.client import SyncServeClient
 
 
@@ -43,3 +47,20 @@ def test_in_process_daemon_keeps_its_graphs_out_of_shared_memory():
         proc.stdout.close()
     assert len(graphs) == 4
     assert [g["shm"] for g in graphs] == [False] * 4
+
+
+def test_a_failed_connect_closes_its_socket(monkeypatch, tmp_path):
+    # Readiness polls retry the connect until the daemon listens; each
+    # failed attempt must release its socket, not leave it to the
+    # collector.
+    made = []
+    real = socket.socket
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(socket, "socket", recording)
+    with pytest.raises(ServeError, match="cannot connect"):
+        SyncServeClient(str(tmp_path / "missing.sock"), timeout=1.0)
+    assert len(made) == 1 and made[0].fileno() == -1

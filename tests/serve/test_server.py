@@ -204,11 +204,14 @@ def test_malformed_line_gets_error_response_and_connection_survives():
 
 def test_status_and_graphs_payloads():
     async def scenario(client, **_):
-        await client.dfs("path", 0)
+        answer = await client.dfs("path", 0)
         status = await client.status()
         assert set(status["graphs"]) == {"path", "tree", "dag"}
         assert status["stats"]["requests"] >= 1
         assert status["config"]["max_batch"] == 8
+        # The cache holds the answer's JSON text, and says how much.
+        assert status["caches"]["path"]["bytes"] == len(
+            json.dumps(answer.result, separators=(",", ":")))
         graphs = await client.graphs()
         by_name = {g["name"]: g for g in graphs}
         assert by_name["path"]["n_vertices"] == 48
