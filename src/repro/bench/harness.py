@@ -220,9 +220,10 @@ def run_method(method: str, graph: CSRGraph, root: int,
 
 
 #: Worker-side cache of graphs attached from shared memory, keyed by the
-#: first segment name (unique per export).  Bounded: a sweep touches a
-#: handful of graphs, but a long-lived worker in a persistent pool must
-#: not accumulate mappings without limit.
+#: first segment name (unique per export; an export lives as long as its
+#: graph in the parent, so every fan-out over that graph hits).
+#: Bounded: a sweep touches a handful of graphs, but a long-lived worker
+#: in a persistent pool must not accumulate mappings without limit.
 _WORKER_GRAPH_CACHE: Dict[str, tuple] = {}
 _WORKER_GRAPH_CACHE_MAX = 32
 
@@ -239,9 +240,13 @@ def _resolve_task_graph(graph):
         return hit[0]
     attached, handles = attach_csr(graph)
     if len(_WORKER_GRAPH_CACHE) >= _WORKER_GRAPH_CACHE_MAX:
-        # FIFO eviction; the handles drop with the entry and the
-        # mapping is released when the last reference dies.
-        _WORKER_GRAPH_CACHE.pop(next(iter(_WORKER_GRAPH_CACHE)))
+        # FIFO eviction.  Release the graph before its handles: its
+        # arrays export the mapped buffers, and a handle whose mapping
+        # is still exported fails to close (BufferError in __del__).
+        evicted, evicted_handles = _WORKER_GRAPH_CACHE.pop(
+            next(iter(_WORKER_GRAPH_CACHE)))
+        del evicted
+        del evicted_handles
     _WORKER_GRAPH_CACHE[key] = (attached, handles)
     return attached
 
@@ -367,12 +372,16 @@ def _retire_locked(handle: _PoolHandle) -> None:
 
 
 def _shutdown_pool() -> None:
+    """Stop the pool and unlink the graph exports its fan-outs used."""
     global _HANDLE
+    from repro.graphs import shm
+
     with _POOL_LOCK:
         if _HANDLE is not None:
             _HANDLE.retired = True
             _HANDLE.executor.shutdown(wait=False, cancel_futures=True)
             _HANDLE = None
+    shm.release_shared()
 
 
 def _fan_out(tasks: List[tuple], jobs: int, batch: int = 1,
@@ -397,9 +406,12 @@ def _fan_out(tasks: List[tuple], jobs: int, batch: int = 1,
     measured ``seconds`` amortizes the batch wall).  Every other task
     runs through :func:`_execute_task`.
 
-    Graph payloads are handed to workers zero-copy: each distinct graph
-    is exported once into shared memory (:mod:`repro.graphs.shm`) and
-    units carry only a tiny spec; workers attach and cache per graph.
+    Graph payloads are handed to workers zero-copy: each graph object
+    is exported into shared memory once for its lifetime
+    (:func:`repro.graphs.shm.shared_spec`) and units carry only a tiny
+    spec; workers attach and cache per export, so a later fan-out over
+    the same graphs attaches nothing.  The exports are unlinked when
+    their graphs are collected, by :func:`_shutdown_pool` and at exit.
     Where shared memory is unavailable the graphs are pickled into the
     units instead — results are identical either way.
     """
@@ -419,41 +431,29 @@ def _fan_out(tasks: List[tuple], jobs: int, batch: int = 1,
     if jobs <= 1 or len(units) <= 1:
         unit_results = [_execute_unit(u) for u in units]
     else:
-        from repro.graphs.shm import export_csr
+        from repro.graphs import shm
 
-        exported: Dict[int, object] = {}  # id(graph) -> SharedCSR
         try:
-            try:
-                wire_units = []
-                for method, graph, roots, cfg in units:
-                    handle = exported.get(id(graph))
-                    if handle is None:
-                        handle = export_csr(graph)
-                        exported[id(graph)] = handle
-                    wire_units.append((method, handle.spec, roots, cfg))
-            except Exception:
-                # No shared memory here (permissions, exotic platform):
-                # fall back to pickling the graphs into the units.
-                for handle in exported.values():
-                    handle.close()
-                exported = {}
-                wire_units = units
-            handle = lease_pool(jobs)
-            try:
-                unit_results = list(handle.executor.map(_execute_unit,
-                                                        wire_units))
-            except Exception:
-                # A broken pool (killed worker) poisons every later map
-                # on the same executor — drop it so the next lease
-                # starts clean.
-                release_pool(handle, broken=True)
-                raise
-            release_pool(handle)
-        finally:
-            # Unlink after the fan-out: attached workers keep their
-            # (cached) mappings; the names disappear so nothing leaks.
-            for handle in exported.values():
-                handle.close()
+            # Exports outlive this fan-out (they live with the graphs),
+            # so the next one sends the same specs and workers keep
+            # the copies they attached.
+            wire_units = [(method, shm.shared_spec(graph), roots, cfg)
+                          for method, graph, roots, cfg in units]
+        except Exception:
+            # No shared memory here (permissions, exotic platform):
+            # fall back to pickling the graphs into the units.
+            wire_units = units
+        handle = lease_pool(jobs)
+        try:
+            unit_results = list(handle.executor.map(_execute_unit,
+                                                    wire_units))
+        except Exception:
+            # A broken pool (killed worker) poisons every later map on
+            # the same executor — drop it so the next lease starts
+            # clean.
+            release_pool(handle, broken=True)
+            raise
+        release_pool(handle)
 
     out: List[Optional[PerfSample]] = [None] * len(tasks)
     for idxs, samples in zip(owners, unit_results):

@@ -14,44 +14,60 @@ shared buffers — no copy, no deserialization, and concurrent workers
 map the same physical pages.  ``CSRGraph`` treats its arrays as
 immutable, so sharing writable pages is safe by contract.
 
-Lifecycle: the exporting (parent) process owns the segments and must
-call :meth:`SharedCSR.close` after the batch completes — on Linux the
-unlink removes the name while every already-attached mapping stays
-valid, so workers holding cached graphs are unaffected.
+Lifecycle: the exporting process owns the segments; it keeps only
+their names (its own mapping is closed once the arrays are copied in)
+and :meth:`SharedCSR.close` unlinks them.  On Linux the unlink removes
+the name while every already-attached mapping stays valid, so workers
+holding cached graphs are unaffected.  The sweep fan-out takes its
+exports from :func:`shared_spec`, a get-or-export registry: a graph
+object is exported once and its names live as long as the graph does
+(unlinked when it is collected, by :func:`release_shared` and at
+exit), so a worker that attached it keeps using its copy across
+fan-outs.  The serve corpus keeps its own exports
+(:class:`repro.serve.corpus.ResidentGraph`), closed with their corpus
+entry.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import os
+import threading
+import weakref
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
 
-__all__ = ["SPEC_KEY", "SharedCSR", "export_csr", "attach_csr"]
+__all__ = ["SPEC_KEY", "SharedCSR", "export_csr", "attach_csr",
+           "shared_spec", "release_shared"]
 
 #: Marker key identifying a shared-graph spec dict in a task payload.
 SPEC_KEY = "__csr_shm__"
 
 
 class SharedCSR:
-    """Parent-side handle: the picklable spec plus the owned segments."""
+    """Parent-side handle: the picklable spec plus the owned segments.
 
-    __slots__ = ("spec", "_segments", "_closed")
+    ``pid`` is the exporting process: only it may unlink the names.
+    """
+
+    __slots__ = ("spec", "pid", "_segments", "_closed")
 
     def __init__(self, spec: dict, segments: list):
         self.spec = spec
+        self.pid = os.getpid()
         self._segments = segments
         self._closed = False
 
     def close(self) -> None:
-        """Release the parent's mapping and unlink the segment names."""
+        """Unlink the segment names (the exporter's own mapping was
+        closed by :func:`export_csr`)."""
         if self._closed:
             return
         self._closed = True
         for shm in self._segments:
             try:
-                shm.close()
                 shm.unlink()
             except OSError:  # pragma: no cover - already gone
                 pass
@@ -74,8 +90,14 @@ def export_csr(graph: CSRGraph) -> SharedCSR:
                 create=True, size=max(1, arr.nbytes))
             segments.append(shm)
             if arr.nbytes:
-                np.frombuffer(shm.buf, dtype=arr.dtype,
-                              count=arr.size)[:] = arr
+                view = np.frombuffer(shm.buf, dtype=arr.dtype,
+                                     count=arr.size)
+                view[:] = arr
+                del view
+            # The exporter never reads the copy: unmap it now and keep
+            # only the name, so the pages count against the workers
+            # that attach them, not against this process too.
+            shm.close()
             spec_segments.append((shm.name, str(arr.dtype), int(arr.size)))
     except Exception:
         for shm in segments:
@@ -125,3 +147,61 @@ def attach_csr(spec: dict) -> Tuple[CSRGraph, list]:
         meta=dict(spec["meta"]),
     )
     return graph, handles
+
+
+# ---------------------------------------------------------------------------
+# Get-or-export registry: one export per live graph object.
+# ---------------------------------------------------------------------------
+
+#: Reentrant: a finalizer may run on this thread (a collection triggered
+#: inside :func:`shared_spec`) while the lock is held.
+_LOCK = threading.RLock()
+#: id(graph) -> (weakref to the graph, its SharedCSR, the finalizer
+#: that unlinks it).  The weakref tells a live entry from one whose id
+#: a later object reuses; ``CSRGraph`` is unhashable (array fields), so
+#: a ``WeakKeyDictionary`` cannot hold it.
+_EXPORTS: Dict[int, tuple] = {}
+
+
+def shared_spec(graph: CSRGraph) -> dict:
+    """Spec of ``graph``'s export, exporting it on its first use.
+
+    Later calls with the same graph object return the same spec, so a
+    worker that already attached it reuses its copy.  Concurrent first
+    uses export once.  The export is unlinked when the graph is
+    collected, by :func:`release_shared`, or at exit, and only by the
+    process that made it: a forked child inherits the registry but
+    exports afresh and never unlinks its parent's names.  Raises like
+    :func:`export_csr` where shared memory is unavailable.
+    """
+    key = id(graph)
+    with _LOCK:
+        entry = _EXPORTS.get(key)
+        if (entry is not None and entry[0]() is graph
+                and entry[1].pid == os.getpid()):
+            return entry[1].spec
+        shared = export_csr(graph)
+        release = weakref.finalize(graph, _release, key, shared)
+        _EXPORTS[key] = (weakref.ref(graph), shared, release)
+        return shared.spec
+
+
+def _release(key: int, shared: SharedCSR) -> None:
+    with _LOCK:
+        entry = _EXPORTS.get(key)
+        if entry is not None and entry[1] is shared:
+            del _EXPORTS[key]
+    if shared.pid == os.getpid():
+        shared.close()
+
+
+def release_shared() -> None:
+    """Unlink every export made by :func:`shared_spec`.
+
+    The graphs stay usable; a graph's next :func:`shared_spec` exports
+    it again.
+    """
+    with _LOCK:
+        finalizers = [entry[2] for entry in _EXPORTS.values()]
+    for release in finalizers:
+        release()

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
@@ -48,6 +49,9 @@ _DISABLED = ("", "0", "off", "none", "disabled")
 
 #: Dirty-entry count at which the cache is spilled to disk.
 FLUSH_EVERY = 64
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_decode_value = json.JSONDecoder().raw_decode
 
 
 def default_cache_dir() -> Optional[Path]:
@@ -139,22 +143,43 @@ class GraphResultCache:
 
     # ------------------------------------------------------------------
     def _load(self) -> None:
-        """Best-effort disk load; corrupt files are discarded."""
+        """Best-effort disk load; corrupt files are discarded.
+
+        The spill is decoded one entry at a time: decoding it whole would
+        briefly hold every answer decoded, about 8x the file.
+        """
         path = self._path
         if path is None or not path.exists():
             return
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            if (data.get("version") != CACHE_VERSION
-                    or data.get("graph_fp") != self.graph_fingerprint
-                    or not isinstance(data.get("entries"), dict)):
+            text = path.read_text(encoding="utf-8")
+            header: Dict[str, Any] = {}
+
+            def entry(key: str, pos: int) -> int:
+                result, pos = _decode_value(text, pos)
+                self._entries[key] = json.dumps(result,
+                                                separators=(",", ":"))
+                # flush() writes least- to most-recently used, so a
+                # smaller capacity keeps the newest entries, as the LRU
+                # would.
+                if len(self._entries) > self.max_entries:
+                    self._entries.popitem(last=False)
+                return pos
+
+            def member(key: str, pos: int) -> int:
+                if key == "entries":
+                    header[key] = True
+                    return _scan_object(text, pos, entry)
+                header[key], pos = _decode_value(text, pos)
+                return pos
+
+            end = _scan_object(text, 0, member)
+            if _WHITESPACE.match(text, end).end() != len(text):
+                raise ValueError("data after the cache object")
+            if (header.get("version") != CACHE_VERSION
+                    or header.get("graph_fp") != self.graph_fingerprint
+                    or "entries" not in header):
                 raise ValueError("cache header mismatch")
-            # flush() writes least- to most-recently used, so a smaller
-            # capacity keeps the newest entries, as the LRU would.
-            entries = list(data["entries"].items())[-self.max_entries:]
-            for key, result in entries:
-                self._entries[str(key)] = json.dumps(
-                    result, separators=(",", ":"))
         except Exception:
             # Corrupt/partial/version-skewed: recompute rather than fail.
             self._entries.clear()
@@ -191,3 +216,33 @@ class GraphResultCache:
                     os.unlink(tmp)
         except OSError:
             pass
+
+
+def _scan_object(text: str, pos: int, value) -> int:
+    """Walk the JSON object at ``text[pos:]`` member by member.
+
+    ``value(key, start)`` consumes each member's value, starting at
+    ``start``, and returns the position after it.  Returns the position
+    after the object; raises ``ValueError`` on malformed input.
+    """
+    pos = _WHITESPACE.match(text, pos).end()
+    if text[pos:pos + 1] != "{":
+        raise ValueError(f"expected an object at {pos}")
+    pos = _WHITESPACE.match(text, pos + 1).end()
+    if text[pos:pos + 1] == "}":
+        return pos + 1
+    while True:
+        key, pos = _decode_value(text, pos)
+        if not isinstance(key, str):
+            raise ValueError(f"expected a key at {pos}")
+        pos = _WHITESPACE.match(text, pos).end()
+        if text[pos:pos + 1] != ":":
+            raise ValueError(f"expected ':' at {pos}")
+        pos = value(key, _WHITESPACE.match(text, pos + 1).end())
+        pos = _WHITESPACE.match(text, pos).end()
+        sep = text[pos:pos + 1]
+        if sep == "}":
+            return pos + 1
+        if sep != ",":
+            raise ValueError(f"expected ',' or '}}' at {pos}")
+        pos = _WHITESPACE.match(text, pos + 1).end()

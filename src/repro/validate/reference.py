@@ -52,6 +52,10 @@ def serial_dfs(graph: CSRGraph, root: int) -> TraversalResult:
     adjacency lists, a ``bytearray`` for ``visited``, lists for
     ``parent`` and ``order``): indexing NumPy arrays one element at a
     time boxes a scalar per read.  The arrays are built once at the end.
+    The top pair lives in locals and its row is scanned in an inner loop
+    up to the first unvisited neighbour, so a visited neighbour costs
+    one inner-loop step rather than a trip through the stack, which
+    holds only the suspended ancestors (as two parallel lists).
     """
     graph._check_vertex(root)
     rp, ci = graph.adjacency_lists()
@@ -62,22 +66,33 @@ def serial_dfs(graph: CSRGraph, root: int) -> TraversalResult:
 
     visited[root] = 1
     parent[root] = ROOT_PARENT
-    # Stack of [node, next_idx]; lists are cheaper than tuple churn here.
-    stack = [[root, rp[root]]]
-    while stack:
-        top = stack[-1]
-        u, i = top
-        if i < rp[u + 1]:
+    # Suspended ancestors and the CSR offset each one resumes at.
+    nodes = []
+    nexts = []
+    u = root
+    i = rp[root]
+    while True:
+        start = i
+        end = rp[u + 1]
+        while i < end:
             v = ci[i]
-            top[1] = i + 1
-            edges += 1
+            i += 1
             if not visited[v]:
+                edges += i - start
                 visited[v] = 1
                 parent[v] = u
                 order.append(v)
-                stack.append([v, rp[v]])
+                nodes.append(u)
+                nexts.append(i)
+                u = v
+                i = rp[v]
+                break
         else:
-            stack.pop()
+            edges += end - start
+            if not nodes:
+                break
+            u = nodes.pop()
+            i = nexts.pop()
     return TraversalResult(
         root=root,
         visited=np.frombuffer(visited, dtype=bool),

@@ -84,12 +84,18 @@ def test_harness_pickle_fallback_matches_shm_results(graph, monkeypatch):
     cfg = BenchConfig(n_roots=3)
     serial = run_graph(["DiggerBees"], graph, cfg, jobs=1)
 
+    attempts = []
+
     def broken(_graph):
+        attempts.append(_graph)
         raise OSError("no shared memory here (injected)")
 
     monkeypatch.setattr(shm_mod, "export_csr", broken)
     fallback = run_graph(["DiggerBees"], graph, cfg, jobs=2)
     assert fallback == serial
+    # The fallback was reached: no export of this graph was registered
+    # by an earlier fan-out.
+    assert attempts == [graph]
     # Multi-root (Frontier) units have their own wire-up path; they must
     # fall back too.  Frontier seconds are measured wall, so compare the
     # traversal only.

@@ -5,6 +5,8 @@ import asyncio
 import json
 import tracemalloc
 
+import numpy as np
+
 from repro.core.config import ServeConfig
 from repro.graphs import generators as gen
 from repro.serve.cache import (
@@ -177,6 +179,49 @@ def test_reload_into_a_smaller_cache_keeps_the_newest_entries(tmp_path):
     cache.flush()
     small = _mk(tmp_path, max_entries=2)
     assert list(small._entries) == ["d", "a"]
+
+
+def test_reload_decodes_one_entry_at_a_time(tmp_path):
+    # A decoded answer costs about 7x its text; a reload that decoded
+    # the whole spill at once peaked at about 8x the file.  Entry by
+    # entry, the peak is the file's text plus the entries' texts.
+    rng = np.random.default_rng(3)
+    cache = _mk(tmp_path, max_entries=64)
+    for i in range(64):
+        parent = rng.integers(-2, 3000, size=3000).tolist()
+        cache.put(f"k{i}", _text({"parent": parent, "visited": 3000}))
+    cache.flush()
+    size = cache._path.stat().st_size
+    tracemalloc.start()
+    try:
+        again = _mk(tmp_path, max_entries=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(again._entries) == list(cache._entries)
+    assert all(again._entries[k] == raw for k, raw in cache._entries.items())
+    assert peak < 3 * size, (peak, size)
+
+
+def test_reload_accepts_whitespace_and_any_member_order(tmp_path):
+    cache = _mk(tmp_path)
+    cache.flush()
+    cache._path.write_text(
+        '{ "entries" : { "k1" : { "v" : [1, 2] } , "k2" : 3 } ,\n'
+        ' "graph_fp" : "ffffffffffffffff" , "version" : 1 }\n')
+    again = _mk(tmp_path)
+    assert again.get("k1") == _text({"v": [1, 2]})
+    assert again.get("k2") == "3"
+
+
+def test_data_after_the_cache_object_discards_file(tmp_path):
+    cache = _mk(tmp_path)
+    cache.put("k", _text({"v": 1}))
+    cache.flush()
+    with cache._path.open("a") as f:
+        f.write("{}")
+    assert _mk(tmp_path).get("k") is None
+    assert not cache._path.exists()
 
 
 def test_autoflush_after_flush_every_inserts(tmp_path):
