@@ -3,28 +3,15 @@
 These time the host-side costs of the simulator: two-level stack
 operations, one full DiggerBees simulation step loop, graph generation,
 and the reference serial DFS.  Useful for tracking simulator performance
-regressions across commits.
-
-``test_micro_engine_sweep_json`` additionally runs the fixed engine
-micro-sweep from :mod:`repro.bench.micro` and refreshes the
-machine-readable ``BENCH_engine.json`` at the repo root — the same
-payload that ``python -m repro.bench micro`` emits and that the
-``perf_smoke`` gate compares against ``benchmarks/baseline_micro.json``.
+regressions across commits.  The fixed engine micro-sweep and its gate
+against ``benchmarks/baseline_micro.json`` are ``python -m repro.bench
+micro``.
 """
 
-import json
-import pathlib
-
-import numpy as np
-import pytest
-
-from repro.bench import micro
 from repro.core import DiggerBeesConfig, run_diggerbees
 from repro.core.twolevel_stack import HotRing, WarpStack
 from repro.graphs import generators as gen
 from repro.validate.reference import serial_dfs
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_micro_hotring_push_pop(benchmark):
@@ -75,17 +62,3 @@ def test_micro_graph_generation(benchmark):
     g = benchmark(lambda: gen.preferential_attachment(2000, m=5, seed=1))
     assert g.n_vertices == 2000
 
-
-@pytest.mark.perf_smoke
-def test_micro_engine_sweep_json():
-    """Refresh BENCH_engine.json and gate against the recorded baseline."""
-    result = micro.run_micro(repeats=3)
-    out = REPO_ROOT / "BENCH_engine.json"
-    out.write_text(json.dumps(result, indent=1) + "\n")
-
-    baseline_path = micro.default_baseline_path()
-    if not baseline_path.exists():
-        pytest.skip(f"no recorded baseline at {baseline_path}")
-    baseline = json.loads(baseline_path.read_text())
-    problems = micro.check_against_baseline(result, baseline)
-    assert not problems, "; ".join(problems)

@@ -33,8 +33,9 @@ timestamp, so the calendar queue of :mod:`repro.core.turbo` would hold
 one entry per bucket.
 
 The step that dominates every run — expand or pop the top deque entry,
-scanning at most :data:`CPU_SCAN_WIDTH` neighbours — runs inline over the
-graph's memoized plain-list adjacency and a ``memoryview`` of
+scanning at most :data:`CPU_SCAN_WIDTH` neighbours — runs inline over
+memoryviews of the graph's CSR arrays (read in place, so a pool worker
+reads its attached segment and no run copies the graph) and of
 ``visited``, with counter deltas (and the per-core task tallies) kept in
 locals and merged into :class:`~repro.sim.trace.SimCounters` once.  The
 rare protocol moves stay small functions over :class:`_CpuRunState`:
@@ -244,7 +245,8 @@ def _drain(state: _CpuRunState, protocol: str, *,
     scan_cost = [costs.visit_base + costs.visit_per_line * -(-w // lw)
                  for w in range(CPU_SCAN_WIDTH + 1)]
 
-    rp, ci = state.graph.adjacency_lists()
+    rp = memoryview(state.graph.row_ptr)
+    ci = memoryview(state.graph.column_idx)
     visited = memoryview(state.visited)
     deques = state.deques
     backoff = state.backoff

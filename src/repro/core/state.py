@@ -3,7 +3,9 @@
 One :class:`RunState` instance holds everything the grid's warps share:
 the graph, the global ``visited``/``parent`` arrays, the per-block shared
 state (HotRings, 32-bit active masks), the global pending-entry counter
-used for termination, and the counters/trace sinks.
+used for termination, and the counters/trace sinks.  It keeps no copy of
+the graph: the fused loop reads ``row_ptr`` and ``column_idx`` in place
+through memoryviews.
 
 Because the event engine executes steps atomically, mutations here give
 exact GPU atomic semantics (a CAS winner's update is visible to every
@@ -143,16 +145,9 @@ class RunState:
         self.visited = np.zeros(n, dtype=np.uint8)
         self.parent = np.full(n, UNVISITED_PARENT, dtype=np.int64)
 
-        # Fast-path mirrors of the hot read-only data.  The simulator's
-        # inner loop inspects <= 32 neighbours per step; at that size the
-        # per-call overhead of NumPy fancy indexing dominates, so the
-        # fused loop's inline expand (repro.core.turbo) scans plain
-        # Python lists (C-array of object pointers, no per-read boxing of
-        # int64 scalars) and reads the visited flags through a
-        # memoryview of the *same* buffer as ``self.visited`` — every
-        # write through the NumPy array is immediately visible here, so
-        # there is a single source of truth.
-        self.row_ptr_list, self.col_idx_list = graph.adjacency_lists()
+        # The visited flags through a memoryview of the *same* buffer:
+        # single-flag reads skip NumPy's scalar boxing, and every write
+        # through the array is immediately visible here.
         self.visited_mv = memoryview(self.visited)
 
         #: Total stack entries across every HotRing/ColdSeg.  A vertex is
@@ -207,7 +202,6 @@ class RunState:
         self.contention_debt_slab = array("q", (0,) * n_agents)
         debt_mv = memoryview(self.contention_debt_slab)
 
-        cold_cap = max(1, n // config.n_warps)  # the paper's nv/nw sizing
         self.blocks: List[BlockState] = []
         for b in range(config.n_blocks):
             block = BlockState(b, wpb, gpu_id=config.gpu_of_block(b),
@@ -221,7 +215,6 @@ class RunState:
                         flush_batch=config.flush_batch,
                         refill_batch=config.refill_batch,
                         cold_reserve=config.cold_reserve,
-                        configured_cold_capacity=cold_cap,
                         flush_policy=config.flush_policy,
                         hot_vertex=self.hot_vertex_slab[g],
                         hot_offset=self.hot_offset_slab[g],

@@ -10,7 +10,11 @@ inlines the transitions that dominate every run — expand, refill, and
 an idle warp's whole idle step (victim search, then a backoff poll when
 there is no victim) — over local bindings of the structure-of-arrays
 slabs preallocated by :class:`~repro.core.state.RunState` (hot entry
-rows, the head/tail pointer slabs, active masks, contention debt).
+rows, the head/tail pointer slabs, active masks, contention debt) and
+memoryviews of the graph's ``row_ptr``, ``column_idx`` and the run's
+``visited``/``parent``.  The views read the arrays in place, so a run
+holds no copy of the graph, and a pool worker reads the segment it
+attached.
 
 The inline victim search replays ``intra_steal.select_victim`` (largest
 peer hot rest) and ``inter_steal.select_victim`` (leader warp of an
@@ -129,11 +133,12 @@ def _drain(
     window = deadlock_window(n_agents)
     max_cycles = int(max_cycles)
 
-    # Shared-state locals: the SoA slabs and adjacency mirrors.  Every
-    # write goes through a view of the same storage the object APIs use,
-    # so fallback steps and monitor sweeps observe a consistent world.
-    rp = state.row_ptr_list
-    ci = state.col_idx_list
+    # Shared-state locals: the CSR arrays, read in place through
+    # memoryviews, and the SoA slabs.  Every write goes through a view of
+    # the same storage the object APIs use, so fallback steps and monitor
+    # sweeps observe a consistent world.
+    rp = memoryview(state.graph.row_ptr)
+    ci = memoryview(state.graph.column_idx)
     visited = state.visited_mv
     parent = memoryview(state.parent)
     masks = state.active_mask_slab

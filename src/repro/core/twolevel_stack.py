@@ -20,8 +20,7 @@ Pointer conventions follow the paper exactly (Figure 2):
 The ColdSeg here is backed by growable NumPy arrays with in-place
 compaction.  The paper statically sizes each segment at ``nv / nw``; at
 simulator scale a single warp can transiently exceed that before stealing
-spreads the work, so we grow dynamically and *account* the paper's static
-capacity separately (``configured_capacity``) for reporting.
+spreads the work, so we grow dynamically.
 """
 
 from __future__ import annotations
@@ -265,10 +264,9 @@ class ColdSeg:
     """
 
     __slots__ = ("vertex", "offset", "_ptrs", "_ti", "_bi",
-                 "configured_capacity", "compactions", "peak_occupancy")
+                 "compactions", "peak_occupancy")
 
-    def __init__(self, reserve: int = 256, configured_capacity: int = 0, *,
-                 ptrs=None, base: int = 0):
+    def __init__(self, reserve: int = 256, *, ptrs=None, base: int = 0):
         if reserve < 1:
             raise SimulationError(f"ColdSeg reserve must be >= 1, got {reserve}")
         self.vertex = np.zeros(reserve, dtype=_ENTRY_DTYPE)
@@ -280,8 +278,6 @@ class ColdSeg:
         self._bi = base + 1
         ptrs[base] = 0
         ptrs[base + 1] = 0
-        #: The paper's static nv/nw sizing, for reporting only.
-        self.configured_capacity = configured_capacity
         self.compactions = 0
         self.peak_occupancy = 0
 
@@ -417,8 +413,7 @@ class WarpStack:
                  "monitor", "owner")
 
     def __init__(self, hot_size: int, flush_batch: int, refill_batch: int,
-                 cold_reserve: int = 256, configured_cold_capacity: int = 0,
-                 flush_policy: str = "tail",
+                 cold_reserve: int = 256, flush_policy: str = "tail",
                  hot_vertex: Optional[list] = None,
                  hot_offset: Optional[list] = None,
                  hot_ptrs: Optional[list] = None, hot_base: int = 0,
@@ -433,8 +428,7 @@ class WarpStack:
             )
         self.hot = HotRing(hot_size, vertex=hot_vertex, offset=hot_offset,
                            ptrs=hot_ptrs, base=hot_base)
-        self.cold = ColdSeg(cold_reserve, configured_cold_capacity,
-                            ptrs=cold_ptrs, base=cold_base)
+        self.cold = ColdSeg(cold_reserve, ptrs=cold_ptrs, base=cold_base)
         self.flush_batch = flush_batch
         self.refill_batch = refill_batch
         self.flush_policy = flush_policy

@@ -138,20 +138,6 @@ class CSRGraph:
         if not (0 <= u < self.n_vertices):
             raise GraphFormatError(f"vertex {u} out of range [0, {self.n_vertices})")
 
-    def adjacency_lists(self) -> Tuple[list, list]:
-        """Plain-list mirrors of ``(row_ptr, column_idx)``, memoized.
-
-        The fused DFS loop and the CPU baselines' drain scan Python lists
-        instead of NumPy arrays (no per-read scalar boxing); the graph is immutable,
-        so repeated runs over it — benchmark repeats, oracle cross-checks,
-        parameter sweeps — share one conversion.
-        """
-        cached = self.__dict__.get("_adj_lists")
-        if cached is None:
-            cached = (self.row_ptr.tolist(), self.column_idx.tolist())
-            object.__setattr__(self, "_adj_lists", cached)
-        return cached
-
     # ------------------------------------------------------------------
     # Transforms (each returns a new CSRGraph)
     # ------------------------------------------------------------------

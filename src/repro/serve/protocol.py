@@ -256,7 +256,7 @@ def _traversal_to_dict(t) -> Dict[str, Any]:
     return {
         "n_vertices": int(t.parent.shape[0]),
         "root": int(t.root),
-        "parent": [int(p) for p in t.parent.tolist()],
+        "parent": t.parent.tolist(),
         "visited": np.flatnonzero(t.visited).tolist(),
         "n_visited": int(t.n_visited),
         "edges_traversed": int(t.edges_traversed),

@@ -1,9 +1,11 @@
 """Reference traversals used as correctness oracles.
 
 :func:`serial_dfs` is a direct transcription of the paper's Algorithm 1
-(the serial stack-based DFS over CSR); it defines the lexicographic DFS
-tree when adjacency lists are sorted.  :func:`reachable_mask` gives the
-ground-truth visited set every parallel method must match.
+(the serial stack-based DFS over CSR, reading ``row_ptr`` and
+``column_idx`` in place through memoryviews); it defines the
+lexicographic DFS tree when adjacency lists are sorted.
+:func:`reachable_mask` gives the ground-truth visited set every parallel
+method must match.
 """
 
 from __future__ import annotations
@@ -48,17 +50,18 @@ def serial_dfs(graph: CSRGraph, root: int) -> TraversalResult:
     With sorted adjacency lists this produces the unique lexicographically
     ordered DFS tree.
 
-    The loop runs on plain Python containers (the graph's memoized
-    adjacency lists, a ``bytearray`` for ``visited``, lists for
-    ``parent`` and ``order``): indexing NumPy arrays one element at a
-    time boxes a scalar per read.  The arrays are built once at the end.
+    The loop reads the CSR arrays in place through memoryviews and keeps
+    ``visited`` in a ``bytearray`` and ``parent`` and ``order`` in lists:
+    indexing NumPy arrays one element at a time boxes a NumPy scalar per
+    read.  The result arrays are built once at the end.
     The top pair lives in locals and its row is scanned in an inner loop
     up to the first unvisited neighbour, so a visited neighbour costs
     one inner-loop step rather than a trip through the stack, which
     holds only the suspended ancestors (as two parallel lists).
     """
     graph._check_vertex(root)
-    rp, ci = graph.adjacency_lists()
+    rp = memoryview(graph.row_ptr)
+    ci = memoryview(graph.column_idx)
     visited = bytearray(graph.n_vertices)
     parent = [UNVISITED_PARENT] * graph.n_vertices
     order = [root]
