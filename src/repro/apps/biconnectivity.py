@@ -35,9 +35,6 @@ class BiconnectivityResult:
     edge_component: np.ndarray         # int per stored arc
     n_components: int
 
-    def is_articulation(self, v: int) -> bool:
-        return bool(self.articulation_points[v])
-
     def bridge_set(self) -> set:
         return {tuple(b) for b in self.bridges.tolist()}
 

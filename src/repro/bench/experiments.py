@@ -374,12 +374,6 @@ class Fig10Result:
                 title=f"Figure 10 — {name} (normalized to hot=32, cold=64)"))
         return "\n\n".join(blocks)
 
-    def default_is_near_optimal(self, tolerance: float = 0.15) -> bool:
-        """Paper claim: the default is within ~tolerance of every grid's max."""
-        i, j = self.default_cell
-        return all(grid[i, j] >= (1.0 - tolerance) * grid.max()
-                   for grid in self.grids.values())
-
 
 def fig10(cfg: Optional[BenchConfig] = None, *, scale: int = 1,
           graphs: Optional[Sequence[str]] = None,

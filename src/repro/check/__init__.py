@@ -7,8 +7,9 @@ The oracle hierarchy (weakest to strongest coupling to the protocol):
 2. output validators (:mod:`repro.validate.tree`);
 3. steal-protocol invariant hooks (:class:`InvariantMonitor`) firing at
    every steal / flush / refill plus a periodic global sweep;
-4. differential reruns (fused loop vs the reference expansion, opt-in
-   serve/frontier/swarm rungs, CPU PDFS baselines).
+4. differential reruns (fused loop vs the reference expansion, the
+   served answer, the frontier and swarm engines, CPU PDFS baselines),
+   all of them on every case.
 
 See ``docs/TESTING.md`` for the full map and CLI usage.
 """

@@ -2,24 +2,18 @@
 
 Subcommands::
 
-    python -m repro.check fuzz [--cases N | --smoke | --seconds S]
-                               [--start-seed K] [--stress]
-                               [--rungs R,...] [--no-shrink]
-    python -m repro.check repro <seed> [--stress] [--rungs R,...]
-                                       [--mutation NAME]
+    python -m repro.check fuzz [--cases N] [--seconds S] [--start-seed K]
+                               [--stress] [--no-shrink]
+    python -m repro.check repro <seed> [--stress] [--mutation NAME]
     python -m repro.check repro --case '<json>' [--mutation NAME]
-    python -m repro.check mutants [--names a,b] [--budget N] [--rungs R,...]
+    python -m repro.check mutants [--names a,b] [--budget N]
 
-``--rungs`` takes a comma-separated subset of ``serve``, ``frontier``
-and ``swarm`` (or ``none``, the default) and adds those opt-in
-differential rungs to the oracle ladder.
-
-``fuzz`` samples seed-derived cases and runs each through the oracle
-ladder, shrinking the first failure and exiting non-zero with a one-line
-repro command.  ``repro`` replays exactly one case.  ``mutants`` runs
-the mutation sanity suite: every registered hand-injected protocol bug
-must be caught within the per-mutation case budget — this is the check
-that the checker itself works.
+``fuzz`` samples seed-derived cases and runs each through every stage
+of the oracle ladder, shrinking the first failure and exiting non-zero
+with a one-line repro command.  ``repro`` replays exactly one case.
+``mutants`` runs the mutation sanity suite: every registered
+hand-injected protocol bug must be caught within the per-mutation case
+budget — this is the check that the checker itself works.
 """
 
 from __future__ import annotations
@@ -27,16 +21,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.check.cases import case_from_seed
-from repro.check.differential import (
-    RUNGS,
-    CheckFailure,
-    case_from_json,
-    check_case,
-    parse_rungs,
-)
+from repro.check.differential import CheckFailure, case_from_json, check_case
 from repro.check.mutations import MUTATIONS
 from repro.check.shrink import shrink_case
 
@@ -57,15 +45,14 @@ def _echo(msg: str) -> None:
 
 def cmd_fuzz(args) -> int:
     deadline = time.monotonic() + args.seconds if args.seconds else None
-    n_cases = 40 if args.smoke and args.cases is None else (args.cases or 200)
     seed = args.start_seed
     ran = 0
     t0 = time.monotonic()
-    while ran < n_cases:
+    while ran < args.cases:
         if deadline is not None and time.monotonic() >= deadline:
             break
         case = case_from_seed(seed, stress=args.stress)
-        failure = check_case(case, stress=args.stress, rungs=args.rungs)
+        failure = check_case(case, stress=args.stress)
         ran += 1
         if failure is not None:
             _echo(failure.report())
@@ -97,8 +84,7 @@ def cmd_repro(args) -> int:
         _echo("repro: need a <seed> or --case '<json>'")
         return 2
     _echo(f"case: {case.describe()}")
-    failure = check_case(case, mutation=args.mutation, stress=args.stress,
-                         rungs=args.rungs)
+    failure = check_case(case, mutation=args.mutation, stress=args.stress)
     if failure is None:
         _echo("PASS: all oracle stages agree")
         return 0
@@ -111,13 +97,11 @@ def cmd_repro(args) -> int:
 # ---------------------------------------------------------------------------
 
 def run_mutant(name: str, *, budget: int = MUTANT_CASE_BUDGET,
-               start_seed: int = 0,
-               rungs: Iterable[str] = ()) -> Optional[CheckFailure]:
+               start_seed: int = 0) -> Optional[CheckFailure]:
     """Fuzz one mutation with stress cases; return its first detection."""
-    rungs = parse_rungs(rungs)
     for seed in range(start_seed, start_seed + budget):
         case = case_from_seed(seed, stress=True)
-        failure = check_case(case, mutation=name, stress=True, rungs=rungs)
+        failure = check_case(case, mutation=name, stress=True)
         if failure is not None:
             return failure
     return None
@@ -132,7 +116,7 @@ def cmd_mutants(args) -> int:
             _echo(f"unknown mutation {name!r}; known: {sorted(MUTATIONS)}")
             return 2
         t0 = time.monotonic()
-        failure = run_mutant(name, budget=args.budget, rungs=args.rungs)
+        failure = run_mutant(name, budget=args.budget)
         dt = time.monotonic() - t0
         if failure is None:
             missed.append(name)
@@ -154,27 +138,16 @@ def cmd_mutants(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _rungs_arg(text: str) -> frozenset:
-    try:
-        return parse_rungs(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check",
         description="Differential fuzzing + steal-protocol invariant checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    rungs_help = (f"comma-separated opt-in differential rungs to add to "
-                  f"the ladder: {', '.join(RUNGS)} (default: none)")
 
     fuzz = sub.add_parser("fuzz", help="run the differential fuzz loop")
-    fuzz.add_argument("--cases", type=int, default=None,
-                      help="number of cases (default 200; 40 with --smoke)")
-    fuzz.add_argument("--smoke", action="store_true",
-                      help="CI smoke budget (40 cases or --seconds cap)")
+    fuzz.add_argument("--cases", type=int, default=200,
+                      help="number of cases (default 200)")
     fuzz.add_argument("--seconds", type=float, default=None,
                       help="wall-clock budget; stops sampling when exceeded")
     fuzz.add_argument("--start-seed", type=int, default=0)
@@ -200,10 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     mutants.add_argument("--budget", type=int, default=MUTANT_CASE_BUDGET)
     mutants.add_argument("--verbose", action="store_true")
     mutants.set_defaults(func=cmd_mutants)
-
-    for cmd in (fuzz, repro, mutants):
-        cmd.add_argument("--rungs", type=_rungs_arg, default=frozenset(),
-                         metavar="R,...", help=rungs_help)
     return parser
 
 

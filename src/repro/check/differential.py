@@ -1,8 +1,8 @@
 """Differential check driver for one fuzz case (``repro.check`` part 3).
 
-:func:`check_case` runs a :class:`~repro.check.cases.FuzzCase` through a
-fixed oracle ladder and reports the first failure (or None).  Each stage
-is named by the ``stage`` string a failure carries:
+:func:`check_case` runs a :class:`~repro.check.cases.FuzzCase` through
+every stage of one fixed oracle ladder and reports the first failure (or
+None).  Each stage is named by the ``stage`` string a failure carries:
 
 * ``invariants`` — DiggerBees under a live
   :class:`~repro.check.invariants.InvariantMonitor` with the engine's
@@ -18,21 +18,21 @@ is named by the ``stage`` string a failure carries:
   with the reference expand) must replay the primary's *identical
   schedule* (cycles, steps, parent, visited, counters).  Every other
   case already ran the reference code in the primary pass;
-* ``serve-diff`` (rung ``serve``) — send the case's DFS through a live
+* ``serve-diff`` — send the case's DFS through a live
   :mod:`repro.serve` daemon; the served payload must equal the canonical
   payload of the primary result, and — for unmutated runs — the repeat
   query must come back from the result cache, still identical;
-* ``frontier-diff`` (rung ``frontier``) — the bit-packed SpMV engine
+* ``frontier-diff`` — the bit-packed SpMV engine
   (:mod:`repro.core.frontier`) must meet the BFS contract (DFS
   reachability, :func:`~repro.graphs.properties.bfs_levels`, the
   independent min-parent oracle), and forced push/pull runs must be
   bit-identical to the auto-switched one;
-* ``swarm-diff`` (rung ``swarm``) — the case root runs as lanes 0 and 2
-  of a three-lane lockstep swarm batch (:mod:`repro.core.swarm`); every
-  case-root lane must be bit-identical to single-root
-  :func:`~repro.core.frontier.run_frontier` (visited, parent, level and
-  the push/pull/edges-scanned profile), and the batch must meet the BFS
-  contract;
+* ``swarm-diff`` — the case root runs as lanes 0 and 2 of a three-lane
+  lockstep swarm batch (:mod:`repro.core.swarm`); every case-root lane
+  must be bit-identical to the frontier stage's single-root
+  :func:`~repro.core.frontier.run_frontier` result (visited, parent,
+  level and the push/pull/edges-scanned profile), and the batch must
+  meet the BFS contract;
 * ``pdfs-diff`` — CKL-PDFS reachability on the same graph must match
   (skipped on larger cases; it is the slowest oracle).
 
@@ -45,39 +45,30 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import AbstractSet, Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
+from repro.baselines.pdfs_cpu import run_ckl_pdfs
 from repro.check.cases import FuzzCase
 from repro.check.invariants import InvariantMonitor
 from repro.check.mutations import apply_mutation
+from repro.check.serve_oracle import serve_oracle
+from repro.core import frontier, swarm
 from repro.core.diggerbees import (DiggerBeesResult, run_diggerbees,
                                    run_reference)
 from repro.core.turbo import turbo_eligible
 from repro.errors import ReproError
+from repro.graphs.properties import bfs_levels
+from repro.serve.protocol import dfs_result_to_dict
 from repro.validate.reference import serial_dfs
 from repro.validate.tree import validate_traversal
 
 __all__ = ["CheckFailure", "check_case", "run_monitored", "case_to_json",
-           "case_from_json", "parse_rungs", "RUNGS", "PDFS_MAX_VERTICES"]
+           "case_from_json", "PDFS_MAX_VERTICES"]
 
 #: Cases at or below this size also run the CKL-PDFS baseline oracle.
 PDFS_MAX_VERTICES = 400
-
-#: Opt-in rungs, in ladder order (``--rungs`` names).
-RUNGS = ("serve", "frontier", "swarm")
-
-
-def parse_rungs(spec: Iterable[str] | str) -> frozenset:
-    """Rung names from ``"serve,swarm"`` or an iterable; ``none`` is empty."""
-    names = spec.split(",") if isinstance(spec, str) else spec
-    rungs = frozenset(n.strip() for n in names) - {"", "none"}
-    unknown = rungs - set(RUNGS)
-    if unknown:
-        raise ValueError(f"unknown rung(s) {sorted(unknown)}; "
-                         f"known: {', '.join(RUNGS)} or none")
-    return rungs
 
 
 @dataclass(frozen=True)
@@ -85,11 +76,10 @@ class CheckFailure:
     """One oracle-ladder failure, with its deterministic repro command."""
 
     case: FuzzCase
-    stage: str          # which oracle rung failed
+    stage: str          # which oracle stage failed
     message: str        # first line of the underlying error / mismatch
     mutation: Optional[str] = None
     stress: bool = False
-    rungs: AbstractSet[str] = frozenset()
 
     @property
     def repro_command(self) -> str:
@@ -102,8 +92,6 @@ class CheckFailure:
             cmd += f" --case '{case_to_json(self.case)}'"
         if self.stress:
             cmd += " --stress"  # also selects the per-step sweep period
-        if self.rungs:
-            cmd += " --rungs " + ",".join(r for r in RUNGS if r in self.rungs)
         if self.mutation:
             cmd += f" --mutation {self.mutation}"
         return cmd
@@ -240,9 +228,6 @@ def _bfs_contract(graph, root: int, visited: np.ndarray,
     levels, and — on undirected graphs, where the oracle and the pull
     path read each row as in-edges — the independent min-parent tree.
     """
-    from repro.core.frontier import min_parent_tree
-    from repro.graphs.properties import bfs_levels
-
     if not np.array_equal(visited, dfs_visited):
         return (f"visited set differs from DFS: "
                 f"{_set_diff(dfs_visited, visited)}")
@@ -251,7 +236,7 @@ def _bfs_contract(graph, root: int, visited: np.ndarray,
         return (f"level array diverges from bfs_levels at "
                 f"{_where(level != ref_levels)}")
     if not graph.directed:
-        oracle = min_parent_tree(graph, ref_levels, root)
+        oracle = frontier.min_parent_tree(graph, ref_levels, root)
         if not np.array_equal(parent, oracle):
             return (f"parent diverges from the min-parent oracle at "
                     f"{_where(parent != oracle)}")
@@ -259,33 +244,27 @@ def _bfs_contract(graph, root: int, visited: np.ndarray,
 
 
 def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
-               stress: bool = False, rungs: Iterable[str] = (),
-               check_every: Optional[int] = None) -> Optional[CheckFailure]:
-    """Run the full oracle ladder on ``case``; None means it passed.
+               stress: bool = False) -> Optional[CheckFailure]:
+    """Run every stage of the oracle ladder on ``case``; None means it passed.
 
     ``mutation`` (a name from :data:`repro.check.mutations.MUTATIONS`)
     applies the named injected bug for the whole ladder — used by the
     mutation sanity suite and by ``repro --mutation`` to replay a
-    mutant's failure.
+    mutant's failure.  Mutated runs bypass the serve daemon's result
+    cache so an injected bug's output is never memoized across the
+    mutation boundary.
 
-    ``rungs`` selects the opt-in rungs (names from :data:`RUNGS`; see the
-    module docstring).  Each roughly doubles an eligible case's cost, so
-    the default ladder runs none of them.  Mutated runs bypass the serve
-    daemon's result cache so an injected bug's output is never memoized
-    across the mutation boundary.
-
-    ``check_every`` defaults to a per-step sweep (1) in stress mode —
-    transient corruption (e.g. an ABA duplicate that the victim pops a
-    step later) is only visible to a sweep that runs before the next
-    step — and to 64 otherwise, where throughput matters more.
+    ``stress`` cases run the invariant monitor's global sweep after
+    every step — transient corruption (e.g. an ABA duplicate that the
+    victim pops a step later) is only visible to a sweep that runs
+    before the next step — and other cases every 64 steps, where
+    throughput matters more.
     """
-    rungs = parse_rungs(rungs)
-    if check_every is None:
-        check_every = 1 if stress else 64
+    check_every = 1 if stress else 64
 
     def fail(stage: str, message: str) -> CheckFailure:
         return CheckFailure(case=case, stage=stage, message=str(message),
-                            mutation=mutation, stress=stress, rungs=rungs)
+                            mutation=mutation, stress=stress)
 
     with apply_mutation(mutation):
         # Monitored run (invariant hooks + periodic sweep).
@@ -329,64 +308,54 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
         # executes in this process (jobs=0), so the mutation monkeypatch
         # is live on its executor threads and injected bugs flow through
         # the full wire/admission/dispatch stack.
-        if "serve" in rungs:
-            from repro.check.serve_oracle import serve_oracle
-            from repro.serve.protocol import dfs_result_to_dict
-
-            expected = dfs_result_to_dict(result)
-            overrides = asdict(case.build_config())
-            mutated = mutation is not None
-            # Unmutated runs repeat the query: it must come back from the
-            # result cache (the first either populated it or already hit)
-            # and stay identical — the memo path serves the same bytes.
-            for repeat in (False,) if mutated else (False, True):
-                what = "cached" if repeat else "served"
-                try:
-                    served, was_cached = serve_oracle().query_dfs(
-                        graph, case.root, overrides, no_cache=mutated)
-                except ReproError as exc:
-                    return fail("serve-diff", f"{what} query failed: "
-                                              f"{type(exc).__name__}: {exc}")
-                if repeat and not was_cached:
-                    return fail("serve-diff",
-                                "repeat query missed the result cache")
-                mismatch = _payload_diff(expected, served)
-                if mismatch:
-                    return fail("serve-diff",
-                                f"{what} payload diverges from direct "
-                                f"execution: {mismatch}")
+        expected = dfs_result_to_dict(result)
+        overrides = asdict(case.build_config())
+        mutated = mutation is not None
+        # Unmutated runs repeat the query: it must come back from the
+        # result cache (the first either populated it or already hit)
+        # and stay identical — the memo path serves the same bytes.
+        for repeat in (False,) if mutated else (False, True):
+            what = "cached" if repeat else "served"
+            try:
+                served, was_cached = serve_oracle().query_dfs(
+                    graph, case.root, overrides, no_cache=mutated)
+            except ReproError as exc:
+                return fail("serve-diff", f"{what} query failed: "
+                                          f"{type(exc).__name__}: {exc}")
+            if repeat and not was_cached:
+                return fail("serve-diff",
+                            "repeat query missed the result cache")
+            mismatch = _payload_diff(expected, served)
+            if mismatch:
+                return fail("serve-diff",
+                            f"{what} payload diverges from direct "
+                            f"execution: {mismatch}")
 
         # Frontier differential: the bit-packed SpMV engine meets the
         # BFS contract, and its push/pull/auto modes are bit-identical.
-        if "frontier" in rungs:
-            from repro.core.frontier import FrontierConfig, run_frontier
-
+        try:
+            fr = frontier.run_frontier(graph, case.root)
+            validate_traversal(graph, fr.traversal)
+        except ReproError as exc:
+            return fail("frontier-diff", f"{type(exc).__name__}: {exc}")
+        mismatch = _bfs_contract(graph, case.root, fr.traversal.visited,
+                                 fr.level, fr.traversal.parent, dfs_visited)
+        if mismatch:
+            return fail("frontier-diff", mismatch)
+        # The pull path reads each row as in-edges: symmetric only.
+        for forced in () if graph.directed else ("push", "pull"):
             try:
-                fr = run_frontier(graph, case.root)
-                validate_traversal(graph, fr.traversal)
+                alt = frontier.run_frontier(
+                    graph, case.root,
+                    config=frontier.FrontierConfig(mode=forced))
             except ReproError as exc:
-                return fail("frontier-diff", f"{type(exc).__name__}: {exc}")
-            mismatch = _bfs_contract(graph, case.root, fr.traversal.visited,
-                                     fr.level, fr.traversal.parent,
-                                     dfs_visited)
-            if mismatch:
-                return fail("frontier-diff", mismatch)
-            # The pull path reads each row as in-edges: symmetric only.
-            for forced in () if graph.directed else ("push", "pull"):
-                try:
-                    alt = run_frontier(graph, case.root,
-                                       config=FrontierConfig(mode=forced))
-                except ReproError as exc:
-                    return fail("frontier-diff",
-                                f"{forced} mode: "
-                                f"{type(exc).__name__}: {exc}")
-                if not (np.array_equal(alt.traversal.parent,
-                                       fr.traversal.parent)
-                        and np.array_equal(alt.level, fr.level)):
-                    return fail(
-                        "frontier-diff",
-                        f"forced {forced} mode diverges from auto "
-                        f"(modes promise bit-identical results)")
+                return fail("frontier-diff",
+                            f"{forced} mode: {type(exc).__name__}: {exc}")
+            if not (np.array_equal(alt.traversal.parent, fr.traversal.parent)
+                    and np.array_equal(alt.level, fr.level)):
+                return fail("frontier-diff",
+                            f"forced {forced} mode diverges from auto "
+                            f"(modes promise bit-identical results)")
 
         # Swarm differential: the case root runs as lanes 0 and 2 of a
         # three-lane lockstep batch (a *different* root in the middle, so
@@ -395,34 +364,27 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
         # exercised on identical twins).  Every case-root lane must be
         # bit-identical to the single-root frontier engine, and the
         # batch must meet the BFS contract.
-        if "swarm" in rungs:
-            from repro.core.frontier import run_frontier
-            from repro.core.swarm import run_swarm
-
-            n = graph.n_vertices
-            roots = [case.root, (case.root + max(1, n // 2)) % n, case.root]
-            try:
-                single = run_frontier(graph, case.root)
-                lanes = run_swarm(graph, roots)
-                validate_traversal(graph, lanes[0].traversal)
-            except ReproError as exc:
-                return fail("swarm-diff", f"{type(exc).__name__}: {exc}")
-            for li in (0, 2):
-                mismatch = _bfs_diff(single, lanes[li])
-                if mismatch:
-                    return fail(
-                        "swarm-diff",
-                        f"lane {li} vs the single-root frontier engine: "
-                        f"{mismatch} (lanes must be bit-identical)")
-            mismatch = _bfs_contract(
-                graph, case.root, lanes[0].traversal.visited, lanes[0].level,
-                lanes[0].traversal.parent, dfs_visited)
+        n = graph.n_vertices
+        roots = [case.root, (case.root + max(1, n // 2)) % n, case.root]
+        try:
+            lanes = swarm.run_swarm(graph, roots)
+            validate_traversal(graph, lanes[0].traversal)
+        except ReproError as exc:
+            return fail("swarm-diff", f"{type(exc).__name__}: {exc}")
+        for li in (0, 2):
+            mismatch = _bfs_diff(fr, lanes[li])
             if mismatch:
-                return fail("swarm-diff", mismatch)
+                return fail("swarm-diff",
+                            f"lane {li} vs the single-root frontier engine: "
+                            f"{mismatch} (lanes must be bit-identical)")
+        mismatch = _bfs_contract(
+            graph, case.root, lanes[0].traversal.visited, lanes[0].level,
+            lanes[0].traversal.parent, dfs_visited)
+        if mismatch:
+            return fail("swarm-diff", mismatch)
 
         # CPU PDFS baseline (reachability oracle, small cases).
         if graph.n_vertices <= PDFS_MAX_VERTICES:
-            from repro.baselines.pdfs_cpu import run_ckl_pdfs
             try:
                 pdfs = run_ckl_pdfs(graph, case.root)
             except ReproError as exc:

@@ -3,7 +3,7 @@
 One :class:`ServeOracle` per process hosts a real :class:`~repro.serve.
 server.ServeServer` on a background thread — real socket, real wire
 protocol, real admission/cache/dispatch stack — and the ``serve-diff``
-rung in :mod:`repro.check.differential` sends every fuzz case's DFS
+stage in :mod:`repro.check.differential` sends every fuzz case's DFS
 through it, asserting the served payload is *equal* to the canonical
 payload of the direct run (:func:`~repro.serve.protocol.
 dfs_result_to_dict` on both sides, so equality is bit-identity of

@@ -4,7 +4,7 @@ Given a failing :class:`~repro.check.cases.FuzzCase`, repeatedly try
 simplifying transformations (smaller graph, fewer blocks/warps/GPUs,
 default ring geometry, no jitter, no adversarial victims) and keep any
 transformation under which :func:`~repro.check.differential.check_case`
-still fails — regardless of *which* oracle rung fails, since a shrink
+still fails — regardless of *which* oracle stage fails, since a shrink
 frequently shifts the failure to an earlier, clearer stage.  Stops at a
 fixpoint or when the evaluation budget runs out.
 
@@ -84,7 +84,7 @@ def shrink_case(
                 continue  # transformation was a no-op
             evals += 1
             result = check_case(candidate, mutation=failure.mutation,
-                                stress=failure.stress, rungs=failure.rungs)
+                                stress=failure.stress)
             if result is not None:
                 current = candidate
                 best = result

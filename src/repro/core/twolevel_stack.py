@@ -263,8 +263,7 @@ class ColdSeg:
     private pointer slots, preserving the original API.
     """
 
-    __slots__ = ("vertex", "offset", "_ptrs", "_ti", "_bi",
-                 "compactions", "peak_occupancy")
+    __slots__ = ("vertex", "offset", "_ptrs", "_ti", "_bi")
 
     def __init__(self, reserve: int = 256, *, ptrs=None, base: int = 0):
         if reserve < 1:
@@ -278,8 +277,6 @@ class ColdSeg:
         self._bi = base + 1
         ptrs[base] = 0
         ptrs[base + 1] = 0
-        self.compactions = 0
-        self.peak_occupancy = 0
 
     # ``top``/``bottom`` read/write the pointer slab so the owner,
     # thieves, and the fused loops all observe the same storage.
@@ -323,7 +320,6 @@ class ColdSeg:
             self.offset[:live] = self.offset[bottom:top]
             ptrs[self._bi] = 0
             ptrs[self._ti] = live
-            self.compactions += 1
             return
         new_cap = cap
         while top + count > new_cap:
@@ -345,7 +341,6 @@ class ColdSeg:
         self.vertex[top:top + count] = verts
         self.offset[top:top + count] = offs
         ptrs[self._ti] = top + count
-        self.peak_occupancy = max(self.peak_occupancy, len(self))
 
     def pop_batch(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
         """Refill source (Figure 2f): remove the ``count`` newest entries.

@@ -9,8 +9,8 @@ Frontier-family queries against the same graph that arrive while every
 executor slot is busy coalesce into batches that run in lockstep once
 they are wide enough (:func:`repro.core.dispatch.run_batch`),
 repeat queries are answered from a per-graph result cache, and every
-response is bit-identical to direct execution — the serve-diff oracle
-rung in :mod:`repro.check` enforces exactly that.
+response is bit-identical to direct execution — the serve-diff stage
+of the :mod:`repro.check` oracle ladder enforces exactly that.
 
 Layout: :mod:`~repro.serve.protocol` (wire format and canonical result
 payloads), :mod:`~repro.serve.admission` (pure slot-bounded

@@ -40,8 +40,9 @@ __all__ = [
     "GraphResultCache",
 ]
 
-#: Bump when result payload semantics change for identical queries.
-CACHE_VERSION = 1
+#: Bump when result payload semantics change for identical queries
+#: (2: DFS payloads no longer carry ``counters.coldseg_compactions``).
+CACHE_VERSION = 2
 
 ENV_VAR = "REPRO_SERVE_CACHE"
 

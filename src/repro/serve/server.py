@@ -292,9 +292,6 @@ class ServeServer:
             payload = await self._dispatch(req)
         except asyncio.CancelledError:
             raise
-        except ReproError as exc:
-            self.stats.bump("errors")
-            payload = encode_response(error_response(req, exc))
         except Exception as exc:  # daemon must survive anything
             self.stats.bump("errors")
             payload = encode_response(error_response(req, exc))
@@ -542,7 +539,6 @@ class ServeServer:
         -> in-process.  Query-level errors are *results* (markers) and
         never trigger demotion.
         """
-        loop = asyncio.get_running_loop()
         jobs = self.config.jobs
         if jobs >= 1:
             from concurrent.futures.process import BrokenProcessPool

@@ -31,7 +31,6 @@ class SimCounters:
     flush_entries: int = 0
     refills: int = 0
     refill_entries: int = 0
-    coldseg_compactions: int = 0
     max_hot_depth: int = 0
     max_cold_depth: int = 0
 

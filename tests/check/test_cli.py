@@ -1,7 +1,5 @@
 """Tests for the ``python -m repro.check`` command-line driver."""
 
-import pytest
-
 from repro.check import cli
 from repro.check.cases import case_from_seed
 from repro.check.differential import CheckFailure, case_to_json
@@ -69,15 +67,3 @@ def test_mutants_reports_misses(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 1
     assert "MISSED flush_publish_drop" in out
-
-
-
-def test_rungs_flag_takes_lists_and_none_and_rejects_unknown(capsys):
-    parser = cli.build_parser()
-    assert parser.parse_args(["fuzz", "--rungs", "swarm,serve"]).rungs == {
-        "serve", "swarm"}
-    assert parser.parse_args(["fuzz", "--rungs", "none"]).rungs == set()
-    for gone in ("turbo", "shard", "hive"):
-        with pytest.raises(SystemExit):
-            parser.parse_args(["fuzz", "--rungs", gone])
-        assert f"unknown rung(s) ['{gone}']" in capsys.readouterr().err

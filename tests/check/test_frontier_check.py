@@ -1,7 +1,6 @@
-"""The frontier-diff oracle rung: clean passes, corrupted engines caught."""
+"""The frontier-diff stage of the oracle ladder: corrupted engines caught."""
 
 import numpy as np
-import pytest
 
 from repro.check.cases import case_from_seed
 from repro.check.differential import check_case
@@ -20,11 +19,6 @@ def _case_with_depth():
     raise AssertionError("no fuzz seed with a multi-level graph")
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_clean_cases_pass_with_frontier_rung(seed):
-    assert check_case(case_from_seed(seed), rungs={"frontier"}) is None
-
-
 def test_level_corruption_is_caught(monkeypatch):
     import repro.core.frontier as frontier_mod
 
@@ -38,13 +32,11 @@ def test_level_corruption_is_caught(monkeypatch):
         return res
 
     monkeypatch.setattr(frontier_mod, "run_frontier", corrupted)
-    failure = check_case(case, rungs={"frontier"})
+    failure = check_case(case)
     assert failure is not None
     assert failure.stage == "frontier-diff"
     assert "bfs_levels" in failure.message
-    assert failure.rungs == {"frontier"}
-    assert "--rungs frontier" in failure.repro_command
-    assert f"repro {case.seed}" in failure.repro_command
+    assert failure.repro_command == f"python -m repro.check repro {case.seed}"
 
 
 def test_engine_error_is_caught(monkeypatch):
@@ -54,19 +46,7 @@ def test_engine_error_is_caught(monkeypatch):
         raise SimulationError("frontier engine exploded")
 
     monkeypatch.setattr(frontier_mod, "run_frontier", broken)
-    failure = check_case(case_from_seed(0), rungs={"frontier"})
+    failure = check_case(case_from_seed(0))
     assert failure is not None
     assert failure.stage == "frontier-diff"
     assert "SimulationError" in failure.message
-
-
-def test_rung_is_opt_in(monkeypatch):
-    # Without the frontier rung selected it must not run at all — a broken
-    # frontier engine cannot fail the default ladder.
-    import repro.core.frontier as frontier_mod
-
-    def broken(graph, root, config=None):
-        raise SimulationError("must never be called")
-
-    monkeypatch.setattr(frontier_mod, "run_frontier", broken)
-    assert check_case(case_from_seed(0)) is None

@@ -1,6 +1,8 @@
 """Deep differential fuzz sweep (deselected by default; run with
-``pytest -m fuzz``).  The smoke-budget equivalents of these runs live in
-CI via ``python -m repro.check fuzz --smoke``."""
+``pytest -m fuzz``).  Every case runs every stage of the oracle ladder.
+Tier-1 runs the smoke-budget equivalents: ``test_clean_seeds_pass``
+(the fuzz smoke's seeds 0-39) and ``test_mutation_is_caught`` (every
+mutant at the suite's 12-case budget)."""
 
 import pytest
 

@@ -39,9 +39,9 @@ def test_shrinker_budget_is_respected():
 
 
 def test_swarm_diff_failure_shrinks(monkeypatch):
-    """The shrinker replays the failure's rungs, so a failure only the
-    swarm rung sees keeps failing — and keeps shrinking — on smaller
-    candidates."""
+    """Every candidate runs the whole ladder, so a failure only the
+    swarm-diff stage sees keeps failing — and keeps shrinking — on
+    smaller candidates."""
     import repro.core.swarm as swarm_mod
 
     real = swarm_mod.run_swarm
@@ -55,10 +55,10 @@ def test_swarm_diff_failure_shrinks(monkeypatch):
 
     monkeypatch.setattr(swarm_mod, "run_swarm", corrupted)
     case = case_from_seed(0)
-    failure = check_case(case, rungs={"swarm"})
+    failure = check_case(case)
     assert failure is not None and failure.stage == "swarm-diff"
     kept = []
     shrunk = shrink_case(failure, log=kept.append)
     assert kept, "no shrink step kept the swarm-diff failure"
     assert shrunk.case.n_vertices == 8  # the halving floor
-    assert shrunk.stage == "swarm-diff" and shrunk.rungs == {"swarm"}
+    assert shrunk.stage == "swarm-diff"

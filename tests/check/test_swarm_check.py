@@ -1,7 +1,6 @@
-"""The swarm-diff oracle rung: clean passes, corrupted engines caught."""
+"""The swarm-diff stage of the oracle ladder: corrupted engines caught."""
 
 import numpy as np
-import pytest
 
 from repro.check.cases import case_from_seed
 from repro.check.differential import check_case
@@ -20,11 +19,6 @@ def _case_with_depth():
     raise AssertionError("no fuzz seed with a multi-level graph")
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_clean_cases_pass_with_swarm_rung(seed):
-    assert check_case(case_from_seed(seed), rungs={"swarm"}) is None
-
-
 def test_lane_parent_corruption_is_caught(monkeypatch):
     import repro.core.swarm as swarm_mod
 
@@ -39,16 +33,14 @@ def test_lane_parent_corruption_is_caught(monkeypatch):
         return results
 
     monkeypatch.setattr(swarm_mod, "run_swarm", corrupted)
-    failure = check_case(case, rungs={"swarm"})
+    failure = check_case(case)
     assert failure is not None
     assert failure.stage == "swarm-diff"
-    assert failure.rungs == {"swarm"}
-    assert "--rungs swarm" in failure.repro_command
-    assert f"repro {case.seed}" in failure.repro_command
+    assert failure.repro_command == f"python -m repro.check repro {case.seed}"
 
 
 def test_duplicate_lane_divergence_is_caught(monkeypatch):
-    # The rung pins *every* case-root lane, so corruption that only
+    # The stage pins *every* case-root lane, so corruption that only
     # touches the trailing duplicate lane (the cross-lane leakage
     # signature) must be caught too.
     import repro.core.swarm as swarm_mod
@@ -64,7 +56,7 @@ def test_duplicate_lane_divergence_is_caught(monkeypatch):
         return results
 
     monkeypatch.setattr(swarm_mod, "run_swarm", corrupted)
-    failure = check_case(case, rungs={"swarm"})
+    failure = check_case(case)
     assert failure is not None
     assert failure.stage == "swarm-diff"
     assert "lane 2" in failure.message
@@ -86,7 +78,7 @@ def test_profile_divergence_is_caught(monkeypatch):
         return results
 
     monkeypatch.setattr(swarm_mod, "run_swarm", corrupted)
-    failure = check_case(case, rungs={"swarm"})
+    failure = check_case(case)
     assert failure is not None
     assert failure.stage == "swarm-diff"
     assert "profile" in failure.message
@@ -99,19 +91,7 @@ def test_engine_error_is_caught(monkeypatch):
         raise SimulationError("swarm engine exploded")
 
     monkeypatch.setattr(swarm_mod, "run_swarm", broken)
-    failure = check_case(case_from_seed(0), rungs={"swarm"})
+    failure = check_case(case_from_seed(0))
     assert failure is not None
     assert failure.stage == "swarm-diff"
     assert "SimulationError" in failure.message
-
-
-def test_rung_is_opt_in(monkeypatch):
-    # Without the swarm rung selected it must not run at all — a broken swarm
-    # engine cannot fail the default ladder.
-    import repro.core.swarm as swarm_mod
-
-    def broken(graph, roots, config=None):
-        raise SimulationError("must never be called")
-
-    monkeypatch.setattr(swarm_mod, "run_swarm", broken)
-    assert check_case(case_from_seed(0)) is None

@@ -148,14 +148,15 @@ class TestColdSeg:
         c = ColdSeg(2)
         c.push_batch(np.arange(100), np.arange(100))
         assert len(c) == 100
-        assert c.peak_occupancy == 100
+        assert c.vertex.size == 128  # doubled from 2 until 100 fit
 
     def test_compaction(self):
         c = ColdSeg(8)
         c.push_batch(np.arange(6), np.arange(6))
         c.steal_from_bottom(5)  # bottom = 5, dead prefix dominates
         c.push_batch(np.arange(10, 17), np.arange(7))
-        assert c.compactions >= 1
+        assert c.vertex.size == 8  # compacted in place, not grown
+        assert c.bottom == 0
         assert c.snapshot()[0][0] == 5  # surviving entry intact
 
     def test_pop_too_many(self):

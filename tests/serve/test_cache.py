@@ -158,14 +158,14 @@ def test_flush_and_reload_roundtrip(tmp_path):
 
 
 def test_spill_file_format(tmp_path):
-    # CACHE_VERSION 1's layout: daemons on either side of a change to
+    # CACHE_VERSION 2's layout: daemons on either side of a change to
     # the in-memory entries must keep reading each other's spills.
     cache = _mk(tmp_path)
     cache.put("k1", _text({"v": 1}))
     cache.put("k2", _text({"v": [1, 2.5, None]}))
     cache.flush()
     assert cache._path.read_text() == (
-        '{"version":1,"graph_fp":"ffffffffffffffff","entries":'
+        '{"version":2,"graph_fp":"ffffffffffffffff","entries":'
         '{"k1":{"v":1},"k2":{"v":[1,2.5,null]}}}')
 
 
@@ -208,7 +208,7 @@ def test_reload_accepts_whitespace_and_any_member_order(tmp_path):
     cache.flush()
     cache._path.write_text(
         '{ "entries" : { "k1" : { "v" : [1, 2] } , "k2" : 3 } ,\n'
-        ' "graph_fp" : "ffffffffffffffff" , "version" : 1 }\n')
+        ' "graph_fp" : "ffffffffffffffff" , "version" : 2 }\n')
     again = _mk(tmp_path)
     assert again.get("k1") == _text({"v": [1, 2]})
     assert again.get("k2") == "3"

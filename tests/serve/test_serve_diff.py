@@ -1,9 +1,9 @@
 """Serve-diff acceptance: daemon responses bit-identical to direct runs.
 
-Every fuzz graph family must pass the full oracle ladder with the serve
-rung active — the daemon (real socket, admission, cache, dispatch) must
-reproduce direct execution exactly, parents, visited sets, step counts
-and counters included.
+Every fuzz graph family must pass the full oracle ladder, whose
+serve-diff stage demands that the daemon (real socket, admission, cache,
+dispatch) reproduce direct execution exactly, parents, visited sets,
+step counts and counters included.
 """
 
 import pytest
@@ -24,17 +24,17 @@ def _seed_for_family(family: str, limit: int = 4000) -> int:
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_serve_diff_green_on_family(family):
-    """The oracle ladder with the serve rung passes on every family."""
+    """The oracle ladder, serve-diff included, passes on every family."""
     case = case_from_seed(_seed_for_family(family))
-    failure = check_case(case, rungs={"serve"})
+    failure = check_case(case)
     assert failure is None, failure.report()
 
 
 def test_serve_diff_green_on_stress_and_perturbed_cases():
     base = case_from_seed(1, stress=True)
-    assert check_case(base, stress=True, rungs={"serve"}) is None
+    assert check_case(base, stress=True) is None
     perturbed = case_from_seed(2).with_(perturb_seed=77, jitter=2)
-    assert check_case(perturbed, rungs={"serve"}) is None
+    assert check_case(perturbed) is None
 
 
 def test_oracle_payload_equals_direct_execution():
@@ -69,10 +69,10 @@ def test_oracle_reuses_resident_graph_by_fingerprint():
 
 
 def test_serve_rung_detects_payload_drift(monkeypatch):
-    """If serving ever changed a payload, the rung must fail loudly.
+    """If serving ever changed a payload, the ladder must fail loudly.
 
     Simulated by corrupting the client-visible payload of the oracle's
-    query — the rung should report a serve-diff failure, proving the
+    query — the ladder should report a serve-diff failure, proving the
     comparison has teeth (it is not comparing a value to itself).
     """
     from repro.check import serve_oracle as oracle_mod
@@ -87,6 +87,7 @@ def test_serve_rung_detects_payload_drift(monkeypatch):
 
     monkeypatch.setattr(oracle_mod.ServeOracle, "query_dfs", corrupting)
     case = case_from_seed(3)
-    failure = check_case(case, rungs={"serve"})
+    failure = check_case(case)
     assert failure is not None and failure.stage == "serve-diff"
-    assert "--rungs serve" in failure.repro_command
+    assert "cycles" in failure.message
+    assert failure.repro_command == "python -m repro.check repro 3"
