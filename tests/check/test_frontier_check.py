@@ -1,6 +1,7 @@
 """The frontier-diff stage of the oracle ladder: corrupted engines caught."""
 
 import numpy as np
+import pytest
 
 from repro.check.cases import case_from_seed
 from repro.check.differential import check_case
@@ -17,6 +18,26 @@ def _case_with_depth():
         if num_bfs_levels(case.build_graph(), case.root) >= 2:
             return case
     raise AssertionError("no fuzz seed with a multi-level graph")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clean_cases_pass_with_frontier_rung(seed, monkeypatch):
+    # Every case runs the frontier stage: auto mode always, and the
+    # forced push and pull modes on undirected graphs.
+    import repro.core.frontier as frontier_mod
+
+    real = frontier_mod.run_frontier
+    modes = []
+
+    def spy(graph, root, config=None):
+        modes.append(None if config is None else config.mode)
+        return real(graph, root, config=config)
+
+    monkeypatch.setattr(frontier_mod, "run_frontier", spy)
+    case = case_from_seed(seed)
+    assert check_case(case) is None
+    forced = [] if case.build_graph().directed else ["push", "pull"]
+    assert modes == [None, *forced]
 
 
 def test_level_corruption_is_caught(monkeypatch):

@@ -1,6 +1,7 @@
 """The swarm-diff stage of the oracle ladder: corrupted engines caught."""
 
 import numpy as np
+import pytest
 
 from repro.check.cases import case_from_seed
 from repro.check.differential import check_case
@@ -17,6 +18,27 @@ def _case_with_depth():
         if num_bfs_levels(case.build_graph(), case.root) >= 2:
             return case
     raise AssertionError("no fuzz seed with a multi-level graph")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clean_cases_pass_with_swarm_rung(seed, monkeypatch):
+    # Every case runs the swarm stage once: the case root as lanes 0
+    # and 2, a different root between them.
+    import repro.core.swarm as swarm_mod
+
+    real = swarm_mod.run_swarm
+    batches = []
+
+    def spy(graph, roots, config=None):
+        batches.append(list(roots))
+        return real(graph, roots, config=config)
+
+    monkeypatch.setattr(swarm_mod, "run_swarm", spy)
+    case = case_from_seed(seed)
+    assert check_case(case) is None
+    assert len(batches) == 1
+    first, middle, last = batches[0]
+    assert first == last == case.root and middle != case.root
 
 
 def test_lane_parent_corruption_is_caught(monkeypatch):
