@@ -53,8 +53,7 @@ spikes hit both engines symmetrically instead of landing on whichever
 side happened to run during the spike.
 
 ``--record`` appends the run to ``benchmarks/out/trajectory.jsonl``
-(kind ``crossover``); the micro sweep's ``BENCH_engine.json`` snapshot
-is untouched.
+(kind ``crossover``), beside the micro sweep's recorded runs.
 
 ``--widths`` runs the swarm break-even sweep instead: on every
 ``MICRO_CASES`` graph it times the per-query wall of the single-root

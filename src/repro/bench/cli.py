@@ -12,9 +12,9 @@ Usage::
 
 Each experiment prints its paper-shaped table to stdout and, with
 ``--out``, writes it to ``<out>/<name>.txt``.  ``micro`` is special: it
-runs the fixed engine micro-sweep, writes ``BENCH_engine.json``, and
-fails when the run regresses >2x against the recorded baseline (see
-:mod:`repro.bench.micro`; it takes its own flags such as
+runs the fixed engine micro-sweep and fails when the run regresses >2x
+against the recorded baseline (see :mod:`repro.bench.micro`; it takes
+its own flags, such as ``--json PATH`` to write the result and
 ``--update-baseline``).
 """
 

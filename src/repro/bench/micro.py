@@ -5,11 +5,11 @@
 two steal-heavy cases — a deep skewed tree and a hub-rooted power-law
 graph on tight stack geometry — and two shallow-wide cases — a hub
 mesh and a layered fan-out — the structural regimes that stress
-different engine paths), and writes ``BENCH_engine.json`` with
-wall-time, simulated cycles, steps/sec, and steal/refill event counts
-per case.  That file seeds the performance trajectory: future perf PRs
-compare against the recorded baseline
-(``benchmarks/baseline_micro.json``) and the run **fails** when
+different engine paths) and reports wall-time, simulated cycles,
+steps/sec, and steal/refill event counts per case; ``--json PATH``
+writes that payload to ``PATH``, and nothing is written without it.
+Each run compares against the recorded baseline
+(``benchmarks/baseline_micro.json``) and **fails** when
 
 * any case regresses more than ``REGRESSION_FACTOR`` (2x) in wall time
   (the perf-smoke gate), or
@@ -31,8 +31,8 @@ Every case runs the default DFS driver — the fused loop of
 sweep is the DFS schedule gate.  Both answer families, and the swarm at
 every width, are timed on the same cases by
 ``benchmarks/bench_crossover.py``.  ``--record`` appends the run to
-``benchmarks/out/trajectory.jsonl`` (timestamped) and rewrites the
-repo-root ``BENCH_engine.json`` snapshot.
+``benchmarks/out/trajectory.jsonl`` (timestamped), the performance
+trajectory that ``--compare`` diffs.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def _case_events(counters) -> Dict:
 
 def run_micro(repeats: int = 3,
               profile_path: Optional[str] = None) -> Dict:
-    """Run the fixed micro-sweep; returns the ``BENCH_engine.json`` payload.
+    """Run the fixed micro-sweep; returns the ``--json`` payload.
 
     Per case: median-of-``repeats`` wall time, plus the (deterministic)
     simulated cycles and step count.  Graph generation is timed as its
@@ -236,12 +236,8 @@ def default_baseline_path() -> pathlib.Path:
 
 
 def record_trajectory(result: Dict) -> pathlib.Path:
-    """Append ``result`` (timestamped) to the perf trajectory log.
-
-    Also rewrites the repo-root ``BENCH_engine.json`` so the committed
-    snapshot tracks the latest recorded run.  Returns the trajectory
-    path.
-    """
+    """Append ``result`` (timestamped) to the perf trajectory log;
+    returns the trajectory path."""
     out = repo_root() / "benchmarks" / "out" / "trajectory.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
     entry = dict(result)
@@ -249,8 +245,6 @@ def record_trajectory(result: Dict) -> pathlib.Path:
         timespec="seconds")
     with out.open("a", encoding="utf-8") as f:
         f.write(json.dumps(entry) + "\n")
-    (repo_root() / "BENCH_engine.json").write_text(
-        json.dumps(result, indent=1) + "\n")
     return out
 
 
@@ -354,13 +348,12 @@ def main(argv=None) -> int:
                         default=None,
                         help="diff two recorded trajectory entries by "
                              "index (negative = from latest) and exit")
-    parser.add_argument("--json", type=pathlib.Path,
-                        default=pathlib.Path("BENCH_engine.json"),
-                        help="output path for the machine-readable result")
+    parser.add_argument("--json", type=pathlib.Path, default=None,
+                        help="write the machine-readable result to this "
+                             "path (default: write none)")
     parser.add_argument("--record", action="store_true",
                         help="append this run to "
-                             "benchmarks/out/trajectory.jsonl and rewrite "
-                             "the repo-root BENCH_engine.json")
+                             "benchmarks/out/trajectory.jsonl")
     parser.add_argument("--baseline", type=pathlib.Path, default=None,
                         help="baseline JSON to gate against "
                              "(default: benchmarks/baseline_micro.json)")
@@ -381,9 +374,10 @@ def main(argv=None) -> int:
         return 0
     result = run_micro(repeats=1 if args.quick else 3,
                        profile_path=args.profile)
-    args.json.write_text(json.dumps(result, indent=1) + "\n")
     print(render(result))
-    print(f"[wrote {args.json}]")
+    if args.json is not None:
+        args.json.write_text(json.dumps(result, indent=1) + "\n")
+        print(f"[wrote {args.json}]")
     if args.record:
         trajectory = record_trajectory(result)
         print(f"[recorded to {trajectory}]")

@@ -59,6 +59,7 @@ from repro.core.diggerbees import (DiggerBeesResult, run_diggerbees,
                                    run_reference)
 from repro.core.turbo import turbo_eligible
 from repro.errors import ReproError
+from repro.graphs.csr import CSRGraph
 from repro.graphs.properties import bfs_levels
 from repro.serve.protocol import dfs_result_to_dict
 from repro.validate.reference import serial_dfs
@@ -141,15 +142,16 @@ def _payload_diff(expected: dict, got: dict) -> str:
     return "; ".join(parts) or "payloads differ"
 
 
-def run_monitored(case: FuzzCase, *, check_every: int = 64,
+def run_monitored(case: FuzzCase, graph: CSRGraph, *,
+                  check_every: int = 64,
                   run: Callable[..., DiggerBeesResult] = run_diggerbees,
                   ) -> DiggerBeesResult:
-    """Run one case under a fresh invariant monitor; raises on violation.
+    """Run one case on ``graph`` (``case.build_graph()``) under a fresh
+    invariant monitor; raises on violation.
 
     ``run`` is the DFS entry point: :func:`run_diggerbees` (the primary
     pass) or :func:`run_reference` (its oracle).
     """
-    graph = case.build_graph()
     config = case.build_config()
     monitor = InvariantMonitor(check_every=check_every)
     result = run(
@@ -267,13 +269,14 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
                             mutation=mutation, stress=stress)
 
     with apply_mutation(mutation):
+        # Every stage reads this one build of the case's graph.
+        graph = case.build_graph()
         # Monitored run (invariant hooks + periodic sweep).
         try:
-            result = run_monitored(case, check_every=check_every)
+            result = run_monitored(case, graph, check_every=check_every)
         except ReproError as exc:
             return fail("invariants", f"{type(exc).__name__}: {exc}")
 
-        graph = case.build_graph()
         dfs_visited = result.traversal.visited
 
         # Output validators (tree validity, visited vs reachable).
@@ -294,7 +297,8 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
         # *identical* schedule, not just a correct one.
         if turbo_eligible(result.config):
             try:
-                reference = run_monitored(case, check_every=check_every,
+                reference = run_monitored(case, graph,
+                                          check_every=check_every,
                                           run=run_reference)
             except ReproError as exc:
                 return fail("reference-diff", f"{type(exc).__name__}: {exc}")

@@ -175,9 +175,9 @@ def _drain(
     c_pop = costs.hot_pop
     c_visit_base = costs.visit_base
     c_visit_edge = costs.visit_per_edge
-    c_push = costs.hot_push
-    c_cas = costs.visited_cas
-    c_cas_retry = costs.cas_retry
+    # A won claim and its push; a lost claim and its retry.
+    c_claim = costs.visited_cas + costs.hot_push
+    c_cas_lost = costs.visited_cas + costs.cas_retry
     c_flush_base = costs.flush_base
     c_flush_entry = costs.flush_per_entry
     c_refill_base = costs.refill_base
@@ -189,18 +189,17 @@ def _drain(
     c_scan_intra = costs.steal_scan_per_warp * wpb
     c_scan_inter = c_scan_intra + 40
 
-    # Claim tallies accumulate in flat lists (one slot per block / per
-    # agent) and merge into the counters dicts at the flush points —
-    # claims only ever happen in the inline expand, so no fallback path
-    # races these.
-    tpb_local = [0] * n_blocks
+    # Claim tallies accumulate in a flat list (one slot per agent) and
+    # merge into the counters dicts at the flush points, the per-block
+    # tallies derived from them there — claims only ever happen in the
+    # inline expand, so no fallback path races these.
     tpw_local = [0] * (n_blocks * wpb)
     RUN = _Phase.RUN
     RESERVE_INTRA = _Phase.RESERVE_INTRA
     RESERVE_INTER = _Phase.RESERVE_INTER
 
     # Local counter deltas (merged at the flush points; see docstring).
-    d_edges = d_cas = d_casf = d_pops = d_pushes = d_vis = 0
+    d_edges = d_claims = d_pops = d_pushes = 0
     d_polls = d_refills = d_refille = d_flushes = d_flushe = 0
     mx_hot = mx_cold = 0
 
@@ -309,23 +308,20 @@ def _drain(
                                 v = ci[k]
                                 ho[pos] = k + 1
                                 if inline_claim:
-                                    # Inlined try_claim_vertex.
-                                    d_cas += 1
-                                    if visited[v]:
-                                        d_casf += 1
-                                        claimed = False
-                                    else:
-                                        visited[v] = 1
-                                        parent[v] = u
-                                        d_vis += 1
-                                        claimed = True
+                                    # Inlined try_claim_vertex.  The scan
+                                    # read visited[v] == 0 in this same
+                                    # atomic step, so the claim wins: one
+                                    # tally counts the attempt and the
+                                    # visit.
+                                    visited[v] = 1
+                                    parent[v] = u
+                                    d_claims += 1
+                                    claimed = True
                                 else:
                                     claimed = claim(v, u)
-                                cost += c_cas
                                 if not claimed:
-                                    cost += c_cas_retry
+                                    cost += c_cas_lost
                                 else:
-                                    tpb_local[bid] += 1
                                     tpw_local[gidx] += 1
                                     nxt = head + 1
                                     if nxt == hsize:
@@ -339,6 +335,11 @@ def _drain(
                                         if trace is not None:
                                             record(now, bid, wid, "flush",
                                                    (moved,))
+                                        # The ColdSeg grows only here,
+                                        # and a push always follows.
+                                        depth = cptrs[g2] - cptrs[g2 + 1]
+                                        if depth > mx_cold:
+                                            mx_cold = depth
                                         head = ptrs[hpi]
                                         nxt = head + 1
                                         if nxt == hsize:
@@ -351,12 +352,9 @@ def _drain(
                                         depth += hsize
                                     if depth > mx_hot:
                                         mx_hot = depth
-                                    depth = cptrs[g2] - cptrs[g2 + 1]
-                                    if depth > mx_cold:
-                                        mx_cold = depth
                                     d_pushes += 1
                                     pending += 1
-                                    cost += c_push
+                                    cost += c_claim
                                     if trace is not None:
                                         record(now, bid, wid, "visit",
                                                (u, v))
@@ -416,7 +414,9 @@ def _drain(
                                                gpu_id=0)
                                 if cands:
                                     vb = cands[0]
-                                    if len(cands) == 2 and (
+                                    # Two draws of one block compare
+                                    # equal: skip both scans.
+                                    if len(cands) == 2 and cands[1] != vb and (
                                             _workload(ptrs, cptrs, vb,
                                                       wpb, hsize)
                                             < _workload(ptrs, cptrs,
@@ -473,10 +473,10 @@ def _drain(
                 # Observers (the invariant monitor's sweeps) must see
                 # exact global state: sync the mirror, merge the deltas.
                 state.pending = pending
-                _merge(counters, mx_hot, mx_cold, tpb_local, tpw_local, recs,
-                       d_edges, d_cas, d_casf, d_pops, d_pushes, d_vis,
+                _merge(counters, mx_hot, mx_cold, tpw_local, recs,
+                       d_edges, d_claims, d_pops, d_pushes,
                        d_polls, d_refills, d_refille, d_flushes, d_flushe)
-                d_edges = d_cas = d_casf = d_pops = d_pushes = d_vis = 0
+                d_edges = d_claims = d_pops = d_pushes = 0
                 d_polls = d_refills = d_refille = d_flushes = d_flushe = 0
                 on_step(steps)
             if progress:
@@ -504,8 +504,8 @@ def _drain(
     # Final merge: counters and the pending mirror become globally
     # visible exactly as the generic engine leaves them.
     state.pending = pending
-    _merge(counters, mx_hot, mx_cold, tpb_local, tpw_local, recs,
-           d_edges, d_cas, d_casf, d_pops, d_pushes, d_vis,
+    _merge(counters, mx_hot, mx_cold, tpw_local, recs,
+           d_edges, d_claims, d_pops, d_pushes,
            d_polls, d_refills, d_refille, d_flushes, d_flushe)
     return EngineResult(cycles=now, steps=steps, agents=n_agents)
 
@@ -521,20 +521,21 @@ def _workload(ptrs, cptrs, block: int, wpb: int, hsize: int) -> int:
     return total
 
 
-def _merge(counters, mx_hot, mx_cold, tpb_local, tpw_local, recs,
-           d_edges, d_cas, d_casf, d_pops, d_pushes, d_vis,
+def _merge(counters, mx_hot, mx_cold, tpw_local, recs,
+           d_edges, d_claims, d_pops, d_pushes,
            d_polls, d_refills, d_refille, d_flushes, d_flushe) -> None:
     """Fold the fused loop's local counter deltas into ``counters``.
 
     Sums and maxima only, so the merge point cannot change the totals;
-    the per-block / per-warp claim tallies are zeroed as they merge.
+    the per-warp claim tallies are zeroed as they merge, and each block's
+    tally is their sum.  ``recs`` run in block order, so blocks enter
+    ``tasks_per_block`` in ascending order within one merge.
     """
     counters.edges_traversed += d_edges
-    counters.cas_attempts += d_cas
-    counters.cas_failures += d_casf
+    counters.cas_attempts += d_claims
     counters.pops += d_pops
     counters.pushes += d_pushes
-    counters.vertices_visited += d_vis
+    counters.vertices_visited += d_claims
     counters.idle_polls += d_polls
     counters.refills += d_refills
     counters.refill_entries += d_refille
@@ -545,13 +546,10 @@ def _merge(counters, mx_hot, mx_cold, tpb_local, tpw_local, recs,
     if mx_cold > counters.max_cold_depth:
         counters.max_cold_depth = mx_cold
     tpb = counters.tasks_per_block
-    for b, c in enumerate(tpb_local):
-        if c:
-            tpb[b] = tpb.get(b, 0) + c
-            tpb_local[b] = 0
     tpw = counters.tasks_per_warp
     for rec in recs:
         c = tpw_local[rec[6]]
         if c:
             tpw[rec[11]] = tpw.get(rec[11], 0) + c
+            tpb[rec[3]] = tpb.get(rec[3], 0) + c
             tpw_local[rec[6]] = 0

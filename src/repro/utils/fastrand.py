@@ -21,7 +21,11 @@ all of them when it finds no active block.
 (``inter_steal._sample_active_blocks``) in one call over the same
 buffered halves, so a probe pays one Python call instead of one per
 draw; ``_sample_active_blocks`` uses it whenever its generator is a
-replica and keeps its ``integers`` loop otherwise.
+replica and keeps its ``integers`` loop otherwise.  The probe's range is
+fixed for a run, so ``sample_hits`` maps a chunk's halves to bounded
+values once per ``(lo, range)`` with NumPy and scans that list, whenever
+no half of the chunk is a Lemire rejection and the probe's draws end
+inside the chunk; otherwise it maps draw by draw.
 
 Because the replica depends on NumPy internals that are stable but not
 contractual, :func:`wrap_generator` validates the replica against a real
@@ -52,13 +56,17 @@ class BoundedDraws:
     half-open ``integers`` form is supported, for ranges below 2**32.
     """
 
-    __slots__ = ("_bg", "_chunk", "_halves", "_i")
+    __slots__ = ("_bg", "_chunk", "_halves", "_i", "_words", "_bounded_for",
+                 "_bounded")
 
     def __init__(self, gen: np.random.Generator, chunk: int = 64):
         self._bg = gen.bit_generator
         self._chunk = chunk
         self._halves: list = []
         self._i = 0
+        self._words: Optional[np.ndarray] = None  # the halves, as uint32
+        self._bounded_for: Optional[tuple] = None
+        self._bounded: Optional[list] = None
 
     def _refill(self) -> list:
         """The next chunk's 32-bit halves, in NumPy's consumption order.
@@ -67,9 +75,27 @@ class BoundedDraws:
         half; a little-endian ``uint32`` view lists them in that order.
         """
         raw = self._bg.random_raw(self._chunk).astype("<u8", copy=False)
-        halves = raw.view("<u4").tolist()
+        words = raw.view("<u4")
+        halves = words.tolist()
+        self._words = words
         self._halves = halves
+        self._bounded_for = None
         return halves
+
+    def _bounded_chunk(self, lo: int, rng_excl: int,
+                       threshold: int) -> Optional[list]:
+        """The current chunk's halves mapped to ``[lo, lo + rng_excl)``,
+        or None when one of them is a Lemire rejection (then a half is
+        not always a draw).  Computed once per chunk and range."""
+        key = (lo, rng_excl)
+        if self._bounded_for != key:
+            m = self._words.astype(np.uint64) * rng_excl
+            if threshold and bool(((m & _U32_MASK) < threshold).any()):
+                self._bounded = None
+            else:
+                self._bounded = ((m >> 32).astype(np.int64) + lo).tolist()
+            self._bounded_for = key
+        return self._bounded
 
     def integers(self, lo: int, hi: int) -> int:
         """A draw from ``[lo, hi)``, identical to ``Generator.integers``."""
@@ -120,12 +146,30 @@ class BoundedDraws:
         # same words.  A rejected word is not a draw: the loop takes the
         # next word for the same draw.
         threshold = (_U32_MASK - rng) % rng_excl
-        mask = _U32_MASK
         halves = self._halves
         n = len(halves)
         i = self._i
-        left = draws
+        if i == n:
+            halves = self._refill()
+            n = len(halves)
+            i = 0
         found = []
+        end = i + draws
+        if end <= n:
+            bounded = self._bounded_chunk(lo, rng_excl, threshold)
+            if bounded is not None:
+                # Every half of the chunk is one draw.
+                for j in range(i, end):
+                    b = bounded[j]
+                    if b != skip and flags[b]:
+                        found.append(b)
+                        if len(found) == k:
+                            self._i = j + 1
+                            return found
+                self._i = end
+                return found
+        mask = _U32_MASK
+        left = draws
         while left:
             if i == n:
                 halves = self._refill()

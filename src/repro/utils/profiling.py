@@ -13,7 +13,7 @@ Three tools, all optional and all zero-cost when unused:
 The benchmark CLI exposes these via ``--profile`` (see
 ``python -m repro.bench --help``); ``repro.bench.micro`` uses
 :class:`PhaseTimer` to separate corpus generation from engine time in
-``BENCH_engine.json``.
+its payload's ``"phases"``.
 """
 
 from __future__ import annotations

@@ -143,3 +143,20 @@ class TestReferenceStage:
         case = case_from_seed(1).with_(perturb_seed=None, jitter=0)
         assert check_case(case) is None
         assert drains == {"fused": 1, "generic": 1}
+
+
+def test_check_case_builds_the_graph_once(monkeypatch):
+    """Every stage, the reference-diff stage's second monitored run
+    included, reads one build of the case's graph."""
+    calls = []
+    build = FuzzCase.build_graph
+
+    def spy(case):
+        calls.append(case.seed)
+        return build(case)
+
+    monkeypatch.setattr(FuzzCase, "build_graph", spy)
+    for seed in range(6):
+        calls.clear()
+        assert check_case(case_from_seed(seed)) is None
+        assert calls == [seed], seed

@@ -3,8 +3,14 @@
 The contract under test: a cache hit is bit-for-bit equivalent to a
 rebuild (same CSR arrays, same re-applied metadata, same roots), the
 cache can be disabled via the environment, and corrupt entries are
-discarded and rebuilt rather than crashing a sweep.
+discarded and rebuilt rather than crashing a sweep.  Entries are two
+plain ``.npy`` records, so a warm load needs neither zlib nor a zip
+container.
 """
+
+import io
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -12,6 +18,7 @@ import pytest
 from repro.bench.harness import BenchConfig, pick_roots
 from repro.graphs import collections as col
 from repro.graphs import diskcache, generators as gen
+from repro.graphs.csr import from_edges
 
 
 @pytest.fixture()
@@ -93,10 +100,14 @@ class TestCachedBuild:
         assert len(calls) == 2
 
     def test_clear_disk_cache(self, cache_in_tmp):
-        diskcache.cached_build("t", "x", {}, 1,
-                               lambda: gen.road_network(90, seed=1))
-        assert diskcache.clear_disk_cache() == 1
-        assert not list(cache_in_tmp.glob("*.npz"))
+        for seed in (1, 2):
+            diskcache.cached_build("t", "x", {}, seed,
+                                   lambda: gen.road_network(90, seed=1))
+        # A version-1 entry left behind by an older checkout.
+        (cache_in_tmp / "corpus-old-0123456789abcdef.npz").write_bytes(b"PK")
+        assert len(list(cache_in_tmp.iterdir())) == 3
+        assert diskcache.clear_disk_cache() == 3
+        assert not list(cache_in_tmp.iterdir())
 
 
 class TestCorpusIntegration:
@@ -117,3 +128,100 @@ class TestCorpusIntegration:
             assert _same_graph(a, b)
             # Root picking derives from graph.name — identical on a hit.
             assert pick_roots(a, cfg) == pick_roots(b, cfg)
+
+
+ROUND_TRIP = {
+    "undirected": lambda: gen.road_network(150, seed=13),
+    "directed": lambda: from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)],
+                                   directed=True, name="tiny-dag"),
+    "edgeless": lambda: from_edges(4, [], name=""),
+    "non-ascii": lambda: from_edges(3, [(0, 1), (1, 2)],
+                                    name="gräph-图-\u00e9\U0001f41d"),
+}
+
+
+class TestFileFormat:
+    @pytest.mark.parametrize("label", sorted(ROUND_TRIP))
+    def test_round_trip_is_byte_exact(self, cache_in_tmp, label):
+        graph = ROUND_TRIP[label]()
+        first = diskcache.cached_build("t", label, {}, 0, lambda: graph)
+        hit = diskcache.cached_build("t", label, {}, 0, lambda: 1 / 0)
+        for a, b in ((graph, first), (graph, hit)):
+            assert a.row_ptr.dtype == b.row_ptr.dtype == np.int64
+            assert a.column_idx.dtype == b.column_idx.dtype == np.int64
+            assert a.row_ptr.tobytes() == b.row_ptr.tobytes()
+            assert a.column_idx.tobytes() == b.column_idx.tobytes()
+            assert (a.name, a.directed) == (b.name, b.directed)
+        assert not hit.row_ptr.flags.writeable
+        assert not hit.column_idx.flags.writeable
+
+    def _records(self, path):
+        with open(path, "rb") as fh:
+            return (np.load(fh, allow_pickle=False),
+                    np.load(fh, allow_pickle=False))
+
+    def test_two_plain_records(self, cache_in_tmp):
+        g = diskcache.cached_build("t", "r", {}, 3,
+                                   lambda: gen.road_network(80, seed=3))
+        path = diskcache.cache_path("t", "r", {}, 3)
+        assert path.suffix == ".npy"
+        arrays, name = self._records(path)
+        n1 = g.n_vertices + 1
+        assert arrays.tolist() == [n1, 0, *g.row_ptr.tolist(),
+                                   *g.column_idx.tolist()]
+        assert name.tolist() == [g.name]
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "no-name-record", "zip-magic", "inconsistent-header",
+        "bad-row-ptr", "trailing-bytes"])
+    def test_damaged_entry_discarded_and_rebuilt(self, cache_in_tmp, damage):
+        """More damage than ``test_corrupt_entry_rebuilt``'s garbage."""
+        calls = []
+
+        def build():
+            calls.append(1)
+            return gen.road_network(120, seed=5)
+
+        def npy(*records):
+            buf = io.BytesIO()
+            for r in records:
+                np.save(buf, r)
+            return buf.getvalue()
+
+        g = diskcache.cached_build("t", "c", {}, 5, build)
+        path = diskcache.cache_path("t", "c", {}, 5)
+        data = path.read_bytes()
+        arrays, name = self._records(path)
+        header, row_ptr = arrays.copy(), arrays.copy()
+        header[0] = arrays.size      # row_ptr overruns the array
+        row_ptr[3] = -1              # row_ptr must be nondecreasing
+        path.write_bytes({
+            "truncated": data[:len(data) // 2],
+            "no-name-record": npy(arrays),
+            "zip-magic": b"PK\x03\x04" + b"\0" * 60,
+            "inconsistent-header": npy(header, name),
+            "bad-row-ptr": npy(row_ptr, name),
+            "trailing-bytes": data + b"\0",
+        }[damage])
+        again = diskcache.cached_build("t", "c", {}, 5, build)
+        assert len(calls) == 2
+        assert np.array_equal(g.column_idx, again.column_idx)
+        # The rebuild replaced the damaged entry with a readable one.
+        third = diskcache.cached_build("t", "c", {}, 5, lambda: 1 / 0)
+        assert np.array_equal(g.column_idx, third.column_idx)
+
+    def test_warm_load_needs_no_zlib_or_zip(self, cache_in_tmp, monkeypatch):
+        cold = col.representative_graphs()
+        col.clear_cache()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm corpus load used zlib or zipfile")
+
+        monkeypatch.setattr(zlib, "decompress", refuse)
+        monkeypatch.setattr(zlib, "decompressobj", refuse)
+        monkeypatch.setattr(zipfile, "ZipFile", refuse)
+        diskcache.reset_stats()
+        warm = col.representative_graphs()
+        assert diskcache.stats() == {"hits": len(cold), "misses": 0}
+        for a, b in zip(cold, warm):
+            assert _same_graph(a, b)

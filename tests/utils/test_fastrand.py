@@ -58,6 +58,18 @@ class _ScriptedBitGenerator:
         return np.array(out, dtype=np.uint64)
 
 
+def _integers_loop(gen, lo, hi, draws, k, skip, flags):
+    """``sample_hits``' contract, one ``integers`` call per draw."""
+    found = []
+    for _ in range(draws):
+        b = int(gen.integers(lo, hi))
+        if b != skip and flags[b]:
+            found.append(b)
+            if len(found) == k:
+                break
+    return found
+
+
 def test_sample_hits_lemire_rejection():
     """A zero 32-bit half maps to leftover 0, below range 3's threshold
     (2**32 mod 3 = 1), so it is rejected and the draw takes the next
@@ -70,27 +82,104 @@ def test_sample_hits_lemire_rejection():
         return BoundedDraws(SimpleNamespace(
             bit_generator=_ScriptedBitGenerator(words)), chunk=8)
 
-    def integers_loop(gen, k, skip, flags):
-        found = []
-        for _ in range(4 * k + 8):
-            b = gen.integers(0, 3)
-            if b != skip and flags[b]:
-                found.append(b)
-                if len(found) == k:
-                    break
-        return found
-
     rep, ref = replica(), replica()
     # Two hits: two zeros (rejected), 0xFFFFFFFF -> 2 (hit), 7 -> 0,
     # 0x80000000 -> 1 (skipped), two zeros, 5 -> 0, four zeros,
     # 0x40000000 -> 0, 0xC0000000 -> 2 (hit): 6 draws from 14 halves.
     assert (rep.sample_hits(0, 3, 16, 2, 1, [0, 0, 1])
-            == integers_loop(ref, 2, 1, [0, 0, 1]) == [2, 2])
+            == _integers_loop(ref, 0, 3, 16, 2, 1, [0, 0, 1]) == [2, 2])
     assert rep._i == ref._i == 14
     # No hit: all 16 draws, 0x40000000 then 15 words whose zero low
     # half is rejected: 32 halves, ending 14 halves into the third chunk.
     assert (rep.sample_hits(0, 3, 16, 2, 1, [0, 0, 0])
-            == integers_loop(ref, 2, 1, [0, 0, 0]) == [])
+            == _integers_loop(ref, 0, 3, 16, 2, 1, [0, 0, 0]) == [])
     assert rep._i == ref._i == 14
     assert [rep.integers(0, 3) for _ in range(2)] == [1, 0]
     assert [ref.integers(0, 3) for _ in range(2)] == [1, 0]
+
+
+def _assert_same_stream(rep, ref, where):
+    assert ([rep.integers(0, 11) for _ in range(64)]
+            == [int(ref.integers(0, 11)) for _ in range(64)]), where
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("lo", [0, 5])
+def test_precomputed_draws_match_integers_loop(k, lo):
+    """With the default 64-word chunk most probes end inside their
+    chunk, so ``sample_hits`` scans precomputed bounded values; ranges
+    1-33 include the powers of two, whose Lemire threshold is 0."""
+    draws = 4 * k + 8
+    for n in range(1, 34):
+        hi = lo + n
+        for pattern, flags in _flag_patterns(n):
+            flags = [0] * lo + flags
+            for seed, skip in ((n, lo), (n + 100, hi - 1), (n + 200, -1)):
+                rep = BoundedDraws(np.random.default_rng(seed))
+                ref = np.random.default_rng(seed)
+                where = (n, lo, pattern, seed, skip)
+                fast = 0
+                for probe in range(24):  # some windows cross a chunk end
+                    got = rep.sample_hits(lo, hi, draws, k, skip, flags)
+                    want = _integers_loop(ref, lo, hi, draws, k, skip, flags)
+                    assert got == want, (*where, probe)
+                    fast += rep._bounded_for == (lo, n)
+                assert fast or n == 1, where
+                _assert_same_stream(rep, ref, where)
+
+
+def test_precomputed_draws_follow_range_changes():
+    """One chunk serves probes of different ranges: each range gets its
+    own bounded values."""
+    rep = BoundedDraws(np.random.default_rng(7))
+    ref = np.random.default_rng(7)
+    for lo, hi in ((0, 5), (2, 9), (0, 5), (0, 16), (3, 4), (0, 5)):
+        flags = [0] * (hi - 1) + [1]
+        got = rep.sample_hits(lo, hi, 16, 2, -1, flags)
+        assert got == _integers_loop(ref, lo, hi, 16, 2, -1, flags), (lo, hi)
+    _assert_same_stream(rep, ref, "range changes")
+
+
+def test_window_crossing_chunk_end():
+    """A probe whose draws run past the chunk's end maps draw by draw,
+    across the refill."""
+    rep = BoundedDraws(np.random.default_rng(11))
+    ref = np.random.default_rng(11)
+    for _ in range(120):  # 120 of the chunk's 128 halves
+        assert rep.integers(0, 16) == int(ref.integers(0, 16))
+    flags = [0] * 16
+    assert rep.sample_hits(0, 16, 16, 2, 0, flags) == []
+    assert _integers_loop(ref, 0, 16, 16, 2, 0, flags) == []
+    assert rep._i == 8  # eight halves into the next chunk
+    _assert_same_stream(rep, ref, "crossing")
+
+
+def test_rejection_inside_chunk_keeps_per_draw_loop():
+    """Range 3 rejects a zero half (2**32 mod 3 = 1).  A chunk holding
+    one has no precomputed values, so even a probe that ends inside it
+    maps draw by draw; the next chunks, with no zero half, take the
+    fast path."""
+    # Halves 3, 7, 9, 10 and 14 of the first chunk are zero.
+    with_zeros = [(7 << 32) | 5, 9, (2 << 32) | 0x80000000, 0xFFFFFFFF,
+                  0xC0000000, 3 << 32, (1 << 32) | 4, 6 << 32]
+    clean = [((i + 1) << 32) | (0x40000000 * (i % 4) + 1) for i in range(8)]
+    words = with_zeros + clean + clean
+
+    def replica():
+        return BoundedDraws(SimpleNamespace(
+            bit_generator=_ScriptedBitGenerator(words)), chunk=8)
+
+    rep, ref = replica(), replica()
+    hits, none = [1, 0, 1], [0, 0, 0]
+    probes = ((4, 2, hits), (4, 1, hits), (4, 2, none),  # first chunk
+              (16, 2, none),                  # across the first refill
+              (4, 2, none), (4, 2, hits))     # clean chunks
+    for n_probe, (draws, k, flags) in enumerate(probes):
+        got = rep.sample_hits(0, 3, draws, k, 1, flags)
+        assert got == _integers_loop(ref, 0, 3, draws, k, 1, flags), n_probe
+        assert rep._i == ref._i, n_probe
+        if n_probe == 2:
+            assert rep._bounded_for == (0, 3) and rep._bounded is None
+    assert rep._bounded_for == (0, 3) and rep._bounded is not None
+    assert ([rep.integers(0, 3) for _ in range(8)]
+            == [ref.integers(0, 3) for _ in range(8)])
