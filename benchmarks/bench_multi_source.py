@@ -7,8 +7,7 @@ with diminishing returns once every block is seeded; coverage and forest
 validity always hold.
 """
 
-from repro.bench.harness import BenchConfig, pick_roots
-from repro.core.multi_source import run_diggerbees_multi
+from repro.core import run_diggerbees_multi
 from repro.graphs import collections as col
 from repro.sim.device import H100
 from repro.utils.rng import derive_seed, make_rng

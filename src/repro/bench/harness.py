@@ -24,6 +24,7 @@ from repro.core.config import DiggerBeesConfig
 from repro.core.diggerbees import run_diggerbees
 from repro.errors import BenchmarkError, MemoryLimitExceeded
 from repro.graphs.csr import CSRGraph
+from repro.graphs.shm import resolve_graph
 from repro.sim.device import DeviceSpec, H100, XEON_MAX_9462
 from repro.sim.metrics import PerfSample
 from repro.utils.rng import derive_seed, make_rng
@@ -61,8 +62,6 @@ class BenchConfig:
     n_roots: int = 2
     seed: int = 7
     device: DeviceSpec = H100
-    diggerbees_version: int = 4
-    victim_policy: str = "two_choice"
     #: Worker processes for sweep fan-out (1 = in-process, no pool).
     #: Results are jobs-invariant: every sample is a pure function of
     #: (method, graph, root, cfg) and collection preserves task order.
@@ -80,17 +79,13 @@ class BenchConfig:
     def with_(self, **kwargs) -> "BenchConfig":
         return replace(self, **kwargs)
 
-    def diggerbees_config(self, version: Optional[int] = None,
+    def diggerbees_config(self, version: int = 4,
                           **overrides) -> DiggerBeesConfig:
-        v = version if version is not None else self.diggerbees_version
-        kwargs = dict(
-            warps_per_block=self.warps_per_block,
-            victim_policy=self.victim_policy,
-            seed=self.seed,
-        )
+        """The §4.5 ``version`` config (v4 by default) at this scale."""
+        kwargs = dict(warps_per_block=self.warps_per_block, seed=self.seed)
         kwargs.update(overrides)
         return DiggerBeesConfig.version(
-            v, self.device, sim_scale=self.sim_scale, **kwargs,
+            version, self.device, sim_scale=self.sim_scale, **kwargs,
         )
 
 
@@ -219,42 +214,10 @@ def run_method(method: str, graph: CSRGraph, root: int,
     return ALL_METHODS[method](graph, root, cfg)
 
 
-#: Worker-side cache of graphs attached from shared memory, keyed by the
-#: first segment name (unique per export; an export lives as long as its
-#: graph in the parent, so every fan-out over that graph hits).
-#: Bounded: a sweep touches a handful of graphs, but a long-lived worker
-#: in a persistent pool must not accumulate mappings without limit.
-_WORKER_GRAPH_CACHE: Dict[str, tuple] = {}
-_WORKER_GRAPH_CACHE_MAX = 32
-
-
-def _resolve_task_graph(graph):
-    """Turn a shared-memory spec back into a graph (workers only)."""
-    from repro.graphs.shm import SPEC_KEY, attach_csr
-
-    if not (isinstance(graph, dict) and graph.get(SPEC_KEY)):
-        return graph
-    key = graph["segments"][0][0]
-    hit = _WORKER_GRAPH_CACHE.get(key)
-    if hit is not None:
-        return hit[0]
-    attached, handles = attach_csr(graph)
-    if len(_WORKER_GRAPH_CACHE) >= _WORKER_GRAPH_CACHE_MAX:
-        # FIFO eviction.  Release the graph before its handles: its
-        # arrays export the mapped buffers, and a handle whose mapping
-        # is still exported fails to close (BufferError in __del__).
-        evicted, evicted_handles = _WORKER_GRAPH_CACHE.pop(
-            next(iter(_WORKER_GRAPH_CACHE)))
-        del evicted
-        del evicted_handles
-    _WORKER_GRAPH_CACHE[key] = (attached, handles)
-    return attached
-
-
 def _execute_task(task) -> PerfSample:
     """Run one (method, graph-or-spec, root, cfg) task: one sample."""
     method, graph, root, cfg = task
-    return ALL_METHODS[method](_resolve_task_graph(graph), root, cfg)
+    return ALL_METHODS[method](resolve_graph(graph), root, cfg)
 
 
 #: The one method whose samples :func:`repro.core.dispatch.run_batch`
@@ -278,7 +241,7 @@ def _execute_unit(unit) -> List[PerfSample]:
         return [_execute_task((method, graph, roots[0], cfg))]
     from repro.core.dispatch import run_batch
 
-    graph = _resolve_task_graph(graph)
+    graph = resolve_graph(graph)
     results = run_batch(graph, "frontier", [(r, None) for r in roots])
     samples = []
     for root, res in zip(roots, results):

@@ -2,8 +2,8 @@
 stealing DFS (DiggerBees)."""
 
 from repro.core.config import DiggerBeesConfig
-from repro.core.diggerbees import DiggerBeesResult, run_diggerbees
-from repro.core.multi_source import MultiSourceResult, run_diggerbees_multi
+from repro.core.diggerbees import (DiggerBeesResult, run_diggerbees,
+                                   run_diggerbees_multi)
 from repro.core.twolevel_stack import ColdSeg, HotRing, OneLevelStack, WarpStack
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "run_diggerbees",
     "DiggerBeesResult",
     "run_diggerbees_multi",
-    "MultiSourceResult",
     "HotRing",
     "ColdSeg",
     "WarpStack",

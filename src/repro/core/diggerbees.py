@@ -9,12 +9,13 @@ This is the public entry point of the core package::
 
 :func:`run_reference` is the fused loop's named oracle: the same run on
 the generic event loop with the reference expand.
+:func:`run_diggerbees_multi` seeds several roots before the same drain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,14 +31,21 @@ from repro.sim.metrics import mteps as _mteps
 from repro.sim.trace import SimCounters, TraceLog
 from repro.validate.reference import TraversalResult
 
-__all__ = ["DiggerBeesResult", "run_diggerbees", "run_reference", "drain"]
+__all__ = ["DiggerBeesResult", "run_diggerbees", "run_diggerbees_multi",
+           "run_reference"]
 
 
 @dataclass(frozen=True)
 class DiggerBeesResult:
-    """Complete outcome of one DiggerBees run."""
+    """Complete outcome of one DiggerBees run.
+
+    ``roots`` are the seeds that claimed a tree: ``(root,)`` for a
+    single-root run; a multi-source run's ``traversal`` is a spanning
+    forest whose ``root`` field is the first seed.
+    """
 
     traversal: TraversalResult
+    roots: Tuple[int, ...]
     cycles: int
     seconds: float
     counters: SimCounters
@@ -54,6 +62,10 @@ class DiggerBeesResult:
     @property
     def n_visited(self) -> int:
         return self.traversal.n_visited
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.roots)
 
     def summary(self) -> dict:
         """Flat metrics dict for reports."""
@@ -110,8 +122,37 @@ def run_diggerbees(
     DiggerBeesResult
         Traversal output, simulated time, MTEPS, and full counters.
     """
-    return _run(graph, root, config, device, check_invariants,
+    return _run(graph, (root,), config, device, check_invariants,
                 record_order, instrument, reference=False)
+
+
+def run_diggerbees_multi(
+    graph: CSRGraph,
+    roots: Sequence[int],
+    *,
+    config: Optional[DiggerBeesConfig] = None,
+    device: DeviceSpec = H100,
+    check_invariants: bool = False,
+) -> DiggerBeesResult:
+    """Run DiggerBees seeded from several roots in one simulation.
+
+    Root ``i`` is seeded on warp 0 of block ``i % n_blocks`` before the
+    grid starts, as a launcher would scatter seed vertices.  Two uses
+    beyond the paper's single-source runs: covering a disconnected
+    graph in one run (a spanning forest), and warm starts that skip the
+    single-source ramp-up, as GAP-style many-source benchmarks run.
+    All roots are claimed up front, so distinct roots in one component
+    partition it into several trees; exact duplicates are dropped.  A
+    single-root call replays :func:`run_diggerbees` exactly, schedule
+    perturbation included.
+    """
+    roots = tuple(int(r) for r in roots)
+    if not roots:
+        raise SimulationError("run_diggerbees_multi needs at least one root")
+    for r in roots:
+        graph._check_vertex(r)
+    return _run(graph, roots, config, device, check_invariants,
+                False, None, reference=False)
 
 
 def run_reference(
@@ -135,32 +176,31 @@ def run_reference(
     functions run the same code.  Parameters as for
     :func:`run_diggerbees`.
     """
-    return _run(graph, root, config, device, check_invariants,
+    return _run(graph, (root,), config, device, check_invariants,
                 record_order, instrument, reference=True)
 
 
-def drain(state: RunState, *,
-          on_step: Optional[Callable[[int], None]] = None) -> EngineResult:
-    """Run a seeded :class:`RunState` to termination: the one DFS driver.
+def _run(graph, roots, config, device, check_invariants, record_order,
+         instrument, *, reference: bool) -> DiggerBeesResult:
+    """Seed, drain and package one run (see :func:`run_diggerbees`).
 
-    Eligible configs (see :func:`repro.core.turbo.turbo_eligible`) drain
-    through the fused scheduler-agent loop; the rest — one-level stacks,
-    perturbed schedules — through the generic :class:`EventLoop` with
-    the reference expand.  Raises if work is still pending when the
-    engine stops.
+    The fused loop drains eligible configs unless ``reference``; the
+    rest run the generic :class:`EventLoop` with the reference expand.
     """
-    return _drain(state, turbo_eligible(state.config), on_step)
-
-
-def _drain(state: RunState, fused: bool,
-           on_step: Optional[Callable[[int], None]]) -> EngineResult:
-    config = state.config
+    config = config or DiggerBeesConfig()
+    if record_order and not config.trace:
+        config = config.with_overrides(trace=True)
+    state = RunState(graph, roots[0], config, device)
+    claimed = roots[:1] + tuple(
+        r for i, r in enumerate(roots[1:], start=1)
+        if state.seed_root(r, i % config.n_blocks))
+    on_step = instrument(state) if instrument is not None else None
     agents = [
         WarpAgent(state, b, w)
         for b in range(config.n_blocks)
         for w in range(config.warps_per_block)
     ]
-    if fused:
+    if not reference and turbo_eligible(config):
         engine = run_turbo(state, agents, max_cycles=config.max_cycles,
                            on_step=on_step)
     else:
@@ -176,34 +216,22 @@ def _drain(state: RunState, fused: bool,
         raise SimulationError(
             f"engine stopped with {state.pending} entries pending"
         )
-    return engine
-
-
-def _run(graph, root, config, device, check_invariants, record_order,
-         instrument, *, reference: bool) -> DiggerBeesResult:
-    """Build, drain and package one run (see :func:`run_diggerbees`)."""
-    config = config or DiggerBeesConfig()
-    if record_order and not config.trace:
-        config = config.with_overrides(trace=True)
-    state = RunState(graph, root, config, device)
-    on_step = instrument(state) if instrument is not None else None
-    engine = _drain(state, not reference and turbo_eligible(config), on_step)
     if check_invariants:
         state.check_invariants()
     order = np.empty(0, dtype=np.int64)
     if record_order:
         # Trace events are appended in execution order (steps run
         # sequentially in the engine), so visit events give the global
-        # claim sequence; the root is claimed at initialization.
-        claimed = [ev.detail[1] for ev in state.trace.filter(kind="visit")]
-        order = np.asarray([root] + claimed, dtype=np.int64)
+        # claim sequence; the roots are claimed at initialization.
+        visits = [ev.detail[1] for ev in state.trace.filter(kind="visit")]
+        order = np.asarray(claimed + tuple(visits), dtype=np.int64)
         if state.trace.truncated:
             raise SimulationError(
                 "trace truncated: discovery order incomplete; raise the "
                 "TraceLog limit for graphs this large"
             )
     traversal = TraversalResult(
-        root=root,
+        root=roots[0],
         visited=state.visited.astype(bool),
         parent=state.parent,
         order=order,
@@ -211,6 +239,7 @@ def _run(graph, root, config, device, check_invariants, record_order,
     )
     return DiggerBeesResult(
         traversal=traversal,
+        roots=claimed,
         cycles=engine.cycles,
         seconds=device.cycles_to_seconds(engine.cycles),
         counters=state.counters,

@@ -227,19 +227,33 @@ class RunState:
                     block.stacks.append(OneLevelStack())
             self.blocks.append(block)
 
-        # Root initialization (paper §3.6: push root into Warp0's HotRing).
+        self.seed_root(root, 0)
+
+    def seed_root(self, root: int, block_id: int) -> bool:
+        """Claim ``root`` and push it into warp 0 of ``block_id`` before
+        the grid starts (paper §3.6 seeds warp 0 of block 0).
+
+        A full HotRing is flushed first, at no charge.  A root already
+        claimed (a duplicate seed) is skipped: returns False.
+        """
+        if self.visited_mv[root]:
+            return False
         self.visited[root] = 1
         self.parent[root] = ROOT_PARENT
         self.counters.vertices_visited += 1
-        self.counters.record_task(0, 0)
-        root_stack = self.blocks[0].stacks[0]
-        if isinstance(root_stack, WarpStack):
-            root_stack.hot.push(root, int(graph.row_ptr[root]))
+        self.counters.record_task(block_id, 0)
+        block = self.blocks[block_id]
+        stack = block.stacks[0]
+        if isinstance(stack, WarpStack):
+            if stack.needs_flush():
+                stack.flush()
+            stack.hot.push(root, int(self.graph.row_ptr[root]))
         else:
-            root_stack.push(root, int(graph.row_ptr[root]))
+            stack.push(root, int(self.graph.row_ptr[root]))
         self.counters.pushes += 1
-        self.pending = 1
-        self.blocks[0].set_active(0, True)
+        self.pending += 1
+        block.set_active(0, True)
+        return True
 
     # ------------------------------------------------------------------
     def is_terminated(self) -> bool:

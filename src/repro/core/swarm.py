@@ -113,7 +113,6 @@ def run_swarm(graph: CSRGraph, roots: Sequence[int], *,
     rp, ci = graph.row_ptr, graph.column_idx
     deg = (rp[1:] - rp[:-1]).astype(np.int64)
     mode = "push" if graph.directed else config.mode
-    neighbors_sorted = bool(graph.meta.get("sorted_neighbors", False))
     total_arcs = int(ci.size)
 
     t0 = time.perf_counter()
@@ -256,7 +255,7 @@ def run_swarm(graph: CSRGraph, roots: Sequence[int], *,
                 # ``dst_u`` ascends already (cand is sorted); ordering
                 # each dst run by src makes "first active occurrence"
                 # the min-parent tie-break.
-                if neighbors_sorted:
+                if graph.neighbors_sorted:
                     neigh_s, dst_s = neigh_u, dst_u
                 else:
                     order = np.lexsort((neigh_u, dst_u))

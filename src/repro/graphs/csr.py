@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -124,12 +125,25 @@ class CSRGraph:
         src = np.repeat(np.arange(self.n_vertices, dtype=_INDEX_DTYPE), self.degree())
         return np.column_stack([src, self.column_idx])
 
+    @functools.cached_property
+    def neighbors_sorted(self) -> bool:
+        """True if every adjacency list ascends (nondecreasing).
+
+        One vectorized pass, computed on first use: every position
+        where ``column_idx`` drops must be a row start.
+        """
+        rp, ci = self.row_ptr, self.column_idx
+        drops = ci[1:] < ci[:-1]
+        starts = rp[(rp > 0) & (rp < ci.size)]
+        drops[starts - 1] = False
+        return not drops.any()
+
     def has_edge(self, u: int, v: int) -> bool:
         """True if arc ``(u, v)`` is stored (binary search if sorted, scan otherwise)."""
         self._check_vertex(u)
         self._check_vertex(v)
         nbrs = self.neighbors(u)
-        if self.meta.get("sorted_neighbors"):
+        if self.neighbors_sorted:
             pos = np.searchsorted(nbrs, v)
             return bool(pos < nbrs.size and nbrs[pos] == v)
         return bool(np.any(nbrs == v))
@@ -159,9 +173,7 @@ class CSRGraph:
             lo, hi = rp[u], rp[u + 1]
             if hi - lo > 1:
                 ci[lo:hi] = np.sort(ci[lo:hi])
-        meta = dict(self.meta)
-        meta["sorted_neighbors"] = True
-        return CSRGraph(rp, ci, self.directed, self.name, meta)
+        return CSRGraph(rp, ci, self.directed, self.name, dict(self.meta))
 
     def symmetrize(self) -> "CSRGraph":
         """Return the undirected closure: every arc gets its reverse.
@@ -341,10 +353,8 @@ def from_edges(
         order2 = np.lexsort((arr[:, 1], arr[:, 0]))
         column_idx = arr[order2, 1].copy()
 
-    full_meta = dict(meta or {})
-    if sort_neighbors:
-        full_meta["sorted_neighbors"] = True
-    return CSRGraph(row_ptr, column_idx, directed=directed, name=name, meta=full_meta)
+    return CSRGraph(row_ptr, column_idx, directed=directed, name=name,
+                    meta=dict(meta or {}))
 
 
 def from_adjacency(

@@ -40,7 +40,7 @@ import numpy as np
 from repro.graphs.csr import CSRGraph
 
 __all__ = ["SPEC_KEY", "SharedCSR", "export_csr", "attach_csr",
-           "shared_spec", "release_shared"]
+           "resolve_graph", "shared_spec", "release_shared"]
 
 #: Marker key identifying a shared-graph spec dict in a task payload.
 SPEC_KEY = "__csr_shm__"
@@ -147,6 +147,37 @@ def attach_csr(spec: dict) -> Tuple[CSRGraph, list]:
         meta=dict(spec["meta"]),
     )
     return graph, handles
+
+
+#: Worker-side cache of attached graphs, keyed by the first segment name
+#: (unique per export; an export lives as long as its graph in the
+#: exporter, so every fan-out over that graph hits).  Bounded: a sweep
+#: touches a handful of graphs, but a long-lived worker in a persistent
+#: pool must not accumulate mappings without limit.
+_WORKER_GRAPH_CACHE: Dict[str, tuple] = {}
+_WORKER_GRAPH_CACHE_MAX = 32
+
+
+def resolve_graph(graph):
+    """The graph a task carries: a spec is attached (once per worker,
+    then cached), a graph passes through."""
+    if not (isinstance(graph, dict) and graph.get(SPEC_KEY)):
+        return graph
+    key = graph["segments"][0][0]
+    hit = _WORKER_GRAPH_CACHE.get(key)
+    if hit is not None:
+        return hit[0]
+    attached, handles = attach_csr(graph)
+    if len(_WORKER_GRAPH_CACHE) >= _WORKER_GRAPH_CACHE_MAX:
+        # FIFO eviction.  Release the graph before its handles: its
+        # arrays export the mapped buffers, and a handle whose mapping
+        # is still exported fails to close (BufferError in __del__).
+        evicted, evicted_handles = _WORKER_GRAPH_CACHE.pop(
+            next(iter(_WORKER_GRAPH_CACHE)))
+        del evicted
+        del evicted_handles
+    _WORKER_GRAPH_CACHE[key] = (attached, handles)
+    return attached
 
 
 # ---------------------------------------------------------------------------

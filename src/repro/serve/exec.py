@@ -3,9 +3,9 @@
 Module-level, picklable functions so the daemon can run them either
 in-process (``jobs = 0``) or across the persistent worker pool of
 :mod:`repro.bench.harness` (``jobs >= 1``) with identical results.
-Workers receive graphs as shared-memory specs (attached and cached via
-the harness's worker-side graph cache) or, on the pickle-fallback path,
-as the graphs themselves.
+Workers receive graphs as shared-memory specs (attached and cached by
+:func:`repro.graphs.shm.resolve_graph`) or, on the pickle-fallback
+path, as the graphs themselves.
 
 Failure semantics: *query* failures — an over-budget simulation, a
 toposort on a cyclic graph, an out-of-range root — are returned as
@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.config import DiggerBeesConfig
 from repro.errors import ProtocolError, ReproError
+from repro.graphs.shm import resolve_graph
 from repro.serve.protocol import (
     QUERY_OPS,
     ROOTED_OPS,
@@ -59,13 +60,6 @@ def build_engine_config(overrides: Optional[Dict[str, Any]],
     # ReproError (SimulationError) from validation propagates to the
     # caller, which turns it into a per-request error response.
     return DiggerBeesConfig(**overrides)
-
-
-def _resolve(wire_graph):
-    """Attach a shm spec (worker-side cached) or pass a graph through."""
-    from repro.bench.harness import _resolve_task_graph
-
-    return _resolve_task_graph(wire_graph)
 
 
 def _error_marker(exc: BaseException) -> Dict[str, Any]:
@@ -162,7 +156,7 @@ def execute_query(wire_graph, op: str, root: int,
     and ops outside :data:`~repro.serve.protocol.ROOTED_OPS` ignore
     ``root`` too (it is neither validated nor used).
     """
-    graph = _resolve(wire_graph)
+    graph = resolve_graph(wire_graph)
     if op == "dfs":
         return execute_dfs_batch(graph, [(root, overrides)], backend)[0]
     try:
@@ -192,7 +186,7 @@ def execute_dfs_batch(wire_graph,
     Per-task payloads are identical whichever tier ran; admission never
     mixes backends in one batch.
     """
-    graph = _resolve(wire_graph)
+    graph = resolve_graph(wire_graph)
     out: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
     valid: List[Tuple[int, int, DiggerBeesConfig]] = []
     for i, (root, ov) in enumerate(tasks):

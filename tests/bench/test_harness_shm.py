@@ -112,15 +112,15 @@ def test_worker_cache_eviction_closes_every_handle(monkeypatch):
     # close raises BufferError from __del__.  So must the memoryviews
     # the traversals read an attached graph through.
     cache = {}
-    monkeypatch.setattr(harness, "_WORKER_GRAPH_CACHE", cache)
-    monkeypatch.setattr(harness, "_WORKER_GRAPH_CACHE_MAX", 2)
+    monkeypatch.setattr(shm, "_WORKER_GRAPH_CACHE", cache)
+    monkeypatch.setattr(shm, "_WORKER_GRAPH_CACHE_MAX", 2)
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     graphs = [gen.road_network(60 + 10 * i, seed=i) for i in range(5)]
     exported = [shm.export_csr(g) for g in graphs]
     try:
         for graph, shared in zip(graphs, exported):
-            attached = harness._resolve_task_graph(shared.spec)
+            attached = shm.resolve_graph(shared.spec)
             assert _answers(attached) == _answers(graph)
             del attached  # the cache holds the only reference
         assert len(cache) == 2

@@ -1,10 +1,11 @@
 """Tests for the multi-source (forest / warm-start) DiggerBees mode."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core import DiggerBeesConfig, run_diggerbees
-from repro.core.multi_source import run_diggerbees_multi
+from repro.core import DiggerBeesConfig, run_diggerbees, run_diggerbees_multi
 from repro.errors import SimulationError, ValidationError
 from repro.graphs import generators as gen
 from repro.graphs.csr import from_edges
@@ -114,6 +115,65 @@ class TestSingleRootEquivalence:
                               single.traversal.parent)
 
 
+class TestGoldenSchedules:
+    """Multi-root schedules pinned bit for bit: cycles, engine steps, the
+    claiming roots and a digest of the parent array.  Root ``i`` lands
+    on warp 0 of block ``i % n_blocks``; the duplicate in the first case
+    is skipped, and the 4-slot ring must flush while 24 roots are
+    seeded on 4 blocks."""
+
+    SPREAD = (0, 150, 300, 450, 599)
+    GOLDEN = {
+        "unperturbed": (45292, 1430, SPREAD, "45e0be88cf582977"),
+        "perturbed": (49735, 1426, SPREAD, "ef5335835f9dbc6f"),
+        "one-level": (77978, 1390, SPREAD, "e4fbb4122d8e993e"),
+        "two-gpu": (46418, 1363, SPREAD, "149ed2188a87d59e"),
+        "flushing-ring": (49588, 1572, tuple(range(0, 600, 25)),
+                          "92807673246d4da0"),
+    }
+    CASES = {
+        "unperturbed": (CFG, SPREAD + (150,)),
+        "perturbed": (CFG.with_overrides(perturb_seed=5, jitter=3), SPREAD),
+        "one-level": (CFG.with_overrides(two_level=False), SPREAD),
+        "two-gpu": (CFG.with_overrides(n_gpus=2), SPREAD),
+        "flushing-ring": (CFG.with_overrides(hot_size=4, hot_cutoff=2,
+                                             flush_batch=2, refill_batch=2),
+                          tuple(range(0, 600, 25))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_schedule_matches_golden(self, name):
+        config, roots = self.CASES[name]
+        res = run_diggerbees_multi(gen.road_network(600, seed=3),
+                                   list(roots), config=config,
+                                   check_invariants=True)
+        digest = hashlib.sha256(res.traversal.parent.tobytes()).hexdigest()
+        assert (res.cycles, res.engine.steps, res.roots,
+                digest[:16]) == self.GOLDEN[name]
+        assert res.n_trees == len(self.GOLDEN[name][2])
+
+    def test_seeding_flushes_a_full_ring_without_charge(self):
+        from repro.core.state import RunState
+        from repro.sim.device import H100
+
+        config, roots = self.CASES["flushing-ring"]
+        state = RunState(gen.road_network(600, seed=3), roots[0], config, H100)
+        for i, r in enumerate(roots[1:], start=1):
+            assert state.seed_root(r, i % config.n_blocks)
+        assert not state.seed_root(roots[5], 0)  # already claimed
+        # Six roots per block into a 3-entry ring: two flushes of two.
+        for block in state.blocks:
+            assert (len(block.stacks[0].hot), len(block.stacks[0].cold)) \
+                == (2, 4)
+        assert state.pending == 24
+        assert state.counters.flushes == 0
+
+    def test_single_run_reports_its_root(self, small_road):
+        res = run_diggerbees(small_road, 7, config=CFG)
+        assert res.roots == (7,)
+        assert res.n_trees == 1
+
+
 class TestSwarmEquivalence:
     """Warm-start forest vs the swarm lockstep tier on the same roots.
 
@@ -170,7 +230,7 @@ class TestSwarmEquivalence:
         forest = run_diggerbees_multi(disconnected_graph, [0, 0, 3],
                                       config=CFG)
         lanes = self._swarm(disconnected_graph, [0, 0, 3])
-        # multi_source drops exact duplicates; swarm runs both lanes
+        # The forest drops exact duplicates; swarm runs both lanes
         # and they must be bit-identical.
         assert set(forest.roots) == {0, 3}
         assert np.array_equal(lanes[0].traversal.parent,

@@ -72,6 +72,40 @@ def test_forced_modes_match_single_root(graph, mode):
         assert_lane_identical(res, run_frontier(graph, root, config=cfg))
 
 
+def test_pull_levels_sort_only_unsorted_rows(tmp_path, monkeypatch):
+    """A disk-cache hit keeps none of the generator's metadata; pull
+    levels read sortedness off the arrays and skip the lexsort on a
+    sorted graph, while an unsorted one still gets it."""
+    from repro.bench.micro import MICRO_CASES
+    from repro.graphs import diskcache
+    from repro.graphs.csr import from_edges
+
+    monkeypatch.setenv(diskcache.ENV_VAR, str(tmp_path))
+    build = MICRO_CASES[0][1]
+    build()
+    warm = build()
+    shuffled = from_edges(warm.n_vertices, warm.edge_array()[::-1],
+                          sort_neighbors=False)
+    assert not shuffled.neighbors_sorted
+    real = np.lexsort
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    cfg = FrontierConfig(mode="pull")
+    for graph, sorts in ((warm, False), (shuffled, True)):
+        roots = _roots_for(graph, k=4)
+        monkeypatch.setattr(np, "lexsort", spy)
+        batch = run_swarm(graph, roots, config=cfg)
+        monkeypatch.setattr(np, "lexsort", real)
+        assert bool(calls) is sorts
+        calls.clear()
+        for root, res in zip(roots, batch):
+            assert_lane_identical(res, run_frontier(graph, root, config=cfg))
+
+
 def test_mixed_direction_lanes():
     """Lanes must switch direction independently: a hub root goes
     pull-heavy while a rim root of the same graph stays pushing longer;

@@ -169,7 +169,18 @@ class TestTransforms:
         g = from_edges(4, [(0, 3), (0, 1)], directed=True, sort_neighbors=False)
         s = g.sort_neighbors()
         assert list(s.neighbors(0)) == [1, 3]
-        assert s.meta.get("sorted_neighbors")
+        assert s.neighbors_sorted
+        assert not g.neighbors_sorted
+
+    def test_neighbors_sorted_read_off_the_arrays(self):
+        # Rows may restart low at a row boundary, even across empty
+        # rows; a descending row anywhere clears the flag.
+        assert from_adjacency([[2, 3], [], [0, 1], [1]]).neighbors_sorted
+        assert from_adjacency([[], [], []]).neighbors_sorted
+        assert from_adjacency([[1], [2, 0], [1]]).neighbors_sorted is False
+        g = from_adjacency([[1, 2], [0, 2, 2], [1, 0]], directed=True)
+        assert not g.neighbors_sorted
+        assert g.has_edge(2, 0) and not g.has_edge(0, 0)
 
     def test_with_name(self):
         g = from_edges(2, [(0, 1)], directed=True)

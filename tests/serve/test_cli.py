@@ -1,6 +1,7 @@
 """The ``python -m repro.serve`` daemon as a real process."""
 
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -18,8 +19,8 @@ from repro.serve.client import SyncServeClient
 def test_in_process_daemon_keeps_its_graphs_out_of_shared_memory():
     # jobs=0 (the default) runs every query on in-daemon threads, so the
     # corpus has no workers to share with and stays unexported.
-    sock = os.path.join(tempfile.mkdtemp(prefix="repro-serve-cli-"),
-                        "d.sock")
+    sock_dir = tempfile.mkdtemp(prefix="repro-serve-cli-")
+    sock = os.path.join(sock_dir, "d.sock")
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
@@ -45,6 +46,7 @@ def test_in_process_daemon_keeps_its_graphs_out_of_shared_memory():
             proc.kill()
             proc.wait()
         proc.stdout.close()
+        shutil.rmtree(sock_dir, ignore_errors=True)
     assert len(graphs) == 4
     assert [g["shm"] for g in graphs] == [False] * 4
 
