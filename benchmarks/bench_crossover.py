@@ -86,7 +86,6 @@ import pathlib
 import statistics
 import sys
 import time
-from datetime import datetime, timezone
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -94,7 +93,7 @@ import numpy as np
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bench.micro import MICRO_CASES  # noqa: E402
+from repro.bench.micro import MICRO_CASES, record_trajectory  # noqa: E402
 from repro.core.config import DiggerBeesConfig  # noqa: E402
 from repro.core.diggerbees import run_diggerbees  # noqa: E402
 from repro.core.dispatch import (  # noqa: E402
@@ -122,8 +121,6 @@ ROUTING_SLACK = 1.2
 #: Cases that run the interleaved swarm-vs-sequential protocol and
 #: carry the SWARM_SPEEDUP_FLOOR gate.
 SWARM_FLAGSHIPS = ("starmesh6000", "layers2000x3")
-
-TRAJECTORY_PATH = REPO_ROOT / "benchmarks" / "out" / "trajectory.jsonl"
 
 #: Fixed vertex budget of the crossover graphs (width x depth = N).
 SWEEP_N = 6000
@@ -477,16 +474,6 @@ def render_widths(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def append_trajectory(result: Dict) -> None:
-    TRAJECTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
-    entry = dict(result)
-    entry["timestamp"] = datetime.now(timezone.utc).isoformat(
-        timespec="seconds")
-    with TRAJECTORY_PATH.open("a", encoding="utf-8") as f:
-        f.write(json.dumps(entry) + "\n")
-    print(f"recorded -> {TRAJECTORY_PATH}")
-
-
 def render(result: Dict) -> str:
     lines = [f"{'case':<14s} {'n':>6s} {'levels':>6s} {'lev/n':>6s} "
              f"{'frontier':>10s} {'dfs(def)':>10s} {'dfs(cfg)':>10s} "
@@ -574,7 +561,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         pathlib.Path(args.json).write_text(
             json.dumps(result, indent=2, sort_keys=True) + "\n")
     if args.record:
-        append_trajectory(result)
+        print(f"recorded -> {record_trajectory(result)}")
     if args.gate:
         return gate(result)
     return 0

@@ -45,6 +45,7 @@ import asyncio
 import json
 import os
 import pathlib
+import shutil
 import sys
 import tempfile
 from dataclasses import asdict
@@ -65,7 +66,6 @@ GATE_FACTOR = 2.0
 MIN_RATE_FRACTION = 0.90
 
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "baseline_serve.json"
-TRAJECTORY_PATH = REPO_ROOT / "benchmarks" / "out" / "trajectory.jsonl"
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +279,6 @@ def apply_gate(result: Dict, qps: float) -> int:
     return 0
 
 
-def record_run(entry: Dict) -> None:
-    TRAJECTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
-    entry = dict(entry)
-    entry["timestamp"] = datetime.now(timezone.utc).isoformat(
-        timespec="seconds")
-    with TRAJECTORY_PATH.open("a", encoding="utf-8") as f:
-        f.write(json.dumps(entry) + "\n")
-    print(f"recorded -> {TRAJECTORY_PATH}")
-
-
 # ---------------------------------------------------------------------------
 # Driver.
 # ---------------------------------------------------------------------------
@@ -298,6 +288,7 @@ async def amain(args) -> int:
 
     server = None
     corpus = None
+    sock_dir = None
     socket_path = args.socket
     if args.self:
         from repro.core.config import ServeConfig
@@ -308,8 +299,8 @@ async def amain(args) -> int:
         server = ServeServer(corpus, ServeConfig(
             max_batch=args.max_batch, jobs=args.jobs, cache_dir="off",
             backend=args.backend))
-        socket_path = os.path.join(
-            tempfile.mkdtemp(prefix="repro-bench-serve-"), "bench.sock")
+        sock_dir = tempfile.mkdtemp(prefix="repro-bench-serve-")
+        socket_path = os.path.join(sock_dir, "bench.sock")
         await server.start(socket_path)
     elif not socket_path:
         print("need --self or --socket PATH", file=sys.stderr)
@@ -378,7 +369,9 @@ async def amain(args) -> int:
             pathlib.Path(args.json).write_text(
                 json.dumps(result, indent=2, sort_keys=True) + "\n")
         if args.record:
-            record_run(result)
+            from repro.bench.micro import record_trajectory
+
+            print(f"recorded -> {record_trajectory(result)}")
         if args.record_baseline:
             BASELINE_PATH.write_text(json.dumps({
                 "qps": args.qps,
@@ -399,6 +392,8 @@ async def amain(args) -> int:
             await server.stop()
         if corpus is not None:
             corpus.close()
+        if sock_dir is not None:
+            shutil.rmtree(sock_dir, ignore_errors=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

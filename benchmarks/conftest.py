@@ -8,6 +8,8 @@ the timed unit), prints the paper-shaped table, archives it under
 Environment knobs:
 
 * ``REPRO_BENCH_QUICK=1`` — shrink corpora/repeats for a fast smoke run.
+  Quick runs print their tables but archive nothing, so a smoke run
+  never overwrites the recorded full-size tables.
 """
 
 from __future__ import annotations
@@ -38,11 +40,13 @@ def quick() -> bool:
 
 @pytest.fixture(scope="session")
 def archive():
-    """Write a rendered experiment report to benchmarks/out/<name>.txt."""
-    OUT_DIR.mkdir(exist_ok=True)
+    """Print a rendered experiment report; full runs also write it to
+    benchmarks/out/<name>.txt."""
 
     def _write(name: str, text: str) -> None:
-        (OUT_DIR / f"{name}.txt").write_text(text + "\n")
+        if not QUICK:
+            OUT_DIR.mkdir(exist_ok=True)
+            (OUT_DIR / f"{name}.txt").write_text(text + "\n")
         print()
         print(text)
 

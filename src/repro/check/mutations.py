@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core import inter_steal, intra_steal
 from repro.core.state import RunState
-from repro.core.twolevel_stack import ColdSeg, WarpStack
+from repro.core.twolevel_stack import ColdSeg
 
 __all__ = ["Mutation", "MUTATIONS", "apply_mutation"]
 
@@ -63,9 +63,9 @@ def _intra_lost_cas_writeback():
     original = intra_steal.execute_steal
 
     def buggy(state, block, thief_warp, plan):
-        victim = block.stacks[plan.victim_warp]
-        if not isinstance(victim, WarpStack):
+        if not state.config.two_level:
             return original(state, block, thief_warp, plan)
+        victim = block.stacks[plan.victim_warp]
         if (victim.hot.tail != plan.observed_tail
                 or len(victim.hot) < state.config.hot_cutoff):
             state.counters.cas_failures += 1
@@ -76,11 +76,7 @@ def _intra_lost_cas_writeback():
         verts = [victim.hot.vertex[i] for i in idx]
         offs = [victim.hot.offset[i] for i in idx]
         # BUG: victim.hot.tail is never advanced.
-        thief = block.stacks[thief_warp]
-        if isinstance(thief, WarpStack):
-            thief.hot.put_batch(verts, offs)
-        else:
-            thief.put_batch(verts, offs)
+        block.stacks[thief_warp].hot.put_batch(verts, offs)
         block.set_active(thief_warp, True)
         state.counters.intra_steal_successes += 1
         state.counters.intra_steal_entries += amount
@@ -101,9 +97,9 @@ def _intra_dropped_transfer():
     original = intra_steal.execute_steal
 
     def buggy(state, block, thief_warp, plan):
-        victim = block.stacks[plan.victim_warp]
-        if not isinstance(victim, WarpStack):
+        if not state.config.two_level:
             return original(state, block, thief_warp, plan)
+        victim = block.stacks[plan.victim_warp]
         if (victim.hot.tail != plan.observed_tail
                 or len(victim.hot) < state.config.hot_cutoff):
             state.counters.cas_failures += 1
@@ -133,19 +129,16 @@ def _intra_skip_cas_validation():
     def buggy(state, block, thief_warp, plan):
         counters = state.counters
         counters.intra_steal_attempts += 1
-        victim_stack = block.stacks[plan.victim_warp]
-        # BUG: `_tail_token(victim_stack) != plan.observed_tail` is gone.
+        hot = block.stacks[plan.victim_warp].hot
+        # BUG: `hot.tail != plan.observed_tail` is gone.
         counters.cas_attempts += 1
-        if intra_steal._hot_rest(victim_stack) < state.config.hot_cutoff:
+        rest = len(hot)
+        if rest < state.config.hot_cutoff:
             counters.cas_failures += 1
             return False
-        amount = min(plan.amount, intra_steal._hot_rest(victim_stack))
-        if isinstance(victim_stack, WarpStack):
-            token_at_commit = victim_stack.hot.tail
-            verts, offs = victim_stack.hot.take_from_tail(amount)
-        else:
-            token_at_commit = victim_stack._seg.bottom
-            verts, offs = victim_stack.take_from_tail(amount)
+        amount = min(plan.amount, rest)
+        token_at_commit = hot.tail
+        verts, offs = hot.take_from_tail(amount)
         monitor = state.monitor
         if monitor is not None:
             monitor.on_steal(
@@ -158,11 +151,7 @@ def _intra_skip_cas_validation():
                 amount=amount,
                 observed_rest=plan.observed_rest,
             )
-        thief_stack = block.stacks[thief_warp]
-        if isinstance(thief_stack, WarpStack):
-            thief_stack.hot.put_batch(verts, offs)
-        else:
-            thief_stack.put_batch(verts, offs)
+        block.stacks[thief_warp].hot.put_batch(verts, offs)
         block.set_active(thief_warp, True)
         block.contention_debt[plan.victim_warp] += state.costs.victim_debt_intra
         counters.intra_steal_successes += 1
@@ -186,10 +175,9 @@ def _intra_stale_read_aba():
     original = intra_steal.execute_steal
 
     def buggy(state, block, thief_warp, plan):
-        victim = block.stacks[plan.victim_warp]
-        if not isinstance(victim, WarpStack):
+        if not state.config.two_level:
             return original(state, block, thief_warp, plan)
-        hot = victim.hot
+        hot = block.stacks[plan.victim_warp].hot
         if len(hot) < state.config.hot_cutoff:
             state.counters.cas_failures += 1
             return False
@@ -199,11 +187,7 @@ def _intra_stale_read_aba():
         verts = [hot.vertex[i] for i in idx]
         offs = [hot.offset[i] for i in idx]
         hot.tail = (hot.tail + amount) % hot.size
-        thief = block.stacks[thief_warp]
-        if isinstance(thief, WarpStack):
-            thief.hot.put_batch(verts, offs)
-        else:
-            thief.put_batch(verts, offs)
+        block.stacks[thief_warp].hot.put_batch(verts, offs)
         block.set_active(thief_warp, True)
         state.counters.intra_steal_successes += 1
         state.counters.intra_steal_entries += amount
@@ -231,11 +215,7 @@ def _inter_skip_cas_validation():
         counters = state.counters
         counters.inter_steal_attempts += 1
         victim_block = state.blocks[plan.victim_block]
-        victim_stack = victim_block.stacks[plan.victim_warp]
-        if not isinstance(victim_stack, WarpStack):
-            counters.cas_failures += 1
-            return False
-        cold = victim_stack.cold
+        cold = victim_block.stacks[plan.victim_warp].cold
         # BUG: `cold.bottom != plan.observed_bottom` is gone.
         counters.cas_attempts += 1
         if len(cold) < state.config.cold_cutoff:
@@ -257,11 +237,7 @@ def _inter_skip_cas_validation():
                 observed_rest=plan.observed_rest,
             )
         thief_block = state.blocks[my_block]
-        thief_stack = thief_block.stacks[leader_warp]
-        if isinstance(thief_stack, WarpStack):
-            thief_stack.hot.put_batch(verts, offs)
-        else:
-            thief_stack.put_batch(verts, offs)
+        thief_block.stacks[leader_warp].hot.put_batch(verts, offs)
         thief_block.set_active(leader_warp, True)
         counters.inter_steal_successes += 1
         counters.inter_steal_entries += amount

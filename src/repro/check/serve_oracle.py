@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import shutil
 import tempfile
 import threading
 from typing import Any, Dict, Optional, Tuple
@@ -123,6 +124,8 @@ class ServeOracle:
         return resp.result, resp.cached
 
     def stop(self) -> None:
+        """Stop the daemon and remove its socket directory.  Every step
+        swallows its own failure, so a timed-out stop still removes it."""
         if self._client is not None:
             try:
                 self._client.close()
@@ -139,6 +142,7 @@ class ServeOracle:
             except Exception:
                 pass
         self._thread.join(timeout=10.0)
+        shutil.rmtree(self._tempdir, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,16 @@ class DiggerBeesConfig:
         Entries moved per HotRing<->ColdSeg transfer (paper leaves the
         value open; a quarter ring balances transfer cost and reuse).
     two_level:
-        ``False`` selects the v1 ablation: the whole stack lives in
-        global memory and every stack operation pays global latency.
+        ``False`` selects the v1 ablation: each warp's whole stack is one
+        :class:`~repro.core.twolevel_stack.OneLevelStack` in global
+        memory, and every stack operation pays global latency.
         Such runs, like perturbed ones, drain through the generic event
         loop with the reference expand; every other run takes the fused
         loop (:func:`repro.core.turbo.turbo_eligible`).
-    enable_intra_steal / enable_inter_steal:
-        Mechanism switches for the §4.5 breakdown.
+    enable_inter_steal:
+        Mechanism switch for the §4.5 breakdown (v1 and v2 run one
+        block with it off).  Intra-block stealing is always on: every
+        version steals within blocks.
     victim_policy:
         ``"two_choice"`` (paper, load-aware power-of-two-choices) or
         ``"random"`` (the Fig 9 baseline).
@@ -93,7 +96,6 @@ class DiggerBeesConfig:
     flush_batch: int = 32
     refill_batch: int = 32
     two_level: bool = True
-    enable_intra_steal: bool = True
     enable_inter_steal: bool = True
     victim_policy: str = "two_choice"
     flush_policy: str = "tail"

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.state import RunState
-from repro.core.twolevel_stack import WarpStack
 from repro.utils.fastrand import BoundedDraws
 
 __all__ = ["InterStealPlan", "select_victim", "execute_steal"]
@@ -148,11 +147,7 @@ def select_victim(state: RunState, my_block: int,
         best_warp = -1
         stacks = victim_block.stacks
         for w in range(victim_block.n_warps):
-            # Inlined cold_rest: this scan runs on every leader victim
-            # selection, so it avoids the per-warp call chain.
-            s = stacks[w]
-            rest = (s.cold.top - s.cold.bottom
-                    if type(s) is WarpStack else 0)
+            rest = len(stacks[w].cold)
             if rest > best_rest:
                 best_rest = rest
                 best_warp = w
@@ -179,12 +174,7 @@ def execute_steal(state: RunState, my_block: int, leader_warp: int,
     counters = state.counters
     counters.inter_steal_attempts += 1
     victim_block = state.blocks[plan.victim_block]
-    victim_stack = victim_block.stacks[plan.victim_warp]
-    if not isinstance(victim_stack, WarpStack):
-        counters.cas_failures += 1
-        return False
-
-    cold = victim_stack.cold
+    cold = victim_block.stacks[plan.victim_warp].cold
     if cold.bottom != plan.observed_bottom:
         counters.cas_failures += 1
         return False
@@ -211,11 +201,7 @@ def execute_steal(state: RunState, my_block: int, leader_warp: int,
 
     # threadfence(); then cuda::memcpy_async ColdSeg[victim] -> HotRing[leader].
     thief_block = state.blocks[my_block]
-    thief_stack = thief_block.stacks[leader_warp]
-    if isinstance(thief_stack, WarpStack):
-        thief_stack.hot.put_batch(verts, offs)
-    else:
-        thief_stack.put_batch(verts, offs)
+    thief_block.stacks[leader_warp].hot.put_batch(verts, offs)
 
     thief_block.set_active(leader_warp, True)
     # Victim-side contention on the ColdSeg bottom pointer in global memory

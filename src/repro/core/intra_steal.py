@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.state import BlockState, RunState
-from repro.core.twolevel_stack import WarpStack
 
 __all__ = ["IntraStealPlan", "select_victim", "execute_steal"]
 
@@ -34,20 +33,6 @@ class IntraStealPlan:
     observed_tail: int
     observed_rest: int
     amount: int
-
-
-def _hot_rest(stack) -> int:
-    """Stealable depth of a peer's fast stack."""
-    if isinstance(stack, WarpStack):
-        return len(stack.hot)
-    return len(stack)  # one-level stack: the whole stack is in global memory
-
-
-def _tail_token(stack) -> int:
-    """The pointer the reservation CAS validates (HotRing tail / seg bottom)."""
-    if isinstance(stack, WarpStack):
-        return stack.hot.tail
-    return stack._seg.bottom
 
 
 def select_victim(state: RunState, block: BlockState,
@@ -74,7 +59,7 @@ def select_victim(state: RunState, block: BlockState,
         victim, rest = qualifying[fuzz.randrange(len(qualifying))]
         return IntraStealPlan(
             victim_warp=victim,
-            observed_tail=_tail_token(block.stacks[victim]),
+            observed_tail=block.stacks[victim].hot.tail,
             observed_rest=rest,
             amount=state.config.intra_steal_amount,
         )
@@ -84,17 +69,7 @@ def select_victim(state: RunState, block: BlockState,
     for w in range(block.n_warps):
         if w == thief_warp:
             continue
-        # Inlined _hot_rest: this scan runs on every idle step of every
-        # warp with an active peer, so it avoids the per-peer call chain.
-        s = stacks[w]
-        if type(s) is WarpStack:
-            hot = s.hot
-            ptrs = hot._ptrs  # direct slab read: skip property dispatch
-            rest = ptrs[hot._hi] - ptrs[hot._ti]
-            if rest < 0:
-                rest += hot.size
-        else:
-            rest = len(s)
+        rest = len(stacks[w].hot)
         if rest > best_rest:
             best_rest = rest
             best_warp = w
@@ -102,7 +77,7 @@ def select_victim(state: RunState, block: BlockState,
         return None
     return IntraStealPlan(
         victim_warp=best_warp,
-        observed_tail=_tail_token(block.stacks[best_warp]),
+        observed_tail=block.stacks[best_warp].hot.tail,
         observed_rest=best_rest,
         amount=state.config.intra_steal_amount,
     )
@@ -118,28 +93,26 @@ def execute_steal(state: RunState, block: BlockState, thief_warp: int,
     """
     counters = state.counters
     counters.intra_steal_attempts += 1
-    victim_stack = block.stacks[plan.victim_warp]
+    hot = block.stacks[plan.victim_warp].hot
 
     # atomicCAS(tail, observed, observed + amount): in the simulator the
     # validation and the take are one atomic step, so "token unchanged and
     # still enough work" is exactly CAS success.
-    if _tail_token(victim_stack) != plan.observed_tail:
+    if hot.tail != plan.observed_tail:
         counters.cas_failures += 1
         return False
     counters.cas_attempts += 1
-    if _hot_rest(victim_stack) < state.config.hot_cutoff:
+    rest = len(hot)
+    if rest < state.config.hot_cutoff:
         counters.cas_failures += 1
         return False
 
-    amount = min(plan.amount, _hot_rest(victim_stack))
-    # Raw commit-point token read for the invariant monitor: independent
-    # of _tail_token so a broken token read path is still caught.
-    if isinstance(victim_stack, WarpStack):
-        token_at_commit = victim_stack.hot.tail
-        verts, offs = victim_stack.hot.take_from_tail(amount)
-    else:
-        token_at_commit = victim_stack._seg.bottom
-        verts, offs = victim_stack.take_from_tail(amount)
+    amount = min(plan.amount, rest)
+    # Commit-point token read for the invariant monitor, separate from
+    # the CAS read above: a protocol that skips or breaks that check
+    # still reports the token it actually committed against.
+    token_at_commit = hot.tail
+    verts, offs = hot.take_from_tail(amount)
     monitor = state.monitor
     if monitor is not None:
         monitor.on_steal(
@@ -154,11 +127,7 @@ def execute_steal(state: RunState, block: BlockState, thief_warp: int,
         )
 
     # threadfence_block() then local copy into the thief's own stack.
-    thief_stack = block.stacks[thief_warp]
-    if isinstance(thief_stack, WarpStack):
-        thief_stack.hot.put_batch(verts, offs)
-    else:
-        thief_stack.put_batch(verts, offs)
+    block.stacks[thief_warp].hot.put_batch(verts, offs)
 
     block.set_active(thief_warp, True)
     # Victim-side contention: its tail cache line was invalidated and its

@@ -94,33 +94,15 @@ class BlockState:
 
     def workload(self) -> int:
         """Cumulative pending entries in the block (two-choice load signal)."""
-        total = 0
-        for s in self.stacks:
-            if type(s) is WarpStack:  # inlined len(hot) + len(cold)
-                hot, cold = s.hot, s.cold
-                ptrs = hot._ptrs  # direct slab read: skip property dispatch
-                cptrs = cold._ptrs
-                d = ptrs[hot._hi] - ptrs[hot._ti]
-                if d < 0:
-                    d += hot.size
-                total += d + cptrs[cold._ti] - cptrs[cold._bi]
-            else:
-                total += len(s)
-        return total
+        return sum(map(len, self.stacks))
 
     def cold_rest(self, warp: int) -> int:
         """Remaining ColdSeg entries of one warp (inter-steal victim metric)."""
-        stack = self.stacks[warp]
-        if isinstance(stack, WarpStack):
-            return len(stack.cold)
-        return 0
+        return len(self.stacks[warp].cold)
 
     def hot_rest(self, warp: int) -> int:
         """Remaining HotRing entries of one warp (intra-steal victim metric)."""
-        stack = self.stacks[warp]
-        if isinstance(stack, WarpStack):
-            return len(stack.hot)
-        return len(stack)  # one-level stack: everything is stealable
+        return len(self.stacks[warp].hot)
 
 
 class RunState:
@@ -244,12 +226,9 @@ class RunState:
         self.counters.record_task(block_id, 0)
         block = self.blocks[block_id]
         stack = block.stacks[0]
-        if isinstance(stack, WarpStack):
-            if stack.needs_flush():
-                stack.flush()
-            stack.hot.push(root, int(self.graph.row_ptr[root]))
-        else:
-            stack.push(root, int(self.graph.row_ptr[root]))
+        if stack.needs_flush():
+            stack.flush()
+        stack.hot.push(root, int(self.graph.row_ptr[root]))
         self.counters.pushes += 1
         self.pending += 1
         block.set_active(0, True)

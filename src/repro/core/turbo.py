@@ -157,7 +157,6 @@ def _drain(
     claim = state.try_claim_vertex
     inline_claim = type(state).try_claim_vertex is _ORIG_CLAIM
 
-    intra = config.enable_intra_steal
     inter = config.enable_inter_steal
     n_blocks = config.n_blocks
     wpb = config.warps_per_block
@@ -364,8 +363,7 @@ def _drain(
                     # with backoff when there is none.
                     m = masks[bid] & ~bit
                     if not inline_steal and (
-                            (intra and m) or (inter and wid == 0 and m == 0
-                                              and n_blocks > 1)):
+                            m or (inter and wid == 0 and n_blocks > 1)):
                         # Calling _idle directly skips step()'s pending /
                         # phase / emptiness re-checks, all of which this
                         # loop has already established.
@@ -379,7 +377,7 @@ def _drain(
                         masks[bid] = m
                         extra = 0
                         found = False
-                        if intra and m:
+                        if m:
                             # intra_steal.select_victim: the peer with
                             # the largest hot rest (first wins ties).
                             extra = c_scan_intra
@@ -401,8 +399,7 @@ def _drain(
                                     best, intra_amount)
                                 agent.phase = RESERVE_INTRA
                                 found = True
-                        elif (inter and wid == 0 and m == 0
-                                and n_blocks > 1):
+                        elif inter and wid == 0 and n_blocks > 1:
                             # inter_steal.select_victim: a victim block
                             # (the busier of two sampled active blocks,
                             # or one uniform draw), then its largest

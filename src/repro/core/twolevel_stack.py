@@ -510,16 +510,31 @@ class WarpStack:
 class OneLevelStack:
     """The v1 ablation: a single unbounded stack in global memory.
 
-    Mechanically identical to a HotRing of unbounded size (owner at the
-    top, thieves at the bottom), but every operation is priced at global
-    latency by the warp agent.  Backed by a ColdSeg reused as a plain
-    growable stack.
+    The degenerate :class:`WarpStack`, with every entry in the owner's
+    level: ``hot`` is the stack itself, whose API matches
+    :class:`HotRing`'s without a size bound (``tail`` is the steal
+    token), and ``cold`` is an empty :class:`ColdSeg` that nothing
+    writes, so the stack never flushes or refills.  Every operation is
+    priced at global latency by the warp agent.  Backed by a ColdSeg
+    reused as a plain growable stack.
     """
 
-    __slots__ = ("_seg",)
+    __slots__ = ("_seg", "cold")
 
     def __init__(self, reserve: int = 256):
         self._seg = ColdSeg(reserve)
+        self.cold = ColdSeg(1)
+
+    # A property, not ``self.hot = self``: the self-reference would make
+    # every stack a reference cycle that only the cyclic GC frees.
+    @property
+    def hot(self) -> "OneLevelStack":
+        return self
+
+    @property
+    def tail(self) -> int:
+        """The intra-steal reservation token: the segment's ``bottom``."""
+        return self._seg.bottom
 
     def __len__(self) -> int:
         return len(self._seg)
@@ -527,6 +542,12 @@ class OneLevelStack:
     @property
     def is_empty(self) -> bool:
         return self._seg.is_empty
+
+    def needs_flush(self) -> bool:
+        return False
+
+    def can_refill(self) -> bool:
+        return False
 
     def push(self, vertex: int, offset: int) -> None:
         self._seg.push_batch(np.array([vertex], dtype=_ENTRY_DTYPE),

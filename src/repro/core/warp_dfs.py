@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.core import inter_steal, intra_steal
 from repro.core.state import RunState
-from repro.core.twolevel_stack import WarpStack
 from repro.sim.engine import StepOutcome
 from repro.utils.fastrand import wrap_generator
 
@@ -87,7 +86,7 @@ class WarpAgent:
         self.intra_plan: Optional[intra_steal.IntraStealPlan] = None
         self.inter_plan: Optional[inter_steal.InterStealPlan] = None
         self.backoff = state.costs.idle_poll
-        self._two_level = isinstance(self.stack, WarpStack)
+        self._two_level = state.config.two_level
         self._gpenalty = 0 if self._two_level else GSTACK_PENALTY
         self._bit = 1 << warp_id
         # One StepOutcome reused across this agent's idle polls.  The
@@ -126,7 +125,7 @@ class WarpAgent:
         if debt:
             block.contention_debt[self.warp_id] = 0
 
-        if self._two_level and self.stack.can_refill():
+        if self.stack.can_refill():
             moved = self.stack.refill()
             state.counters.refills += 1
             state.counters.refill_entries += moved
@@ -151,8 +150,8 @@ class WarpAgent:
         counters = state.counters
         graph = state.graph
         rp, ci = graph.row_ptr, graph.column_idx
-        two_level = self._two_level
-        top = self.stack.hot if two_level else self.stack
+        stack = self.stack
+        top = stack.hot
         gpenalty = self._gpenalty
 
         u, i = top.peek()
@@ -199,18 +198,16 @@ class WarpAgent:
 
         counters.record_task(self.block_id, self.warp_id)
         # Push <v | row_ptr[v]>, flushing first when the HotRing is full.
-        if two_level:
-            if self.stack.needs_flush():
-                moved = self.stack.flush()
-                counters.flushes += 1
-                counters.flush_entries += moved
-                cost += costs.flush_base + costs.flush_per_entry * moved
-                state.record(now, self.block_id, self.warp_id, "flush", (moved,))
-            self.stack.hot.push(v, int(rp[v]))
-            counters.max_hot_depth = max(counters.max_hot_depth, len(self.stack.hot))
-            counters.max_cold_depth = max(counters.max_cold_depth, len(self.stack.cold))
-        else:
-            self.stack.push(v, int(rp[v]))
+        if stack.needs_flush():
+            moved = stack.flush()
+            counters.flushes += 1
+            counters.flush_entries += moved
+            cost += costs.flush_base + costs.flush_per_entry * moved
+            state.record(now, self.block_id, self.warp_id, "flush", (moved,))
+        top.push(v, int(rp[v]))
+        if self._two_level:  # v1 keeps no depth maxima
+            counters.max_hot_depth = max(counters.max_hot_depth, len(top))
+            counters.max_cold_depth = max(counters.max_cold_depth, len(stack.cold))
         counters.pushes += 1
         state.pending += 1
         cost += costs.hot_push + gpenalty
@@ -229,7 +226,7 @@ class WarpAgent:
             block.active_mask &= ~self._bit
 
         # Intra-block stealing: any peer in my block active?
-        if config.enable_intra_steal and block.active_mask:
+        if block.active_mask:
             plan = intra_steal.select_victim(state, block, self.warp_id)
             extra = costs.steal_scan_per_warp * block.n_warps
             if plan is not None:
@@ -238,7 +235,7 @@ class WarpAgent:
                 return StepOutcome(cost=extra)
         # Inter-block stealing: leader warp of an idle block.
         elif (config.enable_inter_steal and self.warp_id == 0
-                and block.active_mask == 0 and config.n_blocks > 1):
+                and config.n_blocks > 1):
             plan = inter_steal.select_victim(state, self.block_id, self.rng)
             extra = costs.steal_scan_per_warp * config.warps_per_block + 40
             if plan is not None:

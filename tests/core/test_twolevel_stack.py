@@ -1,5 +1,7 @@
 """Unit + property tests for the two-level stack (paper §3.2, Figure 2)."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,6 +315,41 @@ class TestOneLevelStack:
         verts, _ = s.take_from_tail(2)
         assert list(verts) == [0, 1]
         assert len(s) == 3
+
+    def test_presents_the_two_level_surface(self):
+        # The degenerate WarpStack: every entry in the owner's level,
+        # an empty ColdSeg below it, nothing to flush or refill.
+        s = OneLevelStack()
+        assert s.hot is s
+        assert isinstance(s.cold, ColdSeg)
+        for i in range(5):
+            s.hot.push(i, i)
+            assert not s.needs_flush()
+        assert not s.can_refill()
+        while not s.is_empty:
+            s.hot.pop()
+            assert not s.can_refill()
+        assert s.cold.is_empty and len(s.cold) == 0
+        # ``hot`` is computed, not stored: the stack references no
+        # cycle back to itself, so reference counting frees it.
+        assert all(r is not s for r in gc.get_referents(s))
+
+    def test_tail_token_moves_only_on_take_from_tail(self):
+        s = OneLevelStack()
+        assert s.tail == s._seg.bottom == 0
+        for i in range(6):
+            s.hot.push(i, i)
+        s.hot.update_top_offset(9)
+        assert s.hot.peek() == (5, 9)
+        s.hot.pop()
+        s.hot.put_batch(np.array([7, 8]), np.array([70, 80]))
+        assert s.tail == s._seg.bottom == 0
+        verts, _ = s.hot.take_from_tail(2)
+        assert list(verts) == [0, 1]
+        assert s.tail == s._seg.bottom == 2
+        s.hot.push(9, 90)
+        s.hot.pop()
+        assert s.tail == s._seg.bottom == 2
 
     def test_empty_errors(self):
         s = OneLevelStack()

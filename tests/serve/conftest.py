@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import shutil
 import tempfile
 
 import pytest
@@ -35,7 +36,8 @@ def default_graphs():
 def serve_session(scenario, *, graphs=None, config=None, share=False,
                   connect=True):
     """Run ``scenario(server=, client=, corpus=, socket_path=)`` against
-    a live daemon; returns the coroutine's result."""
+    a live daemon; returns the coroutine's result.  Teardown removes the
+    socket's temporary directory."""
 
     async def main():
         corpus = ResidentCorpus(share=share)
@@ -44,11 +46,11 @@ def serve_session(scenario, *, graphs=None, config=None, share=False,
             corpus.add(g, name)
         server = ServeServer(corpus, config or ServeConfig(
             max_batch=8, jobs=0, cache_dir="off"))
-        sock = os.path.join(
-            tempfile.mkdtemp(prefix="repro-serve-test-"), "t.sock")
-        await server.start(sock)
+        sock_dir = tempfile.mkdtemp(prefix="repro-serve-test-")
+        sock = os.path.join(sock_dir, "t.sock")
         client = None
         try:
+            await server.start(sock)
             if connect:
                 client = await AsyncServeClient().connect(sock)
             return await scenario(server=server, client=client,
@@ -58,6 +60,7 @@ def serve_session(scenario, *, graphs=None, config=None, share=False,
                 await client.close()
             await server.stop()
             corpus.close()
+            shutil.rmtree(sock_dir, ignore_errors=True)
 
     return asyncio.run(main())
 

@@ -6,11 +6,13 @@ dispatch) reproduce direct execution exactly, parents, visited sets,
 step counts and counters included.
 """
 
+import os
+
 import pytest
 
 from repro.check.cases import FAMILIES, case_from_seed
 from repro.check.differential import check_case
-from repro.check.serve_oracle import serve_oracle
+from repro.check.serve_oracle import ServeOracle, serve_oracle
 from repro.core.diggerbees import run_diggerbees
 from repro.serve.protocol import dfs_result_to_dict
 
@@ -66,6 +68,14 @@ def test_oracle_reuses_resident_graph_by_fingerprint():
     g2 = case.build_graph()
     oracle = serve_oracle()
     assert oracle.register(g1) == oracle.register(g2)
+
+
+def test_stopped_oracle_removes_its_socket_directory():
+    oracle = ServeOracle()  # a fresh daemon, not the process singleton
+    sock_dir = os.path.dirname(oracle.socket_path)
+    assert os.path.isdir(sock_dir)
+    oracle.stop()
+    assert not os.path.exists(sock_dir)
 
 
 def test_serve_rung_detects_payload_drift(monkeypatch):

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import os
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ def test_dfs_roundtrip_matches_direct_execution():
 
     resp = serve_session(scenario)
     assert not resp.cached
+
+
+def test_session_removes_its_socket_directory():
+    async def scenario(client, socket_path, **_):
+        assert (await client.dfs("tree", 0)).ok
+        return socket_path
+
+    sock = serve_session(scenario)
+    assert not os.path.exists(os.path.dirname(sock))
 
 
 def test_all_app_ops_roundtrip():
