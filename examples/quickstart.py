@@ -54,7 +54,9 @@ def main() -> None:
     print(f"\nthe root has {len(root_children)} children in this DFS tree")
 
     # Bonus: the one-shot dashboard (repro.analysis.render_run_report)
-    # bundles throughput, the cycle budget, steal traffic, and balance.
+    # bundles throughput, steal traffic, block balance and, since this
+    # run is traced, its visit timeline.  Tracing changes no schedule,
+    # but a traced run takes the generic event loop (slower to simulate).
     from repro.analysis import render_run_report
 
     traced = diggerbees(graph, root=0,

@@ -1,14 +1,13 @@
-"""Post-run analyses (load balance, utilization)."""
+"""Post-run analyses (load balance, run reports)."""
 
 from repro.analysis.loadbalance import (
     LoadBalanceReport,
     analyze_block_balance,
     balance_improvement,
 )
-from repro.analysis.report import render_run_report, sparkline
-from repro.analysis.utilization import (
-    UtilizationReport,
-    utilization_report,
+from repro.analysis.report import (
+    render_run_report,
+    sparkline,
     warp_activity_timeline,
 )
 
@@ -16,8 +15,6 @@ __all__ = [
     "LoadBalanceReport",
     "analyze_block_balance",
     "balance_improvement",
-    "UtilizationReport",
-    "utilization_report",
     "warp_activity_timeline",
     "render_run_report",
     "sparkline",

@@ -1,23 +1,23 @@
 """One-shot text dashboard for a single DiggerBees run.
 
-``render_run_report`` collects everything a performance engineer asks
-for after one traversal — throughput, the cycle budget split, steal
-traffic at both levels, block balance, and an ASCII activity timeline —
-into a single printable report.  Used by examples and handy in a REPL::
+``render_run_report`` collects what one traversal recorded — throughput,
+steal traffic at both levels, block balance, and, for a traced run, an
+ASCII timeline of its visit events — into a single printable report.
+Every figure is a counter or a trace event of the run; nothing is
+estimated.  Used by examples and handy in a REPL::
 
     print(render_run_report(run_diggerbees(g, 0, config=cfg)))
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional
 
 from repro.analysis.loadbalance import analyze_block_balance
-from repro.analysis.utilization import utilization_report, warp_activity_timeline
 from repro.core.diggerbees import DiggerBeesResult
 from repro.utils.tables import format_kv
 
-__all__ = ["render_run_report", "sparkline"]
+__all__ = ["render_run_report", "sparkline", "warp_activity_timeline"]
 
 _BARS = " ▁▂▃▄▅▆▇█"
 
@@ -41,6 +41,27 @@ def sparkline(values: List[float], width: int = 50) -> str:
     return "".join(_BARS[min(8, int(9 * b / top))] for b in buckets)
 
 
+def warp_activity_timeline(result: DiggerBeesResult,
+                           bucket_cycles: Optional[int] = None) -> Dict[int, int]:
+    """Histogram of *visit* events over time (requires ``trace=True``).
+
+    Returns ``{bucket_start_cycle: visits}``; the ramp-up / drain shape
+    of the traversal.  Raises ``ValueError`` when the run kept no trace.
+    """
+    if result.trace is None:
+        raise ValueError("run with DiggerBeesConfig(trace=True) to get a timeline")
+    visits = result.trace.filter(kind="visit")
+    if not visits:
+        return {}
+    if bucket_cycles is None:
+        bucket_cycles = max(1, result.cycles // 50)
+    hist: Dict[int, int] = {}
+    for ev in visits:
+        bucket = (ev.time // bucket_cycles) * bucket_cycles
+        hist[bucket] = hist.get(bucket, 0) + 1
+    return dict(sorted(hist.items()))
+
+
 def render_run_report(result: DiggerBeesResult) -> str:
     """Full text report for one run (see module docstring)."""
     c = result.counters
@@ -56,21 +77,6 @@ def render_run_report(result: DiggerBeesResult) -> str:
                            f" ({result.cycles} cycles)"),
         ("visited / edges", f"{result.n_visited} / "
                             f"{result.traversal.edges_traversed}"),
-    ]))
-
-    util = utilization_report(result)
-    total = max(1, util.total_busy + util.idle_cycles)
-    lines.append("\ncycle budget (aggregate warp-cycles):")
-    lines.append(format_kv([
-        ("expanding", f"{util.expand_cycles:>12d}  "
-                      f"({util.expand_cycles / total:.0%})"),
-        ("stack traffic", f"{util.stack_cycles:>12d}  "
-                          f"({util.stack_cycles / total:.0%})"),
-        ("stealing", f"{util.steal_cycles:>12d}  "
-                     f"({util.steal_cycles / total:.0%})"),
-        ("idle polling", f"{util.idle_cycles:>12d}  "
-                         f"({util.idle_cycles / total:.0%})"),
-        ("avg parallelism", f"{util.parallelism:.1f} warps"),
     ]))
 
     lines.append("\nstealing:")

@@ -87,23 +87,7 @@ class NvgResult:
 
 def is_dag(graph: CSRGraph) -> bool:
     """True for a directed acyclic graph (Kahn's algorithm)."""
-    if not graph.directed:
-        return False
-    n = graph.n_vertices
-    indeg = np.zeros(n, dtype=np.int64)
-    np.add.at(indeg, graph.column_idx, 1)
-    queue = list(np.flatnonzero(indeg == 0))
-    seen = 0
-    rp, ci = graph.row_ptr, graph.column_idx
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for j in range(int(rp[u]), int(rp[u + 1])):
-            v = int(ci[j])
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return seen == n
+    return graph.directed and _topological_order(graph) is not None
 
 
 def nvg_memory_footprint(graph: CSRGraph, level: np.ndarray) -> int:
@@ -147,8 +131,9 @@ def _tree_depths(parent: np.ndarray, order: np.ndarray) -> np.ndarray:
     return np.array(depth, dtype=np.int64)
 
 
-def _topological_order(graph: CSRGraph) -> List[int]:
-    """Kahn topological order of a DAG (deterministic: lowest id first)."""
+def _topological_order(graph: CSRGraph) -> Optional[List[int]]:
+    """Kahn topological order (deterministic: lowest id first), or None
+    when the arcs close a cycle."""
     import heapq
 
     n = graph.n_vertices
@@ -166,17 +151,15 @@ def _topological_order(graph: CSRGraph) -> List[int]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 heapq.heappush(heap, v)
-    if len(order) != n:
-        raise SimulationError("topological sort called on a cyclic graph")
-    return order
+    return order if len(order) == n else None
 
 
-def _dag_propagation(graph: CSRGraph, root: int):
+def _dag_propagation(graph: CSRGraph, root: int, topo: List[int]):
     """Mechanical one-pass minimal rank-path propagation over a DAG.
 
-    Processes vertices in topological order (minimal rank paths do not
-    respect BFS levels: a longer route with smaller ranks wins, and its
-    arcs may stay within one BFS level).  Returns
+    Processes vertices in the topological order ``topo`` (minimal rank
+    paths do not respect BFS levels: a longer route with smaller ranks
+    wins, and its arcs may stay within one BFS level).  Returns
     (parent, order, edges_touched, path_work).
     """
     n = graph.n_vertices
@@ -188,7 +171,7 @@ def _dag_propagation(graph: CSRGraph, root: int):
     parent[root] = ROOT_PARENT
     edges_touched = 0
     path_work = 0
-    for u in _topological_order(graph):
+    for u in topo:
         pu = paths[u]
         if pu is None:  # unreachable from root
             continue
@@ -243,8 +226,10 @@ def run_nvg_dfs(
     throughput = costs.nvg_edge_throughput * sms  # path elements / cycle
 
     # ---- Phase 2: path propagation. ----
-    if is_dag(graph):
-        parent, order, edges_touched, path_work = _dag_propagation(graph, root)
+    topo = _topological_order(graph) if graph.directed else None
+    if topo is not None:  # a DAG
+        parent, order, edges_touched, path_work = _dag_propagation(
+            graph, root, topo)
         rounds = max(1, n_levels)
         sync_cycles = rounds * costs.kernel_launch  # one kernel per level
     else:

@@ -49,9 +49,9 @@ class DiggerBeesConfig:
         ``False`` selects the v1 ablation: each warp's whole stack is one
         :class:`~repro.core.twolevel_stack.OneLevelStack` in global
         memory, and every stack operation pays global latency.
-        Such runs, like perturbed ones, drain through the generic event
-        loop with the reference expand; every other run takes the fused
-        loop (:func:`repro.core.turbo.turbo_eligible`).
+        Such runs, like perturbed and traced ones, drain through the
+        generic event loop with the reference expand; every other run
+        takes the fused loop (:func:`repro.core.turbo.turbo_eligible`).
     enable_inter_steal:
         Mechanism switch for the §4.5 breakdown (v1 and v2 run one
         block with it off).  Intra-block stealing is always on: every
@@ -73,6 +73,15 @@ class DiggerBeesConfig:
         multi-GPU systems the paper's related work cites).
     seed:
         Seed for victim sampling; runs are fully deterministic given it.
+    trace:
+        Record every warp's visit, pop, steal, flush and refill events
+        in a :class:`~repro.sim.trace.TraceLog`
+        (``DiggerBeesResult.trace``), as the §3.6 execution example and
+        the Chrome-trace export read them.  Traced runs drain through
+        the generic event loop, whose
+        :class:`~repro.core.warp_dfs.WarpAgent` steps record the events:
+        the schedule is the untraced one, at two to three times its
+        wall time.
     perturb_seed / jitter:
         Schedule-fuzzing knobs (``repro.check``): with ``perturb_seed``
         set the engine drains same-cycle events in a seeded random order
@@ -277,8 +286,9 @@ class ServeConfig:
     cache_dir:
         Disk spill for the result cache: ``None`` resolves
         ``$REPRO_SERVE_CACHE`` (or the default user cache dir), ``"off"``
-        keeps the cache memory-only, any other string is used as the
-        directory path.
+        (or ``"0"``, ``"none"``, ``"disabled"``, blank) keeps the cache
+        memory-only, any other string is used as the directory path
+        (:func:`repro.graphs.diskcache.resolve_cache_dir`).
     drain_timeout:
         Seconds a clean shutdown waits for in-flight batches before
         abandoning them.

@@ -110,7 +110,9 @@ def run_diggerbees(
         sequence (claim order across all warps).  This is an extension
         beyond the paper's Table 2 semantics — the order is a valid
         discovery order of *this* unordered run, not a lexicographic
-        one — and it requires tracing, so it costs memory.
+        one — and it turns tracing on, so it costs memory, and the run
+        takes the generic event loop instead of the fused one (same
+        schedule, two to three times the wall time).
     instrument:
         Optional instrumentation factory (``repro.check``): called with
         the freshly built :class:`RunState` before the engine starts; it

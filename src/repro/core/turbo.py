@@ -44,17 +44,19 @@ The fused loop replays the generic engine's ``(ready_at, seq)`` event
 order exactly — with a calendar queue (FIFO buckets per distinct
 timestamp) where the engine drains a heap, so the two orders are
 independent implementations of one contract — polls termination before
-every event and charges identical costs, so cycles, steps, counters,
-traces, and traversal output are bit-for-bit equal to the generic
-engine running the reference expand.  The golden determinism tests and
-the ``repro.check`` oracle ladder's reference-diff stage (fused loop vs
+every event and charges identical costs, so cycles, steps, counters
+and traversal output are bit-for-bit equal to the generic engine
+running the reference expand.  The golden determinism tests and the
+``repro.check`` oracle ladder's reference-diff stage (fused loop vs
 :func:`repro.core.diggerbees.run_reference`) assert this on every
-unperturbed two-level run.
+unperturbed, untraced two-level run.
 
 Eligibility: the loop only understands the homogeneous two-level grid
-with no schedule perturbation; ``turbo_eligible`` gates dispatch and
-:mod:`repro.core.diggerbees` drains every other config through the
-generic :class:`~repro.sim.engine.EventLoop`.
+with no schedule perturbation, and it records no trace;
+``turbo_eligible`` gates dispatch and :mod:`repro.core.diggerbees`
+drains every other config through the generic
+:class:`~repro.sim.engine.EventLoop`, whose :class:`WarpAgent` steps
+are the one trace recorder.
 """
 
 from __future__ import annotations
@@ -84,10 +86,13 @@ def turbo_eligible(config) -> bool:
     """True when the fused loop can run ``config`` bit-identically.
 
     Requirements: two-level stacks (the loop addresses HotRings through
-    the SoA slabs) and no schedule perturbation (the fuzzer's randomized
-    drain order cannot be fused).
+    the SoA slabs), no schedule perturbation (the fuzzer's randomized
+    drain order cannot be fused) and no trace (traced runs, including
+    ``record_order`` ones, take the generic loop, whose ``WarpAgent``
+    steps record the events; tracing changes no schedule).
     """
-    return config.two_level and config.perturb_seed is None
+    return (config.two_level and config.perturb_seed is None
+            and not config.trace)
 
 
 def run_turbo(
@@ -146,8 +151,6 @@ def _drain(
     ptrs = state.hot_ptr_slab
     cptrs = state.cold_ptr_slab
     hsize = config.hot_size
-    trace = state.trace
-    record = state.record
     #: Local mirror of ``state.pending``.  Only expand pops/pushes change
     #: it (steals move entries, never create or retire them), so syncing
     #: it back before fallback steps / observer calls / returns — and
@@ -231,7 +234,9 @@ def _drain(
         for rec in bucket:
             # Termination is observed *before* time advances to this
             # event — the exact point the generic engine polls it — so
-            # `cycles` never includes an abandoned event.
+            # `cycles` never includes an abandoned event.  It is also
+            # the only way a WarpAgent step finishes, so no step below
+            # returns a `done` outcome.
             if pending == 0:
                 times = None  # signal: terminated, not drained
                 break
@@ -240,7 +245,6 @@ def _drain(
                     raise over_budget_error(max_cycles, t, steps)
                 now = t
             agent = rec[0]
-            done = False
             progress = True
             if agent.phase is RUN:
                 (_, stack, cold, bid, wid, bit, gidx,
@@ -260,8 +264,6 @@ def _drain(
                         moved = stack.refill()
                         d_refills += 1
                         d_refille += moved
-                        if trace is not None:
-                            record(now, bid, wid, "refill", (moved,))
                         cost = debt + c_refill_base + c_refill_entry * moved
                     else:
                         # ---- inline expand (WarpAgent._expand_reference)
@@ -276,8 +278,6 @@ def _drain(
                             ptrs[hpi] = pos
                             d_pops += 1
                             pending -= 1
-                            if trace is not None:
-                                record(now, bid, wid, "pop", (u,))
                             cost = debt + c_pop
                         else:
                             wend = i + 32  # WARP_WIDTH
@@ -298,8 +298,6 @@ def _drain(
                                     d_pops += 1
                                     pending -= 1
                                     cost += c_pop
-                                    if trace is not None:
-                                        record(now, bid, wid, "pop", (u,))
                                 else:
                                     ho[pos] = wend
                             else:
@@ -331,9 +329,6 @@ def _drain(
                                         d_flushe += moved
                                         cost += (c_flush_base
                                                  + c_flush_entry * moved)
-                                        if trace is not None:
-                                            record(now, bid, wid, "flush",
-                                                   (moved,))
                                         # The ColdSeg grows only here,
                                         # and a push always follows.
                                         depth = cptrs[g2] - cptrs[g2 + 1]
@@ -354,9 +349,6 @@ def _drain(
                                     d_pushes += 1
                                     pending += 1
                                     cost += c_claim
-                                    if trace is not None:
-                                        record(now, bid, wid, "visit",
-                                               (u, v))
                 else:
                     # Stack fully empty: idle.  Clear our mask bit, look
                     # for a victim (mirrors WarpAgent._idle), and poll
@@ -372,7 +364,6 @@ def _drain(
                         pending = state.pending
                         cost = outcome.cost
                         progress = outcome.made_progress
-                        done = outcome.done
                     else:
                         masks[bid] = m
                         extra = 0
@@ -463,7 +454,6 @@ def _drain(
                 pending = state.pending
                 cost = outcome.cost
                 progress = outcome.made_progress
-                done = outcome.done
 
             steps += 1
             if on_step is not None:
@@ -482,8 +472,6 @@ def _drain(
                 stale += 1
                 if stale > window:
                     raise deadlocked_error(stale, now)
-            if done:
-                continue
             if cost < 1:
                 raise non_positive_cost_error(agent, cost)
             t2 = now + cost

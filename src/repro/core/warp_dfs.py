@@ -22,15 +22,18 @@ operation (``gstack_penalty``).
 
 The fused loop
 --------------
-Runs on two-level stacks with no schedule perturbation never call
-:meth:`WarpAgent.step`: :mod:`repro.core.turbo` inlines the expand,
-refill and idle transitions over the run's structure-of-arrays slabs and
-calls only :meth:`WarpAgent._idle` and the two reservation steps.  The
-generic :class:`~repro.sim.engine.EventLoop` steps every other run (the
-one-level v1 ablation, perturbed schedules) and the oracle
+Untraced runs on two-level stacks with no schedule perturbation never
+call :meth:`WarpAgent.step`: :mod:`repro.core.turbo` inlines the
+expand, refill and idle transitions over the run's structure-of-arrays
+slabs and calls only :meth:`WarpAgent._idle` and the two reservation
+steps.  The generic :class:`~repro.sim.engine.EventLoop` steps every
+other run (the one-level v1 ablation, perturbed schedules, traced and
+``record_order`` runs) and the oracle
 :func:`repro.core.diggerbees.run_reference` through ``step``, whose one
 expand body, :meth:`WarpAgent._expand_reference`, is the NumPy
 implementation the fused loop's inline expand must replay bit for bit.
+The ``state.record`` calls in these steps are the run's one trace
+recorder.
 """
 
 from __future__ import annotations

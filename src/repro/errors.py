@@ -34,11 +34,12 @@ class DeadlockError(SimulationError):
 
 
 class StackOverflowError(SimulationError):
-    """Raised when a simulated stack exceeds its configured capacity.
+    """Raised when a push or a batch insert overfills a HotRing.
 
-    For the two-level stack this should be impossible by construction
-    (``cold_size`` is sized to ``nv / nw`` plus slack); seeing it means the
-    flush/refill logic is broken.
+    Only :class:`~repro.core.twolevel_stack.HotRing` raises it: a warp
+    flushes to its ColdSeg before pushing into a full ring, and ColdSegs
+    grow on demand, so seeing it means the flush/refill or steal logic
+    is broken.
     """
 
 

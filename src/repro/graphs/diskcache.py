@@ -29,7 +29,9 @@ Contract
   a hit builds a validated :class:`~repro.graphs.csr.CSRGraph`.
 * Location: ``$REPRO_CORPUS_CACHE`` if set, else
   ``~/.cache/repro-diggerbees/corpus``.  Setting the variable to ``0``,
-  ``off``, ``none`` or the empty string disables caching.
+  ``off``, ``none``, ``disabled`` or the empty string disables caching;
+  :func:`resolve_cache_dir` reads the serve result cache's settings the
+  same way.
 * Invalidation: bump :data:`CACHE_VERSION` when generator semantics
   or the file format change, or delete the directory
   (``clear_disk_cache``, which also removes version-1 ``.npz`` files).
@@ -59,6 +61,7 @@ __all__ = [
     "clear_disk_cache",
     "stats",
     "reset_stats",
+    "resolve_cache_dir",
 ]
 
 #: Process-wide hit/miss tally for :func:`cached_build` (benchmark
@@ -82,6 +85,8 @@ CACHE_VERSION = 2
 
 ENV_VAR = "REPRO_CORPUS_CACHE"
 
+#: Cache-location settings that turn a disk cache off (compared
+#: stripped and lower-cased).
 _DISABLED = ("", "0", "off", "none", "disabled")
 
 _SUFFIX = ".npy"
@@ -92,14 +97,20 @@ _BAD_ENTRY = (OSError, EOFError, ValueError, zipfile.BadZipFile,
               GraphFormatError)
 
 
+def resolve_cache_dir(setting: Optional[str], name: str) -> Optional[Path]:
+    """The directory a cache-location ``setting`` names: None when it is
+    ``0``, ``off``, ``none``, ``disabled`` or blank (any case),
+    ``~/.cache/repro-diggerbees/<name>`` when it is unset (None)."""
+    if setting is None:
+        return Path.home() / ".cache" / "repro-diggerbees" / name
+    if setting.strip().lower() in _DISABLED:
+        return None
+    return Path(setting).expanduser()
+
+
 def cache_dir() -> Optional[Path]:
     """Resolve the cache directory, or None when caching is disabled."""
-    raw = os.environ.get(ENV_VAR)
-    if raw is not None:
-        if raw.strip().lower() in _DISABLED:
-            return None
-        return Path(raw).expanduser()
-    return Path.home() / ".cache" / "repro-diggerbees" / "corpus"
+    return resolve_cache_dir(os.environ.get(ENV_VAR), "corpus")
 
 
 def cache_path(kind: str, name: str, params: Mapping, seed: int) -> Optional[Path]:

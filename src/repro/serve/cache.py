@@ -31,6 +31,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
+from repro.graphs.diskcache import resolve_cache_dir
+
 __all__ = [
     "CACHE_VERSION",
     "ENV_VAR",
@@ -46,8 +48,6 @@ CACHE_VERSION = 2
 
 ENV_VAR = "REPRO_SERVE_CACHE"
 
-_DISABLED = ("", "0", "off", "none", "disabled")
-
 #: Dirty-entry count at which the cache is spilled to disk.
 FLUSH_EVERY = 64
 
@@ -55,19 +55,18 @@ _WHITESPACE = re.compile(r"[ \t\n\r]*")
 _decode_value = json.JSONDecoder().raw_decode
 
 
-def default_cache_dir() -> Optional[Path]:
+def default_cache_dir(setting: Optional[str] = None) -> Optional[Path]:
     """Resolve the serve-cache directory, or None when disk is disabled.
 
-    Same contract as :func:`repro.graphs.diskcache.cache_dir`:
-    ``$REPRO_SERVE_CACHE`` overrides, disabled values turn disk spill
-    off, default is a sibling of the corpus cache.
+    ``setting`` is ``ServeConfig.cache_dir``; when it is None,
+    ``$REPRO_SERVE_CACHE`` stands in for it.  Same contract as
+    :func:`repro.graphs.diskcache.cache_dir`: a disabled value turns
+    disk spill off, and with neither set the directory is a sibling of
+    the corpus cache.
     """
-    raw = os.environ.get(ENV_VAR)
-    if raw is not None:
-        if raw.strip().lower() in _DISABLED:
-            return None
-        return Path(raw).expanduser()
-    return Path.home() / ".cache" / "repro-diggerbees" / "serve"
+    if setting is None:
+        setting = os.environ.get(ENV_VAR)
+    return resolve_cache_dir(setting, "serve")
 
 
 def result_key(op: str, root: int, config: Optional[Mapping],

@@ -145,7 +145,7 @@ class ServeServer:
         self.stats = ServerStats()
         self.started_at = time.time()
         self._caches: Dict[str, GraphResultCache] = {}
-        self._cache_dir = self._resolve_cache_dir()
+        self._cache_dir = default_cache_dir(self.config.cache_dir)
         self._inflight_keys: Dict[Tuple[str, str], List[_PendingQuery]] = {}
         self._exec_tasks: "set[asyncio.Task]" = set()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -198,16 +198,6 @@ class ServeServer:
         if self._thread_exec is not None:
             self._thread_exec.shutdown(wait=False)
         self._shutdown_done.set()
-
-    def _resolve_cache_dir(self):
-        raw = self.config.cache_dir
-        if raw is None:
-            return default_cache_dir()
-        if raw.strip().lower() in ("", "0", "off", "none", "disabled"):
-            return None
-        from pathlib import Path
-
-        return Path(raw).expanduser()
 
     def _cache_for(self, entry: ResidentGraph) -> GraphResultCache:
         cache = self._caches.get(entry.name)

@@ -7,7 +7,8 @@ generic engine running the reference expand) — cycles, steps, traversal
 output and counters — bit-for-bit.  These tests sweep that contract across
 every fuzz graph family, with and without adversarial victims, and
 across grid shapes that reach each branch of the inline victim search,
-and pin down exactly when the fused loop engages.
+check that a traced run (which takes the generic loop) keeps the
+untraced schedule, and pin down exactly when the fused loop engages.
 """
 
 import numpy as np
@@ -30,16 +31,20 @@ def _family_case(family: str, adversarial_victims: bool) -> FuzzCase:
     )
 
 
+def _assert_same_run(a, b):
+    """a == b on cycles/steps/parent/visited/counters."""
+    assert a.cycles == b.cycles
+    assert a.engine.steps == b.engine.steps
+    assert np.array_equal(a.traversal.parent, b.traversal.parent)
+    assert np.array_equal(a.traversal.visited, b.traversal.visited)
+    assert a.counters == b.counters
+
+
 def _assert_fused_matches_reference(graph, root, cfg):
     """fused == reference on cycles/steps/parent/visited/counters."""
     assert turbo_eligible(cfg)  # the fused loop actually engages
     fused = run_diggerbees(graph, root, config=cfg)
-    ref = run_reference(graph, root, config=cfg)
-    assert fused.cycles == ref.cycles
-    assert fused.engine.steps == ref.engine.steps
-    assert np.array_equal(fused.traversal.parent, ref.traversal.parent)
-    assert np.array_equal(fused.traversal.visited, ref.traversal.visited)
-    assert fused.counters == ref.counters
+    _assert_same_run(fused, run_reference(graph, root, config=cfg))
     return fused
 
 
@@ -53,6 +58,24 @@ def test_turbo_bit_identical_across_families(family, adversarial_victims):
     case = _family_case(family, adversarial_victims)
     _assert_fused_matches_reference(case.build_graph(), case.root,
                                     case.build_config())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_trace_changes_no_schedule(family):
+    """Turning the trace on moves a run from the fused loop to the
+    generic one and changes nothing else; the trace holds one ``visit``
+    event per claim after the root's."""
+    case = _family_case(family, adversarial_victims=False)
+    graph, cfg = case.build_graph(), case.build_config()
+    traced_cfg = cfg.with_overrides(trace=True)
+    assert turbo_eligible(cfg) and not turbo_eligible(traced_cfg)
+    fused = run_diggerbees(graph, case.root, config=cfg)
+    traced = run_diggerbees(graph, case.root, config=traced_cfg)
+    assert fused.trace is None
+    _assert_same_run(fused, traced)
+    assert not traced.trace.truncated
+    assert (len(traced.trace.filter(kind="visit"))
+            == traced.counters.vertices_visited - 1)
 
 
 @pytest.mark.parametrize("victim_policy", ["two_choice", "random"])
@@ -99,6 +122,7 @@ class TestEligibility:
         {"two_level": False},
         {"perturb_seed": 3},
         {"perturb_seed": 0},  # a falsy seed still perturbs
+        {"trace": True},
     ])
     def test_fallback_conditions(self, overrides):
         assert not turbo_eligible(DiggerBeesConfig(**overrides))
