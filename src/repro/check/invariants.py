@@ -42,9 +42,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.state import RunState
 from repro.core.twolevel_stack import WarpStack
@@ -101,7 +99,7 @@ class InvariantMonitor:
     # Event hooks (called from the protocol code under `monitor is not None`).
     # ------------------------------------------------------------------
     def on_steal(self, *, kind: str, victim: Owner, thief: Owner,
-                 verts: np.ndarray, token_at_commit: int,
+                 verts: Sequence[int], token_at_commit: int,
                  observed_token: int, amount: int,
                  observed_rest: int) -> None:
         """Validate one committed steal (intra / inter / remote)."""
@@ -126,7 +124,7 @@ class InvariantMonitor:
                 f"entries from {victim} but moved {len(verts)}"
             )
         state = self.state
-        for v in verts.tolist():
+        for v in verts:
             if not state.visited[v]:
                 raise InvariantViolation(
                     f"{kind}-steal moved unclaimed vertex {v} from "
@@ -134,8 +132,9 @@ class InvariantMonitor:
                     f"(visited) before they are ever stacked"
                 )
 
-    def on_flush(self, stack: WarpStack, verts: np.ndarray, offs: np.ndarray,
-                 hot_before: int, cold_before: int) -> None:
+    def on_flush(self, stack: WarpStack, verts: Sequence[int],
+                 offs: Sequence[int], hot_before: int,
+                 cold_before: int) -> None:
         """Conservation across a HotRing -> ColdSeg flush."""
         self.flush_events += 1
         count = len(verts)
@@ -152,15 +151,16 @@ class InvariantMonitor:
                 f"{len(stack.cold) - cold_before}"
             )
         published = stack.cold.snapshot()[-count:]
-        expected = list(zip(verts.tolist(), offs.tolist()))
+        expected = list(zip(verts, offs))
         if published != expected:
             raise InvariantViolation(
                 f"flush by {owner} published corrupted entries: HotRing "
                 f"released {expected[:8]}..., ColdSeg holds {published[:8]}..."
             )
 
-    def on_refill(self, stack: WarpStack, verts: np.ndarray, offs: np.ndarray,
-                  hot_before: int, cold_before: int) -> None:
+    def on_refill(self, stack: WarpStack, verts: Sequence[int],
+                  offs: Sequence[int], hot_before: int,
+                  cold_before: int) -> None:
         """Conservation across a ColdSeg -> HotRing refill."""
         self.refill_events += 1
         count = len(verts)
@@ -177,7 +177,7 @@ class InvariantMonitor:
                 f"HotRing grew by {len(stack.hot) - hot_before}"
             )
         installed = stack.hot.snapshot()[-count:]
-        expected = list(zip(verts.tolist(), offs.tolist()))
+        expected = list(zip(verts, offs))
         if installed != expected:
             raise InvariantViolation(
                 f"refill by {owner} installed corrupted entries: ColdSeg "

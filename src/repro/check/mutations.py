@@ -30,8 +30,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator
 
-import numpy as np
-
 from repro.core import inter_steal, intra_steal
 from repro.core.state import RunState
 from repro.core.twolevel_stack import ColdSeg
@@ -282,8 +280,8 @@ def _refill_double_pop():
 
     def buggy(self, count):
         lo = self.top - count
-        verts = self.vertex[lo:self.top].copy()
-        offs = self.offset[lo:self.top].copy()
+        verts = self.vertex[lo:self.top]
+        offs = self.offset[lo:self.top]
         # BUG: `self.top = lo` never happens.
         return verts, offs
 

@@ -110,9 +110,10 @@ def run_diggerbees(
         sequence (claim order across all warps).  This is an extension
         beyond the paper's Table 2 semantics — the order is a valid
         discovery order of *this* unordered run, not a lexicographic
-        one — and it turns tracing on, so it costs memory, and the run
-        takes the generic event loop instead of the fused one (same
-        schedule, two to three times the wall time).
+        one — and it turns tracing on with no event limit, so it costs
+        memory in proportion to the run, and the run takes the generic
+        event loop instead of the fused one (same schedule, two to
+        three times the wall time).
     instrument:
         Optional instrumentation factory (``repro.check``): called with
         the freshly built :class:`RunState` before the engine starts; it
@@ -193,6 +194,9 @@ def _run(graph, roots, config, device, check_invariants, record_order,
     if record_order and not config.trace:
         config = config.with_overrides(trace=True)
     state = RunState(graph, roots[0], config, device)
+    if record_order:
+        # The order is a result, not a diagnostic: keep every event.
+        state.trace.limit = None
     claimed = roots[:1] + tuple(
         r for i, r in enumerate(roots[1:], start=1)
         if state.seed_root(r, i % config.n_blocks))
@@ -227,11 +231,6 @@ def _run(graph, roots, config, device, check_invariants, record_order,
         # claim sequence; the roots are claimed at initialization.
         visits = [ev.detail[1] for ev in state.trace.filter(kind="visit")]
         order = np.asarray(claimed + tuple(visits), dtype=np.int64)
-        if state.trace.truncated:
-            raise SimulationError(
-                "trace truncated: discovery order incomplete; raise the "
-                "TraceLog limit for graphs this large"
-            )
     traversal = TraversalResult(
         root=roots[0],
         visited=state.visited.astype(bool),

@@ -27,7 +27,6 @@ from repro.errors import SimulationError
 from repro.graphs.csr import CSRGraph
 from repro.sim.device import DeviceSpec
 from repro.sim.trace import SimCounters, TraceLog
-from repro.utils.rng import make_rng, spawn
 from repro.validate.reference import ROOT_PARENT, UNVISITED_PARENT
 
 __all__ = ["BlockState", "RunState"]
@@ -152,28 +151,21 @@ class RunState:
             if config.adversarial_victims else None
         )
 
-        rng = make_rng(config.seed)
-        self.block_rngs = spawn(rng, config.n_blocks)
+        #: One seed sequence per block; each block's leader warp spawns
+        #: its victim-sampling generator from it.
+        self.block_seeds = np.random.SeedSequence(config.seed).spawn(
+            config.n_blocks)
 
-        # Structure-of-arrays slabs (turbo fused loop).  Hot entry
-        # storage, hot head/tail pointers, per-block active masks, and
+        # Structure-of-arrays slabs (turbo fused loop).  Hot head/tail
+        # pointers, cold top/bottom pointers, per-block active masks, and
         # per-warp contention debt live in run-wide preallocated
         # storage; the per-warp/per-block objects hold *views* into it
-        # (rows, slot indices, memoryview slices), so the fused loop can
-        # bind each slab to one local variable and index it by warp
-        # while every other code path keeps using the object API.
+        # (slot indices, memoryview slices), so the fused loop can bind
+        # each slab to one local variable and index it by warp while
+        # every other code path keeps using the object API.  Entry rows
+        # belong to each HotRing.
         n_agents = config.n_warps
         wpb = config.warps_per_block
-        if config.two_level:
-            # One row (plain list — see HotRing) of entry storage per
-            # warp, preallocated here so construction is one pass.
-            self.hot_vertex_slab = [[0] * config.hot_size
-                                    for _ in range(n_agents)]
-            self.hot_offset_slab = [[0] * config.hot_size
-                                    for _ in range(n_agents)]
-        else:
-            self.hot_vertex_slab = None
-            self.hot_offset_slab = None
         # Plain lists, not array('q'): values are small non-negative
         # indices/masks (no overflow concern) and list indexing is the
         # cheapest subscript in CPython — these slots are read several
@@ -198,8 +190,6 @@ class RunState:
                         refill_batch=config.refill_batch,
                         cold_reserve=config.cold_reserve,
                         flush_policy=config.flush_policy,
-                        hot_vertex=self.hot_vertex_slab[g],
-                        hot_offset=self.hot_offset_slab[g],
                         hot_ptrs=self.hot_ptr_slab,
                         hot_base=2 * g,
                         cold_ptrs=self.cold_ptr_slab,

@@ -9,8 +9,9 @@ chain of attribute reads per simulated step; the fused loop instead
 inlines the transitions that dominate every run — expand, refill, and
 an idle warp's whole idle step (victim search, then a backoff poll when
 there is no victim) — over local bindings of the structure-of-arrays
-slabs preallocated by :class:`~repro.core.state.RunState` (hot entry
-rows, the head/tail pointer slabs, active masks, contention debt) and
+slabs preallocated by :class:`~repro.core.state.RunState` (the hot
+head/tail and cold top/bottom pointer slabs, active masks, contention
+debt), each HotRing's own entry rows, and
 memoryviews of the graph's ``row_ptr``, ``column_idx`` and the run's
 ``visited``/``parent``.  The views read the arrays in place, so a run
 holds no copy of the graph, and a pool worker reads the segment it

@@ -17,23 +17,21 @@ Pointer conventions follow the paper exactly (Figure 2):
   inter-block thieves CAS ``bottom`` forward (FIFO, taking the oldest
   entries, which root the largest unexplored subtrees).
 
-The ColdSeg here is backed by growable NumPy arrays with in-place
-compaction.  The paper statically sizes each segment at ``nv / nw``; at
-simulator scale a single warp can transiently exceed that before stealing
-spreads the work, so we grow dynamically.
+Both levels hold entries as plain Python ints: HotRing rows are lists,
+ColdSeg columns ``array('q')``, and every flush, refill and steal passes
+slices between them.  The paper statically sizes each segment at
+``nv / nw``; at simulator scale a single warp can transiently exceed
+that before stealing spreads the work, so a ColdSeg grows and compacts.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from array import array
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError, StackOverflowError
 
 __all__ = ["HotRing", "ColdSeg", "WarpStack", "OneLevelStack"]
-
-_ENTRY_DTYPE = np.int64
 
 
 class HotRing:
@@ -52,26 +50,21 @@ class HotRing:
     (steals, flushes, invariant sweeps).  A standalone ``HotRing(size)``
     allocates its own private pointer slots, preserving the original API.
 
-    The entry arrays are plain Python lists, not NumPy arrays: the
-    owner touches one slot at a time (push/pop/peek run once per
-    simulated warp action), and a list subscript is several times
-    cheaper than ndarray indexing plus scalar unboxing.  Batch
-    operations convert at the boundary; they accept either lists or
-    NumPy arrays and return NumPy arrays (the ColdSeg side stays
-    vectorized).
+    Each ring owns its two entry rows, plain Python lists: the owner
+    touches one slot at a time (push/pop/peek run once per simulated
+    warp action), and a list subscript is several times cheaper than
+    ndarray indexing plus scalar unboxing.
     """
 
     __slots__ = ("size", "vertex", "offset", "_ptrs", "_hi", "_ti")
 
     def __init__(self, size: int, *,
-                 vertex: Optional[list] = None,
-                 offset: Optional[list] = None,
                  ptrs: Optional[list] = None, base: int = 0):
         if size < 2:
             raise SimulationError(f"HotRing size must be >= 2, got {size}")
         self.size = size
-        self.vertex = [0] * size if vertex is None else vertex
-        self.offset = [0] * size if offset is None else offset
+        self.vertex = [0] * size
+        self.offset = [0] * size
         if ptrs is None:
             ptrs, base = [0, 0], 0
         self._ptrs = ptrs
@@ -179,7 +172,7 @@ class HotRing:
         return self.vertex[pos], self.offset[pos]
 
     # -- batch extraction -------------------------------------------------
-    def take_from_tail(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    def take_from_tail(self, count: int) -> Tuple[List[int], List[int]]:
         """Remove the ``count`` oldest entries (advancing ``tail``).
 
         Used by the owner's *flush* and by intra-block thieves after a
@@ -195,23 +188,22 @@ class HotRing:
         vl, ol = self.vertex, self.offset
         end = tail + count
         if end <= size:
-            verts = np.asarray(vl[tail:end], dtype=_ENTRY_DTYPE)
-            offs = np.asarray(ol[tail:end], dtype=_ENTRY_DTYPE)
+            verts = vl[tail:end]
+            offs = ol[tail:end]
             if end == size:
                 end = 0
         else:
             end -= size
-            verts = np.asarray(vl[tail:] + vl[:end], dtype=_ENTRY_DTYPE)
-            offs = np.asarray(ol[tail:] + ol[:end], dtype=_ENTRY_DTYPE)
+            verts = vl[tail:] + vl[:end]
+            offs = ol[tail:] + ol[:end]
         ptrs[self._ti] = end
         return verts, offs
 
-    def put_batch(self, verts, offs) -> None:
+    def put_batch(self, verts: Sequence[int], offs: Sequence[int]) -> None:
         """Insert a batch at ``head`` preserving order (oldest first).
 
         Used for refill and by thieves installing stolen entries; the
-        oldest entry lands deepest (closest to ``tail``).  Accepts NumPy
-        arrays or plain sequences; values are stored as Python ints.
+        oldest entry lands deepest (closest to ``tail``).
         """
         count = len(verts)
         if count == 0:
@@ -220,10 +212,6 @@ class HotRing:
             raise StackOverflowError(
                 f"put_batch({count}) exceeds free space {self.free_slots}"
             )
-        if type(verts) is np.ndarray:
-            verts = verts.tolist()
-        if type(offs) is np.ndarray:
-            offs = offs.tolist()
         ptrs = self._ptrs
         head = ptrs[self._hi]
         size = self.size
@@ -251,8 +239,13 @@ class ColdSeg:
     The live region is ``[bottom, top)``.  ``push_batch`` appends at
     ``top`` (flush), ``pop_batch`` removes from ``top`` (refill),
     ``steal_from_bottom`` removes from ``bottom`` (inter-block steal).
-    The backing array grows by doubling and compacts (shifting the live
-    region to offset 0) when the dead prefix dominates.
+
+    The ``array('q')`` columns hold exactly ``top`` values, the dead
+    prefix ``[0, bottom)`` included.  A push past the logical
+    ``capacity`` compacts (drops the dead prefix; ``bottom`` returns to
+    0) when at least half of it is dead and the push then fits, else
+    doubles it.  ``bottom`` is the inter-steal CAS token, so this rule
+    decides which stale reservations fail.
 
     Structure-of-arrays backing, mirroring :class:`HotRing`: the
     ``top``/``bottom`` pointer pair can live inside a run-wide slab
@@ -263,13 +256,14 @@ class ColdSeg:
     private pointer slots, preserving the original API.
     """
 
-    __slots__ = ("vertex", "offset", "_ptrs", "_ti", "_bi")
+    __slots__ = ("vertex", "offset", "capacity", "_ptrs", "_ti", "_bi")
 
     def __init__(self, reserve: int = 256, *, ptrs=None, base: int = 0):
         if reserve < 1:
             raise SimulationError(f"ColdSeg reserve must be >= 1, got {reserve}")
-        self.vertex = np.zeros(reserve, dtype=_ENTRY_DTYPE)
-        self.offset = np.zeros(reserve, dtype=_ENTRY_DTYPE)
+        self.vertex = array("q")
+        self.offset = array("q")
+        self.capacity = reserve
         if ptrs is None:
             ptrs, base = [0, 0], 0
         self._ptrs = ptrs
@@ -299,7 +293,7 @@ class ColdSeg:
     def __len__(self) -> int:
         """Occupancy: ``top - bottom`` — the paper's cold_rest."""
         ptrs = self._ptrs
-        return int(ptrs[self._ti] - ptrs[self._bi])
+        return ptrs[self._ti] - ptrs[self._bi]
 
     @property
     def is_empty(self) -> bool:
@@ -307,42 +301,35 @@ class ColdSeg:
         return ptrs[self._ti] == ptrs[self._bi]
 
     def _ensure_room(self, count: int) -> None:
-        cap = self.vertex.size
+        cap = self.capacity
         ptrs = self._ptrs
         top = ptrs[self._ti]
-        bottom = ptrs[self._bi]
         if top + count <= cap:
             return
+        bottom = ptrs[self._bi]
         live = top - bottom
-        # Prefer compaction when at least half the array is dead prefix.
+        # Prefer compaction when at least half the capacity is dead prefix.
         if bottom >= cap // 2 and live + count <= cap:
-            self.vertex[:live] = self.vertex[bottom:top]
-            self.offset[:live] = self.offset[bottom:top]
+            del self.vertex[:bottom]
+            del self.offset[:bottom]
             ptrs[self._bi] = 0
             ptrs[self._ti] = live
             return
-        new_cap = cap
-        while top + count > new_cap:
-            new_cap *= 2
-        nv = np.zeros(new_cap, dtype=_ENTRY_DTYPE)
-        no = np.zeros(new_cap, dtype=_ENTRY_DTYPE)
-        nv[bottom:top] = self.vertex[bottom:top]
-        no[bottom:top] = self.offset[bottom:top]
-        self.vertex, self.offset = nv, no
+        while top + count > cap:
+            cap *= 2
+        self.capacity = cap
 
-    def push_batch(self, verts: np.ndarray, offs: np.ndarray) -> None:
+    def push_batch(self, verts: Sequence[int], offs: Sequence[int]) -> None:
         """Flush target (Figure 2e): append oldest-first at ``top``."""
         count = len(verts)
         if count == 0:
             return
         self._ensure_room(count)
-        ptrs = self._ptrs
-        top = ptrs[self._ti]
-        self.vertex[top:top + count] = verts
-        self.offset[top:top + count] = offs
-        ptrs[self._ti] = top + count
+        self.vertex.extend(verts)
+        self.offset.extend(offs)
+        self._ptrs[self._ti] += count
 
-    def pop_batch(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    def pop_batch(self, count: int) -> Tuple[array, array]:
         """Refill source (Figure 2f): remove the ``count`` newest entries.
 
         Returns them oldest-first so the HotRing's ``put_batch`` restores
@@ -351,14 +338,15 @@ class ColdSeg:
         if count < 1 or count > len(self):
             raise SimulationError(f"pop_batch({count}) with only {len(self)} entries")
         ptrs = self._ptrs
-        top = ptrs[self._ti]
-        lo = top - count
-        verts = self.vertex[lo:top].copy()
-        offs = self.offset[lo:top].copy()
+        lo = ptrs[self._ti] - count
+        verts = self.vertex[lo:]
+        offs = self.offset[lo:]
+        del self.vertex[lo:]
+        del self.offset[lo:]
         ptrs[self._ti] = lo
         return verts, offs
 
-    def steal_from_bottom(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    def steal_from_bottom(self, count: int) -> Tuple[array, array]:
         """Inter-block steal (Figure 3b): remove the ``count`` oldest entries."""
         if count < 1 or count > len(self):
             raise SimulationError(
@@ -366,19 +354,17 @@ class ColdSeg:
             )
         ptrs = self._ptrs
         bottom = ptrs[self._bi]
-        verts = self.vertex[bottom:bottom + count].copy()
-        offs = self.offset[bottom:bottom + count].copy()
-        ptrs[self._bi] = bottom + count
+        end = bottom + count
+        verts = self.vertex[bottom:end]
+        offs = self.offset[bottom:end]
+        ptrs[self._bi] = end
         return verts, offs
 
     def snapshot(self) -> List[Tuple[int, int]]:
         """Entries oldest-first (for tests)."""
         ptrs = self._ptrs
         top, bottom = ptrs[self._ti], ptrs[self._bi]
-        return list(zip(
-            self.vertex[bottom:top].tolist(),
-            self.offset[bottom:top].tolist(),
-        ))
+        return list(zip(self.vertex[bottom:top], self.offset[bottom:top]))
 
 
 class WarpStack:
@@ -409,8 +395,6 @@ class WarpStack:
 
     def __init__(self, hot_size: int, flush_batch: int, refill_batch: int,
                  cold_reserve: int = 256, flush_policy: str = "tail",
-                 hot_vertex: Optional[list] = None,
-                 hot_offset: Optional[list] = None,
                  hot_ptrs: Optional[list] = None, hot_base: int = 0,
                  cold_ptrs=None, cold_base: int = 0):
         if flush_batch >= hot_size or refill_batch >= hot_size:
@@ -421,8 +405,7 @@ class WarpStack:
             raise SimulationError(
                 f"flush_policy must be 'tail' or 'head', got {flush_policy!r}"
             )
-        self.hot = HotRing(hot_size, vertex=hot_vertex, offset=hot_offset,
-                           ptrs=hot_ptrs, base=hot_base)
+        self.hot = HotRing(hot_size, ptrs=hot_ptrs, base=hot_base)
         self.cold = ColdSeg(cold_reserve, ptrs=cold_ptrs, base=cold_base)
         self.flush_batch = flush_batch
         self.refill_batch = refill_batch
@@ -471,8 +454,8 @@ class WarpStack:
             # ColdSeg still stores oldest-first within the batch.
             pairs = [self.hot.pop() for _ in range(count)]
             pairs.reverse()
-            verts = np.asarray([p[0] for p in pairs], dtype=_ENTRY_DTYPE)
-            offs = np.asarray([p[1] for p in pairs], dtype=_ENTRY_DTYPE)
+            verts = [v for v, _ in pairs]
+            offs = [o for _, o in pairs]
             self.cold.push_batch(verts, offs)
         if monitor is not None:
             monitor.on_flush(self, verts, offs, hot_before, cold_before)
@@ -550,29 +533,28 @@ class OneLevelStack:
         return False
 
     def push(self, vertex: int, offset: int) -> None:
-        self._seg.push_batch(np.array([vertex], dtype=_ENTRY_DTYPE),
-                             np.array([offset], dtype=_ENTRY_DTYPE))
+        self._seg.push_batch((vertex,), (offset,))
 
+    # The segment's columns end at ``top``: index -1 is the top entry.
     def peek(self) -> Tuple[int, int]:
         if self.is_empty:
             raise SimulationError("peek on empty stack")
-        return (int(self._seg.vertex[self._seg.top - 1]),
-                int(self._seg.offset[self._seg.top - 1]))
+        return self._seg.vertex[-1], self._seg.offset[-1]
 
     def update_top_offset(self, offset: int) -> None:
         if self.is_empty:
             raise SimulationError("update_top_offset on empty stack")
-        self._seg.offset[self._seg.top - 1] = offset
+        self._seg.offset[-1] = offset
 
     def pop(self) -> Tuple[int, int]:
         v, o = self._seg.pop_batch(1)
-        return int(v[0]), int(o[0])
+        return v[0], o[0]
 
-    def take_from_tail(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    def take_from_tail(self, count: int) -> Tuple[array, array]:
         """Steal interface: remove the oldest ``count`` entries."""
         return self._seg.steal_from_bottom(count)
 
-    def put_batch(self, verts: np.ndarray, offs: np.ndarray) -> None:
+    def put_batch(self, verts: Sequence[int], offs: Sequence[int]) -> None:
         self._seg.push_batch(verts, offs)
 
     def snapshot(self) -> List[Tuple[int, int]]:

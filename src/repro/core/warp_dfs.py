@@ -77,13 +77,12 @@ class WarpAgent:
         self.warp_id = warp_id
         self.block = state.blocks[block_id]
         self.stack = self.block.stacks[warp_id]
-        # Per-warp RNG stream derived from the block's (deterministic).
+        # Per-warp RNG stream spawned from the block's seed sequence.
         # wrap_generator swaps in a bit-exact amortized replica of
         # Generator.integers — the victim sampler's draws dominate the
         # fallback path's cost otherwise (see repro.utils.fastrand).
-        block_rng = state.block_rngs[block_id]
         self.rng = wrap_generator(np.random.default_rng(
-            block_rng.bit_generator.seed_seq.spawn(1)[0]
+            state.block_seeds[block_id].spawn(1)[0]
         )) if warp_id == 0 else None  # only leaders sample victims randomly
         self.phase = _Phase.RUN
         self.intra_plan: Optional[intra_steal.IntraStealPlan] = None

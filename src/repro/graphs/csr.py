@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
@@ -156,10 +157,17 @@ class CSRGraph:
     # Transforms (each returns a new CSRGraph)
     # ------------------------------------------------------------------
     def with_name(self, name: str, **meta) -> "CSRGraph":
-        """Copy with a new name and extra metadata entries."""
+        """Copy with a new name and extra metadata entries.
+
+        The copy shares this graph's arrays, which ``__post_init__``
+        validated when this graph was built, so no check runs again.
+        """
         merged = dict(self.meta)
         merged.update(meta)
-        return CSRGraph(self.row_ptr, self.column_idx, self.directed, name, merged)
+        renamed = copy.copy(self)
+        object.__setattr__(renamed, "name", name)
+        object.__setattr__(renamed, "meta", merged)
+        return renamed
 
     def sort_neighbors(self) -> "CSRGraph":
         """Sort each adjacency list ascending (canonical / lexicographic form).

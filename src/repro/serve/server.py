@@ -527,7 +527,10 @@ class ServeServer:
         Degradation ladder for ``jobs >= 1``: healthy pool with shm spec
         -> (pool broke) one fresh pool -> (shm dangling) pickled graph
         -> in-process.  Query-level errors are *results* (markers) and
-        never trigger demotion.
+        never trigger demotion, so any other exception from the pool
+        rung (a task it cannot pickle, say) is an infrastructure
+        failure and goes straight to the in-process rung.  Every lease
+        is released on every exit.
         """
         jobs = self.config.jobs
         if jobs >= 1:
@@ -537,26 +540,25 @@ class ServeServer:
             wire = entry.wire()
             for attempt in range(2):
                 handle = harness.lease_pool(jobs)
+                broken = False
                 try:
                     fut = handle.executor.submit(fn, wire, *args)
-                    out = await asyncio.wrap_future(fut)
+                    return await asyncio.wrap_future(fut)
                 except BrokenProcessPool:
-                    harness.release_pool(handle, broken=True)
+                    broken = True
                     self.stats.bump("pool_broken")
-                    continue
-                except (FileNotFoundError, OSError):
+                except OSError:
                     # Dangling shm segment: demote this graph to pickle
                     # hand-off and retry on the same (healthy) pool.
-                    harness.release_pool(handle)
-                    if entry.shm_ok:
-                        entry.demote()
-                        self.stats.bump("shm_fallbacks")
-                        wire = entry.wire()
-                        continue
+                    if not entry.shm_ok:
+                        break
+                    entry.demote()
+                    self.stats.bump("shm_fallbacks")
+                    wire = entry.wire()
+                except Exception:
                     break
-                else:
-                    harness.release_pool(handle)
-                    return out
+                finally:
+                    harness.release_pool(handle, broken=broken)
             self.stats.bump("inline_fallbacks")
         return await self._execute_inline(fn, entry, *args)
 

@@ -113,14 +113,14 @@ class TestEventHooks:
         monitor = self._monitor()
         with pytest.raises(InvariantViolation, match="linearizability"):
             monitor.on_steal(kind="intra", victim=(0, 0), thief=(0, 1),
-                             verts=np.array([1, 2]), token_at_commit=5,
+                             verts=[1, 2], token_at_commit=5,
                              observed_token=3, amount=2, observed_rest=4)
 
     def test_over_reservation_rejected(self):
         monitor = self._monitor()
         with pytest.raises(InvariantViolation, match="over-reservation"):
             monitor.on_steal(kind="inter", victim=(0, 0), thief=(1, 0),
-                             verts=np.array([1, 2, 3]), token_at_commit=0,
+                             verts=[1, 2, 3], token_at_commit=0,
                              observed_token=0, amount=3, observed_rest=2)
 
     def test_unclaimed_stolen_vertex_rejected(self):
@@ -128,13 +128,13 @@ class TestEventHooks:
         monitor.state.visited[2] = 0
         with pytest.raises(InvariantViolation, match="unclaimed"):
             monitor.on_steal(kind="intra", victim=(0, 0), thief=(0, 1),
-                             verts=np.array([2]), token_at_commit=0,
+                             verts=[2], token_at_commit=0,
                              observed_token=0, amount=1, observed_rest=2)
 
     def test_clean_steal_accepted_and_counted(self):
         monitor = self._monitor()
         monitor.on_steal(kind="intra", victim=(0, 0), thief=(0, 1),
-                         verts=np.array([1, 2]), token_at_commit=3,
+                         verts=[1, 2], token_at_commit=3,
                          observed_token=3, amount=2, observed_rest=4)
         assert monitor.steal_events == 1
 

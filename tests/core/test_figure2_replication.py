@@ -5,7 +5,6 @@ size-4 HotRing and a size-6 ColdSeg with concrete pointer values; these
 tests pin our implementation to those exact transitions.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.twolevel_stack import ColdSeg, HotRing, WarpStack
@@ -47,7 +46,7 @@ class TestFigure2e_Flush:
         s = WarpStack(hot_size=4, flush_batch=2, refill_batch=2,
                       cold_reserve=6)
         # ColdSeg pre-state: two entries, top = 2.
-        s.cold.push_batch(np.array([201, 202]), np.array([0, 0]))
+        s.cold.push_batch([201, 202], [0, 0])
         assert s.cold.top == 2
         # HotRing pre-state: full with tail = 2 -> entries at 2,3,0.
         s.hot.head = 2
@@ -80,9 +79,8 @@ class TestFigure2f_Refill:
         5 -> 5 - 2 = 3."""
         s = WarpStack(hot_size=4, flush_batch=2, refill_batch=2,
                       cold_reserve=6)
-        s.cold.push_batch(
-            np.array([210, 211, 212, ord("a"), ord("b")]),
-            np.array([0, 0, 0, 105, 106]))
+        s.cold.push_batch([210, 211, 212, ord("a"), ord("b")],
+                          [0, 0, 0, 105, 106])
         assert s.cold.top == 5
         s.hot.head = 1
         s.hot.tail = 1

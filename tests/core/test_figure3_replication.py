@@ -13,7 +13,6 @@ warp selects Block0, picks Warp1 (max cold_rest, meets the cutoff),
 CASes bottom 0 -> 2, and copies the two oldest entries into its HotRing.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import inter_steal, intra_steal
@@ -83,10 +82,9 @@ def fig3b_state():
     state = RunState(g, 0, cfg, H100)
     block0 = state.blocks[0]
     # Figure: C1 holds <a|2>,<c|1>,<t|..>,<y|..> (oldest first); C2 holds 2.
-    block0.stacks[1].cold.push_batch(np.array([20, 22, 24, 26]),
-                                     np.array([2, 1, 0, 0]))
+    block0.stacks[1].cold.push_batch([20, 22, 24, 26], [2, 1, 0, 0])
     block0.set_active(1, True)
-    block0.stacks[2].cold.push_batch(np.array([30, 32]), np.array([0, 0]))
+    block0.stacks[2].cold.push_batch([30, 32], [0, 0])
     block0.set_active(2, True)
     # Block1 fully idle.
     return state

@@ -1,6 +1,5 @@
 """Unit tests for intra- and inter-block stealing (paper §3.4/§3.5)."""
 
-import numpy as np
 import pytest
 
 from repro.core import inter_steal, intra_steal
@@ -31,8 +30,7 @@ def fill_hot(state, block, warp, count, start=1):
 
 def fill_cold(state, block, warp, count, start=1):
     stack = state.blocks[block].stacks[warp]
-    vals = np.arange(start, start + count)
-    stack.cold.push_batch(vals, np.zeros(count, dtype=np.int64))
+    stack.cold.push_batch(list(range(start, start + count)), [0] * count)
     state.blocks[block].set_active(warp, True)
 
 

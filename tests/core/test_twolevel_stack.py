@@ -1,8 +1,8 @@
 """Unit + property tests for the two-level stack (paper §3.2, Figure 2)."""
 
 import gc
+import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +85,17 @@ class TestHotRing:
         assert len(h) == 3
         assert h.pop() == (4, 4)  # head side untouched
 
+    def test_batches_wrap_and_are_plain_ints(self):
+        h = HotRing(5)
+        h.head = h.tail = 3
+        h.put_batch([1, 2, 3], [10, 20, 30])  # slots 3, 4, 0
+        assert h.head == 1
+        assert h.snapshot() == [(1, 10), (2, 20), (3, 30)]
+        verts, offs = h.take_from_tail(3)
+        assert (verts, offs) == ([1, 2, 3], [10, 20, 30])
+        assert all(type(x) is int for x in verts + offs)
+        assert h.is_empty and h.tail == 1
+
     def test_take_too_many_raises(self):
         h = HotRing(8)
         h.push(0, 0)
@@ -93,14 +104,14 @@ class TestHotRing:
 
     def test_put_batch_preserves_order(self):
         h = HotRing(8)
-        h.put_batch(np.array([1, 2, 3]), np.array([10, 20, 30]))
+        h.put_batch([1, 2, 3], [10, 20, 30])
         assert h.pop() == (3, 30)
         assert h.pop() == (2, 20)
 
     def test_put_batch_overflow(self):
         h = HotRing(4)
         with pytest.raises(StackOverflowError):
-            h.put_batch(np.arange(4), np.arange(4))
+            h.put_batch(list(range(4)), list(range(4)))
 
     def test_snapshot(self):
         h = HotRing(6)
@@ -128,10 +139,33 @@ class TestHotRing:
             assert h.snapshot() == model
 
 
+#: ``(top, bottom)`` after each operation of
+#: ``TestColdSeg.test_seeded_sequence_pins_the_pointers``, recorded from
+#: the NumPy-backed ColdSeg that the ``array('q')`` columns replaced.
+_SEEDED_POINTERS = [
+    (1, 0), (4, 0), (5, 0), (11, 0), (13, 0), (7, 0), (7, 3), (7, 6), (7, 7),
+    (11, 7), (11, 11), (15, 11), (8, 0), (9, 0), (9, 4), (14, 4), (12, 4),
+    (12, 10), (15, 10), (15, 12), (8, 0), (8, 4), (10, 4), (10, 7), (14, 7),
+    (9, 7), (11, 7), (11, 11), (14, 11), (9, 0), (11, 0), (9, 0), (9, 2),
+    (10, 2), (13, 2), (13, 8), (13, 9), (13, 13), (4, 0), (9, 0), (9, 6),
+    (8, 6), (14, 6), (14, 8), (12, 0), (10, 0), (12, 0), (12, 6), (16, 6),
+    (13, 6), (12, 6), (12, 9), (12, 10), (11, 10), (7, 0), (11, 0), (14, 0),
+    (14, 4), (17, 4), (15, 4), (18, 4), (18, 8), (24, 8), (25, 8), (29, 8),
+    (26, 8), (26, 12), (31, 12), (35, 12), (41, 12), (44, 12), (48, 12),
+    (51, 12), (55, 12), (53, 12), (50, 12), (49, 12), (49, 17), (49, 21),
+    (49, 25), (51, 25), (51, 30), (51, 36), (51, 42), (49, 42), (50, 42),
+    (50, 48), (53, 48), (59, 48), (17, 0), (21, 0), (25, 0), (25, 5), (25, 6),
+    (30, 6), (30, 7), (30, 11), (30, 17), (34, 17), (39, 17), (39, 19),
+    (39, 25), (45, 25), (46, 25), (48, 25), (48, 31), (48, 35), (43, 35),
+    (49, 35), (55, 35), (55, 39), (49, 39), (53, 39), (53, 44), (58, 44),
+    (64, 44), (61, 44), (23, 0), (23, 6), (24, 6),
+]
+
+
 class TestColdSeg:
     def test_push_pop(self):
         c = ColdSeg(4)
-        c.push_batch(np.array([1, 2]), np.array([10, 20]))
+        c.push_batch([1, 2], [10, 20])
         assert len(c) == 2
         verts, offs = c.pop_batch(2)
         assert list(verts) == [1, 2]  # oldest-first
@@ -139,7 +173,7 @@ class TestColdSeg:
 
     def test_steal_from_bottom(self):
         c = ColdSeg(8)
-        c.push_batch(np.arange(5), np.arange(5) * 10)
+        c.push_batch(list(range(5)), list(range(0, 50, 10)))
         verts, _ = c.steal_from_bottom(2)
         assert list(verts) == [0, 1]
         assert len(c) == 3
@@ -148,18 +182,60 @@ class TestColdSeg:
 
     def test_growth(self):
         c = ColdSeg(2)
-        c.push_batch(np.arange(100), np.arange(100))
+        c.push_batch(list(range(100)), list(range(100)))
         assert len(c) == 100
-        assert c.vertex.size == 128  # doubled from 2 until 100 fit
+        assert c.capacity == 128  # doubled from 2 until 100 fit
+        assert (c.top, c.bottom) == (100, 0)
+        assert c.snapshot() == [(i, i) for i in range(100)]
 
     def test_compaction(self):
         c = ColdSeg(8)
-        c.push_batch(np.arange(6), np.arange(6))
+        c.push_batch(list(range(6)), list(range(6)))
         c.steal_from_bottom(5)  # bottom = 5, dead prefix dominates
-        c.push_batch(np.arange(10, 17), np.arange(7))
-        assert c.vertex.size == 8  # compacted in place, not grown
-        assert c.bottom == 0
-        assert c.snapshot()[0][0] == 5  # surviving entry intact
+        c.push_batch(list(range(10, 17)), list(range(7)))
+        assert c.capacity == 8  # compacted in place, not grown
+        assert (c.top, c.bottom) == (8, 0)
+        assert c.snapshot() == [(5, 5)] + list(zip(range(10, 17), range(7)))
+
+    def test_seeded_sequence_pins_the_pointers(self):
+        """Grow-by-doubling and compact-when-half-dead decide when
+        ``bottom`` (the inter-steal CAS token) resets, so every
+        ``(top, bottom)`` pair of this seeded push/pop/steal sequence
+        (4 growths from capacity 4 to 64, 8 compactions) is pinned."""
+        rnd = random.Random(36)
+        c = ColdSeg(4)
+        model = []
+        counter = 0
+        pointers = []
+        for _ in range(120):
+            kind = rnd.choice(("push", "push", "pop", "steal", "steal"))
+            k = rnd.randint(1, 6)
+            if kind != "push" and k > len(model):
+                kind = "push"
+            if kind == "push":
+                vals = list(range(counter, counter + k))
+                counter += k
+                c.push_batch(vals, vals)
+                model.extend(vals)
+            elif kind == "pop":
+                verts, _ = c.pop_batch(k)
+                assert list(verts) == model[-k:]
+                del model[-k:]
+            else:
+                verts, _ = c.steal_from_bottom(k)
+                assert list(verts) == model[:k]
+                del model[:k]
+            assert [v for v, _ in c.snapshot()] == model
+            pointers.append((c.top, c.bottom))
+        assert pointers == _SEEDED_POINTERS
+        assert c.capacity == 64
+
+    def test_batches_are_plain_ints(self):
+        c = ColdSeg(4)
+        c.push_batch([1, 2, 3, 4, 5], [10, 20, 30, 40, 50])
+        for verts, offs in (c.steal_from_bottom(2), c.pop_batch(2)):
+            assert all(type(x) is int for x in list(verts) + list(offs))
+        assert all(type(x) is int for pair in c.snapshot() for x in pair)
 
     def test_pop_too_many(self):
         c = ColdSeg(4)
@@ -168,7 +244,7 @@ class TestColdSeg:
 
     def test_steal_too_many(self):
         c = ColdSeg(4)
-        c.push_batch(np.array([1]), np.array([1]))
+        c.push_batch([1], [1])
         with pytest.raises(SimulationError):
             c.steal_from_bottom(2)
 
@@ -184,7 +260,7 @@ class TestColdSeg:
             if op == "push":
                 vals = list(range(counter, counter + k))
                 counter += k
-                c.push_batch(np.array(vals), np.array(vals))
+                c.push_batch(vals, vals)
                 model.extend(vals)
             elif op == "pop" and len(model) >= k:
                 verts, _ = c.pop_batch(k)
@@ -233,7 +309,7 @@ class TestWarpStack:
     def test_paper_figure2e_flush_pointers(self):
         """Fig 2(e): hot_size=4, batch=2; tail 2 -> 0, top 2 -> 4."""
         s = WarpStack(hot_size=4, flush_batch=2, refill_batch=2)
-        s.cold.push_batch(np.array([101, 102]), np.array([0, 0]))  # top = 2
+        s.cold.push_batch([101, 102], [0, 0])  # top = 2
         s.hot.head = 2
         s.hot.tail = 2
         s.hot.push(ord("a"), 1)
@@ -342,7 +418,7 @@ class TestOneLevelStack:
         s.hot.update_top_offset(9)
         assert s.hot.peek() == (5, 9)
         s.hot.pop()
-        s.hot.put_batch(np.array([7, 8]), np.array([70, 80]))
+        s.hot.put_batch([7, 8], [70, 80])
         assert s.tail == s._seg.bottom == 0
         verts, _ = s.hot.take_from_tail(2)
         assert list(verts) == [0, 1]

@@ -18,7 +18,7 @@ import pytest
 from repro.bench.harness import BenchConfig, pick_roots
 from repro.graphs import collections as col
 from repro.graphs import diskcache, generators as gen
-from repro.graphs.csr import from_edges
+from repro.graphs.csr import CSRGraph, from_edges
 
 
 @pytest.fixture()
@@ -225,3 +225,14 @@ class TestFileFormat:
         assert diskcache.stats() == {"hits": len(cold), "misses": 0}
         for a, b in zip(cold, warm):
             assert _same_graph(a, b)
+
+    def test_warm_load_validates_each_graph_once(self, cache_in_tmp,
+                                                 monkeypatch):
+        col.representative_graphs()
+        col.clear_cache()
+        validated = []
+        real = CSRGraph.__post_init__
+        monkeypatch.setattr(CSRGraph, "__post_init__",
+                            lambda self: validated.append(self) or real(self))
+        warm = col.representative_graphs()
+        assert len(validated) == len(warm) == 12

@@ -188,3 +188,15 @@ class TestTransforms:
         assert g2.name == "renamed"
         assert g2.meta["group"] == "test"
         assert g.name == ""  # original untouched
+        assert g.meta == {}
+
+    def test_with_name_shares_the_validated_arrays(self, monkeypatch):
+        g = from_edges(3, [(0, 1), (1, 2)])
+        calls = []
+        real = CSRGraph.__post_init__
+        monkeypatch.setattr(CSRGraph, "__post_init__",
+                            lambda self: calls.append(self) or real(self))
+        g2 = g.with_name("renamed")
+        assert calls == []
+        assert g2.row_ptr is g.row_ptr and g2.column_idx is g.column_idx
+        assert g2.directed is g.directed and g2.name == "renamed"

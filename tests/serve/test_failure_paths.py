@@ -1,12 +1,14 @@
 """Failure paths: the daemon degrades to correct-but-slower, never wrong.
 
-Three induced failures, each verified against direct execution:
+Four induced failures, each verified against direct execution:
 
 * the worker pool's processes are killed mid-service (BrokenProcessPool)
   -> one retry on a fresh pool answers correctly;
 * the shm segments backing a resident graph are unlinked behind the
   daemon's back -> the graph demotes to pickle hand-off and the query
   still answers correctly;
+* the pool cannot pickle the task -> the lease is released and the
+  query answers in process;
 * the on-disk result cache is corrupted between daemon lifetimes -> the
   corrupt file is discarded and results are recomputed, not poisoned.
 """
@@ -121,6 +123,32 @@ def test_all_fallbacks_exhausted_runs_in_process():
         assert resp.ok and resp.result == _expected(graphs["g"], 3)
         assert server.stats.pool_broken >= 2
         assert server.stats.inline_fallbacks >= 1
+
+    serve_session(scenario, graphs=graphs,
+                  config=ServeConfig(max_batch=1, jobs=1,
+                                     cache_dir="off"))
+
+
+def test_unpicklable_task_runs_in_process_and_releases_its_lease(
+        monkeypatch):
+    """A task the pool cannot pickle fails at ``result()``; the pool
+    rung releases its lease and the in-process rung answers."""
+    from repro.serve import server as server_mod
+
+    real = server_mod.execute_dfs_batch
+
+    def local_batch(*args):   # a closure: the pool cannot pickle it
+        return real(*args)
+
+    monkeypatch.setattr(server_mod, "execute_dfs_batch", local_batch)
+    graphs = {"g": gen.binary_tree(5)}
+
+    async def scenario(client, server, **_):
+        resp = await client.dfs("g", 3, no_cache=True)
+        assert resp.ok and resp.result == _expected(graphs["g"], 3)
+        assert server.stats.inline_fallbacks >= 1
+        assert harness._HANDLE is not None
+        assert harness._HANDLE.users == 0
 
     serve_session(scenario, graphs=graphs,
                   config=ServeConfig(max_batch=1, jobs=1,
