@@ -40,9 +40,11 @@ reads its attached segment and no run copies the graph) and of
 locals and merged into :class:`~repro.sim.trace.SimCounters` once.  The
 rare protocol moves stay small functions over :class:`_CpuRunState`:
 :func:`_ckl_steal`, :func:`_acr_service` and :func:`_acr_idle`.  A
-victim draw takes one scalar ``integers`` call on the idle core's own
-NumPy ``Generator`` (a bulk draw would consume the stream differently),
-so each core's stream depends only on its own idle attempts.
+victim draw is one ``integers`` call on the idle core's own
+:class:`~repro.utils.fastrand.BoundedDraws` over a ``PCG64`` stream
+spawned from the run's seed (the bounded-draw replica the GPU leaders
+use, bit-exact with ``Generator.integers``), so each core's stream
+depends only on its own idle attempts.
 
 Why a core's CAS never fails
 ----------------------------
@@ -71,7 +73,7 @@ from repro.sim.engine import (DEFAULT_MAX_CYCLES, deadlock_window,
                               over_budget_error)
 from repro.sim.metrics import mteps as _mteps
 from repro.sim.trace import SimCounters
-from repro.utils.rng import make_rng, spawn
+from repro.utils.fastrand import BoundedDraws
 from repro.validate.reference import ROOT_PARENT, UNVISITED_PARENT, TraversalResult
 
 __all__ = ["CpuDfsResult", "run_ckl_pdfs", "run_acr_pdfs"]
@@ -115,7 +117,8 @@ class _CpuRunState:
         self.visited = np.zeros(n, dtype=np.uint8)
         self.pending = 0
         self.counters = SimCounters()
-        self.rngs = spawn(make_rng(seed), cores)
+        self.rngs = [BoundedDraws(np.random.PCG64(s))
+                     for s in np.random.SeedSequence(seed).spawn(cores)]
         # Per-core deques of [vertex, offset], idle backoff, and the ACR
         # request/mailbox cells.
         self.deques: List[List[list]] = [[] for _ in range(cores)]
@@ -147,7 +150,7 @@ def _ckl_steal(state: _CpuRunState, core: int) -> Tuple[int, bool]:
     """CKL idle step: steal half a random victim's deque, oldest end first."""
     costs = state.costs
     counters = state.counters
-    victim = int(state.rngs[core].integers(0, state.cores))
+    victim = state.rngs[core].integers(0, state.cores)
     counters.intra_steal_attempts += 1
     vdq = state.deques[victim]
     if victim == core or len(vdq) < 2:
@@ -198,7 +201,7 @@ def _acr_idle(state: _CpuRunState, core: int) -> Tuple[int, bool]:
     # several victims; each victim's cell holds one request, so a cell
     # already taken is left alone.
     counters = state.counters
-    victim = int(state.rngs[core].integers(0, state.cores))
+    victim = state.rngs[core].integers(0, state.cores)
     counters.intra_steal_attempts += 1
     if (victim != core and state.deques[victim]
             and state.requests[victim] is None):

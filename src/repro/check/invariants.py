@@ -17,10 +17,12 @@ make DiggerBees' lock-free stealing correct:
   HotRing gained.  No node may be lost (or invented) between the
   HotRing flush and the ColdSeg publish.
 * **Single ownership / no lost nodes (global sweep)** — periodically
-  (every ``check_every`` engine steps) and at the end of the run, the
-  union of all stacks must contain every pending entry exactly once,
-  every stacked vertex must already be claimed (visited), and the
-  global ``pending`` counter must equal the true entry count.  A
+  (every ``check_every`` engine steps) and at the end of the run,
+  :meth:`RunState.check_invariants
+  <repro.core.state.RunState.check_invariants>` asserts that the
+  union of all stacks contains every pending entry exactly once,
+  every stacked vertex is already claimed (visited), and the global
+  ``pending`` counter equals the true entry count.  A
   duplicated steal shows up as a vertex owned by two stacks or as
   ``actual > pending``; a dropped transfer as ``actual < pending``.
 * **Steal sanity** — a steal may not move more entries than its plan
@@ -188,42 +190,11 @@ class InvariantMonitor:
     # Global sweep.
     # ------------------------------------------------------------------
     def sweep(self) -> None:
-        """Full-state ownership/conservation sweep (see module docstring)."""
+        """Full-state ownership/conservation sweep: counts the sweep and
+        runs :meth:`RunState.check_invariants
+        <repro.core.state.RunState.check_invariants>`."""
         self.sweeps += 1
-        state = self.state
-        visited = state.visited
-        seen: dict = {}
-        actual = 0
-        for block in state.blocks:
-            for warp, stack in enumerate(block.stacks):
-                entries = stack.snapshot()
-                actual += len(entries)
-                owner = (block.block_id, warp)
-                for v, _ in entries:
-                    if not visited[v]:
-                        raise InvariantViolation(
-                            f"stacked vertex {v} (owner {owner}) is not "
-                            f"marked visited: it was pushed without a "
-                            f"winning claim, so a second warp can claim "
-                            f"and traverse it again"
-                        )
-                    prev = seen.get(v)
-                    if prev is not None:
-                        raise InvariantViolation(
-                            f"vertex {v} is owned by two stacks at once "
-                            f"({prev} and {owner}): a steal duplicated it, "
-                            f"so its subtree will be traversed twice under "
-                            f"conflicting owners"
-                        )
-                    seen[v] = owner
-        if actual != state.pending:
-            kind = "lost" if actual < state.pending else "invented"
-            raise InvariantViolation(
-                f"pending counter says {state.pending} stack entries but "
-                f"the stacks hold {actual}: {abs(actual - state.pending)} "
-                f"entries were {kind} (termination counter and true work "
-                f"have diverged)"
-            )
+        self.state.check_invariants()
 
     def final_check(self) -> None:
         """Post-run sweep: the traversal must have drained every stack."""

@@ -110,10 +110,8 @@ def run_diggerbees(
         sequence (claim order across all warps).  This is an extension
         beyond the paper's Table 2 semantics — the order is a valid
         discovery order of *this* unordered run, not a lexicographic
-        one — and it turns tracing on with no event limit, so it costs
-        memory in proportion to the run, and the run takes the generic
-        event loop instead of the fused one (same schedule, two to
-        three times the wall time).
+        one.  The run state appends each claimed vertex as it is
+        claimed; no trace is kept and the schedule does not change.
     instrument:
         Optional instrumentation factory (``repro.check``): called with
         the freshly built :class:`RunState` before the engine starts; it
@@ -191,12 +189,8 @@ def _run(graph, roots, config, device, check_invariants, record_order,
     rest run the generic :class:`EventLoop` with the reference expand.
     """
     config = config or DiggerBeesConfig()
-    if record_order and not config.trace:
-        config = config.with_overrides(trace=True)
-    state = RunState(graph, roots[0], config, device)
-    if record_order:
-        # The order is a result, not a diagnostic: keep every event.
-        state.trace.limit = None
+    state = RunState(graph, roots[0], config, device,
+                     record_order=record_order)
     claimed = roots[:1] + tuple(
         r for i, r in enumerate(roots[1:], start=1)
         if state.seed_root(r, i % config.n_blocks))
@@ -224,18 +218,11 @@ def _run(graph, roots, config, device, check_invariants, record_order,
         )
     if check_invariants:
         state.check_invariants()
-    order = np.empty(0, dtype=np.int64)
-    if record_order:
-        # Trace events are appended in execution order (steps run
-        # sequentially in the engine), so visit events give the global
-        # claim sequence; the roots are claimed at initialization.
-        visits = [ev.detail[1] for ev in state.trace.filter(kind="visit")]
-        order = np.asarray(claimed + tuple(visits), dtype=np.int64)
     traversal = TraversalResult(
         root=roots[0],
         visited=state.visited.astype(bool),
         parent=state.parent,
-        order=order,
+        order=np.asarray(state.order or (), dtype=np.int64),
         edges_traversed=state.counters.edges_traversed,
     )
     return DiggerBeesResult(

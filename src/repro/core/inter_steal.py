@@ -46,17 +46,18 @@ class InterStealPlan:
 
 
 def _sample_active_blocks(state: RunState, my_block: int,
-                          rng, k: int,
+                          rng: BoundedDraws, k: int,
                           gpu_id=None) -> list:
     """Sample up to ``k`` active blocks (!= mine), with bounded retries.
 
     Mirrors the hardware reality that the leader probes a few random mask
-    words rather than scanning all blocks.  With ``gpu_id`` set, sampling
-    is restricted to that GPU's block range (same-GPU stealing); with
-    ``gpu_id=None`` any block qualifies (remote fallback).  A
-    :class:`~repro.utils.fastrand.BoundedDraws` replica runs the whole
-    loop in one call (same values, same stream consumption); a plain
-    ``Generator`` draws one ``integers`` call at a time.
+    words rather than scanning all blocks: at most ``4k + 8`` uniform
+    draws, keeping each active block other than ``my_block``.  With
+    ``gpu_id`` set, sampling is restricted to that GPU's block range
+    (same-GPU stealing); with ``gpu_id=None`` any block qualifies (remote
+    fallback).  :meth:`BoundedDraws.sample_hits
+    <repro.utils.fastrand.BoundedDraws.sample_hits>` runs the whole loop
+    in one call, drawing exactly as one ``integers`` call per draw would.
     """
     cfg = state.config
     if gpu_id is None:
@@ -64,32 +65,17 @@ def _sample_active_blocks(state: RunState, my_block: int,
     else:
         lo = gpu_id * cfg.blocks_per_gpu
         hi = lo + cfg.blocks_per_gpu
-    amask = state.active_mask_slab  # direct slab reads: skip property dispatch
-    max_attempts = 4 * k + 8
-    if type(rng) is BoundedDraws:
-        return rng.sample_hits(lo, hi, max_attempts, k, my_block, amask)
-    draw = rng.integers
-    found = []
-    n_found = 0
-    for _ in range(max_attempts):
-        b = int(draw(lo, hi))
-        if b == my_block:
-            continue
-        if amask[b]:  # inlined `not .idle`
-            found.append(b)
-            n_found += 1
-            if n_found == k:
-                break
-    return found
+    # Direct slab reads: skip the blocks' ``idle`` property dispatch.
+    return rng.sample_hits(lo, hi, 4 * k + 8, k, my_block,
+                           state.active_mask_slab)
 
 
 def select_victim(state: RunState, my_block: int,
-                  rng) -> Optional[InterStealPlan]:
+                  rng: BoundedDraws) -> Optional[InterStealPlan]:
     """Steps 1-2 of Algorithm 4: pick a victim block, then its fullest warp.
 
-    ``rng`` is the leader's ``Generator`` or its bit-exact
-    :class:`repro.utils.fastrand.BoundedDraws` replica; both draw the
-    same values from the same stream (see :func:`_sample_active_blocks`).
+    ``rng`` is the leader's :class:`repro.utils.fastrand.BoundedDraws`
+    over its own ``PCG64`` stream.
 
     Returns None when no active block was found or no warp in the chosen
     block reaches ``cold_cutoff``.
@@ -125,7 +111,7 @@ def select_victim(state: RunState, my_block: int,
         if cfg.blocks_per_gpu < 2:
             return None
         lo = my_gpu * cfg.blocks_per_gpu
-        vb = lo + int(rng.integers(0, cfg.blocks_per_gpu))
+        vb = lo + rng.integers(0, cfg.blocks_per_gpu)
         if vb == my_block:
             return None
 

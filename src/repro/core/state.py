@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.config import DiggerBeesConfig
 from repro.core.twolevel_stack import OneLevelStack, WarpStack
-from repro.errors import SimulationError
+from repro.errors import InvariantViolation
 from repro.graphs.csr import CSRGraph
 from repro.sim.device import DeviceSpec
 from repro.sim.trace import SimCounters, TraceLog
@@ -113,6 +113,8 @@ class RunState:
         root: int,
         config: DiggerBeesConfig,
         device: DeviceSpec,
+        *,
+        record_order: bool = False,
     ):
         graph._check_vertex(root)
         config.check_fits_device(device)
@@ -139,6 +141,10 @@ class RunState:
 
         self.counters = SimCounters()
         self.trace: Optional[TraceLog] = TraceLog() if config.trace else None
+        #: The global claim sequence (``record_order`` runs), else None:
+        #: appended by :meth:`seed_root` and by a winning
+        #: :meth:`try_claim_vertex`, the one place a vertex is claimed.
+        self.order: Optional[List[int]] = [] if record_order else None
 
         #: Optional steal-protocol invariant monitor (``repro.check``).
         #: None in production runs; the protocol code guards every hook
@@ -213,6 +219,8 @@ class RunState:
         self.visited[root] = 1
         self.parent[root] = ROOT_PARENT
         self.counters.vertices_visited += 1
+        if self.order is not None:
+            self.order.append(root)
         self.counters.record_task(block_id, 0)
         block = self.blocks[block_id]
         stack = block.stacks[0]
@@ -254,6 +262,8 @@ class RunState:
         self.visited[v] = 1
         self.parent[v] = parent
         counters.vertices_visited += 1
+        if self.order is not None:
+            self.order.append(v)
         return True
 
     def record(self, time: int, block: int, warp: int, kind: str,
@@ -266,27 +276,47 @@ class RunState:
         return sum(len(s) for blk in self.blocks for s in blk.stacks)
 
     def check_invariants(self) -> None:
-        """Expensive consistency assertions, used by tests after runs.
+        """The global ownership/conservation sweep (expensive).
 
-        * ``pending`` matches the actual entry count;
+        Run by tests after a run (``check_invariants=True``) and by the
+        ``repro.check`` invariant monitor every ``check_every`` steps.
+        Raises :class:`~repro.errors.InvariantViolation` unless
+
         * every stacked vertex is marked visited (claimed before push);
-        * no vertex appears in two stacks (entries move, never duplicate).
+        * no vertex appears in two stacks (entries move, never duplicate);
+        * ``pending`` matches the actual entry count.
         """
-        actual = self.total_entries()
+        visited = self.visited
+        seen: dict = {}
+        actual = 0
+        for block in self.blocks:
+            for warp, stack in enumerate(block.stacks):
+                entries = stack.snapshot()
+                actual += len(entries)
+                owner = (block.block_id, warp)
+                for v, _ in entries:
+                    if not visited[v]:
+                        raise InvariantViolation(
+                            f"stacked vertex {v} (owner {owner}) is not "
+                            f"marked visited: it was pushed without a "
+                            f"winning claim, so a second warp can claim "
+                            f"and traverse it again"
+                        )
+                    prev = seen.get(v)
+                    if prev is not None:
+                        raise InvariantViolation(
+                            f"vertex {v} appears in more than one stack: "
+                            f"owned by two stacks at once ({prev} and "
+                            f"{owner}), so a steal duplicated it and its "
+                            f"subtree will be traversed twice under "
+                            f"conflicting owners"
+                        )
+                    seen[v] = owner
         if actual != self.pending:
-            raise SimulationError(
-                f"pending counter {self.pending} != actual entries {actual}"
+            kind = "lost" if actual < self.pending else "invented"
+            raise InvariantViolation(
+                f"pending counter says {self.pending} stack entries but "
+                f"the stacks hold {actual}: {abs(actual - self.pending)} "
+                f"entries were {kind} (termination counter and true work "
+                f"have diverged)"
             )
-        seen: set = set()
-        for blk in self.blocks:
-            for stack in blk.stacks:
-                for v, _ in stack.snapshot():
-                    if not self.visited[v]:
-                        raise SimulationError(
-                            f"stacked vertex {v} is not marked visited"
-                        )
-                    if v in seen:
-                        raise SimulationError(
-                            f"vertex {v} appears in more than one stack"
-                        )
-                    seen.add(v)

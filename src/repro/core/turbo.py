@@ -78,8 +78,9 @@ from repro.sim.engine import (EngineResult, deadlock_window,
 __all__ = ["turbo_eligible", "run_turbo"]
 
 #: The pristine claim method: when a mutation (``repro.check``) patches
-#: ``RunState.try_claim_vertex``, the fused loop detects the mismatch and
-#: routes claims through the patched method instead of its inline copy.
+#: ``RunState.try_claim_vertex``, or a ``record_order`` run keeps the
+#: claim sequence, the fused loop routes claims through the method
+#: instead of its inline copy.
 _ORIG_CLAIM = RunState.try_claim_vertex
 
 
@@ -88,9 +89,9 @@ def turbo_eligible(config) -> bool:
 
     Requirements: two-level stacks (the loop addresses HotRings through
     the SoA slabs), no schedule perturbation (the fuzzer's randomized
-    drain order cannot be fused) and no trace (traced runs, including
-    ``record_order`` ones, take the generic loop, whose ``WarpAgent``
-    steps record the events; tracing changes no schedule).
+    drain order cannot be fused) and no trace (traced runs take the
+    generic loop, whose ``WarpAgent`` steps record the events; tracing
+    changes no schedule).
     """
     return (config.two_level and config.perturb_seed is None
             and not config.trace)
@@ -159,7 +160,8 @@ def _drain(
     pending = state.pending
 
     claim = state.try_claim_vertex
-    inline_claim = type(state).try_claim_vertex is _ORIG_CLAIM
+    inline_claim = (type(state).try_claim_vertex is _ORIG_CLAIM
+                    and state.order is None)
 
     inter = config.enable_inter_steal
     n_blocks = config.n_blocks
@@ -413,7 +415,7 @@ def _drain(
                                                         hsize)):
                                         vb = cands[1]
                             else:
-                                vb = int(agent.rng.integers(0, n_blocks))
+                                vb = agent.rng.integers(0, n_blocks)
                                 if vb == bid:
                                     vb = -1
                             if vb >= 0:

@@ -27,8 +27,8 @@ call :meth:`WarpAgent.step`: :mod:`repro.core.turbo` inlines the
 expand, refill and idle transitions over the run's structure-of-arrays
 slabs and calls only :meth:`WarpAgent._idle` and the two reservation
 steps.  The generic :class:`~repro.sim.engine.EventLoop` steps every
-other run (the one-level v1 ablation, perturbed schedules, traced and
-``record_order`` runs) and the oracle
+other run (the one-level v1 ablation, perturbed schedules, traced runs)
+and the oracle
 :func:`repro.core.diggerbees.run_reference` through ``step``, whose one
 expand body, :meth:`WarpAgent._expand_reference`, is the NumPy
 implementation the fused loop's inline expand must replay bit for bit.
@@ -46,7 +46,7 @@ import numpy as np
 from repro.core import inter_steal, intra_steal
 from repro.core.state import RunState
 from repro.sim.engine import StepOutcome
-from repro.utils.fastrand import wrap_generator
+from repro.utils.fastrand import BoundedDraws
 
 __all__ = ["WarpAgent", "WARP_WIDTH"]
 
@@ -77,13 +77,12 @@ class WarpAgent:
         self.warp_id = warp_id
         self.block = state.blocks[block_id]
         self.stack = self.block.stacks[warp_id]
-        # Per-warp RNG stream spawned from the block's seed sequence.
-        # wrap_generator swaps in a bit-exact amortized replica of
-        # Generator.integers — the victim sampler's draws dominate the
-        # fallback path's cost otherwise (see repro.utils.fastrand).
-        self.rng = wrap_generator(np.random.default_rng(
+        # Only leaders sample victims randomly: a PCG64 stream spawned
+        # from the block's seed sequence, drawn through the bit-exact
+        # Generator.integers replica (see repro.utils.fastrand).
+        self.rng = BoundedDraws(np.random.PCG64(
             state.block_seeds[block_id].spawn(1)[0]
-        )) if warp_id == 0 else None  # only leaders sample victims randomly
+        )) if warp_id == 0 else None
         self.phase = _Phase.RUN
         self.intra_plan: Optional[intra_steal.IntraStealPlan] = None
         self.inter_plan: Optional[inter_steal.InterStealPlan] = None

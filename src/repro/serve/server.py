@@ -202,6 +202,10 @@ class ServeServer:
     def _cache_for(self, entry: ResidentGraph) -> GraphResultCache:
         cache = self._caches.get(entry.name)
         if cache is None or cache.graph_fingerprint != entry.fingerprint:
+            if cache is not None:
+                # The name now holds new content: spill the old
+                # content's answers before its cache is dropped.
+                cache.flush()
             cache = GraphResultCache(entry.name, entry.fingerprint,
                                      self._cache_dir,
                                      self.config.cache_entries)

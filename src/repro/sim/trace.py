@@ -113,13 +113,11 @@ class TraceLog:
 
     ``limit`` guards against runaway memory on large runs; hitting it
     stops recording (``truncated`` flips to True) rather than raising,
-    because traces are diagnostics, not results.  ``limit=None`` keeps
-    every event: a ``record_order`` run reads its discovery order, a
-    result, from its trace.
+    because traces are diagnostics, not results.
     """
 
-    def __init__(self, limit: Optional[int] = 200_000):
-        if limit is not None and limit <= 0:
+    def __init__(self, limit: int = 200_000):
+        if limit <= 0:
             raise ValueError(f"trace limit must be positive, got {limit}")
         self.limit = limit
         self.events: List[TraceEvent] = []
@@ -127,7 +125,7 @@ class TraceLog:
 
     def record(self, time: int, block: int, warp: int, kind: str,
                detail: tuple = ()) -> None:
-        if self.limit is not None and len(self.events) >= self.limit:
+        if len(self.events) >= self.limit:
             self.truncated = True
             return
         self.events.append(TraceEvent(time, block, warp, kind, detail))

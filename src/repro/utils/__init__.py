@@ -1,6 +1,6 @@
 """Shared utilities: seeded RNG, table rendering, statistics."""
 
-from repro.utils.rng import DEFAULT_SEED, derive_seed, make_rng, sample_distinct, spawn
+from repro.utils.rng import DEFAULT_SEED, derive_seed, make_rng
 from repro.utils.stats import (
     coefficient_of_variation,
     geometric_mean,
@@ -13,9 +13,7 @@ from repro.utils.tables import format_kv, format_table, print_table
 __all__ = [
     "DEFAULT_SEED",
     "make_rng",
-    "spawn",
     "derive_seed",
-    "sample_distinct",
     "geometric_mean",
     "harmonic_mean",
     "coefficient_of_variation",

@@ -1,66 +1,68 @@
 """Amortized bounded-integer draws, bit-exact with ``Generator.integers``.
 
-The inter-block victim sampler draws thousands of tiny bounded integers
-per run through ``np.random.Generator.integers``.  Each call costs ~2 us
-of argument parsing and scalar boxing while the underlying PCG64 step is
-nanoseconds — for the simulator's hot loop that per-call overhead is the
-single largest avoidable cost.
+Every simulated victim pick — a DiggerBees leader warp's inter-block
+probe and a CKL-PDFS or ACR-PDFS core's steal target — is a tiny
+bounded integer drawn by a :class:`BoundedDraws` over that agent's own
+``PCG64`` stream.  ``np.random.Generator.integers`` costs ~2 us of
+argument parsing and scalar boxing per call while the underlying PCG64
+step is nanoseconds; the simulators draw thousands per run.
 
 :class:`BoundedDraws` replays NumPy's own algorithm in Python over raw
-64-bit draws fetched in bulk from the wrapped generator's bit generator:
-for ranges below 2**32 ``Generator.integers`` consumes buffered 32-bit
-halves of the raw stream and maps them through Lemire's unbiased
-rejection method (``buffered_bounded_lemire_uint32``).  Replicating both
-the half-word buffering and the rejection loop makes every draw — value
-*and* stream consumption — identical to what the wrapped generator would
-have produced, so schedules stay bit-identical with recorded baselines.
+64-bit draws fetched in bulk from the bit generator: for ranges below
+2**32 ``Generator.integers`` consumes buffered 32-bit halves of the raw
+stream and maps them through Lemire's unbiased rejection method
+(``buffered_bounded_lemire_uint32``).  Replicating both the half-word
+buffering and the rejection loop makes every draw — value *and* stream
+consumption — identical to what ``Generator(bit_generator)`` would have
+produced, so schedules stay bit-identical with recorded baselines.
 
 The leader warp's two-choice probe makes up to ``4k + 8`` such draws,
 all of them when it finds no active block.
 :meth:`BoundedDraws.sample_hits` runs that whole bounded-retry loop
 (``inter_steal._sample_active_blocks``) in one call over the same
 buffered halves, so a probe pays one Python call instead of one per
-draw; ``_sample_active_blocks`` uses it whenever its generator is a
-replica and keeps its ``integers`` loop otherwise.  The probe's range is
-fixed for a run, so ``sample_hits`` maps a chunk's halves to bounded
-values once per ``(lo, range)`` with NumPy and scans that list, whenever
-no half of the chunk is a Lemire rejection and the probe's draws end
-inside the chunk; otherwise it maps draw by draw.
+draw.  The probe's range is fixed for a run, so ``sample_hits`` maps a
+chunk's halves to bounded values once per ``(lo, range)`` with NumPy
+and scans that list, whenever no half of the chunk is a Lemire
+rejection and the probe's draws end inside the chunk; otherwise it maps
+draw by draw.
 
-Because the replica depends on NumPy internals that are stable but not
-contractual, :func:`wrap_generator` validates the replica against a real
-``Generator`` once per process and silently falls back to the plain
-generator on any mismatch.  Every other caller only uses the
-two-argument ``integers(lo, hi)`` surface that both objects share.
+NumPy keeps bit-generator streams stable across releases (NEP 19) but
+not ``Generator`` methods, so the replica's equality with
+``Generator.integers`` is asserted by the test suite
+(``tests/utils/test_fastrand.py``) rather than assumed: a NumPy release
+that changed ``integers`` fails those tests, and the simulators keep
+drawing the recorded streams.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["BoundedDraws", "wrap_generator"]
+__all__ = ["BoundedDraws"]
 
 _U32_MASK = 0xFFFFFFFF
 
 
 class BoundedDraws:
-    """Duck-typed stand-in for ``Generator.integers(lo, hi)`` (small ranges).
+    """``Generator.integers(lo, hi)`` over one bit generator (small ranges).
 
-    Draws raw 64-bit words in chunks via ``BitGenerator.random_raw`` and
-    serves them as 32-bit halves, low half first, exactly like NumPy's
-    buffered ``next_uint32``.  The halves of one chunk sit in one list,
-    so the stream position is a single index.  Only the two-argument
-    half-open ``integers`` form is supported, for ranges below 2**32.
+    ``bit_generator`` is anything with ``random_raw``: the simulators
+    pass ``np.random.PCG64(seed_sequence)``.  Draws raw 64-bit words in
+    chunks via ``random_raw`` and serves them as 32-bit halves, low half
+    first, exactly like NumPy's buffered ``next_uint32``.  The halves of
+    one chunk sit in one list, so the stream position is a single index.
+    Only the two-argument half-open ``integers`` form is supported, for
+    ranges below 2**32.
     """
 
     __slots__ = ("_bg", "_chunk", "_halves", "_i", "_words", "_bounded_for",
                  "_bounded")
 
-    def __init__(self, gen: np.random.Generator, chunk: int = 64):
-        self._bg = gen.bit_generator
+    def __init__(self, bit_generator, chunk: int = 64):
+        self._bg = bit_generator
         self._chunk = chunk
         self._halves: list = []
         self._i = 0
@@ -187,45 +189,3 @@ class BoundedDraws:
                     break
         self._i = i
         return found
-
-
-_REPLICA_OK: Optional[bool] = None
-
-#: How many times the validation probe has actually executed in this
-#: interpreter.  The verdict is cached in ``_REPLICA_OK``, so after the
-#: first ``wrap_generator`` call this must stay at 1 for the life of the
-#: process — a regression test asserts exactly that (the probe costs
-#: ~1000 bounded draws; paying it per wrap would tax every RunState).
-SELF_CHECK_RUNS = 0
-
-
-def _self_check() -> bool:
-    """Compare the replica with a real Generator on one shared stream."""
-    global SELF_CHECK_RUNS
-    SELF_CHECK_RUNS += 1
-    seed = 0xD1665EED
-    probe = random.Random(991)
-    rep = BoundedDraws(np.random.default_rng(seed), chunk=8)
-    ref = np.random.default_rng(seed)
-    for _ in range(256):
-        lo = probe.randrange(-4, 5)
-        hi = lo + probe.randrange(1, 67)
-        if rep.integers(lo, hi) != int(ref.integers(lo, hi)):
-            return False
-    return True
-
-
-def wrap_generator(
-    gen: np.random.Generator,
-) -> Union[BoundedDraws, np.random.Generator]:
-    """Wrap ``gen`` in a :class:`BoundedDraws` replica when safe.
-
-    The first call per process validates the replica against NumPy; if
-    the installed NumPy ever changes its bounded-integer algorithm the
-    check fails and every caller gets the plain (slower, always-correct)
-    generator back.
-    """
-    global _REPLICA_OK
-    if _REPLICA_OK is None:
-        _REPLICA_OK = _self_check()
-    return BoundedDraws(gen) if _REPLICA_OK else gen

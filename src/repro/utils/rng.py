@@ -1,15 +1,17 @@
 """Seeded random-number utilities.
 
-Every stochastic component of the library (graph generators, victim
-selection, benchmark source sampling) draws from a ``numpy`` Generator
-created here, so a single integer seed makes an entire experiment
+Graph generators, transforms and benchmark source sampling draw from a
+``numpy`` Generator created here, and every per-sample stream comes from
+:func:`derive_seed`, so a single integer seed makes an entire experiment
 deterministic and reproducible — a requirement for the event-driven
-simulator (two runs with the same seed produce identical traces).
+simulator (two runs with the same seed produce identical traces).  The
+simulators' victim picks draw from per-agent ``PCG64`` streams spawned
+from the run's seed through :class:`repro.utils.fastrand.BoundedDraws`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -35,18 +37,6 @@ def make_rng(seed: RngLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn(rng: np.random.Generator, n: int) -> list:
-    """Split ``rng`` into ``n`` independent child generators.
-
-    Used when an experiment fans out over graphs or repetitions: each
-    child stream is independent of the others, and the split is stable
-    under reordering of the children's consumption.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
-
-
 def derive_seed(base: int, *components: object) -> int:
     """Derive a stable 63-bit seed from a base seed and hashable context.
 
@@ -68,26 +58,3 @@ def derive_seed(base: int, *components: object) -> int:
             mixed.append(acc)
     seq = np.random.SeedSequence(mixed)
     return int(seq.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
-
-
-def sample_distinct(rng: np.random.Generator, n: int, k: int,
-                    exclude: Optional[set] = None) -> np.ndarray:
-    """Sample ``k`` distinct integers from ``[0, n)`` excluding ``exclude``.
-
-    Used for GAP-style source-vertex sampling and two-choice victim
-    selection.  Raises ``ValueError`` if fewer than ``k`` candidates exist.
-    """
-    exclude = exclude or set()
-    avail = n - len([x for x in exclude if 0 <= x < n])
-    if k > avail:
-        raise ValueError(f"cannot sample {k} distinct values from {avail} candidates")
-    if not exclude:
-        return rng.choice(n, size=k, replace=False)
-    picked: list = []
-    seen = set(exclude)
-    while len(picked) < k:
-        c = int(rng.integers(0, n))
-        if c not in seen:
-            seen.add(c)
-            picked.append(c)
-    return np.asarray(picked, dtype=np.int64)

@@ -17,6 +17,7 @@ from repro.errors import SimulationError
 from repro.graphs import generators as gen
 from repro.sim.device import XEON_MAX_9462
 from repro.sim.engine import over_budget_error
+from repro.utils.fastrand import BoundedDraws
 
 
 def make_state(graph, cores=4, root=0, seed=1):
@@ -29,8 +30,8 @@ class TestCklProtocol:
         state = make_state(g, cores=2)
         # Hand-build a victim deque of 8 entries on core 0.
         state.deques[0] = [[v, 0] for v in range(10, 18)]
-        # Force the RNG to pick victim 0 by monkeypatching the stream.
-        state.rngs[1] = np.random.default_rng(0)
+        # A stream of known draws, in place of the core's own.
+        state.rngs[1] = BoundedDraws(np.random.PCG64(0))
         for _ in range(20):
             if state.deques[1]:
                 break
@@ -46,7 +47,7 @@ class TestCklProtocol:
         for size, expected in ((2, 1), (8, 4), (20, 10)):
             state = make_state(g, cores=2)
             state.deques[0] = [[v, 0] for v in range(size)]
-            state.rngs[1] = np.random.default_rng(0)
+            state.rngs[1] = BoundedDraws(np.random.PCG64(0))
             for _ in range(30):
                 if state.deques[1]:
                     break
@@ -67,7 +68,7 @@ class TestAcrProtocol:
         g = gen.path_graph(64)
         state = make_state(g, cores=2)
         state.deques[0] = [[v, 0] for v in range(10, 18)]
-        state.rngs[1] = np.random.default_rng(0)
+        state.rngs[1] = BoundedDraws(np.random.PCG64(0))
         # 1. Thief posts a request.
         for _ in range(10):
             if state.requests[0] is not None:
@@ -105,7 +106,7 @@ class TestAcrProtocol:
         state = make_state(g, cores=3)
         state.deques[0] = [[v, 0] for v in range(10, 18)]
         state.requests[0] = 2        # core 2 already asked
-        state.rngs[1] = np.random.default_rng(0)
+        state.rngs[1] = BoundedDraws(np.random.PCG64(0))
         for _ in range(10):
             _acr_idle(state, 1)
         assert state.requests[0] == 2  # never overwritten

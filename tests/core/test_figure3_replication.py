@@ -13,6 +13,7 @@ warp selects Block0, picks Warp1 (max cold_rest, meets the cutoff),
 CASes bottom 0 -> 2, and copies the two oldest entries into its HotRing.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import inter_steal, intra_steal
@@ -20,7 +21,12 @@ from repro.core.config import DiggerBeesConfig
 from repro.core.state import RunState
 from repro.graphs import generators as gen
 from repro.sim.device import H100
-from repro.utils.rng import make_rng
+from repro.utils.fastrand import BoundedDraws
+
+
+def leader_rng(seed):
+    """A leader warp's victim-draw stream, as ``WarpAgent`` builds it."""
+    return BoundedDraws(np.random.PCG64(seed))
 
 
 @pytest.fixture
@@ -92,7 +98,7 @@ def fig3b_state():
 
 class TestFigure3b:
     def test_steps1_2_victim_selection(self, fig3b_state):
-        plan = inter_steal.select_victim(fig3b_state, 1, make_rng(3))
+        plan = inter_steal.select_victim(fig3b_state, 1, leader_rng(3))
         assert plan is not None
         assert plan.victim_block == 0
         assert plan.victim_warp == 1          # cold_rest 4 >= cutoff beats 2
@@ -100,7 +106,7 @@ class TestFigure3b:
         assert plan.amount == 2               # cold_cutoff / 2
 
     def test_steps3_4_reservation_and_transfer(self, fig3b_state):
-        plan = inter_steal.select_victim(fig3b_state, 1, make_rng(3))
+        plan = inter_steal.select_victim(fig3b_state, 1, leader_rng(3))
         victim_cold = fig3b_state.blocks[0].stacks[1].cold
         assert victim_cold.bottom == 0
         assert inter_steal.execute_steal(fig3b_state, 1, 0, plan)
@@ -116,7 +122,7 @@ class TestFigure3b:
     def test_warp2_below_cutoff_never_selected(self, fig3b_state):
         """C2's cold_rest = 2 < 4: even after C1 is drained below the
         cutoff, Warp2 does not qualify."""
-        plan = inter_steal.select_victim(fig3b_state, 1, make_rng(3))
+        plan = inter_steal.select_victim(fig3b_state, 1, leader_rng(3))
         inter_steal.execute_steal(fig3b_state, 1, 0, plan)
         # C1 now at 2 (< cutoff) and C2 at 2 (< cutoff): no victim.
-        assert inter_steal.select_victim(fig3b_state, 1, make_rng(4)) is None
+        assert inter_steal.select_victim(fig3b_state, 1, leader_rng(4)) is None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DiggerBeesConfig, run_diggerbees
+from repro.core.diggerbees import run_reference
 from repro.core import state as state_mod
 from repro.graphs import generators as gen
 from repro.sim.trace import TraceLog
@@ -42,9 +43,27 @@ class TestRecordOrder:
         res = run_diggerbees(small_road, 0, config=CFG)
         assert res.traversal.order.size == 0
 
-    def test_enables_trace_implicitly(self, small_road):
+    def test_keeps_no_trace(self, small_road):
+        """The order is kept by the run state, not read back from a
+        trace: the caller's config is untouched."""
         res = run_diggerbees(small_road, 0, config=CFG, record_order=True)
-        assert res.trace is not None
+        assert res.trace is None
+        assert res.config.trace is False
+
+    def test_fused_run_matches_reference_and_plain_run(self, small_road):
+        """A ``record_order`` run stays on the fused loop with the same
+        schedule: its order equals the reference loop's, and its cycles,
+        steps and counters equal a run that keeps no order."""
+        fused = run_diggerbees(small_road, 0, config=CFG, record_order=True)
+        ref = run_reference(small_road, 0, config=CFG, record_order=True)
+        plain = run_diggerbees(small_road, 0, config=CFG)
+        assert np.array_equal(fused.traversal.order, ref.traversal.order)
+        for other in (ref, plain):
+            assert fused.cycles == other.cycles
+            assert fused.engine.steps == other.engine.steps
+            assert fused.counters == other.counters
+            assert np.array_equal(fused.traversal.parent,
+                                  other.traversal.parent)
 
     def test_deterministic(self, small_road):
         a = run_diggerbees(small_road, 0, config=CFG, record_order=True)
@@ -60,7 +79,6 @@ class TestRecordOrder:
         order = res.traversal.order
         assert order.size == res.n_visited == g.n_vertices
         assert len(set(order.tolist())) == order.size
-        assert len(res.trace) > 500 and not res.trace.truncated
         # A diagnostic trace keeps its bound.
         traced = run_diggerbees(g, 0, config=CFG.with_overrides(trace=True))
         assert traced.trace.truncated and len(traced.trace) == 500

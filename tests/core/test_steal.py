@@ -1,5 +1,6 @@
 """Unit tests for intra- and inter-block stealing (paper §3.4/§3.5)."""
 
+import numpy as np
 import pytest
 
 from repro.core import inter_steal, intra_steal
@@ -7,7 +8,12 @@ from repro.core.config import DiggerBeesConfig
 from repro.core.state import RunState
 from repro.graphs import generators as gen
 from repro.sim.device import H100
-from repro.utils.rng import make_rng
+from repro.utils.fastrand import BoundedDraws
+
+
+def leader_rng(seed):
+    """A leader warp's victim-draw stream, as ``WarpAgent`` builds it."""
+    return BoundedDraws(np.random.PCG64(seed))
 
 
 def make_state(n_blocks=2, warps_per_block=3, hot_cutoff=4, cold_cutoff=4,
@@ -111,14 +117,14 @@ class TestInterSelection:
         state = make_state(n_blocks=3)
         # No block active (beyond root setup in block 0) -> clear it.
         state.blocks[0].set_active(0, False)
-        plan = inter_steal.select_victim(state, 1, make_rng(1))
+        plan = inter_steal.select_victim(state, 1, leader_rng(1))
         assert plan is None
 
     def test_picks_fullest_cold_warp(self):
         state = make_state(n_blocks=2, cold_cutoff=4)
         fill_cold(state, 0, 1, 5)
         fill_cold(state, 0, 2, 9)
-        plan = inter_steal.select_victim(state, 1, make_rng(1))
+        plan = inter_steal.select_victim(state, 1, leader_rng(1))
         assert plan is not None
         assert plan.victim_block == 0
         assert plan.victim_warp == 2
@@ -126,21 +132,21 @@ class TestInterSelection:
     def test_respects_cold_cutoff(self):
         state = make_state(n_blocks=2, cold_cutoff=8)
         fill_cold(state, 0, 1, 5)
-        assert inter_steal.select_victim(state, 1, make_rng(1)) is None
+        assert inter_steal.select_victim(state, 1, leader_rng(1)) is None
 
     def test_never_selects_own_block(self):
         state = make_state(n_blocks=2, cold_cutoff=4)
         fill_cold(state, 1, 0, 9)
         # Block 1 asking: only block 0 qualifies as other, but it's idle-ish.
         state.blocks[0].set_active(0, False)
-        plan = inter_steal.select_victim(state, 1, make_rng(1))
+        plan = inter_steal.select_victim(state, 1, leader_rng(1))
         assert plan is None
 
     def test_two_choice_prefers_heavier(self):
         state = make_state(n_blocks=4, cold_cutoff=4)
         fill_cold(state, 0, 0, 5)
         fill_cold(state, 2, 0, 50)
-        rng = make_rng(7)
+        rng = leader_rng(7)
         picks = [inter_steal.select_victim(state, 3, rng).victim_block
                  for _ in range(20)]
         # Load-aware two-choice must prefer the heavy block when both sampled.
@@ -151,7 +157,7 @@ class TestInterExecution:
     def test_successful_steal(self):
         state = make_state(n_blocks=2, cold_cutoff=4)
         fill_cold(state, 0, 1, 8, start=200)
-        plan = inter_steal.select_victim(state, 1, make_rng(1))
+        plan = inter_steal.select_victim(state, 1, leader_rng(1))
         assert inter_steal.execute_steal(state, 1, 0, plan)
         thief = state.blocks[1].stacks[0]
         assert [v for v, _ in thief.hot.snapshot()] == [200, 201]  # amount 2
@@ -161,8 +167,8 @@ class TestInterExecution:
     def test_cas_failure_on_moved_bottom(self):
         state = make_state(n_blocks=3, cold_cutoff=4)
         fill_cold(state, 0, 1, 8)
-        plan_a = inter_steal.select_victim(state, 1, make_rng(1))
-        plan_b = inter_steal.select_victim(state, 2, make_rng(2))
+        plan_a = inter_steal.select_victim(state, 1, leader_rng(1))
+        plan_b = inter_steal.select_victim(state, 2, leader_rng(2))
         assert plan_a.victim_block == plan_b.victim_block == 0
         assert inter_steal.execute_steal(state, 1, 0, plan_a)
         assert not inter_steal.execute_steal(state, 2, 0, plan_b)
@@ -172,6 +178,6 @@ class TestInterExecution:
         state = make_state(n_blocks=2, cold_cutoff=4)
         fill_cold(state, 0, 1, 8)
         before = state.total_entries()
-        plan = inter_steal.select_victim(state, 1, make_rng(1))
+        plan = inter_steal.select_victim(state, 1, leader_rng(1))
         inter_steal.execute_steal(state, 1, 0, plan)
         assert state.total_entries() == before

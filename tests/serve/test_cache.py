@@ -21,6 +21,8 @@ from repro.serve.exec import execute_query
 from repro.serve.protocol import Request
 from repro.serve.server import ServeServer, _PendingQuery
 
+from tests.serve.conftest import serve_session
+
 
 def _mk(tmp_path=None, *, fp="f" * 16, max_entries=8):
     return GraphResultCache("g", fp, tmp_path, max_entries=max_entries)
@@ -155,6 +157,35 @@ def test_flush_and_reload_roundtrip(tmp_path):
     again = _mk(tmp_path)
     for key, raw in texts.items():
         assert again.get(key) == raw    # byte-identical text
+
+
+def test_reregistered_graph_spills_its_old_answers(tmp_path):
+    """``add_graph`` with new content under an existing name replaces
+    that graph's cache; the answers computed for the old content reach
+    its spill file, and a daemon restarted over the old content serves
+    them from disk."""
+    old, new = gen.path_graph(16), gen.cycle_graph(16)
+    cfg = ServeConfig(max_batch=1, jobs=0, cache_dir=str(tmp_path))
+    roots = range(5)
+
+    async def reregister(client, corpus, **_):
+        before = corpus.get("g").fingerprint
+        for root in roots:
+            assert not (await client.dfs("g", root)).cached
+        await client.add_graph("g", new.row_ptr, new.column_idx)
+        await client.dfs("g", 0)
+        return before, corpus.get("g").fingerprint
+
+    async def restart(client, **_):
+        return [(await client.dfs("g", root)).cached for root in roots]
+
+    old_fp, new_fp = serve_session(reregister, graphs={"g": old},
+                                   config=cfg)
+    spilled = {fp: json.loads((tmp_path / f"g-{fp}.json").read_text())
+               for fp in (old_fp, new_fp)}
+    assert len(spilled[old_fp]["entries"]) == len(roots)
+    assert len(spilled[new_fp]["entries"]) == 1
+    assert serve_session(restart, graphs={"g": old}, config=cfg) == [True] * 5
 
 
 def test_spill_file_format(tmp_path):

@@ -62,13 +62,6 @@ class TestTraceLog:
         assert len(t) == 2
         assert t.truncated
 
-    def test_no_limit_keeps_every_event(self):
-        t = TraceLog(limit=None)
-        for i in range(5):
-            t.record(i, 0, 0, "visit")
-        assert len(t) == 5
-        assert not t.truncated
-
     def test_bad_limit(self):
         with pytest.raises(ValueError):
             TraceLog(limit=0)

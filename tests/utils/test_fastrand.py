@@ -1,12 +1,18 @@
-"""``BoundedDraws.sample_hits`` against the ``integers`` loop it replays.
+"""``BoundedDraws`` against NumPy's ``Generator.integers`` it replays.
 
-``inter_steal._sample_active_blocks`` hands a replica generator's whole
-bounded-retry loop to ``sample_hits`` and runs one ``integers`` call
-per draw on a plain ``Generator``.  Both must return the same blocks
-and leave the stream at the same position, or every later leader probe
-of the run would draw different victims.
+Every simulated victim pick draws through a ``BoundedDraws`` over a
+``PCG64`` stream, and the recorded schedules (``baseline_micro.json``,
+the sweep digest, the goldens) were made with ``Generator.integers``
+over the same streams.  NumPy keeps bit-generator streams stable across
+releases but not ``Generator`` methods, so these tests are what notices
+a release that changes ``integers``: the replica must match it value
+for value and leave the stream at the same position.
+``inter_steal._sample_active_blocks`` hands its whole bounded-retry
+loop to ``sample_hits``, which must return the same blocks as one
+``integers`` call per draw.
 """
 
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +24,64 @@ from repro.utils.fastrand import BoundedDraws
 RANGES = (*range(1, 18), 33)
 
 
+def _replica(seed, chunk=64):
+    """The simulators' draw stream: ``BoundedDraws`` over ``PCG64``."""
+    return BoundedDraws(np.random.PCG64(seed), chunk=chunk)
+
+
+def _generator(seed):
+    """The stream the replica must equal: NumPy's own ``integers``."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+class _CountingBitGenerator:
+    """A ``PCG64`` that counts the raw words a replica fetched."""
+
+    def __init__(self, seed):
+        self.bg = np.random.PCG64(seed)
+        self.words = 0
+
+    def random_raw(self, size):
+        self.words += size
+        return self.bg.random_raw(size)
+
+
+def _halves_used(gen, probe):
+    """32-bit halves ``gen`` (a ``Generator`` over ``PCG64``) has taken.
+
+    ``probe`` is a ``[PCG64, words]`` pair on the same seed, at or behind
+    ``gen``'s raw-word position; it is advanced to it, one word at a time.
+    A set ``has_uint32`` flag is a buffered high half not yet served.
+    """
+    state = gen.bit_generator.state
+    while probe[0].state["state"] != state["state"]:
+        probe[0].advance(1)
+        probe[1] += 1
+    return 2 * probe[1] - state["has_uint32"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0xD166E4])
+def test_integers_matches_generator_on_every_range(seed):
+    """Every width 1..132 (H100's 132 blocks bound every block range
+    and core range the simulators draw from), at several offsets, with
+    the ranges interleaved: equal values, and after every draw the same
+    number of 32-bit halves taken from the stream.  (Random words almost
+    never hit a Lemire rejection at these widths; the scripted-word
+    tests below force them.)"""
+    counting = _CountingBitGenerator(seed)
+    rep = BoundedDraws(counting, chunk=8)
+    ref = _generator(seed)
+    probe = [np.random.PCG64(seed), 0]
+    widths = list(range(1, 133)) * 3
+    random.Random(seed).shuffle(widths)
+    for n, width in enumerate(widths):
+        lo = (0, 1, 5, 64)[n % 4]
+        assert rep.integers(lo, lo + width) == ref.integers(lo, lo + width), (
+            n, lo, width)
+        rep_used = 2 * counting.words - (len(rep._halves) - rep._i)
+        assert rep_used == _halves_used(ref, probe), (n, lo, width)
+
+
 def _flag_patterns(n):
     yield "none", [0] * n
     yield "one-first", [1] + [0] * (n - 1)
@@ -27,23 +91,27 @@ def _flag_patterns(n):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_sample_hits_matches_integers_loop(k):
+    """On the range ``_sample_active_blocks`` computes: all blocks, or
+    one GPU's blocks (here the second of two)."""
     for n in RANGES:
         for pattern, flags in _flag_patterns(n):
-            state = SimpleNamespace(
-                config=SimpleNamespace(n_blocks=n, blocks_per_gpu=n),
-                active_mask_slab=flags)
-            for seed, skip in ((n, 0), (n + 100, n - 1), (n + 200, -1)):
-                rep = BoundedDraws(np.random.default_rng(seed), chunk=3)
-                ref = np.random.default_rng(seed)
-                # One prefix draw leaves a buffered high half behind.
-                assert rep.integers(0, 7) == int(ref.integers(0, 7))
-                got = _sample_active_blocks(state, skip, rep, k)
-                want = _sample_active_blocks(state, skip, ref, k)
-                where = (n, pattern, seed, skip)
-                assert got == want, where
-                assert ([rep.integers(0, 11) for _ in range(64)]
-                        == [int(ref.integers(0, 11)) for _ in range(64)]
-                        ), where
+            for gpu_id, lo in ((None, 0), (1, n)):
+                state = SimpleNamespace(
+                    config=SimpleNamespace(n_blocks=lo + n, blocks_per_gpu=n),
+                    active_mask_slab=[0] * lo + flags)
+                for seed, skip in ((n, lo), (n + 100, lo + n - 1),
+                                   (n + 200, -1)):
+                    rep = _replica(seed, chunk=3)
+                    ref = _generator(seed)
+                    # One prefix draw leaves a buffered high half behind.
+                    assert rep.integers(0, 7) == ref.integers(0, 7)
+                    got = _sample_active_blocks(state, skip, rep, k,
+                                                gpu_id=gpu_id)
+                    want = _integers_loop(ref, lo, lo + n, 4 * k + 8, k,
+                                          skip, state.active_mask_slab)
+                    where = (n, pattern, gpu_id, seed, skip)
+                    assert got == want, where
+                    _assert_same_stream(rep, ref, where)
 
 
 class _ScriptedBitGenerator:
@@ -79,8 +147,7 @@ def test_sample_hits_lemire_rejection():
              *[1 << 32] * 15, (2 << 32) | 0x80000000]
 
     def replica():
-        return BoundedDraws(SimpleNamespace(
-            bit_generator=_ScriptedBitGenerator(words)), chunk=8)
+        return BoundedDraws(_ScriptedBitGenerator(words), chunk=8)
 
     rep, ref = replica(), replica()
     # Two hits: two zeros (rejected), 0xFFFFFFFF -> 2 (hit), 7 -> 0,
@@ -115,8 +182,8 @@ def test_precomputed_draws_match_integers_loop(k, lo):
         for pattern, flags in _flag_patterns(n):
             flags = [0] * lo + flags
             for seed, skip in ((n, lo), (n + 100, hi - 1), (n + 200, -1)):
-                rep = BoundedDraws(np.random.default_rng(seed))
-                ref = np.random.default_rng(seed)
+                rep = _replica(seed)
+                ref = _generator(seed)
                 where = (n, lo, pattern, seed, skip)
                 fast = 0
                 for probe in range(24):  # some windows cross a chunk end
@@ -131,8 +198,8 @@ def test_precomputed_draws_match_integers_loop(k, lo):
 def test_precomputed_draws_follow_range_changes():
     """One chunk serves probes of different ranges: each range gets its
     own bounded values."""
-    rep = BoundedDraws(np.random.default_rng(7))
-    ref = np.random.default_rng(7)
+    rep = _replica(7)
+    ref = _generator(7)
     for lo, hi in ((0, 5), (2, 9), (0, 5), (0, 16), (3, 4), (0, 5)):
         flags = [0] * (hi - 1) + [1]
         got = rep.sample_hits(lo, hi, 16, 2, -1, flags)
@@ -143,8 +210,8 @@ def test_precomputed_draws_follow_range_changes():
 def test_window_crossing_chunk_end():
     """A probe whose draws run past the chunk's end maps draw by draw,
     across the refill."""
-    rep = BoundedDraws(np.random.default_rng(11))
-    ref = np.random.default_rng(11)
+    rep = _replica(11)
+    ref = _generator(11)
     for _ in range(120):  # 120 of the chunk's 128 halves
         assert rep.integers(0, 16) == int(ref.integers(0, 16))
     flags = [0] * 16
@@ -166,8 +233,7 @@ def test_rejection_inside_chunk_keeps_per_draw_loop():
     words = with_zeros + clean + clean
 
     def replica():
-        return BoundedDraws(SimpleNamespace(
-            bit_generator=_ScriptedBitGenerator(words)), chunk=8)
+        return BoundedDraws(_ScriptedBitGenerator(words), chunk=8)
 
     rep, ref = replica(), replica()
     hits, none = [1, 0, 1], [0, 0, 0]

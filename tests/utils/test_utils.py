@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_seed, make_rng, sample_distinct, spawn
+from repro.utils.rng import derive_seed, make_rng
 from repro.utils.stats import (
     coefficient_of_variation,
     geometric_mean,
@@ -22,31 +22,10 @@ class TestRng:
         rng = np.random.default_rng(5)
         assert make_rng(rng) is rng
 
-    def test_spawn_independent(self):
-        children = spawn(make_rng(1), 3)
-        vals = [c.integers(10**9) for c in children]
-        assert len(set(vals)) == 3
-
-    def test_spawn_negative(self):
-        with pytest.raises(ValueError):
-            spawn(make_rng(1), -1)
-
     def test_derive_seed_stable(self):
         assert derive_seed(7, "fig5", "euro") == derive_seed(7, "fig5", "euro")
         assert derive_seed(7, "fig5", "euro") != derive_seed(7, "fig5", "rgg")
         assert derive_seed(7, 1) != derive_seed(7, 2)
-
-    def test_sample_distinct(self):
-        vals = sample_distinct(make_rng(1), 100, 10)
-        assert len(set(vals.tolist())) == 10
-
-    def test_sample_distinct_exclude(self):
-        vals = sample_distinct(make_rng(1), 5, 3, exclude={0, 1})
-        assert set(vals.tolist()) <= {2, 3, 4}
-
-    def test_sample_distinct_too_many(self):
-        with pytest.raises(ValueError):
-            sample_distinct(make_rng(1), 3, 5)
 
 
 class TestStats:
