@@ -108,6 +108,8 @@ class _CpuRunState:
         graph._check_vertex(root)
         if cores < 1:
             raise SimulationError(f"cores must be >= 1, got {cores}")
+        if seed < 0:
+            raise SimulationError(f"seed must be >= 0, got {seed}")
         self.graph = graph
         self.root = root
         self.device = device

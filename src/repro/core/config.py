@@ -72,7 +72,8 @@ class DiggerBeesConfig:
         GPU runs dry (hierarchical stealing in the spirit of the
         multi-GPU systems the paper's related work cites).
     seed:
-        Seed for victim sampling; runs are fully deterministic given it.
+        Seed for victim sampling (>= 0); runs are fully deterministic
+        given it.
     trace:
         Record every warp's visit, pop, steal, flush and refill events
         in a :class:`~repro.sim.trace.TraceLog`
@@ -162,6 +163,8 @@ class DiggerBeesConfig:
                 f"cold_reserve ({self.cold_reserve}) must be >= cold_cutoff "
                 f"({self.cold_cutoff})"
             )
+        if self.seed < 0:
+            raise SimulationError(f"seed must be >= 0, got {self.seed}")
         if self.jitter < 0:
             raise SimulationError(f"jitter must be >= 0, got {self.jitter}")
         if self.jitter and self.perturb_seed is None:

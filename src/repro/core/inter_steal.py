@@ -10,7 +10,10 @@ active-mask bits clear).  Four steps, split across two simulator events:
 2. **Victim warp selection** — the warp with maximum ``cold_rest = top -
    bottom`` in the victim block, provided it reaches ``cold_cutoff``.
    Both selections happen in one simulator step and record the observed
-   ``bottom`` in the plan.
+   ``bottom`` in the plan.  :func:`select_victim` reads workloads and
+   cold rests from the run's pointer slabs; it is the one inter-block
+   victim search, called by the generic loop's ``WarpAgent._idle`` and
+   by the fused loop (:mod:`repro.core.turbo`) alike.
 3. **Work reservation** — a later step CAS-validates ``bottom`` (Algorithm
    4 line 20); competing leaders lose and restart.
 4. **Remote transfer** — ``threadfence()`` then an asynchronous copy of
@@ -65,9 +68,26 @@ def _sample_active_blocks(state: RunState, my_block: int,
     else:
         lo = gpu_id * cfg.blocks_per_gpu
         hi = lo + cfg.blocks_per_gpu
-    # Direct slab reads: skip the blocks' ``idle`` property dispatch.
+    # A block is active when its slot in the mask slab is non-zero.
     return rng.sample_hits(lo, hi, 4 * k + 8, k, my_block,
                            state.active_mask_slab)
+
+
+def _workload(state: RunState, block: int) -> int:
+    """Cumulative pending entries of ``block`` (the two-choice load
+    signal): each warp's hot rest plus its cold rest, read from the
+    pointer slabs."""
+    ptrs = state.hot_ptr_slab
+    cptrs = state.cold_ptr_slab
+    size = state.config.hot_size
+    wpb = state.config.warps_per_block
+    total = 0
+    for j in range(2 * wpb * block, 2 * wpb * (block + 1), 2):
+        d = ptrs[j] - ptrs[j + 1]
+        if d < 0:
+            d += size
+        total += d + cptrs[j] - cptrs[j + 1]
+    return total
 
 
 def select_victim(state: RunState, my_block: int,
@@ -78,7 +98,10 @@ def select_victim(state: RunState, my_block: int,
     over its own ``PCG64`` stream.
 
     Returns None when no active block was found or no warp in the chosen
-    block reaches ``cold_cutoff``.
+    block reaches ``cold_cutoff``.  The one inter-block victim search of
+    both DFS loops: block workloads and cold rests are read from the
+    run's pointer slabs (global warp ``g`` at slots ``2g`` and
+    ``2g + 1``) with no test of the stack class.
     """
     cfg = state.config
     my_gpu = state.blocks[my_block].gpu_id
@@ -96,14 +119,12 @@ def select_victim(state: RunState, my_block: int,
         if not candidates:
             return None
         # Load-aware choice: higher cumulative workload wins (first wins
-        # ties, matching max() semantics on the sampled order).
-        if len(candidates) == 1:
-            vb = candidates[0]
-        else:
-            b0, b1 = candidates
-            blocks = state.blocks
-            vb = (b0 if blocks[b0].workload() >= blocks[b1].workload()
-                  else b1)
+        # ties, matching max() semantics on the sampled order).  Two
+        # draws of one block compare equal: skip both scans.
+        vb = candidates[0]
+        if (len(candidates) == 2 and candidates[1] != vb
+                and _workload(state, vb) < _workload(state, candidates[1])):
+            vb = candidates[1]
     else:
         # "random": the Figure 9 baseline — a uniformly random block with
         # no activity or load awareness, so probes frequently land on
@@ -115,39 +136,37 @@ def select_victim(state: RunState, my_block: int,
         if vb == my_block:
             return None
 
-    victim_block = state.blocks[vb]
-    cutoff = state.config.cold_cutoff
+    cutoff = cfg.cold_cutoff
+    cptrs = state.cold_ptr_slab
+    wpb = cfg.warps_per_block
+    base = 2 * wpb * vb
     fuzz = state.fuzz_rng
     if fuzz is not None:
         # Adversarial fuzzing: random qualifying warp instead of the
         # deterministic fullest one (see intra_steal.select_victim).
-        qualifying = [
-            (w, rest) for w in range(victim_block.n_warps)
-            if (rest := victim_block.cold_rest(w)) >= cutoff
-        ]
+        qualifying = []
+        for w in range(wpb):
+            j = base + 2 * w
+            rest = cptrs[j] - cptrs[j + 1]
+            if rest >= cutoff:
+                qualifying.append((w, rest))
         if not qualifying:
             return None
         best_warp, best_rest = qualifying[fuzz.randrange(len(qualifying))]
     else:
         best_rest = 0
         best_warp = -1
-        stacks = victim_block.stacks
-        for w in range(victim_block.n_warps):
-            rest = len(stacks[w].cold)
+        j = base
+        for w in range(wpb):
+            rest = cptrs[j] - cptrs[j + 1]
             if rest > best_rest:
                 best_rest = rest
                 best_warp = w
+            j += 2
         if best_warp < 0 or best_rest < cutoff:
             return None
-    stack = victim_block.stacks[best_warp]
-    return InterStealPlan(
-        victim_block=vb,
-        victim_warp=best_warp,
-        observed_bottom=stack.cold.bottom,
-        observed_rest=best_rest,
-        amount=state.config.inter_steal_amount,
-        remote=remote,
-    )
+    return InterStealPlan(vb, best_warp, cptrs[base + 2 * best_warp + 1],
+                          best_rest, cfg.inter_steal_amount, remote)
 
 
 def execute_steal(state: RunState, my_block: int, leader_warp: int,

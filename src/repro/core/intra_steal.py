@@ -5,7 +5,10 @@ The protocol is optimistic and two-phase, exactly as on hardware:
 1. **Victim selection** (:func:`select_victim`): the idle thief scans its
    block's peers, computes each ``hot_rest = (head - tail + hot_size) %
    hot_size``, and picks the maximum provided it reaches ``hot_cutoff``.
-   The observed ``tail`` is recorded in the returned plan.
+   The observed ``tail`` is recorded in the returned plan.  The scan
+   reads the run's hot pointer slab, and it is the one intra-block
+   victim search: the generic loop's ``WarpAgent._idle`` and the fused
+   loop (:mod:`repro.core.turbo`) both call it.
 2. **Work reservation + local transfer** (:func:`execute_steal`, a later
    simulator step): the thief validates the victim's ``tail`` against the
    observation — the atomicCAS of Algorithm 3 line 15.  If another thief
@@ -39,48 +42,57 @@ def select_victim(state: RunState, block: BlockState,
                   thief_warp: int) -> Optional[IntraStealPlan]:
     """Step 1 of Algorithm 3: scan peers, pick max ``hot_rest`` >= cutoff.
 
-    Returns None when no peer qualifies (all below ``hot_cutoff``).
+    Returns None when no peer qualifies (all below ``hot_cutoff``).  The
+    largest rest wins and the first warp wins ties.
+
+    The one intra-block victim search of both DFS loops: it reads each
+    peer's ``(head, tail)`` pair straight from ``state.hot_ptr_slab``
+    (global warp ``g`` at slots ``2g`` and ``2g + 1``), where the v1
+    one-level stack keeps its ``(top, bottom)``, so it needs no test of
+    the stack class.  The observed tail slot is the plan's token.
 
     With ``state.fuzz_rng`` set (``adversarial_victims`` fuzzing), the
     thief instead picks a *random* peer among all that reach the cutoff,
     so the fuzzer explores steal interleavings the deterministic
     max-depth scan can never produce.
     """
-    cutoff = state.config.hot_cutoff
+    cfg = state.config
+    cutoff = cfg.hot_cutoff
+    size = cfg.hot_size
+    ptrs = state.hot_ptr_slab
+    n_warps = block.n_warps
+    base = 2 * n_warps * block.block_id
     fuzz = state.fuzz_rng
     if fuzz is not None:
-        qualifying = [
-            (w, rest) for w in range(block.n_warps)
-            if w != thief_warp
-            and (rest := block.hot_rest(w)) >= cutoff
-        ]
+        qualifying = []
+        for w in range(n_warps):
+            if w != thief_warp:
+                j = base + 2 * w
+                rest = ptrs[j] - ptrs[j + 1]
+                if rest < 0:
+                    rest += size
+                if rest >= cutoff:
+                    qualifying.append((w, rest))
         if not qualifying:
             return None
-        victim, rest = qualifying[fuzz.randrange(len(qualifying))]
-        return IntraStealPlan(
-            victim_warp=victim,
-            observed_tail=block.stacks[victim].hot.tail,
-            observed_rest=rest,
-            amount=state.config.intra_steal_amount,
-        )
-    best_rest = 0
-    best_warp = -1
-    stacks = block.stacks
-    for w in range(block.n_warps):
-        if w == thief_warp:
-            continue
-        rest = len(stacks[w].hot)
-        if rest > best_rest:
-            best_rest = rest
-            best_warp = w
-    if best_warp < 0 or best_rest < cutoff:
-        return None
-    return IntraStealPlan(
-        victim_warp=best_warp,
-        observed_tail=block.stacks[best_warp].hot.tail,
-        observed_rest=best_rest,
-        amount=state.config.intra_steal_amount,
-    )
+        best_warp, best_rest = qualifying[fuzz.randrange(len(qualifying))]
+    else:
+        best_rest = 0
+        best_warp = -1
+        j = base
+        for w in range(n_warps):
+            if w != thief_warp:
+                rest = ptrs[j] - ptrs[j + 1]
+                if rest < 0:
+                    rest += size
+                if rest > best_rest:
+                    best_rest = rest
+                    best_warp = w
+            j += 2
+        if best_warp < 0 or best_rest < cutoff:
+            return None
+    return IntraStealPlan(best_warp, ptrs[base + 2 * best_warp + 1],
+                          best_rest, cfg.intra_steal_amount)
 
 
 def execute_steal(state: RunState, block: BlockState, thief_warp: int,

@@ -35,73 +35,50 @@ __all__ = ["BlockState", "RunState"]
 class BlockState:
     """Per-thread-block shared state: the warps' stacks and the active mask.
 
-    Structure-of-arrays backing (turbo fused loop): the 32-bit active
-    mask and the per-warp contention-debt counters can live inside
-    run-wide slabs preallocated by :class:`RunState` — ``mask_slab`` is
-    a shared list with one slot per block and ``debt`` is a
-    ``memoryview`` slice of the run's flat debt slab.  The
-    ``active_mask`` property and the indexed ``contention_debt`` reads
-    and writes address the same storage the fused loop binds locally,
-    so both views stay coherent.  A standalone ``BlockState`` allocates
-    private storage with identical semantics.
+    Built only by :class:`RunState`, over its structure-of-arrays slabs:
+    the 32-bit active mask is slot ``block_id`` of the run's
+    ``active_mask_slab`` and ``contention_debt`` is a ``memoryview``
+    slice of its flat debt slab.  The ``active_mask`` property and the
+    indexed ``contention_debt`` reads and writes address the same
+    storage the fused loop binds locally, so both views stay coherent.
+    Victim searches read the stacks' pointer slabs directly
+    (:mod:`repro.core.intra_steal`, :mod:`repro.core.inter_steal`).
     """
 
     __slots__ = ("block_id", "stacks", "n_warps", "contention_debt",
-                 "gpu_id", "_mask_slab", "_mask_i")
+                 "gpu_id", "_mask_slab")
 
-    def __init__(self, block_id: int, n_warps: int, gpu_id: int = 0, *,
-                 mask_slab: Optional[list] = None, mask_index: int = 0,
-                 debt: Optional[memoryview] = None):
+    def __init__(self, block_id: int, n_warps: int, gpu_id: int,
+                 mask_slab: list, debt: memoryview):
         self.block_id = block_id
         self.gpu_id = gpu_id
         self.n_warps = n_warps
         self.stacks: List = []
-        if mask_slab is None:
-            mask_slab, mask_index = [0], 0
         # bit w set <=> warp w active (paper §3.4)
         self._mask_slab = mask_slab
-        self._mask_i = mask_index
-        mask_slab[mask_index] = 0
+        mask_slab[block_id] = 0
         #: Cycles of victim-side slowdown accrued by steals against each
         #: warp (cache-line recovery + atomic serialization); charged to
         #: the victim's next step and cleared.
-        self.contention_debt = (debt if debt is not None
-                                else memoryview(array("q", (0,) * n_warps)))
+        self.contention_debt = debt
 
     @property
     def active_mask(self) -> int:
-        return self._mask_slab[self._mask_i]
+        return self._mask_slab[self.block_id]
 
     @active_mask.setter
     def active_mask(self, value: int) -> None:
-        self._mask_slab[self._mask_i] = value
+        self._mask_slab[self.block_id] = value
 
     def set_active(self, warp: int, active: bool) -> None:
-        slab, i = self._mask_slab, self._mask_i
+        slab, i = self._mask_slab, self.block_id
         if active:
             slab[i] |= (1 << warp)
         else:
             slab[i] &= ~(1 << warp)
 
     def is_active(self, warp: int) -> bool:
-        return bool(self._mask_slab[self._mask_i] & (1 << warp))
-
-    @property
-    def idle(self) -> bool:
-        """A block is idle when every warp's bit is clear."""
-        return self._mask_slab[self._mask_i] == 0
-
-    def workload(self) -> int:
-        """Cumulative pending entries in the block (two-choice load signal)."""
-        return sum(map(len, self.stacks))
-
-    def cold_rest(self, warp: int) -> int:
-        """Remaining ColdSeg entries of one warp (inter-steal victim metric)."""
-        return len(self.stacks[warp].cold)
-
-    def hot_rest(self, warp: int) -> int:
-        """Remaining HotRing entries of one warp (intra-steal victim metric)."""
-        return len(self.stacks[warp].hot)
+        return bool(self._mask_slab[self.block_id] & (1 << warp))
 
 
 class RunState:
@@ -162,14 +139,15 @@ class RunState:
         self.block_seeds = np.random.SeedSequence(config.seed).spawn(
             config.n_blocks)
 
-        # Structure-of-arrays slabs (turbo fused loop).  Hot head/tail
-        # pointers, cold top/bottom pointers, per-block active masks, and
-        # per-warp contention debt live in run-wide preallocated
-        # storage; the per-warp/per-block objects hold *views* into it
-        # (slot indices, memoryview slices), so the fused loop can bind
-        # each slab to one local variable and index it by warp while
-        # every other code path keeps using the object API.  Entry rows
-        # belong to each HotRing.
+        # Structure-of-arrays slabs.  Hot head/tail pointers, cold
+        # top/bottom pointers, per-block active masks, and per-warp
+        # contention debt live in run-wide preallocated storage; the
+        # per-warp/per-block objects hold *views* into it (slot indices,
+        # memoryview slices), so the fused loop and both victim searches
+        # index each slab by global warp ``g`` (slots ``2g``, ``2g + 1``)
+        # while every other code path keeps using the object API.  The
+        # v1 one-level stack keeps its (top, bottom) in the hot pair.
+        # Entry rows belong to each HotRing.
         n_agents = config.n_warps
         wpb = config.warps_per_block
         # Plain lists, not array('q'): values are small non-negative
@@ -184,12 +162,12 @@ class RunState:
 
         self.blocks: List[BlockState] = []
         for b in range(config.n_blocks):
-            block = BlockState(b, wpb, gpu_id=config.gpu_of_block(b),
-                               mask_slab=self.active_mask_slab, mask_index=b,
-                               debt=debt_mv[b * wpb:(b + 1) * wpb])
+            block = BlockState(b, wpb, config.gpu_of_block(b),
+                               self.active_mask_slab,
+                               debt_mv[b * wpb:(b + 1) * wpb])
             for w in range(wpb):
+                g = b * wpb + w
                 if config.two_level:
-                    g = b * wpb + w
                     block.stacks.append(WarpStack(
                         hot_size=config.hot_size,
                         flush_batch=config.flush_batch,
@@ -202,7 +180,8 @@ class RunState:
                         cold_base=2 * g,
                     ))
                 else:
-                    block.stacks.append(OneLevelStack())
+                    block.stacks.append(OneLevelStack(
+                        ptrs=self.hot_ptr_slab, base=2 * g))
             self.blocks.append(block)
 
         self.seed_root(root, 0)
@@ -241,7 +220,7 @@ class RunState:
         """True when every block of ``gpu_id`` is idle (multi-GPU ext.)."""
         bpg = self.config.blocks_per_gpu
         start = gpu_id * bpg
-        return all(self.blocks[b].idle for b in range(start, start + bpg))
+        return not any(self.active_mask_slab[start:start + bpg])
 
     def gpu_leader_block(self, gpu_id: int) -> int:
         """The block whose leader warp performs remote steals for a GPU."""

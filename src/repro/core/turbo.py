@@ -7,37 +7,36 @@ expand/pop state machine into one monomorphic inner loop.  The generic
 engine pays one ``agent.step()`` call, one ``StepOutcome`` consume, and a
 chain of attribute reads per simulated step; the fused loop instead
 inlines the transitions that dominate every run — expand, refill, and
-an idle warp's whole idle step (victim search, then a backoff poll when
-there is no victim) — over local bindings of the structure-of-arrays
-slabs preallocated by :class:`~repro.core.state.RunState` (the hot
-head/tail and cold top/bottom pointer slabs, active masks, contention
-debt), each HotRing's own entry rows, and
-memoryviews of the graph's ``row_ptr``, ``column_idx`` and the run's
-``visited``/``parent``.  The views read the arrays in place, so a run
-holds no copy of the graph, and a pool worker reads the segment it
-attached.
+an idle warp's backoff poll when there is no victim — over local
+bindings of the structure-of-arrays slabs preallocated by
+:class:`~repro.core.state.RunState` (the hot head/tail and cold
+top/bottom pointer slabs, active masks, contention debt), each
+HotRing's own entry rows, and memoryviews of the graph's ``row_ptr``,
+``column_idx`` and the run's ``visited``/``parent``.  The views read
+the arrays in place, so a run holds no copy of the graph, and a pool
+worker reads the segment it attached.
 
-The inline victim search replays ``intra_steal.select_victim`` (largest
-peer hot rest) and ``inter_steal.select_victim`` (leader warp of an
-idle block: a victim block by ``victim_policy``, then its largest cold
-rest) on the pointer slabs, draws from the leader's generator through
-the shared ``inter_steal._sample_active_blocks``, and builds the same
-steal plans.  Those two functions stay the generic loop's code and the
-reference the reference-diff stage compares against.  Two kinds of run still
-call ``WarpAgent._idle``: adversarial-victim fuzzing (it draws from
-``fuzz_rng``) and multi-GPU grids (the remote-steal fallback).  The
+An idle warp's victim search is the generic loop's: the idle branch
+clears the warp's mask bit and calls ``intra_steal.select_victim``
+(largest peer hot rest) when a peer is active, or, for the leader warp
+of an idle block, ``inter_steal.select_victim`` (a victim block by
+``victim_policy``, then its largest cold rest), exactly as
+``WarpAgent._idle`` does.  Both read the pointer slabs this loop binds,
+so adversarial-victim fuzzing (``fuzz_rng``) and multi-GPU grids (the
+remote-steal fallback) take the same path as every other run.  The
 two-phase reservation steps always run through ``_reserve_intra`` /
 ``_reserve_inter`` and ``execute_steal``, so the protocol code that
 the mutation suite patches, and the ``repro.check`` invariant monitor
-hooks inside it, run unchanged.
+hooks inside it, run unchanged; they are the only agent methods the
+loop calls.
 
 Counter accumulation: the hot counters (edges, pops, pushes, CAS stats,
 idle polls, flush/refill stats, depth maxima) accumulate in loop locals
 and merge into :class:`~repro.sim.trace.SimCounters` additively — at the
 return points and before every ``on_step`` observer call, so any
 instrumented consumer sees exact totals.  The merge is order-independent
-(sums and maxima), so fallback steps that bump the same counters through
-the object API compose correctly with unmerged local deltas.
+(sums and maxima), so reservation steps that bump counters through the
+object API compose correctly with unmerged local deltas.
 
 Bit-exactness contract
 ----------------------
@@ -66,9 +65,7 @@ import gc
 import heapq
 from typing import Callable, Optional, Sequence
 
-from repro.core import inter_steal
-from repro.core.inter_steal import InterStealPlan
-from repro.core.intra_steal import IntraStealPlan
+from repro.core import inter_steal, intra_steal
 from repro.core.state import RunState
 from repro.core.warp_dfs import WarpAgent, _Phase
 from repro.sim.engine import (EngineResult, deadlock_window,
@@ -142,8 +139,8 @@ def _drain(
 
     # Shared-state locals: the CSR arrays, read in place through
     # memoryviews, and the SoA slabs.  Every write goes through a view of
-    # the same storage the object APIs use, so fallback steps and monitor
-    # sweeps observe a consistent world.
+    # the same storage the object APIs use, so victim searches,
+    # reservation steps and monitor sweeps observe a consistent world.
     rp = memoryview(state.graph.row_ptr)
     ci = memoryview(state.graph.column_idx)
     visited = state.visited_mv
@@ -155,26 +152,20 @@ def _drain(
     hsize = config.hot_size
     #: Local mirror of ``state.pending``.  Only expand pops/pushes change
     #: it (steals move entries, never create or retire them), so syncing
-    #: it back before fallback steps / observer calls / returns — and
-    #: re-reading after fallbacks — keeps both views exact.
+    #: it back before reservation steps / observer calls / returns — and
+    #: re-reading after reservations — keeps both views exact.
     pending = state.pending
 
     claim = state.try_claim_vertex
     inline_claim = (type(state).try_claim_vertex is _ORIG_CLAIM
                     and state.order is None)
 
-    inter = config.enable_inter_steal
     n_blocks = config.n_blocks
     wpb = config.warps_per_block
-    # Victim search runs inline unless the run draws adversarial victims
-    # from ``fuzz_rng`` or has the multi-GPU remote fallback.
-    inline_steal = state.fuzz_rng is None and config.n_gpus == 1
-    hot_cutoff = config.hot_cutoff
-    cold_cutoff = config.cold_cutoff
-    intra_amount = config.intra_steal_amount
-    inter_amount = config.inter_steal_amount
-    two_choice = config.victim_policy == "two_choice"
-    sample = inter_steal._sample_active_blocks
+    # Leader warps of idle blocks search other blocks (WarpAgent._idle).
+    inter = config.enable_inter_steal and n_blocks > 1
+    select_intra = intra_steal.select_victim
+    select_inter = inter_steal.select_victim
 
     # Cost constants (gstack penalty is zero: two-level only).
     c_pop = costs.hot_pop
@@ -197,7 +188,7 @@ def _drain(
     # Claim tallies accumulate in a flat list (one slot per agent) and
     # merge into the counters dicts at the flush points, the per-block
     # tallies derived from them there — claims only ever happen in the
-    # inline expand, so no fallback path races these.
+    # inline expand, so no other step races these.
     tpw_local = [0] * (n_blocks * wpb)
     RUN = _Phase.RUN
     RESERVE_INTRA = _Phase.RESERVE_INTRA
@@ -217,7 +208,7 @@ def _drain(
     for a in agents:
         hot = a.stack.hot
         recs.append((
-            a, a.stack, a.stack.cold, a.block_id, a.warp_id, a._bit,
+            a, a.stack, a.block, a.block_id, a.warp_id, a._bit,
             a.block_id * wpb + a.warp_id,  # global debt-slab index
             hot.vertex, hot.offset, hot._hi, hot._ti,
             (a.block_id, a.warp_id),       # tasks_per_warp key
@@ -250,7 +241,7 @@ def _drain(
             agent = rec[0]
             progress = True
             if agent.phase is RUN:
-                (_, stack, cold, bid, wid, bit, gidx,
+                (_, stack, block, bid, wid, bit, gidx,
                  hv, ho, hpi, tpi, key) = rec
                 head = ptrs[hpi]
                 hot_empty = head == ptrs[tpi]
@@ -354,98 +345,36 @@ def _drain(
                                     cost += c_claim
                 else:
                     # Stack fully empty: idle.  Clear our mask bit, look
-                    # for a victim (mirrors WarpAgent._idle), and poll
+                    # for a victim (as WarpAgent._idle does), and poll
                     # with backoff when there is none.
                     m = masks[bid] & ~bit
-                    if not inline_steal and (
-                            m or (inter and wid == 0 and n_blocks > 1)):
-                        # Calling _idle directly skips step()'s pending /
-                        # phase / emptiness re-checks, all of which this
-                        # loop has already established.
-                        state.pending = pending
-                        outcome = agent._idle(now)
-                        pending = state.pending
-                        cost = outcome.cost
-                        progress = outcome.made_progress
+                    masks[bid] = m
+                    if m:
+                        extra = c_scan_intra
+                        plan = select_intra(state, block, wid)
+                        if plan is not None:
+                            agent.intra_plan = plan
+                            agent.phase = RESERVE_INTRA
+                    elif inter and wid == 0:
+                        extra = c_scan_inter
+                        plan = select_inter(state, bid, agent.rng)
+                        if plan is not None:
+                            agent.inter_plan = plan
+                            agent.phase = RESERVE_INTER
                     else:
-                        masks[bid] = m
                         extra = 0
-                        found = False
-                        if m:
-                            # intra_steal.select_victim: the peer with
-                            # the largest hot rest (first wins ties).
-                            extra = c_scan_intra
-                            best = 0
-                            vw = -1
-                            j = 2 * wpb * bid
-                            for w in range(wpb):
-                                if w != wid:
-                                    rest = ptrs[j] - ptrs[j + 1]
-                                    if rest < 0:
-                                        rest += hsize
-                                    if rest > best:
-                                        best = rest
-                                        vw = w
-                                j += 2
-                            if vw >= 0 and best >= hot_cutoff:
-                                agent.intra_plan = IntraStealPlan(
-                                    vw, ptrs[2 * (bid * wpb + vw) + 1],
-                                    best, intra_amount)
-                                agent.phase = RESERVE_INTRA
-                                found = True
-                        elif inter and wid == 0 and n_blocks > 1:
-                            # inter_steal.select_victim: a victim block
-                            # (the busier of two sampled active blocks,
-                            # or one uniform draw), then its largest
-                            # cold rest (first wins ties).
-                            extra = c_scan_inter
-                            vb = -1
-                            if two_choice:
-                                cands = sample(state, bid, agent.rng, 2,
-                                               gpu_id=0)
-                                if cands:
-                                    vb = cands[0]
-                                    # Two draws of one block compare
-                                    # equal: skip both scans.
-                                    if len(cands) == 2 and cands[1] != vb and (
-                                            _workload(ptrs, cptrs, vb,
-                                                      wpb, hsize)
-                                            < _workload(ptrs, cptrs,
-                                                        cands[1], wpb,
-                                                        hsize)):
-                                        vb = cands[1]
-                            else:
-                                vb = agent.rng.integers(0, n_blocks)
-                                if vb == bid:
-                                    vb = -1
-                            if vb >= 0:
-                                best = 0
-                                vw = -1
-                                j = 2 * wpb * vb
-                                for w in range(wpb):
-                                    rest = cptrs[j] - cptrs[j + 1]
-                                    if rest > best:
-                                        best = rest
-                                        vw = w
-                                    j += 2
-                                if vw >= 0 and best >= cold_cutoff:
-                                    agent.inter_plan = InterStealPlan(
-                                        vb, vw,
-                                        cptrs[2 * (vb * wpb + vw) + 1],
-                                        best, inter_amount)
-                                    agent.phase = RESERVE_INTER
-                                    found = True
-                        if found:
-                            cost = extra
-                        else:
-                            # WarpAgent._poll: no victim, back off.
-                            d_polls += 1
-                            b = agent.backoff
-                            cost = extra + b
-                            b *= 2
-                            agent.backoff = (b if b < backoff_max
-                                             else backoff_max)
-                            progress = False
+                        plan = None
+                    if plan is not None:
+                        cost = extra
+                    else:
+                        # WarpAgent._poll: no victim, back off.
+                        d_polls += 1
+                        b = agent.backoff
+                        cost = extra + b
+                        b *= 2
+                        agent.backoff = (b if b < backoff_max
+                                         else backoff_max)
+                        progress = False
             else:
                 # Reservation phases: generic two-phase steal protocol
                 # (pending > 0 is established above, so step()'s
@@ -496,17 +425,6 @@ def _drain(
            d_edges, d_claims, d_pops, d_pushes,
            d_polls, d_refills, d_refille, d_flushes, d_flushe)
     return EngineResult(cycles=now, steps=steps, agents=n_agents)
-
-
-def _workload(ptrs, cptrs, block: int, wpb: int, hsize: int) -> int:
-    """``BlockState.workload`` read straight from the pointer slabs."""
-    total = 0
-    for j in range(2 * wpb * block, 2 * wpb * (block + 1), 2):
-        d = ptrs[j] - ptrs[j + 1]
-        if d < 0:
-            d += hsize
-        total += d + cptrs[j] - cptrs[j + 1]
-    return total
 
 
 def _merge(counters, mx_hot, mx_cold, tpw_local, recs,

@@ -43,12 +43,13 @@ class HotRing:
     Structure-of-arrays backing: the head/tail pointer pair can live
     inside a run-wide slab preallocated by
     :class:`~repro.core.state.RunState` (``head``/``tail`` become two
-    slots of a shared plain list).  The turbo fused loop binds that slab
-    to a local variable and addresses every ring of the grid without
-    attribute dispatch, while the methods here and the ``head``/``tail``
-    properties stay the single source of truth for all other code paths
-    (steals, flushes, invariant sweeps).  A standalone ``HotRing(size)``
-    allocates its own private pointer slots, preserving the original API.
+    slots of a shared plain list).  The turbo fused loop and the
+    intra-steal victim search read that slab directly and address every
+    ring of the grid without attribute dispatch, while the methods here
+    and the ``head``/``tail`` properties stay the single source of truth
+    for all other code paths (steal transfers, flushes, invariant
+    sweeps).  A standalone ``HotRing(size)`` allocates its own private
+    pointer slots, preserving the original API.
 
     Each ring owns its two entry rows, plain Python lists: the owner
     touches one slot at a time (push/pop/peek run once per simulated
@@ -249,10 +250,10 @@ class ColdSeg:
 
     Structure-of-arrays backing, mirroring :class:`HotRing`: the
     ``top``/``bottom`` pointer pair can live inside a run-wide slab
-    (two slots of a shared list).  The fused loop binds the slab
-    locally and reads every segment's occupancy without attribute
-    dispatch; the properties here remain the single source of truth for
-    all other code paths.  A standalone ``ColdSeg(reserve)`` allocates
+    (two slots of a shared list).  The fused loop and the inter-steal
+    victim search read every segment's occupancy from the slab without
+    attribute dispatch; the properties here remain the single source of
+    truth for all other code paths.  A standalone ``ColdSeg(reserve)`` allocates
     private pointer slots, preserving the original API.
     """
 
@@ -500,12 +501,19 @@ class OneLevelStack:
     writes, so the stack never flushes or refills.  Every operation is
     priced at global latency by the warp agent.  Backed by a ColdSeg
     reused as a plain growable stack.
+
+    :class:`~repro.core.state.RunState` builds the segment over the hot
+    pointer slab (``ptrs``/``base``), so its ``(top, bottom)`` sit where
+    a HotRing keeps ``(head, tail)``: occupancy is ``top - bottom`` and
+    the steal token is ``bottom``, which the victim searches read there
+    with no test of the stack class.
     """
 
     __slots__ = ("_seg", "cold")
 
-    def __init__(self, reserve: int = 256):
-        self._seg = ColdSeg(reserve)
+    def __init__(self, reserve: int = 256, *,
+                 ptrs: Optional[list] = None, base: int = 0):
+        self._seg = ColdSeg(reserve, ptrs=ptrs, base=base)
         self.cold = ColdSeg(1)
 
     # A property, not ``self.hot = self``: the self-reference would make

@@ -24,9 +24,11 @@ The fused loop
 --------------
 Untraced runs on two-level stacks with no schedule perturbation never
 call :meth:`WarpAgent.step`: :mod:`repro.core.turbo` inlines the
-expand, refill and idle transitions over the run's structure-of-arrays
-slabs and calls only :meth:`WarpAgent._idle` and the two reservation
-steps.  The generic :class:`~repro.sim.engine.EventLoop` steps every
+expand, refill and idle-poll transitions over the run's
+structure-of-arrays slabs, searches for victims through the same
+``intra_steal``/``inter_steal.select_victim`` calls as
+:meth:`WarpAgent._idle`, and calls only the two reservation steps of
+this class.  The generic :class:`~repro.sim.engine.EventLoop` steps every
 other run (the one-level v1 ablation, perturbed schedules, traced runs)
 and the oracle
 :func:`repro.core.diggerbees.run_reference` through ``step``, whose one

@@ -59,6 +59,10 @@ class TestBothProtocols:
         with pytest.raises(SimulationError):
             runner(tiny_path, 0, cores=0)
 
+    def test_negative_seed_rejected(self, runner, tiny_path):
+        with pytest.raises(SimulationError, match="seed"):
+            runner(tiny_path, 0, cores=2, seed=-1)
+
 
 class TestProtocolDifferences:
     def test_methods_labelled(self, small_road):

@@ -38,6 +38,7 @@ class TestValidation:
         dict(refill_batch=200),
         dict(victim_policy="fastest"),
         dict(cold_reserve=10),         # < cold_cutoff
+        dict(seed=-1),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(SimulationError):

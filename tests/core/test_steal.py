@@ -67,6 +67,31 @@ class TestIntraSelection:
         assert plan.observed_tail == state.blocks[0].stacks[1].hot.tail
 
 
+class TestSlabReads:
+    def test_one_level_pointer_pairs_live_in_the_hot_slab(self):
+        """The v1 stack keeps its segment's ``(top, bottom)`` where a
+        HotRing keeps ``(head, tail)``, so the slab-reading search sees
+        its occupancy and its steal token."""
+        state = make_state(n_blocks=1, two_level=False)
+        block = state.blocks[0]
+        fill_hot(state, 0, 1, 7, start=100)
+        fill_hot(state, 0, 2, 5, start=200)
+        plan = intra_steal.select_victim(state, block, 0)
+        assert plan.victim_warp == 1
+        assert intra_steal.execute_steal(state, block, 0, plan)
+        slab = state.hot_ptr_slab
+        for w, stack in enumerate(block.stacks):
+            seg = stack._seg
+            assert slab[2 * w:2 * w + 2] == [seg.top, seg.bottom]
+        assert slab[2:4] == [7, 2]  # warp 1 after losing two entries
+        # Warps 1 and 2 now tie at five entries: the first wins.
+        plan = intra_steal.select_victim(state, block, 0)
+        victim = block.stacks[plan.victim_warp]
+        assert plan.victim_warp == 1
+        assert plan.observed_rest == len(victim) == 5
+        assert plan.observed_tail == victim.hot.tail == 2
+
+
 class TestIntraExecution:
     def test_successful_steal_moves_oldest(self):
         state = make_state(hot_cutoff=4)

@@ -6,9 +6,11 @@ correctness: it must reproduce its oracle, ``run_reference`` (the
 generic engine running the reference expand) — cycles, steps, traversal
 output and counters — bit-for-bit.  These tests sweep that contract across
 every fuzz graph family, with and without adversarial victims, and
-across grid shapes that reach each branch of the inline victim search,
-check that a traced run (which takes the generic loop) keeps the
-untraced schedule, and pin down exactly when the fused loop engages.
+across grid shapes that reach each branch of the victim search, check
+that the fused loop searches through the shared ``select_victim``
+functions without ever stepping ``WarpAgent._idle``, check that a traced
+run (which takes the generic loop) keeps the untraced schedule, and pin
+down exactly when the fused loop engages.
 """
 
 import numpy as np
@@ -19,6 +21,8 @@ from repro.core import inter_steal
 from repro.core.config import DiggerBeesConfig
 from repro.core.diggerbees import run_diggerbees, run_reference
 from repro.core.turbo import turbo_eligible
+from repro.core.warp_dfs import WarpAgent
+from repro.graphs import generators as gen
 
 
 def _family_case(family: str, adversarial_victims: bool) -> FuzzCase:
@@ -53,8 +57,9 @@ def _assert_fused_matches_reference(graph, root, cfg):
     *(pytest.param(f, False, id=f"{f}-deterministic") for f in FAMILIES),
 ])
 def test_turbo_bit_identical_across_families(family, adversarial_victims):
-    """Adversarial runs keep calling ``WarpAgent._idle``; deterministic
-    ones pick steal victims inside the fused loop."""
+    """Adversarial runs draw random qualifying victims from ``fuzz_rng``
+    and deterministic ones take the largest rest, through the same
+    ``select_victim`` calls on both loops."""
     case = _family_case(family, adversarial_victims)
     _assert_fused_matches_reference(case.build_graph(), case.root,
                                     case.build_config())
@@ -81,9 +86,9 @@ def test_trace_changes_no_schedule(family):
 @pytest.mark.parametrize("victim_policy", ["two_choice", "random"])
 @pytest.mark.parametrize("n_blocks,warps_per_block",
                          [(3, 4), (5, 2), (8, 4)])
-def test_inline_victim_search_grid_shapes(n_blocks, warps_per_block,
-                                          victim_policy, monkeypatch):
-    """The inline search on grids whose block draws span 3, 5 and 8
+def test_victim_search_grid_shapes(n_blocks, warps_per_block,
+                                   victim_policy, monkeypatch):
+    """The victim search on grids whose block draws span 3, 5 and 8
     values, with both leader policies: intra and inter steals happen,
     and the two-choice leader compares two sampled blocks (on the 5 x 2
     grid two of them tie on workload, where the first must win)."""
@@ -111,6 +116,51 @@ def test_inline_victim_search_grid_shapes(n_blocks, warps_per_block,
         assert 2 in sizes
     else:
         assert not sizes  # one uniform draw, no sampler
+
+
+def _adversarial_case():
+    case = _family_case("grid2d", True)
+    return case.build_graph(), case.root, case.build_config()
+
+
+def _two_gpu_case():
+    """A 2-GPU grid that runs one GPU dry (remote steals happen)."""
+    return gen.road_network(6000, seed=5), 0, DiggerBeesConfig(
+        n_blocks=8, warps_per_block=4, n_gpus=2, hot_size=32,
+        hot_cutoff=8, cold_cutoff=8, flush_batch=8, refill_batch=8,
+        cold_reserve=32, seed=5)
+
+
+@pytest.mark.parametrize("build", [_adversarial_case, _two_gpu_case],
+                         ids=["adversarial", "two-gpu"])
+def test_fused_loop_never_calls_idle(build, monkeypatch):
+    """The two kinds of run that draw victims from ``fuzz_rng`` or fall
+    back to remote steals search inside the fused loop too: it never
+    steps ``WarpAgent._idle``, which the generic loop calls, and both
+    loops still agree bit for bit."""
+    graph, root, cfg = build()
+
+    def refuse(self, now):
+        raise AssertionError("the fused loop called WarpAgent._idle")
+
+    assert turbo_eligible(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(WarpAgent, "_idle", refuse)
+        fused = run_diggerbees(graph, root, config=cfg)
+    idle = WarpAgent._idle
+    calls = []
+
+    def counting(self, now):
+        calls.append(now)
+        return idle(self, now)
+
+    monkeypatch.setattr(WarpAgent, "_idle", counting)
+    _assert_same_run(fused, run_reference(graph, root, config=cfg))
+    assert calls
+    assert (fused.counters.intra_steal_successes
+            + fused.counters.inter_steal_successes) > 0
+    if cfg.n_gpus > 1:
+        assert fused.counters.remote_steal_successes > 0
 
 
 class TestEligibility:

@@ -11,6 +11,10 @@ Four induced failures, each verified against direct execution:
   query answers in process;
 * the on-disk result cache is corrupted between daemon lifetimes -> the
   corrupt file is discarded and results are recomputed, not poisoned.
+
+A client error is not an infrastructure failure: an invalid engine
+config fails its own request before admission, so no batch launches and
+no rung falls back.
 """
 
 import json
@@ -21,7 +25,7 @@ from repro.bench import harness
 from repro.core.config import ServeConfig
 from repro.core.diggerbees import run_diggerbees
 from repro.graphs import generators as gen
-from repro.serve.protocol import dfs_result_to_dict
+from repro.serve.protocol import Request, dfs_result_to_dict
 
 from tests.serve.conftest import serve_session
 
@@ -152,6 +156,30 @@ def test_unpicklable_task_runs_in_process_and_releases_its_lease(
 
     serve_session(scenario, graphs=graphs,
                   config=ServeConfig(max_batch=1, jobs=1,
+                                     cache_dir="off"))
+
+
+@pytest.mark.parametrize("jobs", [0, 1])
+def test_negative_seed_fails_validation_before_admission(jobs):
+    """``seed=-1`` is rejected by the engine config's own validation
+    (``SimulationError``), not by NumPy inside a launched batch, where
+    the pool rung would count the error as a pool failure and run the
+    query again in process."""
+    graphs = {"g": gen.binary_tree(4)}
+
+    async def scenario(client, server, **_):
+        assert (await client.dfs("g", 0, no_cache=True)).ok
+        batches = server.stats.batches
+        resp = await client.request(Request(
+            op="dfs", graph="g", root=0, config={"seed": -1},
+            no_cache=True))
+        assert not resp.ok
+        assert resp.error["type"] == "SimulationError"
+        assert server.stats.batches == batches
+        assert server.stats.inline_fallbacks == 0
+
+    serve_session(scenario, graphs=graphs,
+                  config=ServeConfig(max_batch=1, jobs=jobs,
                                      cache_dir="off"))
 
 
