@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ReproError, SimulationError
+from repro.errors import SimulationError
 from repro.graphs.csr import CSRGraph
 
 __all__ = ["BACKENDS", "BACKEND_CHOICES", "DFS_MIN_LEVELS_PER_VERTEX",
@@ -151,10 +151,10 @@ def run_batch(graph: CSRGraph, backend: str,
     only moves wall time.
 
     Returns one entry per task, in order: the engine result, or the
-    :class:`~repro.errors.ReproError` that task raised.  A swarm that
-    raises is re-run task by task, so each error lands on the task that
-    caused it.  Engines are looked up at call time, so instrumented
-    copies apply.
+    exception that task raised, whatever its type.  A swarm that raises
+    is re-run task by task, so each error lands on the task that caused
+    it.  Engines are looked up at call time, so instrumented copies
+    apply.
     """
     if backend not in BACKENDS:
         raise SimulationError(
@@ -164,7 +164,7 @@ def run_batch(graph: CSRGraph, backend: str,
 
         try:
             return swarm.run_swarm(graph, [root for root, _ in tasks])
-        except ReproError:
+        except Exception:
             pass  # settle task by task below
     if backend == "frontier":
         from repro.core import frontier
@@ -180,6 +180,6 @@ def run_batch(graph: CSRGraph, backend: str,
     for root, cfg in tasks:
         try:
             out.append(run(root, cfg))
-        except ReproError as exc:
+        except Exception as exc:
             out.append(exc)
     return out

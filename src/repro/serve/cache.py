@@ -2,9 +2,10 @@
 
 Keyed like :mod:`repro.graphs.diskcache`: a query's cache key is the
 SHA-256 of its canonical JSON description — ``(op, root, engine-config
-overrides, graph fingerprint, CACHE_VERSION)`` — so two requests hit the
-same entry iff they are semantically the same query against the same
-graph *content* (the fingerprint hashes the CSR arrays, not the name).
+overrides, graph fingerprint, resolved backend, CACHE_VERSION)`` — so
+two requests hit the same entry iff they are semantically the same
+query against the same graph *content* (the fingerprint hashes the CSR
+arrays, not the name).
 
 Each resident graph gets its own bounded LRU.  An entry is one answer's
 compact JSON text and nothing else: the daemon's hit path splices it
@@ -12,6 +13,12 @@ into the response and a spill writes it out verbatim, so neither ever
 re-serializes a multi-thousand-entry parent array, and no decoded
 answer (about 7x the size of its text) outlives the batch that
 computed it.
+
+A spill is one file per graph name and content,
+``<name>-<fingerprint>.json``: a header line
+``{"version": <CACHE_VERSION>, "graph_fp": "<fingerprint>"}``, then one
+``key<TAB>answer`` line per entry, least to most recently used, so a
+reload reads it a line at a time and never holds the whole file.
 
 Disk spill is strictly best-effort, mirroring the corpus cache's
 contract: a corrupt, truncated, or version-skewed cache file is
@@ -25,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
@@ -42,17 +48,16 @@ __all__ = [
     "GraphResultCache",
 ]
 
-#: Bump when result payload semantics change for identical queries
-#: (2: DFS payloads no longer carry ``counters.coldseg_compactions``).
-CACHE_VERSION = 2
+#: Bump when result payload semantics or the spill layout change
+#: (2: DFS payloads no longer carry ``counters.coldseg_compactions``;
+#: 3: one ``key<TAB>answer`` line per entry, every key names its
+#: backend).
+CACHE_VERSION = 3
 
 ENV_VAR = "REPRO_SERVE_CACHE"
 
 #: Dirty-entry count at which the cache is spilled to disk.
 FLUSH_EVERY = 64
-
-_WHITESPACE = re.compile(r"[ \t\n\r]*")
-_decode_value = json.JSONDecoder().raw_decode
 
 
 def default_cache_dir(setting: Optional[str] = None) -> Optional[Path]:
@@ -73,16 +78,14 @@ def result_key(op: str, root: int, config: Optional[Mapping],
                graph_fingerprint: str, backend: str = "dfs") -> str:
     """Deterministic cache key for one query (hex digest prefix).
 
-    ``backend`` is the *resolved* engine family for DFS queries; only a
-    non-default backend is keyed, so every existing DFS entry (memory or
-    disk spill) stays addressable, while frontier answers can never be
-    served to a DFS-backed daemon or vice versa.
+    ``backend`` is the *resolved* engine family for DFS queries, so
+    frontier answers can never be served to a DFS-backed daemon or vice
+    versa.
     """
-    payload: dict = {"op": op, "root": int(root),
-                     "config": dict(config) if config else None,
-                     "graph": graph_fingerprint, "version": CACHE_VERSION}
-    if backend != "dfs":
-        payload["backend"] = backend
+    payload = {"op": op, "root": int(root),
+               "config": dict(config) if config else None,
+               "graph": graph_fingerprint, "backend": backend,
+               "version": CACHE_VERSION}
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
     ).hexdigest()[:24]
@@ -101,6 +104,9 @@ class GraphResultCache:
         self._dirty = 0
         #: key -> the answer's compact JSON text
         self._entries: "OrderedDict[str, str]" = OrderedDict()
+        #: the spill's first line
+        self._header = json.dumps({"version": CACHE_VERSION,
+                                   "graph_fp": graph_fingerprint}) + "\n"
         self._path: Optional[Path] = None
         if directory is not None and self.max_entries > 0:
             stem = "".join(c if c.isalnum() or c in "-_" else "_"
@@ -145,41 +151,32 @@ class GraphResultCache:
     def _load(self) -> None:
         """Best-effort disk load; corrupt files are discarded.
 
-        The spill is decoded one entry at a time: decoding it whole would
-        briefly hold every answer decoded, about 8x the file.
+        The spill is read one line at a time, so a reload holds the
+        entries it keeps plus one line, about the file's size.  Each
+        answer must decode as JSON (the file comes from outside the
+        process) and is kept as the text the file holds.
         """
         path = self._path
         if path is None or not path.exists():
             return
         try:
-            text = path.read_text(encoding="utf-8")
-            header: Dict[str, Any] = {}
-
-            def entry(key: str, pos: int) -> int:
-                result, pos = _decode_value(text, pos)
-                self._entries[key] = json.dumps(result,
-                                                separators=(",", ":"))
-                # flush() writes least- to most-recently used, so a
-                # smaller capacity keeps the newest entries, as the LRU
-                # would.
-                if len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                return pos
-
-            def member(key: str, pos: int) -> int:
-                if key == "entries":
-                    header[key] = True
-                    return _scan_object(text, pos, entry)
-                header[key], pos = _decode_value(text, pos)
-                return pos
-
-            end = _scan_object(text, 0, member)
-            if _WHITESPACE.match(text, end).end() != len(text):
-                raise ValueError("data after the cache object")
-            if (header.get("version") != CACHE_VERSION
-                    or header.get("graph_fp") != self.graph_fingerprint
-                    or "entries" not in header):
-                raise ValueError("cache header mismatch")
+            with path.open(encoding="utf-8") as f:
+                # Bounded: an older spill can be one line holding the
+                # whole cache, and it must fail here undecoded.
+                if f.readline(len(self._header)) != self._header:
+                    raise ValueError("cache header mismatch")
+                for line in f:
+                    key, tab, raw = line.partition("\t")
+                    if not tab or not raw.endswith("\n"):
+                        raise ValueError("malformed cache line")
+                    raw = raw[:-1]
+                    json.loads(raw)
+                    self._entries[key] = raw
+                    # flush() writes least- to most-recently used, so a
+                    # smaller capacity keeps the newest entries, as the
+                    # LRU would.
+                    if len(self._entries) > self.max_entries:
+                        self._entries.popitem(last=False)
         except Exception:
             # Corrupt/partial/version-skewed: recompute rather than fail.
             self._entries.clear()
@@ -189,7 +186,8 @@ class GraphResultCache:
                 pass
 
     def flush(self) -> None:
-        """Best-effort atomic spill of the current entries to disk."""
+        """Best-effort atomic spill of the current entries to disk: the
+        header line, then each entry's ``key<TAB>answer`` line."""
         path = self._path
         if path is None or not self._dirty:
             return
@@ -202,47 +200,14 @@ class GraphResultCache:
                 with os.fdopen(fd, "w", encoding="utf-8") as f:
                     # Entry by entry: a body joined in memory first
                     # would hold every cached text twice more.
-                    f.write('{"version":%d,"graph_fp":%s,"entries":{' % (
-                        CACHE_VERSION, json.dumps(self.graph_fingerprint)))
-                    sep = ""
+                    f.write(self._header)
                     for key, raw in self._entries.items():
-                        f.write(f"{sep}{json.dumps(key)}:")
+                        f.write(key + "\t")
                         f.write(raw)
-                        sep = ","
-                    f.write("}}")
+                        f.write("\n")
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         except OSError:
             pass
-
-
-def _scan_object(text: str, pos: int, value) -> int:
-    """Walk the JSON object at ``text[pos:]`` member by member.
-
-    ``value(key, start)`` consumes each member's value, starting at
-    ``start``, and returns the position after it.  Returns the position
-    after the object; raises ``ValueError`` on malformed input.
-    """
-    pos = _WHITESPACE.match(text, pos).end()
-    if text[pos:pos + 1] != "{":
-        raise ValueError(f"expected an object at {pos}")
-    pos = _WHITESPACE.match(text, pos + 1).end()
-    if text[pos:pos + 1] == "}":
-        return pos + 1
-    while True:
-        key, pos = _decode_value(text, pos)
-        if not isinstance(key, str):
-            raise ValueError(f"expected a key at {pos}")
-        pos = _WHITESPACE.match(text, pos).end()
-        if text[pos:pos + 1] != ":":
-            raise ValueError(f"expected ':' at {pos}")
-        pos = value(key, _WHITESPACE.match(text, pos + 1).end())
-        pos = _WHITESPACE.match(text, pos).end()
-        sep = text[pos:pos + 1]
-        if sep == "}":
-            return pos + 1
-        if sep != ",":
-            raise ValueError(f"expected ',' or '}}' at {pos}")
-        pos = _WHITESPACE.match(text, pos + 1).end()

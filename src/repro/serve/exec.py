@@ -7,23 +7,26 @@ Workers receive graphs as shared-memory specs (attached and cached by
 :func:`repro.graphs.shm.resolve_graph`) or, on the pickle-fallback
 path, as the graphs themselves.
 
-Failure semantics: *query* failures — an over-budget simulation, a
-toposort on a cyclic graph, an out-of-range root — are returned as
-per-task error markers so one bad query in a lockstep batch cannot
-poison its neighbours or look like an infrastructure fault.
-Infrastructure failures (dangling shm segment, broken pool) raise, and
-the daemon's dispatch layer degrades: re-export, pickle, or in-process
-execution.
+Failure semantics: a task's own failure is its answer.  Whatever a
+query raises (an over-budget simulation, an out-of-range root, or any
+other exception, a ``MemoryError`` say) comes back as that task's error
+marker, so one bad query in a lockstep batch cannot poison its
+neighbours, and the daemon never mistakes it for an infrastructure
+fault and runs it again.  Only resolving the graph raises (a dangling
+shm segment: ``OSError``); that, a broken pool and a task the pool
+cannot pickle are infrastructure failures, and the daemon's dispatch
+layer degrades: re-export, pickle, or in-process execution.
 """
 
 from __future__ import annotations
 
+import typing
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import DiggerBeesConfig
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError
 from repro.graphs.shm import resolve_graph
 from repro.serve.protocol import (
     QUERY_OPS,
@@ -44,19 +47,38 @@ ERROR_KEY = "__error__"
 
 #: DiggerBeesConfig fields a request may override (everything except the
 #: perturbation knobs would also be safe, but fuzz configs need those
-#: too for the serve-diff rung, so the whole dataclass is wire-exposed).
-_CONFIG_FIELDS = frozenset(DiggerBeesConfig.__dataclass_fields__)
+#: too for the serve-diff rung, so the whole dataclass is wire-exposed),
+#: each with the exact types its JSON value may decode to: ``true`` is
+#: no integer and ``64.5`` none either.
+_CONFIG_FIELDS = {
+    name: typing.get_args(hint) or (hint,)
+    for name, hint in typing.get_type_hints(DiggerBeesConfig).items()}
+
+_JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", str: "a string",
+                    type(None): "null"}
 
 
 def build_engine_config(overrides: Optional[Dict[str, Any]],
                         ) -> DiggerBeesConfig:
-    """Engine config for one DFS query (daemon default + overrides)."""
+    """Engine config for one DFS query (daemon default + overrides).
+
+    Each override must name a config field and have that field's JSON
+    type, else ``ProtocolError``: the config's own checks compare
+    values but do not check their types.
+    """
     if not overrides:
         return DiggerBeesConfig()
-    unknown = set(overrides) - _CONFIG_FIELDS
+    unknown = set(overrides) - _CONFIG_FIELDS.keys()
     if unknown:
         raise ProtocolError(
             f"unknown engine-config field(s) {sorted(unknown)}")
+    for name, value in overrides.items():
+        types = _CONFIG_FIELDS[name]
+        if type(value) not in types:
+            expected = " or ".join(_JSON_TYPE_NAMES[t] for t in types)
+            raise ProtocolError(
+                f"engine-config field {name!r} takes {expected}, "
+                f"got {value!r}")
     # ReproError (SimulationError) from validation propagates to the
     # caller, which turns it into a per-request error response.
     return DiggerBeesConfig(**overrides)
@@ -147,7 +169,8 @@ assert set(_EXECUTORS) == set(QUERY_OPS) - {"dfs"}
 def execute_query(wire_graph, op: str, root: int,
                   overrides: Optional[Dict[str, Any]] = None,
                   backend: str = "dfs") -> Dict[str, Any]:
-    """Execute one query; returns the result dict or an error marker.
+    """Execute one query; returns the result dict, or the error marker
+    of whatever the query raised.
 
     ``backend`` is the *resolved* answer family for ``dfs`` queries
     (``"dfs"`` or ``"frontier"``) — callers route through
@@ -163,7 +186,7 @@ def execute_query(wire_graph, op: str, root: int,
         if op in ROOTED_OPS:
             _check_root(graph, root)
         return _EXECUTORS[op](graph, root, overrides)
-    except ReproError as exc:
+    except Exception as exc:
         return _error_marker(exc)
 
 
@@ -182,7 +205,7 @@ def execute_dfs_batch(wire_graph,
     lockstep execution for the family (``backend="dfs"``: the DFS
     simulation, task by task; ``"frontier"``: the bit-packed BFS,
     swarm-batched — overrides are validated but do not parameterize
-    it) and settles any engine error on the task that raised it.
+    it) and settles any exception on the task that raised it.
     Per-task payloads are identical whichever tier ran; admission never
     mixes backends in one batch.
     """
@@ -193,7 +216,7 @@ def execute_dfs_batch(wire_graph,
         try:
             cfg = build_engine_config(ov)
             _check_root(graph, root)
-        except ReproError as exc:
+        except Exception as exc:
             out[i] = _error_marker(exc)
         else:
             valid.append((i, root, cfg))
@@ -204,6 +227,6 @@ def execute_dfs_batch(wire_graph,
     results = run_batch(graph, backend,
                         [(root, cfg) for _, root, cfg in valid])
     for (i, _, _), res in zip(valid, results):
-        out[i] = (_error_marker(res) if isinstance(res, ReproError)
+        out[i] = (_error_marker(res) if isinstance(res, Exception)
                   else payload(res))
     return out

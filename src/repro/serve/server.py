@@ -56,7 +56,12 @@ from repro.serve.cache import (
     result_key,
 )
 from repro.serve.corpus import ResidentCorpus, ResidentGraph
-from repro.serve.exec import ERROR_KEY, execute_dfs_batch, execute_query
+from repro.serve.exec import (
+    ERROR_KEY,
+    _error_marker,
+    execute_dfs_batch,
+    execute_query,
+)
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     QUERY_OPS,
@@ -491,9 +496,7 @@ class ServeServer:
                     p.future.cancel()
             raise
         except Exception as exc:   # infrastructure failure after fallbacks
-            marker = {ERROR_KEY: {"type": type(exc).__name__,
-                                  "message": str(exc)}}
-            results = [marker] * width
+            results = [_error_marker(exc)] * width
         finally:
             held = self.policy.release()
             if held is not None:
@@ -530,11 +533,12 @@ class ServeServer:
 
         Degradation ladder for ``jobs >= 1``: healthy pool with shm spec
         -> (pool broke) one fresh pool -> (shm dangling) pickled graph
-        -> in-process.  Query-level errors are *results* (markers) and
-        never trigger demotion, so any other exception from the pool
-        rung (a task it cannot pickle, say) is an infrastructure
-        failure and goes straight to the in-process rung.  Every lease
-        is released on every exit.
+        -> in-process.  A task's own failure, whatever its type, comes
+        back as its error marker (:mod:`repro.serve.exec`) and never
+        triggers demotion, so any other exception from the pool rung is
+        a failure to run the task (one the pool cannot pickle, say) and
+        goes straight to the in-process rung; only those count
+        ``inline_fallbacks``.  Every lease is released on every exit.
         """
         jobs = self.config.jobs
         if jobs >= 1:

@@ -273,6 +273,33 @@ def test_run_batch_settles_a_lockstep_error_on_its_task(tier_calls,
     assert _bfs_diff(ref, good_out) is None
 
 
+def test_run_batch_settles_any_exception_on_its_task(monkeypatch,
+                                                    lockstep_from):
+    # Not only ReproError: a swarm that raises anything (its memory
+    # block, say) is re-run task by task, and each task's own exception
+    # is its entry.
+    from repro.core import swarm
+
+    lockstep_from(2)
+    graph = gen.path_graph(8)
+    real = frontier.run_frontier
+    ref = real(graph, 3)
+
+    def no_block(graph, roots):
+        raise MemoryError("swarm block")
+
+    def lane_fault(graph, root):
+        if root == 0:
+            raise RuntimeError("lane fault")
+        return real(graph, root)
+
+    monkeypatch.setattr(swarm, "run_swarm", no_block)
+    monkeypatch.setattr(frontier, "run_frontier", lane_fault)
+    bad_out, good_out = run_batch(graph, "frontier", [(0, None), (3, None)])
+    assert isinstance(bad_out, RuntimeError)
+    assert _bfs_diff(ref, good_out) is None
+
+
 def test_run_batch_rejects_unknown_backends():
     with pytest.raises(SimulationError):
         run_batch(gen.path_graph(4), "swarm", [(0, None)])

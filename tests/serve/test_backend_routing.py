@@ -234,8 +234,7 @@ def test_result_key_separates_backends():
     fp = "deadbeef"
     dfs_key = result_key("dfs", 0, None, fp)
     assert result_key("dfs", 0, None, fp, "frontier") != dfs_key
-    # The default backend is un-keyed so pre-existing DFS cache entries
-    # (including disk spills) stay addressable.
+    # The default backend is the DFS family.
     assert result_key("dfs", 0, None, fp, "dfs") == dfs_key
 
 

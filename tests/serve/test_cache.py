@@ -6,6 +6,7 @@ import json
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.core.config import ServeConfig
 from repro.graphs import generators as gen
@@ -22,6 +23,10 @@ from repro.serve.protocol import Request
 from repro.serve.server import ServeServer, _PendingQuery
 
 from tests.serve.conftest import serve_session
+
+
+#: The spill header of ``_mk``'s graph.
+HEADER = '{"version": 3, "graph_fp": "ffffffffffffffff"}\n'
 
 
 def _mk(tmp_path=None, *, fp="f" * 16, max_entries=8):
@@ -181,23 +186,31 @@ def test_reregistered_graph_spills_its_old_answers(tmp_path):
 
     old_fp, new_fp = serve_session(reregister, graphs={"g": old},
                                    config=cfg)
-    spilled = {fp: json.loads((tmp_path / f"g-{fp}.json").read_text())
+    # Entry lines: every line after the header.
+    spilled = {fp: (tmp_path / f"g-{fp}.json").read_text().splitlines()[1:]
                for fp in (old_fp, new_fp)}
-    assert len(spilled[old_fp]["entries"]) == len(roots)
-    assert len(spilled[new_fp]["entries"]) == 1
+    assert len(spilled[old_fp]) == len(roots)
+    assert len(spilled[new_fp]) == 1
     assert serve_session(restart, graphs={"g": old}, config=cfg) == [True] * 5
 
 
 def test_spill_file_format(tmp_path):
-    # CACHE_VERSION 2's layout: daemons on either side of a change to
-    # the in-memory entries must keep reading each other's spills.
+    # CACHE_VERSION 3's layout: daemons on either side of a change to
+    # the in-memory entries must keep reading each other's spills.  A
+    # header line, then one key<TAB>answer line per entry, least to most
+    # recently used.
     cache = _mk(tmp_path)
     cache.put("k1", _text({"v": 1}))
     cache.put("k2", _text({"v": [1, 2.5, None]}))
+    cache.put("k3", _text("a\tb\nc"))
+    assert cache.get("k1") is not None  # refresh k1
     cache.flush()
+    assert cache._path.name == "g-ffffffffffffffff.json"
     assert cache._path.read_text() == (
-        '{"version":2,"graph_fp":"ffffffffffffffff","entries":'
-        '{"k1":{"v":1},"k2":{"v":[1,2.5,null]}}}')
+        HEADER
+        + 'k2\t{"v":[1,2.5,null]}\n'
+        + 'k3\t"a\\tb\\nc"\n'
+        + 'k1\t{"v":1}\n')
 
 
 def test_reload_into_a_smaller_cache_keeps_the_newest_entries(tmp_path):
@@ -212,15 +225,22 @@ def test_reload_into_a_smaller_cache_keeps_the_newest_entries(tmp_path):
     assert list(small._entries) == ["d", "a"]
 
 
-def test_reload_decodes_one_entry_at_a_time(tmp_path):
+def _tree_texts(seed: int, count: int = 64):
+    """``count`` answers shaped like DFS trees of 3000 vertices."""
+    rng = np.random.default_rng(seed)
+    return [_text({"parent": rng.integers(-2, 3000, size=3000).tolist(),
+                   "visited": 3000}) for _ in range(count)]
+
+
+def test_reload_reads_one_line_at_a_time(tmp_path):
     # A decoded answer costs about 7x its text; a reload that decoded
-    # the whole spill at once peaked at about 8x the file.  Entry by
-    # entry, the peak is the file's text plus the entries' texts.
-    rng = np.random.default_rng(3)
+    # the whole spill at once peaked at about 8x the file, and one that
+    # read the whole file before decoding it entry by entry at about
+    # 2.4x.  Line by line, the peak is the entries' texts plus one line
+    # and its decoded answer.
     cache = _mk(tmp_path, max_entries=64)
-    for i in range(64):
-        parent = rng.integers(-2, 3000, size=3000).tolist()
-        cache.put(f"k{i}", _text({"parent": parent, "visited": 3000}))
+    for i, raw in enumerate(_tree_texts(3)):
+        cache.put(f"k{i}", raw)
     cache.flush()
     size = cache._path.stat().st_size
     tracemalloc.start()
@@ -231,18 +251,58 @@ def test_reload_decodes_one_entry_at_a_time(tmp_path):
         tracemalloc.stop()
     assert list(again._entries) == list(cache._entries)
     assert all(again._entries[k] == raw for k, raw in cache._entries.items())
-    assert peak < 3 * size, (peak, size)
+    assert peak < 1.5 * size, (peak, size)
+
+
+def test_version_2_spill_is_discarded_without_decoding(tmp_path):
+    # CACHE_VERSION 2 wrote one JSON object, with no newline, under the
+    # same file name.  Its first line is the whole file, so the header
+    # check reads a header's length of it, rejects it and unlinks it.
+    texts = _tree_texts(4)
+    path = tmp_path / "g-ffffffffffffffff.json"
+    path.write_text(
+        '{"version":2,"graph_fp":"ffffffffffffffff","entries":{'
+        + ",".join(f'"k{i}":{raw}' for i, raw in enumerate(texts))
+        + "}}")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        again = _mk(tmp_path, max_entries=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(again) == 0
+    assert not path.exists()
+    assert peak < size, (peak, size)
 
 
 def test_reload_accepts_whitespace_and_any_member_order(tmp_path):
-    cache = _mk(tmp_path)
-    cache.flush()
-    cache._path.write_text(
-        '{ "entries" : { "k1" : { "v" : [1, 2] } , "k2" : 3 } ,\n'
-        ' "graph_fp" : "ffffffffffffffff" , "version" : 2 }\n')
+    # An answer line holds any JSON text; the reload checks that it
+    # decodes and keeps it verbatim, whitespace and member order
+    # included.
+    (tmp_path / "g-ffffffffffffffff.json").write_text(
+        HEADER
+        + 'k1\t{ "w" : null , "v" : [1, 2] }\n'
+        + 'k2\t3\n')
     again = _mk(tmp_path)
-    assert again.get("k1") == _text({"v": [1, 2]})
+    assert again.get("k1") == '{ "w" : null , "v" : [1, 2] }'
     assert again.get("k2") == "3"
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda body: body + 'k3 {"v":3}\n',
+    lambda body: body + "k3\t{v: 3}\n",
+    lambda body: body[:-1],
+], ids=["line-without-tab", "answer-not-json", "no-final-newline"])
+def test_malformed_line_discards_file(tmp_path, mangle):
+    cache = _mk(tmp_path)
+    cache.put("k1", _text({"v": 1}))
+    cache.put("k2", _text({"v": 2}))
+    cache.flush()
+    cache._path.write_text(mangle(cache._path.read_text()))
+    again = _mk(tmp_path)
+    assert len(again) == 0
+    assert not cache._path.exists()
 
 
 def test_data_after_the_cache_object_discards_file(tmp_path):
@@ -279,10 +339,11 @@ def test_version_skew_discards_file(tmp_path):
     cache = _mk(tmp_path)
     cache.put("k", _text({"v": 1}))
     cache.flush()
-    data = json.loads(cache._path.read_text())
-    data["version"] = CACHE_VERSION + 1
-    cache._path.write_text(json.dumps(data))
+    header, entries = cache._path.read_text().split("\n", 1)
+    skewed = dict(json.loads(header), version=CACHE_VERSION + 1)
+    cache._path.write_text(json.dumps(skewed) + "\n" + entries)
     assert _mk(tmp_path).get("k") is None
+    assert not cache._path.exists()
 
 
 def test_fingerprint_mismatch_discards_file(tmp_path):

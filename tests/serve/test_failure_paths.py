@@ -12,9 +12,11 @@ Four induced failures, each verified against direct execution:
 * the on-disk result cache is corrupted between daemon lifetimes -> the
   corrupt file is discarded and results are recomputed, not poisoned.
 
-A client error is not an infrastructure failure: an invalid engine
-config fails its own request before admission, so no batch launches and
-no rung falls back.
+A client error is not an infrastructure failure: an invalid or
+mistyped engine config fails its own request before admission, so no
+batch launches and no rung falls back.  Nor is a task's own failure:
+whatever the engine raises is that query's answer, returned by the
+worker, and never runs a second time in process.
 """
 
 import json
@@ -180,6 +182,75 @@ def test_negative_seed_fails_validation_before_admission(jobs):
 
     serve_session(scenario, graphs=graphs,
                   config=ServeConfig(max_batch=1, jobs=jobs,
+                                     cache_dir="off"))
+
+
+@pytest.mark.parametrize("jobs", [0, 1])
+@pytest.mark.parametrize("config", [{"hot_size": 64.5}, {"seed": 1.5},
+                                    {"two_level": 1}],
+                         ids=["float-hot-size", "float-seed",
+                              "int-two-level"])
+def test_mistyped_config_fails_validation_before_admission(config, jobs):
+    """An override must have its field's JSON type.  The config's own
+    checks compare values only, so ``64.5`` and ``1.5`` would reach the
+    engine and fail there with a ``TypeError`` (twice at ``jobs=1``),
+    and ``1`` for ``true`` would be answered under its own cache key."""
+    graphs = {"g": gen.road_network(500)}
+    (field,) = config
+
+    async def scenario(client, server, **_):
+        assert (await client.dfs("g", 0, no_cache=True)).ok
+        batches = server.stats.batches
+        resp = await client.request(Request(
+            op="dfs", graph="g", root=0, config=config, no_cache=True))
+        assert not resp.ok
+        assert resp.error["type"] == "ProtocolError"
+        assert repr(field) in resp.error["message"]
+        assert server.stats.batches == batches
+        assert server.stats.inline_fallbacks == 0
+
+    serve_session(scenario, graphs=graphs,
+                  config=ServeConfig(max_batch=1, jobs=jobs,
+                                     cache_dir="off"))
+
+
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("engine fault")
+
+
+def test_any_engine_exception_is_its_tasks_marker(monkeypatch):
+    from repro.core import diggerbees
+    from repro.serve.exec import ERROR_KEY, execute_dfs_batch
+
+    monkeypatch.setattr(diggerbees, "run_diggerbees", _raise_runtime_error)
+    marker = {ERROR_KEY: {"type": "RuntimeError", "message": "engine fault"}}
+    assert execute_dfs_batch(gen.binary_tree(4), [(0, None), (1, None)],
+                             "dfs") == [marker, marker]
+
+
+def test_engine_exception_in_a_worker_is_answered_not_rerun(monkeypatch):
+    """The worker settles the engine's ``RuntimeError`` as the query's
+    answer, so the pool rung does not run the query again in process
+    and counts no inline fallback."""
+    from repro.core import diggerbees
+
+    # Patched before the first lease forks the worker, so the worker
+    # inherits it; the autouse fixture shuts that pool down afterwards.
+    monkeypatch.setattr(diggerbees, "run_diggerbees", _raise_runtime_error)
+    graphs = {"g": gen.binary_tree(4)}
+
+    async def scenario(client, server, **_):
+        resp = await client.request(Request(
+            op="dfs", graph="g", root=0, no_cache=True))
+        assert not resp.ok
+        assert resp.error == {"type": "RuntimeError",
+                              "message": "engine fault"}
+        assert server.stats.batches == 1
+        assert server.stats.inline_fallbacks == 0
+        assert harness._HANDLE is not None and harness._HANDLE.users == 0
+
+    serve_session(scenario, graphs=graphs,
+                  config=ServeConfig(max_batch=1, jobs=1, backend="dfs",
                                      cache_dir="off"))
 
 
