@@ -333,7 +333,8 @@ def render(result: Dict) -> str:
     cache = result.get("graph_cache")
     if cache is not None:
         lines.append(f"graph cache: {cache['hits']} hits, "
-                     f"{cache['misses']} misses")
+                     f"{cache['misses']} misses, "
+                     f"{cache['discarded']} discarded")
     return "\n".join(lines)
 
 

@@ -12,21 +12,23 @@ Contract
   callers re-apply display metadata (``with_name``) after the cached
   build, so a cache hit is bit-for-bit equivalent to a rebuild for
   every simulation purpose.
-* Format: one file of two plain ``.npy`` records, written with
-  ``np.save`` and read back in order from one open handle with
-  ``np.load(allow_pickle=False)``: an int64 array
-  ``[n_vertices + 1, directed, *row_ptr, *column_idx]``, whose slices
-  become the graph's arrays without a copy, then a one-element string
-  array holding the name.  Nothing is compressed: the 12 representative
-  graphs take 4.0 MB instead of the 0.8 MB of version 1's compressed
-  ``.npz`` files, and a warm load of all 12 takes 14-31% of the
-  ``.npz`` time (medians of 30 loads 4.0-10.8 ms against 28-37 ms,
-  eight alternating process pairs on a 2-vCPU host): zlib and the zip
-  container were most of a version-1 load.
+* Format (version 3): one raw ``.csr`` file holding the 8-byte magic
+  :data:`_MAGIC`; four little-endian int64 fields ``n_vertices + 1``,
+  arc count, directed flag (0 or 1) and the name's length in bytes;
+  ``row_ptr`` and ``column_idx`` as ``<i8``; then the UTF-8 name.  A
+  hit is one read of the whole file: the header is checked against the
+  file's exact length, and the graph's arrays are read-only
+  ``np.frombuffer`` views of that one buffer, so no array is copied and
+  no container header is parsed.  A warm load of the 12 representative
+  graphs takes about half the time of version 2's two ``np.load``
+  records (medians of 60 loads, 1.67-2.38 ms against 3.18-3.47 ms, four
+  alternating process pairs on a 2-vCPU host); version 1's compressed
+  ``.npz`` files took 28-37 ms.
 * Writes are atomic (temp file + ``os.replace``), so concurrent sweep
   workers never observe a torn file.
-* Short, unreadable or inconsistent entries are discarded and rebuilt;
-  a hit builds a validated :class:`~repro.graphs.csr.CSRGraph`.
+* Short, unreadable or inconsistent entries are discarded, counted in
+  :func:`stats` as ``discarded`` and rebuilt; a hit builds a validated
+  :class:`~repro.graphs.csr.CSRGraph`.
 * Location: ``$REPRO_CORPUS_CACHE`` if set, else
   ``~/.cache/repro-diggerbees/corpus``.  Setting the variable to ``0``,
   ``off``, ``none``, ``disabled`` or the empty string disables caching;
@@ -34,7 +36,8 @@ Contract
   same way.
 * Invalidation: bump :data:`CACHE_VERSION` when generator semantics
   or the file format change, or delete the directory
-  (``clear_disk_cache``, which also removes version-1 ``.npz`` files).
+  (``clear_disk_cache``, which also removes version-1 ``.npz`` and
+  version-2 ``.npy`` files).
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import tempfile
-import zipfile
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, Optional
 
@@ -64,24 +67,26 @@ __all__ = [
     "resolve_cache_dir",
 ]
 
-#: Process-wide hit/miss tally for :func:`cached_build` (benchmark
-#: reporting: the micro-sweep prints these so a cold corpus cache —
-#: generation cost showing up in the phase timings — is visible).
-_STATS = {"hits": 0, "misses": 0}
+#: Process-wide tally for :func:`cached_build` (benchmark reporting:
+#: the micro-sweep prints these so a cold corpus cache — generation
+#: cost showing up in the phase timings — is visible).  ``misses``
+#: counts builder calls; ``discarded`` counts the misses whose entry
+#: existed but was short, unreadable or inconsistent.
+_STATS = {"hits": 0, "misses": 0, "discarded": 0}
 
 
 def stats() -> dict:
-    """A copy of the current ``{"hits": .., "misses": ..}`` tally."""
+    """A copy of the current ``{"hits", "misses", "discarded"}`` tally."""
     return dict(_STATS)
 
 
 def reset_stats() -> None:
-    _STATS["hits"] = 0
-    _STATS["misses"] = 0
+    _STATS.update(dict.fromkeys(_STATS, 0))
 
 #: Bump when generator output changes for identical (params, seed), or
-#: when the file format changes (2: raw ``.npy`` records, not ``.npz``).
-CACHE_VERSION = 2
+#: when the file format changes (2: raw ``.npy`` records, not ``.npz``;
+#: 3: one raw CSR file, not two ``.npy`` records).
+CACHE_VERSION = 3
 
 ENV_VAR = "REPRO_CORPUS_CACHE"
 
@@ -89,12 +94,21 @@ ENV_VAR = "REPRO_CORPUS_CACHE"
 #: stripped and lower-cased).
 _DISABLED = ("", "0", "off", "none", "disabled")
 
-_SUFFIX = ".npy"
+_SUFFIX = ".csr"
 
-#: What reading a short, unreadable or inconsistent entry raises
-#: (``np.load`` opens a file that starts like a zip archive as one).
-_BAD_ENTRY = (OSError, EOFError, ValueError, zipfile.BadZipFile,
-              GraphFormatError)
+#: The suffixes of earlier versions' entries, which ``clear_disk_cache``
+#: also removes (1: ``.npz``, 2: ``.npy``).
+_OLD_SUFFIXES = (".npz", ".npy")
+
+_MAGIC = b"REPROCSR"
+
+#: Magic, then ``n_vertices + 1``, arc count, directed flag and name
+#: length in bytes.
+_HEADER = struct.Struct("<8s4q")
+
+#: What reading a short, unreadable or inconsistent entry raises (a
+#: name that is not UTF-8 raises ``UnicodeDecodeError``, a ValueError).
+_BAD_ENTRY = (OSError, ValueError, GraphFormatError)
 
 
 def resolve_cache_dir(setting: Optional[str], name: str) -> Optional[Path]:
@@ -130,30 +144,30 @@ def cache_path(kind: str, name: str, params: Mapping, seed: int) -> Optional[Pat
 
 
 def _write(graph: CSRGraph, fh: BinaryIO) -> None:
-    """Write ``graph`` as the two records :func:`_read` expects."""
-    arrays = np.concatenate(([graph.row_ptr.size, int(graph.directed)],
-                             graph.row_ptr, graph.column_idx))
-    np.save(fh, arrays, allow_pickle=False)
-    np.save(fh, np.array([graph.name]), allow_pickle=False)
+    """Write ``graph`` as the one file :func:`_read` expects."""
+    name = graph.name.encode("utf-8")
+    fh.write(_HEADER.pack(_MAGIC, graph.row_ptr.size, graph.column_idx.size,
+                          int(graph.directed), len(name)))
+    fh.write(graph.row_ptr.astype("<i8", copy=False))
+    fh.write(graph.column_idx.astype("<i8", copy=False))
+    fh.write(name)
 
 
 def _read(path: Path) -> CSRGraph:
     """The graph stored at ``path``; raises one of ``_BAD_ENTRY`` when
     the file is short, unreadable or inconsistent."""
-    with open(path, "rb") as fh:
-        arrays = np.load(fh, allow_pickle=False)
-        name = np.load(fh, allow_pickle=False)
-        trailing = fh.read(1)
-    if not (isinstance(arrays, np.ndarray) and arrays.dtype == np.int64
-            and arrays.ndim == 1 and arrays.size >= 3
-            and isinstance(name, np.ndarray) and name.dtype.kind == "U"
-            and name.shape == (1,) and not trailing):
+    buf = path.read_bytes()
+    if len(buf) < _HEADER.size:
         raise ValueError(f"{path.name}: not a corpus cache entry")
-    n1, directed = int(arrays[0]), int(arrays[1])
-    if not (1 <= n1 <= arrays.size - 2 and directed in (0, 1)):
+    magic, n1, m, directed, name_len = _HEADER.unpack_from(buf)
+    end = _HEADER.size + 8 * (n1 + m)
+    if not (magic == _MAGIC and n1 >= 1 and m >= 0 and directed in (0, 1)
+            and name_len >= 0 and len(buf) == end + name_len):
         raise ValueError(f"{path.name}: inconsistent corpus cache entry")
-    return CSRGraph(arrays[2:2 + n1], arrays[2 + n1:],
-                    directed=bool(directed), name=str(name[0]),
+    arrays = np.frombuffer(buf, dtype="<i8", count=n1 + m,
+                           offset=_HEADER.size)
+    return CSRGraph(arrays[:n1], arrays[n1:], directed=bool(directed),
+                    name=buf[end:].decode("utf-8"),
                     meta={"source": "diskcache"})
 
 
@@ -173,6 +187,7 @@ def cached_build(kind: str, name: str, params: Mapping, seed: int,
     except FileNotFoundError:
         pass
     except _BAD_ENTRY:
+        _STATS["discarded"] += 1
         try:
             path.unlink()
         except OSError:
@@ -199,13 +214,14 @@ def cached_build(kind: str, name: str, params: Mapping, seed: int,
 
 
 def clear_disk_cache() -> int:
-    """Delete every cached corpus file, version-1 ``.npz`` files
-    included; returns the number removed."""
+    """Delete every cached corpus file, stray temp files and version-1
+    and version-2 entries included; returns the number removed."""
     d = cache_dir()
     if d is None or not d.exists():
         return 0
     removed = 0
-    for f in [*d.glob("*" + _SUFFIX), *d.glob("*.npz")]:
+    for f in [f for suffix in (_SUFFIX, *_OLD_SUFFIXES)
+              for f in d.glob("*" + suffix)]:
         try:
             f.unlink()
             removed += 1

@@ -1,9 +1,11 @@
-"""Graph I/O: Matrix Market, edge lists, and a fast binary (npz) format.
+"""Graph I/O: Matrix Market, edge lists, and a compressed ``.npz`` format.
 
 The paper's artifact consumes SuiteSparse ``.mtx`` files; this module
 implements the subset of the Matrix Market exchange format those graphs
 use (``matrix coordinate pattern|real|integer general|symmetric``) plus a
-plain edge-list reader and an ``.npz`` round-trip for cached corpora.
+plain edge-list reader and a compressed ``.npz`` round-trip for saving a
+graph to a file.  The corpus disk cache does not use that pair: it
+writes its own raw CSR files (:mod:`repro.graphs.diskcache`).
 """
 
 from __future__ import annotations

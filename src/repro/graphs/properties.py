@@ -38,13 +38,16 @@ def bfs_levels(graph: CSRGraph, root: int) -> np.ndarray:
     being its row start plus a ramp (``repeat(start - offset, degree) +
     arange(total)``).  Deep graphs have near-singleton levels, where the
     per-level overhead dominates: a one-vertex frontier is gathered with
-    one slice, and ``np.unique`` runs only when more than one unvisited
-    candidate is left.
+    one slice.  A level's repeated candidates are dropped without a
+    sort: each candidate writes its position into ``stamp``, and only
+    the one occurrence per vertex whose position survived is kept.  The
+    frontier is then unsorted, which no level depends on.
     """
     n = graph.n_vertices
     graph._check_vertex(root)
     level = np.full(n, -1, dtype=np.int64)
     level[root] = 0
+    stamp = np.empty(n, dtype=np.int64)
     frontier = np.array([root], dtype=np.int64)
     depth = 0
     rp, ci = graph.row_ptr, graph.column_idx
@@ -63,7 +66,9 @@ def bfs_levels(graph: CSRGraph, root: int) -> np.ndarray:
                       + np.arange(total, dtype=np.int64)]
         new = cand[level[cand] < 0]
         if new.size > 1:
-            new = np.unique(new)
+            pos = np.arange(new.size, dtype=np.int64)
+            stamp[new] = pos
+            new = new[stamp[new] == pos]
         level[new] = depth
         frontier = new
     return level

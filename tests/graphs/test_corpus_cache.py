@@ -3,12 +3,12 @@
 The contract under test: a cache hit is bit-for-bit equivalent to a
 rebuild (same CSR arrays, same re-applied metadata, same roots), the
 cache can be disabled via the environment, and corrupt entries are
-discarded and rebuilt rather than crashing a sweep.  Entries are two
-plain ``.npy`` records, so a warm load needs neither zlib nor a zip
-container.
+discarded, counted and rebuilt rather than crashing a sweep.  An entry
+is one raw file read with one read, so a warm load needs neither zlib,
+a zip container nor ``np.load``.
 """
 
-import io
+import struct
 import zipfile
 import zlib
 
@@ -81,7 +81,7 @@ class TestCachedBuild:
         g = diskcache.cached_build("t", "c", {}, 5, build)
         path = diskcache.cache_path("t", "c", {}, 5)
         assert path.exists()
-        path.write_bytes(b"not an npz file")
+        path.write_bytes(b"not a corpus cache entry")
         again = diskcache.cached_build("t", "c", {}, 5, build)
         assert np.array_equal(g.column_idx, again.column_idx)
         # The rebuild replaced the corrupt entry with a readable one.
@@ -103,11 +103,15 @@ class TestCachedBuild:
         for seed in (1, 2):
             diskcache.cached_build("t", "x", {}, seed,
                                    lambda: gen.road_network(90, seed=1))
-        # A version-1 entry left behind by an older checkout.
+        # Version-1 and version-2 entries left behind by older
+        # checkouts, and a writer's stray temp file.
         (cache_in_tmp / "corpus-old-0123456789abcdef.npz").write_bytes(b"PK")
-        assert len(list(cache_in_tmp.iterdir())) == 3
-        assert diskcache.clear_disk_cache() == 3
-        assert not list(cache_in_tmp.iterdir())
+        (cache_in_tmp / "corpus-old-0123456789abcdef.npy").write_bytes(b"NP")
+        (cache_in_tmp / "tmpa1b2c3.tmp.csr").write_bytes(b"REPRO")
+        (cache_in_tmp / "notes.txt").write_text("not a cache file")
+        assert len(list(cache_in_tmp.iterdir())) == 6
+        assert diskcache.clear_disk_cache() == 5
+        assert [f.name for f in cache_in_tmp.iterdir()] == ["notes.txt"]
 
 
 class TestCorpusIntegration:
@@ -155,74 +159,89 @@ class TestFileFormat:
         assert not hit.row_ptr.flags.writeable
         assert not hit.column_idx.flags.writeable
 
-    def _records(self, path):
-        with open(path, "rb") as fh:
-            return (np.load(fh, allow_pickle=False),
-                    np.load(fh, allow_pickle=False))
-
-    def test_two_plain_records(self, cache_in_tmp):
+    def test_one_raw_file(self, cache_in_tmp):
         g = diskcache.cached_build("t", "r", {}, 3,
                                    lambda: gen.road_network(80, seed=3))
         path = diskcache.cache_path("t", "r", {}, 3)
-        assert path.suffix == ".npy"
-        arrays, name = self._records(path)
-        n1 = g.n_vertices + 1
-        assert arrays.tolist() == [n1, 0, *g.row_ptr.tolist(),
-                                   *g.column_idx.tolist()]
-        assert name.tolist() == [g.name]
+        assert path.suffix == ".csr"
+        data = path.read_bytes()
+        n1, m, name = g.n_vertices + 1, g.n_edges, g.name.encode("utf-8")
+        assert data[:8] == b"REPROCSR"
+        assert struct.unpack_from("<4q", data, 8) == (n1, m, 0, len(name))
+        body = np.frombuffer(data, dtype="<i8", count=n1 + m, offset=40)
+        assert body.tolist() == [*g.row_ptr.tolist(), *g.column_idx.tolist()]
+        assert data[40 + 8 * (n1 + m):] == name
+
+    @staticmethod
+    def _damage(data, case):
+        """``data``, a valid entry of a graph with a non-empty name,
+        damaged as ``case`` says."""
+        n1, m, directed, name_len = struct.unpack_from("<4q", data, 8)
+
+        def header(n1=n1, m=m, directed=directed):
+            return (data[:8] + struct.pack("<4q", n1, m, directed, name_len)
+                    + data[40:])
+
+        name_at = len(data) - name_len
+        return {
+            "truncated": data[:len(data) // 2],
+            "truncated-header": data[:20],
+            "no-name-record": data[:name_at],
+            "zip-magic": b"PK\x03\x04" + b"\0" * 60,
+            "wrong-magic": b"REPROCSX" + data[8:],
+            "one-byte-short": data[:-1],
+            "trailing-bytes": data + b"\0",
+            # One more row_ptr entry, one less arc: the length still
+            # fits, so only CSRGraph's row_ptr[-1] check can catch it.
+            "inconsistent-header": header(n1=n1 + 1, m=m - 1),
+            "directed-flag-2": header(directed=2),
+            "bad-utf8-name": data[:name_at] + b"\xff" * name_len,
+            # row_ptr[3] = -1: row_ptr must be nondecreasing.
+            "bad-row-ptr": data[:64] + struct.pack("<q", -1) + data[72:],
+        }[case]
 
     @pytest.mark.parametrize("damage", [
-        "truncated", "no-name-record", "zip-magic", "inconsistent-header",
-        "bad-row-ptr", "trailing-bytes"])
+        "truncated", "truncated-header", "no-name-record", "zip-magic",
+        "wrong-magic", "one-byte-short", "trailing-bytes",
+        "inconsistent-header", "directed-flag-2", "bad-utf8-name",
+        "bad-row-ptr"])
     def test_damaged_entry_discarded_and_rebuilt(self, cache_in_tmp, damage):
-        """More damage than ``test_corrupt_entry_rebuilt``'s garbage."""
+        """More damage than ``test_corrupt_entry_rebuilt``'s garbage;
+        each damaged entry is counted as one discard."""
         calls = []
 
         def build():
             calls.append(1)
             return gen.road_network(120, seed=5)
 
-        def npy(*records):
-            buf = io.BytesIO()
-            for r in records:
-                np.save(buf, r)
-            return buf.getvalue()
-
         g = diskcache.cached_build("t", "c", {}, 5, build)
         path = diskcache.cache_path("t", "c", {}, 5)
-        data = path.read_bytes()
-        arrays, name = self._records(path)
-        header, row_ptr = arrays.copy(), arrays.copy()
-        header[0] = arrays.size      # row_ptr overruns the array
-        row_ptr[3] = -1              # row_ptr must be nondecreasing
-        path.write_bytes({
-            "truncated": data[:len(data) // 2],
-            "no-name-record": npy(arrays),
-            "zip-magic": b"PK\x03\x04" + b"\0" * 60,
-            "inconsistent-header": npy(header, name),
-            "bad-row-ptr": npy(row_ptr, name),
-            "trailing-bytes": data + b"\0",
-        }[damage])
+        path.write_bytes(self._damage(path.read_bytes(), damage))
+        diskcache.reset_stats()
         again = diskcache.cached_build("t", "c", {}, 5, build)
         assert len(calls) == 2
+        assert diskcache.stats() == {"hits": 0, "misses": 1, "discarded": 1}
         assert np.array_equal(g.column_idx, again.column_idx)
         # The rebuild replaced the damaged entry with a readable one.
         third = diskcache.cached_build("t", "c", {}, 5, lambda: 1 / 0)
         assert np.array_equal(g.column_idx, third.column_idx)
+        assert diskcache.stats() == {"hits": 1, "misses": 1, "discarded": 1}
 
     def test_warm_load_needs_no_zlib_or_zip(self, cache_in_tmp, monkeypatch):
         cold = col.representative_graphs()
         col.clear_cache()
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a warm corpus load used zlib or zipfile")
+            raise AssertionError(
+                "a warm corpus load used zlib, zipfile or np.load")
 
         monkeypatch.setattr(zlib, "decompress", refuse)
         monkeypatch.setattr(zlib, "decompressobj", refuse)
         monkeypatch.setattr(zipfile, "ZipFile", refuse)
+        monkeypatch.setattr(np, "load", refuse)
         diskcache.reset_stats()
         warm = col.representative_graphs()
-        assert diskcache.stats() == {"hits": len(cold), "misses": 0}
+        assert diskcache.stats() == {"hits": 12, "misses": 0, "discarded": 0}
         for a, b in zip(cold, warm):
             assert _same_graph(a, b)
 

@@ -23,11 +23,25 @@ def _disconnected():
     return from_edges(10, edges + [(v, u) for u, v in edges])
 
 
+def _multigrid(side=6):
+    """A grid with every arc stored twice and a self-loop on each vertex,
+    so one level's candidates repeat within an adjacency list (parallel
+    arcs) and across the frontier (two parents per vertex)."""
+    edges = [(r * side + c, r * side + c + 1)
+             for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c)
+              for r in range(side - 1) for c in range(side)]
+    edges += [(v, v) for v in range(side * side)]
+    both = edges + [(v, u) for u, v in edges]
+    return from_edges(side * side, both + both)
+
+
 #: ``bfs_levels`` is the oracle the frontier-diff rung and
 #: ``reachable_mask`` check against, so it is pinned to networkx on
 #: every fuzz family plus the shapes that stress its gather: singleton
 #: frontiers (a path), frontier vertices with no out-arcs (directed rmat
-#: and citation graphs) and unreachable components.
+#: and citation graphs), unreachable components and repeated candidates
+#: within one level (a multigraph).
 BFS_ORACLE_GRAPHS = {
     "pa200": lambda: gen.preferential_attachment(200, m=3, seed=9),
     **{f: (lambda f=f: FuzzCase(seed=0, family=f, n_vertices=150,
@@ -38,6 +52,7 @@ BFS_ORACLE_GRAPHS = {
     "citation150-directed": lambda: gen.citation_graph(
         150, seed=4, symmetrize=False),
     "disconnected": _disconnected,
+    "multigrid6": _multigrid,
 }
 
 

@@ -44,7 +44,7 @@ class TestFromScipy:
         from repro.validate import serial_dfs
 
         n = 5
-        diags = sparse.diags([1, 1], [-1, 1], shape=(n, n))
+        diags = sparse.diags([1, 1], [-1, 1], shape=(n, n), dtype=np.float64)
         g = CSRGraph.from_scipy(diags.tocsr(), directed=False)
         r = serial_dfs(g, 0)
         assert r.n_visited == n
