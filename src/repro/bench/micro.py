@@ -50,7 +50,7 @@ from repro.core.config import DiggerBeesConfig
 from repro.core.diggerbees import run_diggerbees
 from repro.errors import BenchmarkError
 from repro.graphs import diskcache
-from repro.graphs import generators as gen
+from repro.graphs.collections import MICRO_SPECS
 from repro.utils.profiling import PhaseTimer, profile_to, steps_per_second
 
 __all__ = [
@@ -67,62 +67,33 @@ __all__ = [
 REGRESSION_FACTOR = 2.0
 
 
-def _corpus_case(kind: str, name: str, params: Dict, seed: int) -> Callable:
-    """Builder routed through the corpus disk cache (hit == rebuild)."""
-    def build():
-        return diskcache.cached_build(
-            kind, name, params, seed,
-            lambda: getattr(gen, kind)(**params, seed=seed),
-        )
-    return build
-
-
-#: (name, graph builder, engine config) — fixed forever; changing a case
-#: invalidates the recorded baseline.
-MICRO_CASES: Tuple[Tuple[str, Callable, DiggerBeesConfig], ...] = (
-    ("road1000",
-     _corpus_case("road_network", "road1000", {"n_vertices": 1000}, 1),
-     DiggerBeesConfig(n_blocks=4, warps_per_block=4, seed=1)),
-    ("road2500",
-     _corpus_case("road_network", "road2500", {"n_vertices": 2500}, 2),
-     DiggerBeesConfig(n_blocks=4, warps_per_block=4, seed=2)),
-    ("pa2000",
-     _corpus_case("preferential_attachment", "pa2000",
-                  {"n_vertices": 2000, "m": 6}, 3),
-     DiggerBeesConfig(n_blocks=8, warps_per_block=4, seed=3)),
-    ("mesh1500",
-     _corpus_case("delaunay_mesh", "mesh1500", {"n_vertices": 1500}, 4),
-     DiggerBeesConfig(n_blocks=4, warps_per_block=8, seed=4)),
+#: Each case's engine config, keyed by graph name.
+_CONFIGS: Dict[str, DiggerBeesConfig] = {
+    "road1000": DiggerBeesConfig(n_blocks=4, warps_per_block=4, seed=1),
+    "road2500": DiggerBeesConfig(n_blocks=4, warps_per_block=4, seed=2),
+    "pa2000": DiggerBeesConfig(n_blocks=8, warps_per_block=4, seed=3),
+    "mesh1500": DiggerBeesConfig(n_blocks=4, warps_per_block=8, seed=4),
     # Steal-heavy regime: tight stack geometry so bailout events
     # (refills, intra/inter steals, leader work) dominate the schedule
-    # instead of the expand fast path.  skew3000 is a deep skewed tree
-    # (one warp owns the spine, the rest hammer the steal protocol);
-    # hub2500 is a hub-rooted power-law graph (a burst of work at the
-    # root that must spread by stealing).
-    ("skew3000",
-     _corpus_case("skewed_tree", "skew3000", {"n_vertices": 3000}, 5),
-     DiggerBeesConfig(n_blocks=4, warps_per_block=4, hot_size=16,
-                      hot_cutoff=4, cold_cutoff=8, flush_batch=4,
-                      refill_batch=4, cold_reserve=64, seed=5)),
-    ("hub2500",
-     _corpus_case("preferential_attachment", "hub2500",
-                  {"n_vertices": 2500, "m": 4}, 6),
-     DiggerBeesConfig(n_blocks=8, warps_per_block=4, hot_size=16,
-                      hot_cutoff=4, cold_cutoff=8, flush_batch=4,
-                      refill_batch=4, cold_reserve=64, seed=6)),
-    # Shallow-wide regime: the frontier engine's winning shape (few BFS
-    # levels, huge frontiers).  starmesh2400 is a hub mesh with pendant
-    # leaves; layers2000 is a root feeding five 400-wide layers.
-    # bench_crossover.py times both families on them.
-    ("starmesh2400",
-     _corpus_case("star_mesh", "starmesh2400",
-                  {"n_hubs": 120, "leaves_per_hub": 19}, 7),
-     DiggerBeesConfig(n_blocks=8, warps_per_block=4, seed=7)),
-    ("layers2000",
-     _corpus_case("wide_layers", "layers2000",
-                  {"width": 400, "depth": 5}, 8),
-     DiggerBeesConfig(n_blocks=8, warps_per_block=4, seed=8)),
-)
+    # instead of the expand fast path.
+    "skew3000": DiggerBeesConfig(n_blocks=4, warps_per_block=4, hot_size=16,
+                                 hot_cutoff=4, cold_cutoff=8, flush_batch=4,
+                                 refill_batch=4, cold_reserve=64, seed=5),
+    "hub2500": DiggerBeesConfig(n_blocks=8, warps_per_block=4, hot_size=16,
+                                hot_cutoff=4, cold_cutoff=8, flush_batch=4,
+                                refill_batch=4, cold_reserve=64, seed=6),
+    # Shallow-wide regime; bench_crossover.py times both families on
+    # these two.
+    "starmesh2400": DiggerBeesConfig(n_blocks=8, warps_per_block=4, seed=7),
+    "layers2000": DiggerBeesConfig(n_blocks=8, warps_per_block=4, seed=8),
+}
+
+#: (name, graph builder, engine config) — fixed forever; changing a case
+#: invalidates the recorded baseline.  The graphs are
+#: :data:`repro.graphs.collections.MICRO_SPECS`, in that order, each
+#: builder routed through the corpus disk cache (hit == rebuild).
+MICRO_CASES: Tuple[Tuple[str, Callable, DiggerBeesConfig], ...] = tuple(
+    (spec.name, spec.build, _CONFIGS[spec.name]) for spec in MICRO_SPECS)
 
 
 def _case_events(counters) -> Dict:

@@ -9,6 +9,9 @@ plus 12 "representative" graphs (Table 4).  This module provides:
 * :func:`build_corpus` — a multi-group sweep corpus for the Figure 5/7
   scatter experiments, spanning two orders of magnitude in edge count.
 * :func:`load` / :func:`available` — name-based access with caching.
+* :data:`MICRO_SPECS` — the eight graphs of the engine micro-sweep
+  (:mod:`repro.bench.micro`), which the serve daemon's ``micro`` corpus
+  loads too.
 
 Sizes are scaled so a pure-Python event-driven simulator can traverse each
 graph in seconds; the ``scale`` knob grows everything proportionally.
@@ -17,7 +20,7 @@ graph in seconds; the ``scale`` knob grows everything proportionally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import GraphConstructionError
 from repro.graphs import diskcache
@@ -31,6 +34,8 @@ __all__ = [
     "REPRESENTATIVE_NAMES",
     "BREAKDOWN_NAMES",
     "GROUPS",
+    "MicroSpec",
+    "MICRO_SPECS",
     "available",
     "load",
     "load_many",
@@ -205,3 +210,49 @@ def build_corpus(
             corpus.append(g.with_name(f"{fam}_{size}", group=group, family=fam))
     corpus.sort(key=lambda g: g.n_edges)
     return corpus
+
+
+# ---------------------------------------------------------------------------
+# The engine micro-sweep's graphs (``repro.bench.micro``), which the serve
+# daemon's ``micro`` corpus loads without importing the benchmark harness.
+# ---------------------------------------------------------------------------
+
+class MicroSpec(NamedTuple):
+    """Recipe for one micro graph: ``generators.<kind>(**params, seed=seed)``."""
+
+    name: str
+    kind: str
+    params: Dict
+    seed: int
+
+    def build(self) -> CSRGraph:
+        """The generator's graph through the disk cache (a hit equals a
+        rebuild), under the generator's own name."""
+        return diskcache.cached_build(
+            self.kind, self.name, self.params, self.seed,
+            lambda: getattr(gen, self.kind)(**self.params, seed=self.seed),
+        )
+
+
+#: Fixed forever: ``benchmarks/baseline_micro.json`` pins the DiggerBees
+#: schedule of each, in this order.  Two road networks, a
+#: preferential-attachment graph and a Delaunay mesh; two steal-heavy
+#: graphs (skew3000, a deep skewed tree where one warp owns the spine and
+#: the rest hammer the steal protocol; hub2500, a hub-rooted power-law
+#: graph whose burst of work at the root must spread by stealing); and two
+#: shallow-wide ones, the frontier engine's winning shape (starmesh2400, a
+#: hub mesh with pendant leaves; layers2000, a root feeding five 400-wide
+#: layers).
+MICRO_SPECS: Tuple[MicroSpec, ...] = (
+    MicroSpec("road1000", "road_network", {"n_vertices": 1000}, 1),
+    MicroSpec("road2500", "road_network", {"n_vertices": 2500}, 2),
+    MicroSpec("pa2000", "preferential_attachment",
+              {"n_vertices": 2000, "m": 6}, 3),
+    MicroSpec("mesh1500", "delaunay_mesh", {"n_vertices": 1500}, 4),
+    MicroSpec("skew3000", "skewed_tree", {"n_vertices": 3000}, 5),
+    MicroSpec("hub2500", "preferential_attachment",
+              {"n_vertices": 2500, "m": 4}, 6),
+    MicroSpec("starmesh2400", "star_mesh",
+              {"n_hubs": 120, "leaves_per_hub": 19}, 7),
+    MicroSpec("layers2000", "wide_layers", {"width": 400, "depth": 5}, 8),
+)

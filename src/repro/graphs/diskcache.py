@@ -15,37 +15,54 @@ Contract
 * Format (version 3): one raw ``.csr`` file holding the 8-byte magic
   :data:`_MAGIC`; four little-endian int64 fields ``n_vertices + 1``,
   arc count, directed flag (0 or 1) and the name's length in bytes;
-  ``row_ptr`` and ``column_idx`` as ``<i8``; then the UTF-8 name.  A
-  hit is one read of the whole file: the header is checked against the
-  file's exact length, and the graph's arrays are read-only
-  ``np.frombuffer`` views of that one buffer, so no array is copied and
-  no container header is parsed.  A warm load of the 12 representative
-  graphs takes about half the time of version 2's two ``np.load``
-  records (medians of 60 loads, 1.67-2.38 ms against 3.18-3.47 ms, four
-  alternating process pairs on a 2-vCPU host); version 1's compressed
-  ``.npz`` files took 28-37 ms.
+  ``row_ptr`` and ``column_idx`` as ``<i8``; then the UTF-8 name.
+* A hit maps the entry read-only (``mmap.ACCESS_READ``), checks the
+  header against the mapping's exact length, and builds the graph over
+  plain read-only ``np.frombuffer`` views of the mapping: no byte of the
+  file is copied and no container header is parsed, and a forked worker
+  shares the mapped pages instead of counting a copy of them as its own
+  memory.  A warm load of the 12 representative graphs took
+  1.82-2.45 ms mapped against 4.13-5.67 ms read whole into memory
+  (medians of 40 loads, four alternating process pairs on a 2-vCPU
+  host), and each forked sweep worker's peak resident memory fell from
+  39.1-39.4 to 35.3-35.6 MB; version 1's compressed ``.npz`` files took
+  28-37 ms.  End to end, the benchmark sweep's ``setup_s`` (one such
+  load) fell from 0.00441 to 0.00216 s (medians of 10 alternating 30-s
+  pairs, all 10 won; docs/PERFORMANCE.md has every pair).
+* Entries are only ever replaced (``os.replace`` of a finished temp
+  file) or unlinked, never rewritten in place, so a live mapping keeps
+  the values it was loaded with; truncating a mapped file in place would
+  fault its readers.  Before CPython 3.13 each live mapping holds one
+  duplicated file descriptor until its graph is dropped; from 3.13 on
+  it holds none.
 * Writes are atomic (temp file + ``os.replace``), so concurrent sweep
   workers never observe a torn file.
-* Short, unreadable or inconsistent entries are discarded, counted in
-  :func:`stats` as ``discarded`` and rebuilt; a hit builds a validated
-  :class:`~repro.graphs.csr.CSRGraph`.
+* Empty, short, unreadable or inconsistent entries are discarded,
+  counted in :func:`stats` as ``discarded`` and rebuilt; a hit builds a
+  validated :class:`~repro.graphs.csr.CSRGraph`.
 * Location: ``$REPRO_CORPUS_CACHE`` if set, else
   ``~/.cache/repro-diggerbees/corpus``.  Setting the variable to ``0``,
   ``off``, ``none``, ``disabled`` or the empty string disables caching;
   :func:`resolve_cache_dir` reads the serve result cache's settings the
   same way.
 * Invalidation: bump :data:`CACHE_VERSION` when generator semantics
-  or the file format change, or delete the directory
-  (``clear_disk_cache``, which also removes version-1 ``.npz`` and
-  version-2 ``.npy`` files).
+  or the file format change, or clear the cache (``clear_disk_cache``).
+  The first :func:`cached_build` call per process and cache directory
+  deletes what earlier versions left there: ``<stem>-<16 hex
+  digits>.npz`` or ``.npy`` entries and their writers' ``tmp*.tmp.npz``
+  or ``.npy`` files, and no other file; ``clear_disk_cache`` deletes
+  those too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
+import re
 import struct
+import sys
 import tempfile
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, Optional
@@ -71,7 +88,7 @@ __all__ = [
 #: the micro-sweep prints these so a cold corpus cache — generation
 #: cost showing up in the phase timings — is visible).  ``misses``
 #: counts builder calls; ``discarded`` counts the misses whose entry
-#: existed but was short, unreadable or inconsistent.
+#: existed but was empty, short, unreadable or inconsistent.
 _STATS = {"hits": 0, "misses": 0, "discarded": 0}
 
 
@@ -96,9 +113,19 @@ _DISABLED = ("", "0", "off", "none", "disabled")
 
 _SUFFIX = ".csr"
 
-#: The suffixes of earlier versions' entries, which ``clear_disk_cache``
-#: also removes (1: ``.npz``, 2: ``.npy``).
-_OLD_SUFFIXES = (".npz", ".npy")
+#: The names earlier versions gave their entries (1: ``.npz``, 2:
+#: ``.npy``) and their writers' temp files.  Pruning and
+#: :func:`clear_disk_cache` remove those and no other ``.npz`` or
+#: ``.npy`` file, since the cache directory may be one the user also
+#: keeps other files in.
+_OLD_ENTRY = re.compile(r"(?:[A-Za-z0-9_-]+-[0-9a-f]{16}|tmp.*\.tmp)\.np[yz]")
+
+#: The cache directories pruned so far in this process.
+_PRUNED: set = set()
+
+#: ``mmap.mmap`` duplicates the file's descriptor and holds the copy for
+#: the mapping's life unless told not to, which CPython 3.13 first allows.
+_MAP_KW = {"trackfd": False} if sys.version_info >= (3, 13) else {}
 
 _MAGIC = b"REPROCSR"
 
@@ -106,8 +133,9 @@ _MAGIC = b"REPROCSR"
 #: length in bytes.
 _HEADER = struct.Struct("<8s4q")
 
-#: What reading a short, unreadable or inconsistent entry raises (a
-#: name that is not UTF-8 raises ``UnicodeDecodeError``, a ValueError).
+#: What reading an empty, short, unreadable or inconsistent entry raises
+#: (mapping an empty file raises ValueError, and so does a name that is
+#: not UTF-8, as ``UnicodeDecodeError``).
 _BAD_ENTRY = (OSError, ValueError, GraphFormatError)
 
 
@@ -154,9 +182,14 @@ def _write(graph: CSRGraph, fh: BinaryIO) -> None:
 
 
 def _read(path: Path) -> CSRGraph:
-    """The graph stored at ``path``; raises one of ``_BAD_ENTRY`` when
-    the file is short, unreadable or inconsistent."""
-    buf = path.read_bytes()
+    """The graph stored at ``path``, over a read-only mapping of it;
+    raises one of ``_BAD_ENTRY`` when the file is empty, short,
+    unreadable or inconsistent."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        buf = mmap.mmap(fd, 0, access=mmap.ACCESS_READ, **_MAP_KW)
+    finally:
+        os.close(fd)
     if len(buf) < _HEADER.size:
         raise ValueError(f"{path.name}: not a corpus cache entry")
     magic, n1, m, directed, name_len = _HEADER.unpack_from(buf)
@@ -171,6 +204,25 @@ def _read(path: Path) -> CSRGraph:
                     meta={"source": "diskcache"})
 
 
+def _prune_once(d: Path) -> None:
+    """On the first call per process for ``d``, delete the entries and
+    stray temp files earlier versions left there; best-effort, like
+    every cache write."""
+    if d in _PRUNED:
+        return
+    _PRUNED.add(d)
+    try:
+        names = os.listdir(d)
+    except OSError:
+        return
+    for name in names:
+        if _OLD_ENTRY.fullmatch(name):
+            try:
+                os.unlink(d / name)
+            except OSError:
+                pass
+
+
 def cached_build(kind: str, name: str, params: Mapping, seed: int,
                  builder: Callable[[], CSRGraph]) -> CSRGraph:
     """Return the cached graph for this key, building (and caching) on miss.
@@ -182,6 +234,7 @@ def cached_build(kind: str, name: str, params: Mapping, seed: int,
     if path is None:
         _STATS["misses"] += 1
         return builder()
+    _prune_once(path.parent)
     try:
         graph = _read(path)
     except FileNotFoundError:
@@ -214,17 +267,17 @@ def cached_build(kind: str, name: str, params: Mapping, seed: int,
 
 
 def clear_disk_cache() -> int:
-    """Delete every cached corpus file, stray temp files and version-1
-    and version-2 entries included; returns the number removed."""
+    """Delete every cached corpus file, stray temp files and earlier
+    versions' entries included; returns the number removed."""
     d = cache_dir()
     if d is None or not d.exists():
         return 0
     removed = 0
-    for f in [f for suffix in (_SUFFIX, *_OLD_SUFFIXES)
-              for f in d.glob("*" + suffix)]:
-        try:
-            f.unlink()
-            removed += 1
-        except OSError:
-            pass
+    for f in d.iterdir():
+        if f.suffix == _SUFFIX or _OLD_ENTRY.fullmatch(f.name):
+            try:
+                f.unlink()
+                removed += 1
+            except OSError:
+                pass
     return removed

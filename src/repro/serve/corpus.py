@@ -168,14 +168,14 @@ CORPUS_SPECS = ("micro", "representative", "demo")
 
 def _micro_graphs() -> List[CSRGraph]:
     """The micro-bench sweep graphs (routed through the disk cache)."""
-    from repro.bench.micro import MICRO_CASES
+    from repro.graphs.collections import MICRO_SPECS
 
     out = []
-    for name, build, _cfg in MICRO_CASES:
-        g = build()
-        if g.name != name:
-            g = g.with_name(name)
-        out.append((name, g))
+    for spec in MICRO_SPECS:
+        g = spec.build()
+        if g.name != spec.name:
+            g = g.with_name(spec.name)
+        out.append((spec.name, g))
     return out
 
 

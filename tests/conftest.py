@@ -11,6 +11,13 @@ anything with ``CI`` set — default to ``ci``, everything else to ``dev``):
 Individual tests still set ``max_examples`` locally — example *count* is
 a per-property cost decision; determinism and deadlines are fleet-wide
 policy and live here.
+
+The suite runs on its own corpus disk cache: before the first test,
+``REPRO_CORPUS_CACHE`` points at a fresh directory under pytest's base
+temp dir, so no run reads or writes the per-user default cache and its
+hits never depend on what another checkout left there.  Subprocess
+daemons inherit the setting; a test's own ``monkeypatch.setenv`` still
+overrides it for that test.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro.graphs import generators as gen
+from repro.graphs import diskcache, generators as gen
 from repro.graphs.csr import CSRGraph, from_adjacency, from_edges
 
 settings.register_profile("dev", deadline=1000, print_blob=True)
@@ -29,6 +36,15 @@ settings.register_profile("ci", derandomize=True, deadline=None,
                           print_blob=True)
 settings.load_profile(os.environ.get(
     "HYPOTHESIS_PROFILE", "ci" if os.environ.get("CI") else "dev"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def corpus_cache(tmp_path_factory):
+    """The session's own corpus disk cache directory."""
+    with pytest.MonkeyPatch.context() as mp:
+        path = tmp_path_factory.mktemp("corpus-cache")
+        mp.setenv(diskcache.ENV_VAR, str(path))
+        yield path
 
 
 @pytest.fixture

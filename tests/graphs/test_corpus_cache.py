@@ -4,13 +4,20 @@ The contract under test: a cache hit is bit-for-bit equivalent to a
 rebuild (same CSR arrays, same re-applied metadata, same roots), the
 cache can be disabled via the environment, and corrupt entries are
 discarded, counted and rebuilt rather than crashing a sweep.  An entry
-is one raw file read with one read, so a warm load needs neither zlib,
-a zip container nor ``np.load``.
+is one raw file that a hit maps read-only, so a warm load reads no copy
+of it and needs neither zlib, a zip container nor ``np.load``; a live
+mapping outlives its entry's replacement or removal, and each one's
+descriptor goes with its graph.
 """
 
+import functools
+import os
 import struct
+import sys
+import tempfile
 import zipfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,9 +116,24 @@ class TestCachedBuild:
         (cache_in_tmp / "corpus-old-0123456789abcdef.npy").write_bytes(b"NP")
         (cache_in_tmp / "tmpa1b2c3.tmp.csr").write_bytes(b"REPRO")
         (cache_in_tmp / "notes.txt").write_text("not a cache file")
-        assert len(list(cache_in_tmp.iterdir())) == 6
+        (cache_in_tmp / "data.npy").write_bytes(b"NP")
+        assert len(list(cache_in_tmp.iterdir())) == 7
         assert diskcache.clear_disk_cache() == 5
-        assert [f.name for f in cache_in_tmp.iterdir()] == ["notes.txt"]
+        assert sorted(f.name for f in cache_in_tmp.iterdir()) == [
+            "data.npy", "notes.txt"]
+
+    def test_first_load_prunes_earlier_versions(self, cache_in_tmp):
+        old = ["corpus-euro_osm-0123456789abcdef.npz",   # version 1
+               "sweep-road_400-fedcba9876543210.npy",    # version 2
+               "tmpq1w2e3r4.tmp.npy"]                    # its writer's temp
+        for name in old + ["data.npy"]:
+            (cache_in_tmp / name).write_bytes(b"old")
+        diskcache.cached_build("t", "p", {}, 4,
+                               lambda: gen.road_network(60, seed=4))
+        new = diskcache.cache_path("t", "p", {}, 4).name
+        assert sorted(f.name for f in cache_in_tmp.iterdir()) == sorted(
+            ["data.npy", new])
+        assert set(diskcache.stats()) == {"hits", "misses", "discarded"}
 
 
 class TestCorpusIntegration:
@@ -141,6 +163,11 @@ ROUND_TRIP = {
     "edgeless": lambda: from_edges(4, [], name=""),
     "non-ascii": lambda: from_edges(3, [(0, 1), (1, 2)],
                                     name="gräph-图-\u00e9\U0001f41d"),
+    # The serve daemon's micro corpus, each graph as its generator
+    # builds it.
+    **{s.name: functools.partial(getattr(gen, s.kind), **s.params,
+                                 seed=s.seed)
+       for s in col.MICRO_SPECS},
 }
 
 
@@ -184,6 +211,7 @@ class TestFileFormat:
 
         name_at = len(data) - name_len
         return {
+            "empty": b"",
             "truncated": data[:len(data) // 2],
             "truncated-header": data[:20],
             "no-name-record": data[:name_at],
@@ -201,7 +229,7 @@ class TestFileFormat:
         }[case]
 
     @pytest.mark.parametrize("damage", [
-        "truncated", "truncated-header", "no-name-record", "zip-magic",
+        "empty", "truncated", "truncated-header", "no-name-record", "zip-magic",
         "wrong-magic", "one-byte-short", "trailing-bytes",
         "inconsistent-header", "directed-flag-2", "bad-utf8-name",
         "bad-row-ptr"])
@@ -232,13 +260,15 @@ class TestFileFormat:
         col.clear_cache()
 
         def refuse(*args, **kwargs):
-            raise AssertionError(
-                "a warm corpus load used zlib, zipfile or np.load")
+            raise AssertionError("a warm corpus load used zlib, zipfile, "
+                                 "np.load or Path.read_bytes")
 
         monkeypatch.setattr(zlib, "decompress", refuse)
         monkeypatch.setattr(zlib, "decompressobj", refuse)
         monkeypatch.setattr(zipfile, "ZipFile", refuse)
         monkeypatch.setattr(np, "load", refuse)
+        # A hit maps its entry: no copy of the file is read.
+        monkeypatch.setattr(Path, "read_bytes", refuse)
         diskcache.reset_stats()
         warm = col.representative_graphs()
         assert diskcache.stats() == {"hits": 12, "misses": 0, "discarded": 0}
@@ -255,3 +285,46 @@ class TestFileFormat:
                             lambda self: validated.append(self) or real(self))
         warm = col.representative_graphs()
         assert len(validated) == len(warm) == 12
+
+
+class TestMappedEntries:
+    def test_mapped_graph_outlives_its_entry(self, cache_in_tmp):
+        """Entries are replaced (``os.replace``) or unlinked, never
+        rewritten in place, so a live mapping keeps its values."""
+        diskcache.cached_build("t", "m", {}, 13,
+                               lambda: gen.road_network(150, seed=13))
+        hit = diskcache.cached_build("t", "m", {}, 13, lambda: 1 / 0)
+        assert not hit.row_ptr.flags.writeable
+        want = (hit.row_ptr.tobytes(), hit.column_idx.tobytes())
+        other = gen.road_network(90, seed=1)
+        path = diskcache.cache_path("t", "m", {}, 13)
+        fd, tmp = tempfile.mkstemp(dir=cache_in_tmp)
+        with os.fdopen(fd, "wb") as fh:
+            diskcache._write(other, fh)
+        os.replace(tmp, path)
+        rebuilt = diskcache.cached_build("t", "m", {}, 13, lambda: 1 / 0)
+        assert _same_graph(rebuilt, other)
+        assert (hit.row_ptr.tobytes(), hit.column_idx.tobytes()) == want
+        assert diskcache.clear_disk_cache() == 1
+        assert not path.exists()
+        assert (hit.row_ptr.tobytes(), hit.column_idx.tobytes()) == want
+        assert (rebuilt.row_ptr.tobytes(), rebuilt.column_idx.tobytes()) == (
+            other.row_ptr.tobytes(), other.column_idx.tobytes())
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_dropped_graphs_release_their_descriptors(self, cache_in_tmp):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        col.representative_graphs()
+        col.clear_cache()
+        before = open_fds()
+        graphs = col.representative_graphs()
+        col.clear_cache()
+        # Before CPython 3.13 each live mapping holds a duplicate of its
+        # file's descriptor.
+        held = 0 if sys.version_info >= (3, 13) else len(graphs)
+        assert open_fds() == before + held
+        del graphs
+        assert open_fds() == before

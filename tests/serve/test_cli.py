@@ -66,3 +66,20 @@ def test_a_failed_connect_closes_its_socket(monkeypatch, tmp_path):
     with pytest.raises(ServeError, match="cannot connect"):
         SyncServeClient(str(tmp_path / "missing.sock"), timeout=1.0)
     assert len(made) == 1 and made[0].fileno() == -1
+
+
+def test_micro_corpus_loads_without_the_benchmark_harness():
+    # The daemon's micro corpus reads its recipes from
+    # repro.graphs.collections, so start-up imports no benchmark module.
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, repro.serve.cli\n"
+            "from repro.serve.corpus import load_corpus\n"
+            "assert len(load_corpus('micro', share=False)) == 8\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('repro.bench', 'repro.baselines'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
