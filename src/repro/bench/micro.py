@@ -67,33 +67,12 @@ __all__ = [
 REGRESSION_FACTOR = 2.0
 
 
-#: Each case's engine config, keyed by graph name.
-_CONFIGS: Dict[str, DiggerBeesConfig] = {
-    "road1000": DiggerBeesConfig(n_blocks=4, warps_per_block=4, seed=1),
-    "road2500": DiggerBeesConfig(n_blocks=4, warps_per_block=4, seed=2),
-    "pa2000": DiggerBeesConfig(n_blocks=8, warps_per_block=4, seed=3),
-    "mesh1500": DiggerBeesConfig(n_blocks=4, warps_per_block=8, seed=4),
-    # Steal-heavy regime: tight stack geometry so bailout events
-    # (refills, intra/inter steals, leader work) dominate the schedule
-    # instead of the expand fast path.
-    "skew3000": DiggerBeesConfig(n_blocks=4, warps_per_block=4, hot_size=16,
-                                 hot_cutoff=4, cold_cutoff=8, flush_batch=4,
-                                 refill_batch=4, cold_reserve=64, seed=5),
-    "hub2500": DiggerBeesConfig(n_blocks=8, warps_per_block=4, hot_size=16,
-                                hot_cutoff=4, cold_cutoff=8, flush_batch=4,
-                                refill_batch=4, cold_reserve=64, seed=6),
-    # Shallow-wide regime; bench_crossover.py times both families on
-    # these two.
-    "starmesh2400": DiggerBeesConfig(n_blocks=8, warps_per_block=4, seed=7),
-    "layers2000": DiggerBeesConfig(n_blocks=8, warps_per_block=4, seed=8),
-}
-
 #: (name, graph builder, engine config) — fixed forever; changing a case
-#: invalidates the recorded baseline.  The graphs are
+#: invalidates the recorded baseline.  The cases are
 #: :data:`repro.graphs.collections.MICRO_SPECS`, in that order, each
 #: builder routed through the corpus disk cache (hit == rebuild).
 MICRO_CASES: Tuple[Tuple[str, Callable, DiggerBeesConfig], ...] = tuple(
-    (spec.name, spec.build, _CONFIGS[spec.name]) for spec in MICRO_SPECS)
+    (s.name, s.build, DiggerBeesConfig(**s.config)) for s in MICRO_SPECS)
 
 
 def _case_events(counters) -> Dict:

@@ -9,9 +9,9 @@ plus 12 "representative" graphs (Table 4).  This module provides:
 * :func:`build_corpus` — a multi-group sweep corpus for the Figure 5/7
   scatter experiments, spanning two orders of magnitude in edge count.
 * :func:`load` / :func:`available` — name-based access with caching.
-* :data:`MICRO_SPECS` — the eight graphs of the engine micro-sweep
-  (:mod:`repro.bench.micro`), which the serve daemon's ``micro`` corpus
-  loads too.
+* :data:`MICRO_SPECS` — the eight cases (graph recipe and engine
+  config) of the engine micro-sweep (:mod:`repro.bench.micro`), whose
+  graphs the serve daemon's ``micro`` corpus loads too.
 
 Sizes are scaled so a pure-Python event-driven simulator can traverse each
 graph in seconds; the ``scale`` knob grows everything proportionally.
@@ -213,17 +213,20 @@ def build_corpus(
 
 
 # ---------------------------------------------------------------------------
-# The engine micro-sweep's graphs (``repro.bench.micro``), which the serve
-# daemon's ``micro`` corpus loads without importing the benchmark harness.
+# The engine micro-sweep's cases (``repro.bench.micro``), whose graphs the
+# serve daemon's ``micro`` corpus loads without importing the benchmark
+# harness.
 # ---------------------------------------------------------------------------
 
 class MicroSpec(NamedTuple):
-    """Recipe for one micro graph: ``generators.<kind>(**params, seed=seed)``."""
+    """One micro case: the graph ``generators.<kind>(**params, seed=seed)``
+    and the engine config ``DiggerBeesConfig(**config)`` it runs under."""
 
     name: str
     kind: str
     params: Dict
     seed: int
+    config: Dict
 
     def build(self) -> CSRGraph:
         """The generator's graph through the disk cache (a hit equals a
@@ -234,6 +237,12 @@ class MicroSpec(NamedTuple):
         )
 
 
+#: Config fields of the steal-heavy cases: tight stack geometry so
+#: bailout events (refills, intra/inter steals, leader work) dominate the
+#: schedule instead of the expand fast path.
+_STEAL_HEAVY = dict(hot_size=16, hot_cutoff=4, cold_cutoff=8, flush_batch=4,
+                    refill_batch=4, cold_reserve=64)
+
 #: Fixed forever: ``benchmarks/baseline_micro.json`` pins the DiggerBees
 #: schedule of each, in this order.  Two road networks, a
 #: preferential-attachment graph and a Delaunay mesh; two steal-heavy
@@ -242,17 +251,25 @@ class MicroSpec(NamedTuple):
 #: graph whose burst of work at the root must spread by stealing); and two
 #: shallow-wide ones, the frontier engine's winning shape (starmesh2400, a
 #: hub mesh with pendant leaves; layers2000, a root feeding five 400-wide
-#: layers).
+#: layers), on which bench_crossover.py times both engine families.
 MICRO_SPECS: Tuple[MicroSpec, ...] = (
-    MicroSpec("road1000", "road_network", {"n_vertices": 1000}, 1),
-    MicroSpec("road2500", "road_network", {"n_vertices": 2500}, 2),
+    MicroSpec("road1000", "road_network", {"n_vertices": 1000}, 1,
+              dict(n_blocks=4, warps_per_block=4, seed=1)),
+    MicroSpec("road2500", "road_network", {"n_vertices": 2500}, 2,
+              dict(n_blocks=4, warps_per_block=4, seed=2)),
     MicroSpec("pa2000", "preferential_attachment",
-              {"n_vertices": 2000, "m": 6}, 3),
-    MicroSpec("mesh1500", "delaunay_mesh", {"n_vertices": 1500}, 4),
-    MicroSpec("skew3000", "skewed_tree", {"n_vertices": 3000}, 5),
+              {"n_vertices": 2000, "m": 6}, 3,
+              dict(n_blocks=8, warps_per_block=4, seed=3)),
+    MicroSpec("mesh1500", "delaunay_mesh", {"n_vertices": 1500}, 4,
+              dict(n_blocks=4, warps_per_block=8, seed=4)),
+    MicroSpec("skew3000", "skewed_tree", {"n_vertices": 3000}, 5,
+              dict(n_blocks=4, warps_per_block=4, **_STEAL_HEAVY, seed=5)),
     MicroSpec("hub2500", "preferential_attachment",
-              {"n_vertices": 2500, "m": 4}, 6),
+              {"n_vertices": 2500, "m": 4}, 6,
+              dict(n_blocks=8, warps_per_block=4, **_STEAL_HEAVY, seed=6)),
     MicroSpec("starmesh2400", "star_mesh",
-              {"n_hubs": 120, "leaves_per_hub": 19}, 7),
-    MicroSpec("layers2000", "wide_layers", {"width": 400, "depth": 5}, 8),
+              {"n_hubs": 120, "leaves_per_hub": 19}, 7,
+              dict(n_blocks=8, warps_per_block=4, seed=7)),
+    MicroSpec("layers2000", "wide_layers", {"width": 400, "depth": 5}, 8,
+              dict(n_blocks=8, warps_per_block=4, seed=8)),
 )

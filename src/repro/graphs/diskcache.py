@@ -32,9 +32,8 @@ Contract
 * Entries are only ever replaced (``os.replace`` of a finished temp
   file) or unlinked, never rewritten in place, so a live mapping keeps
   the values it was loaded with; truncating a mapped file in place would
-  fault its readers.  Before CPython 3.13 each live mapping holds one
-  duplicated file descriptor until its graph is dropped; from 3.13 on
-  it holds none.
+  fault its readers.  Each live mapping holds one duplicated file
+  descriptor until its graph is dropped.
 * Writes are atomic (temp file + ``os.replace``), so concurrent sweep
   workers never observe a torn file.
 * Empty, short, unreadable or inconsistent entries are discarded,
@@ -62,7 +61,6 @@ import mmap
 import os
 import re
 import struct
-import sys
 import tempfile
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, Optional
@@ -122,10 +120,6 @@ _OLD_ENTRY = re.compile(r"(?:[A-Za-z0-9_-]+-[0-9a-f]{16}|tmp.*\.tmp)\.np[yz]")
 
 #: The cache directories pruned so far in this process.
 _PRUNED: set = set()
-
-#: ``mmap.mmap`` duplicates the file's descriptor and holds the copy for
-#: the mapping's life unless told not to, which CPython 3.13 first allows.
-_MAP_KW = {"trackfd": False} if sys.version_info >= (3, 13) else {}
 
 _MAGIC = b"REPROCSR"
 
@@ -187,7 +181,7 @@ def _read(path: Path) -> CSRGraph:
     unreadable or inconsistent."""
     fd = os.open(path, os.O_RDONLY)
     try:
-        buf = mmap.mmap(fd, 0, access=mmap.ACCESS_READ, **_MAP_KW)
+        buf = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
     finally:
         os.close(fd)
     if len(buf) < _HEADER.size:

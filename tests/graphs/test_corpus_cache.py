@@ -13,7 +13,6 @@ descriptor goes with its graph.
 import functools
 import os
 import struct
-import sys
 import tempfile
 import zipfile
 import zlib
@@ -322,9 +321,7 @@ class TestMappedEntries:
         before = open_fds()
         graphs = col.representative_graphs()
         col.clear_cache()
-        # Before CPython 3.13 each live mapping holds a duplicate of its
-        # file's descriptor.
-        held = 0 if sys.version_info >= (3, 13) else len(graphs)
-        assert open_fds() == before + held
+        # Each live mapping holds a duplicate of its file's descriptor.
+        assert open_fds() == before + len(graphs)
         del graphs
         assert open_fds() == before
