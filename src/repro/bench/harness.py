@@ -375,8 +375,9 @@ def _fan_out(tasks: List[tuple], jobs: int, batch: int = 1,
     spec; workers attach and cache per export, so a later fan-out over
     the same graphs attaches nothing.  The exports are unlinked when
     their graphs are collected, by :func:`_shutdown_pool` and at exit.
-    Where shared memory is unavailable the graphs are pickled into the
-    units instead — results are identical either way.
+    Where shared memory is unavailable (the export raises ``OSError``
+    or ``ImportError``) the graphs are pickled into the units instead —
+    results are identical either way; any other export error raises.
     """
     width = max(1, batch)
     groups: Dict[tuple, List[int]] = {}
@@ -402,9 +403,10 @@ def _fan_out(tasks: List[tuple], jobs: int, batch: int = 1,
             # the copies they attached.
             wire_units = [(method, shm.shared_spec(graph), roots, cfg)
                           for method, graph, roots, cfg in units]
-        except Exception:
-            # No shared memory here (permissions, exotic platform):
-            # fall back to pickling the graphs into the units.
+        except (OSError, ImportError):
+            # No shared memory here (permissions, no /dev/shm, or a
+            # platform without _posixshmem): fall back to pickling the
+            # graphs into the units.  Any other error is a fault.
             wire_units = units
         handle = lease_pool(jobs)
         try:

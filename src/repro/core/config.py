@@ -280,10 +280,11 @@ class ServeConfig:
     jobs:
         Worker processes for query execution, and so the executor
         slots admission fills (two per worker).  ``0`` executes in the
-        daemon process (two threads, two slots) — no pickling, no
-        shared memory, ideal for tests and the check oracle; ``>= 1``
-        routes batches through the persistent process pool in
-        :mod:`repro.bench.harness` with zero-copy shm graph hand-off.
+        daemon process, one batch at a time (one thread, one slot) — no
+        pickling, no shared memory, ideal for tests and the check
+        oracle; ``>= 1`` routes batches through the persistent process
+        pool in :mod:`repro.bench.harness` with zero-copy shm graph
+        hand-off.
     cache_entries:
         Per-graph result-cache capacity (LRU).  ``0`` disables caching.
     cache_dir:

@@ -76,8 +76,9 @@ class SharedCSR:
 def export_csr(graph: CSRGraph) -> SharedCSR:
     """Copy ``graph``'s arrays into shared memory; return the handle.
 
-    Raises ``OSError`` where shared memory is unavailable (callers fall
-    back to pickling the graph itself).
+    Raises ``OSError`` where shared memory is unavailable, and
+    ``ImportError`` on a platform without ``_posixshmem`` (callers fall
+    back to pickling the graph itself on either).
     """
     from multiprocessing import shared_memory
 

@@ -8,9 +8,9 @@ Architecture (one process, one event loop):
   may receive them out of request order (clients correlate by ``id``).
 * **Admission** — every query that needs execution enters one
   :class:`~repro.serve.admission.BatchPolicy`, which owns the executor
-  slots (:data:`SLOTS_PER_WORKER` per worker process, else
-  :data:`INLINE_THREADS` in-process threads).  A query launches the
-  moment a slot is free; while every slot is busy it is held, and
+  slots (:data:`SLOTS_PER_WORKER` per worker process, else one per
+  in-process engine thread, :data:`INLINE_THREADS`).  A query launches
+  the moment a slot is free; while every slot is busy it is held, and
   frontier-family queries with one admission key (graph, canonical
   engine config, ``no_cache``) join one group of at most
   ``max_batch``.  A finishing batch releases its slot and the oldest
@@ -34,8 +34,11 @@ Architecture (one process, one event loop):
   response inline on the event loop.
 * **Shutdown** — stops accepting, launches every held admission group,
   drains in-flight executions (bounded by ``drain_timeout``), spills
-  caches, then closes.  Client disconnects never cancel executions
-  their batch-mates are waiting on; the orphaned responses are dropped.
+  caches, then closes.  A step that fails still ends the stop:
+  ``serve_until_shutdown`` returns, re-raising what a ``shutdown``
+  request's stop failed with.  Client disconnects never cancel
+  executions their batch-mates are waiting on; the orphaned responses
+  are dropped.
 """
 
 from __future__ import annotations
@@ -78,20 +81,23 @@ from repro.serve.protocol import (
 __all__ = ["INLINE_THREADS", "SLOTS_PER_WORKER", "ServeServer",
            "ServerStats"]
 
-#: Threads that run queries in-process when ``jobs = 0``: the executor
-#: slots admission fills.  The default loop executor would spawn
-#: ~cpu+4 threads, and that many GIL-bound simulations starve the event
-#: loop (cache hits stall behind compute); two keep misses flowing
-#: while the loop retains enough GIL share to answer hits at full rate.
-INLINE_THREADS = 2
+#: Engine threads that run queries in-process when ``jobs = 0``, and so
+#: the admission slots there: one.  The engines compute holding the
+#: interpreter lock, so a second thread adds no parallelism: it
+#: time-slices two queries, each slower than alone, and a short query
+#: sent behind a long one still waits about as long (``docs/SERVING.md``
+#: has the measurements).  With one thread a miss that arrives while
+#: another computes waits in admission, where frontier queries coalesce,
+#: and the event loop keeps answering cache hits meanwhile.  Parallel
+#: engine work is the worker pool's (``jobs >= 1``).
+INLINE_THREADS = 1
 
 #: Admission slots per worker process when ``jobs >= 1``: one batch
 #: running and one queued behind it.  With one slot a worker idles
 #: while its result travels back and the daemon launches the next
 #: batch, which cost 64-query DFS bursts about a fifth of their
-#: throughput at ``jobs`` 1 and 2.  Inline threads need no queued
-#: batch: they share the GIL, so while one thread's result travels
-#: back the other computes.
+#: throughput at ``jobs`` 1 and 2.  The inline thread has no such gap
+#: to fill: its result is already in the daemon when it finishes.
 SLOTS_PER_WORKER = 2
 
 
@@ -158,6 +164,7 @@ class ServeServer:
         self._accepting = False
         self._closing = False
         self._shutdown_done = asyncio.Event()
+        self._stop_task: Optional[asyncio.Task] = None  # shutdown op's stop()
         self.socket_path: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -175,8 +182,11 @@ class ServeServer:
             limit=MAX_LINE_BYTES)
 
     async def serve_until_shutdown(self) -> None:
-        """Block until a ``shutdown`` request (or :meth:`stop`) lands."""
+        """Block until a ``shutdown`` request (or :meth:`stop`) lands;
+        re-raises what a ``shutdown`` request's stop failed with."""
         await self._shutdown_done.wait()
+        if self._stop_task is not None:
+            await self._stop_task
 
     async def stop(self, *, drain: bool = True) -> None:
         """Stop accepting, drain in-flight work, release resources."""
@@ -185,24 +195,27 @@ class ServeServer:
             return
         self._closing = True
         self._accepting = False
-        if self._server is not None:
-            self._server.close()
-        # Launch every held admission group so queued queries complete.
-        for batch in self.policy.flush_all():
-            self._launch_batch(batch)
-        if drain and self._exec_tasks:
-            await asyncio.wait(set(self._exec_tasks),
-                               timeout=self.config.drain_timeout)
-        if self._server is not None:
-            try:
-                await self._server.wait_closed()
-            except Exception:
-                pass
-        for cache in self._caches.values():
-            cache.flush()
-        if self._thread_exec is not None:
-            self._thread_exec.shutdown(wait=False)
-        self._shutdown_done.set()
+        try:
+            if self._server is not None:
+                self._server.close()
+            # Launch every held admission group so queued queries complete.
+            for batch in self.policy.flush_all():
+                self._launch_batch(batch)
+            if drain and self._exec_tasks:
+                await asyncio.wait(set(self._exec_tasks),
+                                   timeout=self.config.drain_timeout)
+            if self._server is not None:
+                try:
+                    await self._server.wait_closed()
+                except Exception:
+                    pass
+            for cache in self._caches.values():
+                cache.flush()
+        finally:
+            # Whatever failed above, whoever waits for the stop returns.
+            if self._thread_exec is not None:
+                self._thread_exec.shutdown(wait=False)
+            self._shutdown_done.set()
 
     def _cache_for(self, entry: ResidentGraph) -> GraphResultCache:
         cache = self._caches.get(entry.name)
@@ -320,7 +333,8 @@ class ServeServer:
                 op="add_graph", id=req.id,
                 result=self._add_graph(req)))
         if req.op == "shutdown":
-            asyncio.ensure_future(self.stop())
+            if self._stop_task is None:
+                self._stop_task = asyncio.ensure_future(self.stop())
             return encode_response(Response(
                 op="shutdown", id=req.id, result={"stopping": True}))
         raise ProtocolError(f"unhandled op {req.op!r}")
@@ -335,6 +349,7 @@ class ServeServer:
                 "jobs": self.config.jobs,
                 "cache_entries": self.config.cache_entries,
                 "backend": self.config.backend,
+                "slots": self.policy.slots,
             },
             "pending": self.policy.pending_count(),
             "inflight_batches": len(self._exec_tasks),
@@ -571,7 +586,7 @@ class ServeServer:
         return await self._execute_inline(fn, entry, *args)
 
     async def _execute_inline(self, fn, entry: ResidentGraph, *args):
-        """Run ``fn(graph, *args)`` on the daemon's bounded thread pool."""
+        """Run ``fn(graph, *args)`` on the daemon's engine thread."""
         loop = asyncio.get_running_loop()
         if self._thread_exec is None:
             self._thread_exec = ThreadPoolExecutor(

@@ -5,7 +5,9 @@ memory is unavailable (permissions, exotic platforms, sandboxes) the
 harness falls back to pickling graphs into worker tasks.  These tests
 pin down the three failure contracts: a partial export leaks nothing, a
 dangling spec fails loudly on attach, and the harness fan-out survives
-an export failure with byte-identical results.
+an export failure with byte-identical results.  Only the errors that
+mean "no shared memory here" (``OSError``, ``ImportError``) fall back;
+any other export error surfaces.
 """
 
 from multiprocessing import shared_memory
@@ -105,3 +107,27 @@ def test_harness_pickle_fallback_matches_shm_results(graph, monkeypatch):
     batched = run_graph(["Frontier"], graph, cfg, jobs=2, batch=2)
     assert traversals(batched) == traversals(
         run_graph(["Frontier"], graph, cfg, jobs=1))
+
+
+def test_harness_pickle_fallback_without_posixshmem(graph, monkeypatch):
+    """A platform without ``_posixshmem`` cannot import
+    ``multiprocessing.shared_memory``; the fan-out pickles instead."""
+    cfg = BenchConfig(n_roots=3)
+    serial = run_graph(["DiggerBees"], graph, cfg, jobs=1)
+
+    def no_posixshmem(_graph):
+        raise ImportError("No module named '_posixshmem' (injected)")
+
+    monkeypatch.setattr(shm_mod, "export_csr", no_posixshmem)
+    assert run_graph(["DiggerBees"], graph, cfg, jobs=2) == serial
+
+
+def test_harness_surfaces_other_export_errors(graph, monkeypatch):
+    """An export error that does not mean "no shared memory here" is a
+    fault: it propagates out of the fan-out instead of pickling."""
+    def broken(_graph):
+        raise ValueError("not a shared-memory failure (injected)")
+
+    monkeypatch.setattr(shm_mod, "shared_spec", broken)
+    with pytest.raises(ValueError, match="injected"):
+        run_graph(["DiggerBees"], graph, BenchConfig(n_roots=3), jobs=2)

@@ -3,6 +3,8 @@
 import asyncio
 import json
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from repro.core.config import ServeConfig
 from repro.core.diggerbees import run_diggerbees
 from repro.errors import ServeError
 from repro.graphs import generators as gen
+from repro.serve import server as server_mod
 from repro.serve.client import AsyncServeClient
 from repro.serve.corpus import ResidentCorpus
 from repro.serve.protocol import dfs_result_to_dict
@@ -120,14 +123,72 @@ def test_a_lone_frontier_query_launches_at_once():
         max_batch=64, jobs=0, cache_dir="off", backend="frontier"))
 
 
-@pytest.mark.parametrize("jobs,slots", [(0, 2), (1, 2), (2, 4)])
+@pytest.mark.parametrize("jobs,slots", [(0, 1), (1, 2), (2, 4)])
 def test_admission_slots_follow_the_executor(jobs, slots):
-    # Inline threads take one batch each; a worker process takes one
-    # running and one queued, so it never idles while its result
-    # travels back to the daemon.
+    # The one inline engine thread takes one batch at a time; a worker
+    # process takes one running and one queued, so it never idles while
+    # its result travels back to the daemon.  ``status`` reports it.
     server = ServeServer(ResidentCorpus(share=False),
                          ServeConfig(jobs=jobs, cache_dir="off"))
     assert server.policy.slots == slots
+    assert server._status()["config"]["slots"] == slots
+
+
+def test_inline_daemon_runs_one_batch_at_a_time(monkeypatch):
+    # Misses sent together at jobs=0 wait in admission for the one
+    # engine thread; none runs beside another on the interpreter lock.
+    lock = threading.Lock()
+    running = peak = 0
+    real = server_mod.execute_dfs_batch
+
+    def counted(*args):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+        try:
+            time.sleep(0.02)    # room for a second thread to overlap
+            return real(*args)
+        finally:
+            with lock:
+                running -= 1
+
+    monkeypatch.setattr(server_mod, "execute_dfs_batch", counted)
+
+    async def scenario(client, server, **_):
+        resps = await asyncio.gather(*[
+            client.dfs("tree", r, no_cache=True) for r in range(6)])
+        assert all(r.ok and r.batch == 1 for r in resps)
+        assert server.stats.batches == 6
+
+    serve_session(scenario)
+    assert peak == 1
+
+
+def test_a_cache_hit_is_answered_while_a_miss_holds_the_engine(
+        monkeypatch):
+    entered, release = threading.Event(), threading.Event()
+    real = server_mod.execute_dfs_batch
+
+    def blocking(*args):
+        entered.set()
+        release.wait(timeout=30)
+        return real(*args)
+
+    async def scenario(client, **_):
+        warm = await client.dfs("tree", 0)      # cached from here on
+        monkeypatch.setattr(server_mod, "execute_dfs_batch", blocking)
+        try:
+            miss = asyncio.ensure_future(client.dfs("tree", 1))
+            await until(entered.is_set)
+            hit = await asyncio.wait_for(client.dfs("tree", 0), timeout=5)
+            assert hit.cached and hit.result == warm.result
+            assert not miss.done()
+        finally:
+            release.set()
+        assert (await asyncio.wait_for(miss, timeout=10)).ok
+
+    serve_session(scenario)
 
 
 def test_identical_inflight_queries_singleflight():
@@ -219,6 +280,7 @@ def test_status_and_graphs_payloads():
         assert set(status["graphs"]) == {"path", "tree", "dag"}
         assert status["stats"]["requests"] >= 1
         assert status["config"]["max_batch"] == 8
+        assert status["config"]["slots"] == 1      # jobs=0: one thread
         # The cache holds the answer's JSON text, and says how much.
         assert status["caches"]["path"]["bytes"] == len(
             json.dumps(answer.result, separators=(",", ":")))
@@ -270,6 +332,30 @@ def test_shutdown_op_stops_the_server():
         resp = await client.shutdown()
         assert resp.result == {"stopping": True}
         await asyncio.wait_for(server.serve_until_shutdown(), timeout=10)
+
+    serve_session(scenario)
+
+
+def test_a_failing_stop_does_not_hang_the_daemon():
+    # A cache flush that raises something other than OSError must not
+    # leave serve_until_shutdown waiting forever: it returns, raising
+    # the stop's error.
+    async def scenario(client, server, **_):
+        assert (await client.dfs("path", 0)).ok
+
+        def broken_flush():
+            raise RuntimeError("flush failed (injected)")
+
+        server._caches["path"].flush = broken_flush
+        try:
+            assert (await client.shutdown()).result == {"stopping": True}
+            with pytest.raises(RuntimeError, match="injected"):
+                await asyncio.wait_for(server.serve_until_shutdown(),
+                                       timeout=10)
+        finally:
+            # A stop that never finishes must fail this test, not hang
+            # serve_session's own teardown stop().
+            server._shutdown_done.set()
 
     serve_session(scenario)
 

@@ -166,7 +166,7 @@ def test_clean_shutdown_drains_admitted_queries(lockstep_from):
     expected = _expected_frontier_payloads(graphs)
 
     async def scenario(client, server, **_):
-        # Hold queries in an admission group behind two busy slots, then
+        # Hold queries in an admission group behind every busy slot, then
         # stop: the drain must launch and answer them.
         gate, holders = await hold_every_slot(client, server, "b")
         tasks = [asyncio.ensure_future(
