@@ -9,15 +9,21 @@ Architecture (one process, one event loop):
 * **Admission** — every query that needs execution enters one
   :class:`~repro.serve.admission.BatchPolicy`, which owns the executor
   slots (:data:`SLOTS_PER_WORKER` per worker process, else one per
-  in-process engine thread, :data:`INLINE_THREADS`).  A query launches
-  the moment a slot is free; while every slot is busy it is held, and
-  frontier-family queries with one admission key (graph, canonical
-  engine config, ``no_cache``) join one group of at most
-  ``max_batch``.  A finishing batch releases its slot and the oldest
-  held group takes it.  DFS and app queries never coalesce.  Identical
-  in-flight queries additionally coalesce into one execution
-  ("single-flight"), so a thundering herd of the same query costs one
-  simulation.
+  in-process engine thread, :data:`INLINE_THREADS`).  Arrivals are held
+  until the end of their event-loop turn: the first arrival of a turn
+  schedules ``policy.ready()`` with ``loop.call_soon``, and every slot
+  release calls it too.  ``ready()`` launches held groups onto free
+  slots in (turn, expected engine ms per query, arrival) order, so of
+  two misses that arrive together the cheaper runs first.  The expected
+  cost is a running mean, per query, of the wall time each batch spends
+  in :meth:`ServeServer._execute`, kept per (graph, op, backend family);
+  ``status`` reports it.  Frontier-family queries with one admission
+  key (graph, canonical engine config, ``no_cache``) join one group of
+  at most ``max_batch``; a group that meets a free slot in its opening
+  turn launches its first query alone.  DFS and app queries never
+  coalesce.  Identical in-flight queries additionally coalesce into one
+  execution ("single-flight"), so a thundering herd of the same query
+  costs one simulation.
 * **Execution** — launched batches run through
   :func:`repro.serve.exec.execute_dfs_batch` (one swarm where
   :func:`repro.core.dispatch.run_batch` finds a frontier batch wide
@@ -32,9 +38,9 @@ Architecture (one process, one event loop):
   fingerprint, resolved backend).  An entry is the answer's JSON text,
   serialized once when its batch settles; hits splice it into the
   response inline on the event loop.
-* **Shutdown** — stops accepting, launches every held admission group,
-  drains in-flight executions (bounded by ``drain_timeout``), spills
-  caches, then closes.  A step that fails still ends the stop:
+* **Shutdown** — stops accepting, launches every held admission group
+  (the current turn's arrivals included), drains in-flight executions
+  (bounded by ``drain_timeout``), spills caches, then closes.  A step that fails still ends the stop:
   ``serve_until_shutdown`` returns, re-raising what a ``shutdown``
   request's stop failed with.  Client disconnects never cancel
   executions their batch-mates are waiting on; the orphaned responses
@@ -51,6 +57,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import dispatch
 from repro.core.config import ServeConfig
+from repro.core.turbo import turbo_eligible
 from repro.errors import ProtocolError, ReproError, ServeError
 from repro.serve.admission import Batch, BatchPolicy
 from repro.serve.cache import (
@@ -62,6 +69,7 @@ from repro.serve.corpus import ResidentCorpus, ResidentGraph
 from repro.serve.exec import (
     ERROR_KEY,
     _error_marker,
+    build_engine_config,
     execute_dfs_batch,
     execute_query,
 )
@@ -102,7 +110,13 @@ SLOTS_PER_WORKER = 2
 
 
 class ServerStats:
-    """Monotonic daemon counters, surfaced by the ``status`` op."""
+    """Monotonic daemon counters, surfaced by the ``status`` op.
+
+    ``reference_fallbacks`` counts executed DFS-family queries whose
+    config the fused loop cannot run (``turbo_eligible`` false: one-level
+    stacks, a ``perturb_seed`` or ``trace``), so they ran the reference
+    loop, 2-3x slower.
+    """
 
     FIELDS = (
         "connections", "requests", "responses", "errors",
@@ -110,6 +124,7 @@ class ServerStats:
         "batches", "batched_queries", "hive_batches",
         "backend_dfs", "backend_frontier",
         "pool_broken", "shm_fallbacks", "inline_fallbacks",
+        "reference_fallbacks",
         "dropped_responses", "protocol_errors",
     )
 
@@ -127,14 +142,16 @@ class ServerStats:
 class _PendingQuery:
     """One admitted query waiting for its result."""
 
-    __slots__ = ("request", "key", "future", "backend")
+    __slots__ = ("request", "key", "future", "backend", "reference")
 
     def __init__(self, request: Request, key: str,
-                 future: "asyncio.Future", backend: str = "dfs"):
+                 future: "asyncio.Future", backend: str = "dfs",
+                 reference: bool = False):
         self.request = request
         self.key = key          # cache key (single-flight identity)
         self.future = future    # resolves to (error, raw, batch_width)
         self.backend = backend  # resolved engine family (dfs queries)
+        self.reference = reference  # a DFS run off the fused loop
 
 
 def _canonical_config(overrides: Optional[Dict[str, Any]]) -> str:
@@ -152,8 +169,11 @@ class ServeServer:
         jobs = self.config.jobs
         self.policy = BatchPolicy(
             jobs * SLOTS_PER_WORKER if jobs >= 1 else INLINE_THREADS,
-            self.config.max_batch)
+            self.config.max_batch, cost=self._expected_ms)
         self.stats = ServerStats()
+        #: (graph, op, family) -> [engine ms, queries] of executed batches
+        self._engine_ms: Dict[Tuple[str, str, str], List[float]] = {}
+        self._turn_scheduled = False
         self.started_at = time.time()
         self._caches: Dict[str, GraphResultCache] = {}
         self._cache_dir = default_cache_dir(self.config.cache_dir)
@@ -198,7 +218,8 @@ class ServeServer:
         try:
             if self._server is not None:
                 self._server.close()
-            # Launch every held admission group so queued queries complete.
+            # Launch every held admission group (and this turn's
+            # arrivals) so queued queries complete.
             for batch in self.policy.flush_all():
                 self._launch_batch(batch)
             if drain and self._exec_tasks:
@@ -355,7 +376,20 @@ class ServeServer:
             "inflight_batches": len(self._exec_tasks),
             "stats": self.stats.snapshot(),
             "caches": {n: c.stats() for n, c in self._caches.items()},
+            "engine_ms": self._engine_ms_report(),
         }
+
+    def _engine_ms_report(self) -> Dict[str, Dict[str, Dict[str, Any]]]:
+        """Per resident graph, ``{op: {family: {"mean", "queries"}}}``:
+        the expected engine ms per query that admission ranks a turn's
+        groups by, and how many executed queries it averages.  A graph
+        or (op, family) not listed has no measurement and ranks 0.0."""
+        out: Dict[str, Dict[str, Dict[str, Any]]] = {
+            name: {} for name in self.corpus.names()}
+        for (graph, op, family), (ms, n) in sorted(self._engine_ms.items()):
+            out.setdefault(graph, {}).setdefault(op, {})[family] = {
+                "mean": round(ms / n, 3), "queries": int(n)}
+        return out
 
     def _add_graph(self, req: Request) -> Dict[str, Any]:
         from repro.graphs.csr import CSRGraph
@@ -408,13 +442,14 @@ class ServeServer:
         t0 = loop.time()
         entry = self.corpus.get(req.graph)          # ServeError if unknown
         backend = "dfs"
+        reference = False
         if req.op == "dfs":
             # Validate overrides up front: a malformed config must fail
             # its own request, not the batch it would have joined.
-            from repro.serve.exec import build_engine_config
-
-            build_engine_config(req.config)
+            engine_config = build_engine_config(req.config)
             backend = self._resolve_backend(entry, req)
+            reference = (backend == "dfs"
+                         and not turbo_eligible(engine_config))
         # Unrooted ops ignore ``root``, so it must not split their cache
         # entries or single-flight groups.
         root = req.root if req.op in ROOTED_OPS else 0
@@ -442,7 +477,8 @@ class ServeServer:
                 waiters.append(pending)
                 return await self._await_pending(pending, t0)
 
-        pending = _PendingQuery(req, key, loop.create_future(), backend)
+        pending = _PendingQuery(req, key, loop.create_future(), backend,
+                                reference)
         if not req.no_cache:
             self._inflight_keys[(entry.name, key)] = [pending]
 
@@ -452,11 +488,30 @@ class ServeServer:
         admission_key = ((entry.name, _canonical_config(req.config),
                           bool(req.no_cache))
                          if backend == "frontier" else None)
-        batch = self.policy.add(admission_key, (entry, pending),
-                                loop.time())
-        if batch is not None:
-            self._launch_batch(batch)
+        self.policy.add(admission_key, (entry, pending), loop.time())
+        if not self._turn_scheduled:
+            # Launch at the end of the turn, once every arrival that
+            # lands with this one is held and can be ranked against it.
+            self._turn_scheduled = True
+            loop.call_soon(self._end_turn)
         return await self._await_pending(pending, t0)
+
+    def _end_turn(self) -> None:
+        self._turn_scheduled = False
+        self._launch_ready()
+
+    def _launch_ready(self) -> None:
+        for batch in self.policy.ready():
+            self._launch_batch(batch)
+
+    def _expected_ms(self, item: Tuple[ResidentGraph, _PendingQuery],
+                     ) -> float:
+        """Expected engine ms per query of an admitted item (the
+        policy's cost); 0.0 until its (graph, op, family) has run."""
+        entry, pending = item
+        seen = self._engine_ms.get(
+            (entry.name, pending.request.op, pending.backend))
+        return seen[0] / seen[1] if seen else 0.0
 
     async def _await_pending(self, pending: _PendingQuery,
                              t0: float) -> bytes:
@@ -493,18 +548,25 @@ class ServeServer:
         entry: ResidentGraph = batch.items[0][0]
         pendings: List[_PendingQuery] = [p for _, p in batch.items]
         width = len(pendings)
+        req = pendings[0].request
+        backend = pendings[0].backend  # one op and family per batch
         try:
-            if pendings[0].request.op == "dfs":
+            start = time.perf_counter()
+            if req.op == "dfs":
                 tasks = [(p.request.root, p.request.config)
                          for p in pendings]
-                backend = pendings[0].backend  # one family per batch
                 self.stats.bump(f"backend_{backend}", width)
+                self.stats.bump("reference_fallbacks",
+                                sum(p.reference for p in pendings))
                 results = await self._execute(
                     execute_dfs_batch, entry, tasks, backend)
             else:
-                req = pendings[0].request
                 results = [await self._execute(
                     execute_query, entry, req.op, req.root, req.config)]
+            seen = self._engine_ms.setdefault(
+                (entry.name, req.op, backend), [0.0, 0])
+            seen[0] += (time.perf_counter() - start) * 1e3
+            seen[1] += width
         except asyncio.CancelledError:
             for p in pendings:
                 if not p.future.done():
@@ -513,9 +575,8 @@ class ServeServer:
         except Exception as exc:   # infrastructure failure after fallbacks
             results = [_error_marker(exc)] * width
         finally:
-            held = self.policy.release()
-            if held is not None:
-                self._launch_batch(held)
+            self.policy.release()
+            self._launch_ready()
         self._settle(entry, pendings, results, width)
 
     def _settle(self, entry: ResidentGraph,

@@ -16,7 +16,7 @@ from repro.graphs import generators as gen
 from repro.serve import server as server_mod
 from repro.serve.client import AsyncServeClient
 from repro.serve.corpus import ResidentCorpus
-from repro.serve.protocol import dfs_result_to_dict
+from repro.serve.protocol import Request, dfs_result_to_dict, encode_request
 from repro.serve.server import ServeServer
 
 from tests.serve.conftest import gate_executor, serve_session, until
@@ -105,8 +105,8 @@ def test_scalar_only_family_skips_the_admission_window(max_batch):
 
 
 def test_a_lone_frontier_query_launches_at_once():
-    # A free slot takes a frontier query on arrival: it never waits for
-    # company that is not coming.
+    # A free slot takes a frontier query at the end of its arrival's
+    # turn: it never waits for company that is not coming.
     async def scenario(client, server, **_):
         gate = gate_executor(server)
         task = asyncio.ensure_future(client.dfs("tree", 3))
@@ -189,6 +189,132 @@ def test_a_cache_hit_is_answered_while_a_miss_holds_the_engine(
         assert (await asyncio.wait_for(miss, timeout=10)).ok
 
     serve_session(scenario)
+
+
+def _one_write(*requests):
+    """Encode requests as the lines of one socket write, so the daemon
+    reads and admits them in one event-loop turn."""
+    return b"".join(encode_request(r) for r in requests)
+
+
+async def _answers(reader, n):
+    return [json.loads(await asyncio.wait_for(reader.readline(), 10))
+            for _ in range(n)]
+
+
+class _Engine:
+    """Stands in for ``execute_dfs_batch``: logs each batch's family and
+    roots, makes DFS batches cost at least 50 ms whatever the host's
+    speed, and can block the engine thread in its next call."""
+
+    def __init__(self):
+        self.real = server_mod.execute_dfs_batch
+        self.calls = []
+        self.block_next = False
+        self.entered, self.release = threading.Event(), threading.Event()
+
+    def __call__(self, graph, tasks, backend="dfs"):
+        self.calls.append((backend, [root for root, _ in tasks]))
+        if self.block_next:
+            self.block_next = False
+            self.entered.set()
+            self.release.wait(timeout=30)
+        if backend == "dfs":
+            time.sleep(0.05)
+        return self.real(graph, tasks, backend)
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_a_turn_launches_its_cheaper_miss_first(monkeypatch, blocked):
+    # A DFS miss and then a frontier miss, sent in one write: with both
+    # (graph, op, family) keys measured, the frontier batch launches
+    # first, onto the free slot or, with the engine thread busy, onto
+    # the slot it frees.
+    engine = _Engine()
+    monkeypatch.setattr(server_mod, "execute_dfs_batch", engine)
+    pinned = {"seed": 1}              # config-pinned: the DFS family
+
+    async def scenario(client, server, socket_path, **_):
+        await client.dfs("tree", 0, config=pinned)
+        await client.dfs("tree", 0)   # tree routes to frontier
+        costs = server._status()["engine_ms"]["tree"]["dfs"]
+        assert costs["dfs"]["mean"] > costs["frontier"]["mean"]
+        if blocked:
+            engine.block_next = True
+            holder = asyncio.ensure_future(
+                client.dfs("path", 0, no_cache=True))
+            await until(engine.entered.is_set)
+        reader, writer = await asyncio.open_unix_connection(socket_path)
+        writer.write(_one_write(
+            Request(op="dfs", id="d", graph="tree", root=1, config=pinned),
+            Request(op="dfs", id="f", graph="tree", root=1)))
+        await writer.drain()
+        if blocked:
+            await until(lambda: server.policy.pending_count() == 2)
+            engine.release.set()
+            assert (await asyncio.wait_for(holder, 10)).ok
+        answers = await _answers(reader, 2)
+        assert {a["id"] for a in answers} == {"d", "f"}
+        assert all(a["ok"] and a["batch"] == 1 for a in answers)
+        writer.close()
+        await writer.wait_closed()
+
+    serve_session(scenario, config=ServeConfig(
+        max_batch=8, jobs=0, cache_dir="off", backend="auto"))
+    assert engine.calls[-2:] == [("frontier", [1]), ("dfs", [1])]
+
+
+def test_two_same_key_misses_in_one_turn_launch_first_alone(monkeypatch):
+    # The first takes the free slot alone; the second waits in
+    # admission for it.
+    engine = _Engine()
+    engine.block_next = True
+    monkeypatch.setattr(server_mod, "execute_dfs_batch", engine)
+
+    async def scenario(server, socket_path, **_):
+        reader, writer = await asyncio.open_unix_connection(socket_path)
+        writer.write(_one_write(
+            Request(op="dfs", id="a", graph="tree", root=4),
+            Request(op="dfs", id="b", graph="tree", root=5)))
+        await writer.drain()
+        await until(engine.entered.is_set)
+        assert server.stats.batches == 1
+        assert server.policy.pending_count() == 1
+        engine.release.set()
+        answers = await _answers(reader, 2)
+        assert [(a["id"], a["ok"], a["batch"]) for a in answers] == [
+            ("a", True, 1), ("b", True, 1)]
+        writer.close()
+        await writer.wait_closed()
+
+    serve_session(scenario, config=ServeConfig(
+        max_batch=8, jobs=0, cache_dir="off", backend="frontier"))
+    assert engine.calls == [("frontier", [4]), ("frontier", [5])]
+
+
+def test_shutdown_in_the_turn_of_two_misses_answers_each_once():
+    async def scenario(server, socket_path, **_):
+        reader, writer = await asyncio.open_unix_connection(socket_path)
+        writer.write(_one_write(
+            Request(op="dfs", id="t", graph="tree", root=0, no_cache=True),
+            Request(op="dfs", id="p", graph="path", root=0, no_cache=True),
+            Request(op="shutdown", id="s")))
+        await writer.drain()
+        answers = await _answers(reader, 3)
+        await asyncio.wait_for(server.serve_until_shutdown(), timeout=10)
+        writer.write_eof()
+        assert await asyncio.wait_for(reader.read(), 10) == b""
+        writer.close()
+        await writer.wait_closed()
+        return answers
+
+    answers = serve_session(scenario)
+    assert sorted(a["id"] for a in answers) == ["p", "s", "t"]
+    assert all(a["ok"] for a in answers)
+    by_id = {a["id"]: a for a in answers}
+    assert by_id["s"]["result"] == {"stopping": True}
+    assert by_id["t"]["result"]["n_visited"] == 63
+    assert by_id["p"]["result"]["n_visited"] == 48
 
 
 def test_identical_inflight_queries_singleflight():
@@ -290,6 +416,62 @@ def test_status_and_graphs_payloads():
         assert by_name["dag"]["directed"] is True
 
     serve_session(scenario)
+
+
+def test_status_reports_the_engine_ms_admission_ranks_by():
+    # Per resident graph, each executed (op, family) with its running
+    # mean engine ms per query and the query count it averages; an
+    # unmeasured graph lists nothing (it ranks 0.0).
+    async def scenario(client, server, **_):
+        await client.dfs("tree", 0, config={"seed": 1})   # dfs family
+        for root in (0, 1):
+            await client.dfs("tree", root)                 # frontier
+        await client.query("scc", "dag")
+        await client.dfs("tree", 1)                        # a cache hit
+        status = await client.status()
+        costs = status["engine_ms"]
+        assert set(costs) == {"path", "tree", "dag"}
+        assert costs["path"] == {}
+        assert set(costs["tree"]) == {"dfs"}
+        assert {f: c["queries"] for f, c in costs["tree"]["dfs"].items()
+                } == {"dfs": 1, "frontier": 2}
+        assert costs["dag"]["scc"]["dfs"]["queries"] == 1
+        means = [c["mean"] for op in costs.values()
+                 for fam in op.values() for c in fam.values()]
+        assert all(m > 0 for m in means)
+        # The policy ranks an item by the same mean; unmeasured is 0.0.
+        entry = server.corpus.get("tree")
+        pending = server_mod._PendingQuery(
+            Request(op="dfs", graph="tree"), "k", None, "frontier")
+        assert server._expected_ms((entry, pending)) == pytest.approx(
+            costs["tree"]["dfs"]["frontier"]["mean"], abs=1e-3)
+        pending.backend = "dfs"
+        entry = server.corpus.get("path")
+        assert server._expected_ms((entry, pending)) == 0.0
+
+    serve_session(scenario, config=ServeConfig(
+        max_batch=8, jobs=0, cache_dir="off", backend="auto"))
+
+
+@pytest.mark.parametrize("backend,counted", [("dfs", 3), ("frontier", 0)])
+def test_reference_fallbacks_count_dfs_runs_off_the_fused_loop(
+        backend, counted):
+    # A config the fused loop cannot run (one-level stacks, a perturbed
+    # schedule, a trace) sends an executed DFS query to the reference
+    # loop; a frontier answer, a cache hit and an app op run no DFS.
+    async def scenario(client, server, **_):
+        for config in ({"two_level": False}, {"perturb_seed": 3},
+                       {"trace": True}, {"seed": 2}):
+            assert (await client.dfs("tree", 0, config=config)).ok
+        assert (await client.dfs("tree", 0,
+                                 config={"two_level": False})).cached
+        await client.query("cycles", "tree")
+        stats = (await client.status())["stats"]
+        assert stats["reference_fallbacks"] == counted
+        assert stats[f"backend_{backend}"] == 4
+
+    serve_session(scenario, config=ServeConfig(
+        max_batch=8, jobs=0, cache_dir="off", backend=backend))
 
 
 def test_add_graph_then_query_and_idempotent_readd():
