@@ -118,8 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--roots", type=int, default=2,
                         help="source vertices per graph (paper uses 64)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sweep fan-out "
-                             "(results are identical for any value)")
+                        help="worker processes for sweep fan-out: fig5-fig7 "
+                             "fan out, fig8-fig10 stay serial because each "
+                             "cell has its own engine config (results are "
+                             "identical for any value)")
     parser.add_argument("--profile", metavar="PATH", default=None,
                         help="dump cProfile stats of the experiment run "
                              "to PATH (inspect with python -m pstats)")

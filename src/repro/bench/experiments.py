@@ -25,7 +25,6 @@ from repro.bench.harness import (
     geomean_speedup,
     pick_roots,
     run_graph,
-    run_method,
     summarize_method,
 )
 from repro.core.diggerbees import run_diggerbees
@@ -208,11 +207,10 @@ def fig7(cfg: Optional[BenchConfig] = None,
         row = {"graph": g.name, "edges": g.n_edges}
         per_dev = {}
         for device in (A100, H100):
-            dcfg = cfg.with_(device=device)
-            for m in ("DiggerBees", "NVG-DFS"):
-                s = summarize_method([run_method(m, g, r, dcfg)
-                                      for r in roots])
-                per_dev[(m, device.name)] = s.mteps
+            per_method = run_graph(["DiggerBees", "NVG-DFS"], g,
+                                   cfg.with_(device=device), roots=roots)
+            for m, samples in per_method.items():
+                per_dev[(m, device.name)] = summarize_method(samples).mteps
         row["db_a100"] = per_dev[("DiggerBees", "A100")]
         row["db_h100"] = per_dev[("DiggerBees", "H100")]
         row["nvg_a100"] = per_dev[("NVG-DFS", "A100")]

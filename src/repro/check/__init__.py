@@ -8,8 +8,12 @@ The oracle hierarchy (weakest to strongest coupling to the protocol):
 3. steal-protocol invariant hooks (:class:`InvariantMonitor`) firing at
    every steal / flush / refill plus a periodic global sweep;
 4. differential reruns (fused loop vs the reference expansion, the
-   served answer, the frontier and swarm engines, CPU PDFS baselines),
-   all of them on every case.
+   answer of a daemon started for the case, the frontier and swarm
+   engines, CPU PDFS baselines), all of them on every case.
+
+The mutation suite (:mod:`repro.check.mutations`) checks the checker:
+each mutant replaces one named step of the live steal protocol, or
+wraps one stack or claim primitive, and the ladder must catch it.
 
 See ``docs/TESTING.md`` for the full map and CLI usage.
 """

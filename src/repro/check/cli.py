@@ -96,10 +96,10 @@ def cmd_repro(args) -> int:
 # mutants
 # ---------------------------------------------------------------------------
 
-def run_mutant(name: str, *, budget: int = MUTANT_CASE_BUDGET,
-               start_seed: int = 0) -> Optional[CheckFailure]:
+def run_mutant(name: str, *,
+               budget: int = MUTANT_CASE_BUDGET) -> Optional[CheckFailure]:
     """Fuzz one mutation with stress cases; return its first detection."""
-    for seed in range(start_seed, start_seed + budget):
+    for seed in range(budget):
         case = case_from_seed(seed, stress=True)
         failure = check_case(case, mutation=name, stress=True)
         if failure is not None:

@@ -18,10 +18,11 @@ None).  Each stage is named by the ``stage`` string a failure carries:
   with the reference expand) must replay the primary's *identical
   schedule* (cycles, steps, parent, visited, counters).  Every other
   case already ran the reference code in the primary pass;
-* ``serve-diff`` — send the case's DFS through a live
-  :mod:`repro.serve` daemon; the served payload must equal the canonical
-  payload of the primary result, and — for unmutated runs — the repeat
-  query must come back from the result cache, still identical;
+* ``serve-diff`` — send the case's DFS through a fresh
+  :mod:`repro.serve` daemon (:func:`repro.check.serve_oracle.query_dfs`);
+  the served payload must equal the canonical payload of the primary
+  result, and — for unmutated runs — the repeat query must come back
+  from the result cache, still identical;
 * ``frontier-diff`` — the bit-packed SpMV engine
   (:mod:`repro.core.frontier`) must meet the BFS contract (DFS
   reachability, :func:`~repro.graphs.properties.bfs_levels`, the
@@ -50,10 +51,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.baselines.pdfs_cpu import run_ckl_pdfs
+from repro.check import serve_oracle
 from repro.check.cases import FuzzCase
 from repro.check.invariants import InvariantMonitor
 from repro.check.mutations import apply_mutation
-from repro.check.serve_oracle import serve_oracle
 from repro.core import frontier, swarm
 from repro.core.diggerbees import (DiggerBeesResult, run_diggerbees,
                                    run_reference)
@@ -252,9 +253,8 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
     ``mutation`` (a name from :data:`repro.check.mutations.MUTATIONS`)
     applies the named injected bug for the whole ladder — used by the
     mutation sanity suite and by ``repro --mutation`` to replay a
-    mutant's failure.  Mutated runs bypass the serve daemon's result
-    cache so an injected bug's output is never memoized across the
-    mutation boundary.
+    mutant's failure.  Mutated runs send one ``no_cache`` query, so an
+    injected bug's output is never memoized.
 
     ``stress`` cases run the invariant monitor's global sweep after
     every step — transient corruption (e.g. an ABA duplicate that the
@@ -308,24 +308,24 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
                             f"fused loop vs reference: {mismatch}")
 
         # Serve differential: the daemon-served payload must equal the
-        # canonical payload of the direct run.  The oracle daemon
-        # executes in this process (jobs=0), so the mutation monkeypatch
-        # is live on its executor threads and injected bugs flow through
-        # the full wire/admission/dispatch stack.
+        # canonical payload of the direct run.  The case's daemon
+        # executes in this process (jobs=0), so the mutation patch is
+        # live on its engine thread and injected bugs flow through the
+        # full wire/admission/dispatch stack.
         expected = dfs_result_to_dict(result)
-        overrides = asdict(case.build_config())
         mutated = mutation is not None
         # Unmutated runs repeat the query: it must come back from the
-        # result cache (the first either populated it or already hit)
-        # and stay identical — the memo path serves the same bytes.
-        for repeat in (False,) if mutated else (False, True):
+        # result cache the first populated and stay identical — the
+        # memo path serves the same bytes.
+        try:
+            answers = serve_oracle.query_dfs(
+                graph, case.root, asdict(case.build_config()),
+                no_cache=mutated, repeats=1 if mutated else 2)
+        except ReproError as exc:
+            return fail("serve-diff", f"served query failed: "
+                                      f"{type(exc).__name__}: {exc}")
+        for repeat, (served, was_cached) in enumerate(answers):
             what = "cached" if repeat else "served"
-            try:
-                served, was_cached = serve_oracle().query_dfs(
-                    graph, case.root, overrides, no_cache=mutated)
-            except ReproError as exc:
-                return fail("serve-diff", f"{what} query failed: "
-                                          f"{type(exc).__name__}: {exc}")
             if repeat and not was_cached:
                 return fail("serve-diff",
                             "repeat query missed the result cache")

@@ -169,6 +169,12 @@ def select_victim(state: RunState, my_block: int,
                           best_rest, cfg.inter_steal_amount, remote)
 
 
+def _cas(token: int, observed: int) -> bool:
+    """The reservation CAS's validation, a named step a test can
+    substitute (see ``intra_steal._cas``)."""
+    return token == observed
+
+
 def execute_steal(state: RunState, my_block: int, leader_warp: int,
                   plan: InterStealPlan) -> bool:
     """Steps 3-4 of Algorithm 4: CAS ``bottom``, fence, remote transfer.
@@ -180,7 +186,7 @@ def execute_steal(state: RunState, my_block: int, leader_warp: int,
     counters.inter_steal_attempts += 1
     victim_block = state.blocks[plan.victim_block]
     cold = victim_block.stacks[plan.victim_warp].cold
-    if cold.bottom != plan.observed_bottom:
+    if not _cas(cold.bottom, plan.observed_bottom):
         counters.cas_failures += 1
         return False
     counters.cas_attempts += 1

@@ -95,6 +95,18 @@ def select_victim(state: RunState, block: BlockState,
                           best_rest, cfg.intra_steal_amount)
 
 
+# The CAS's two halves are named steps so a test can substitute a faulty
+# one (the ``repro.check`` mutants); ``execute_steal`` looks both up per call.
+def _cas(token: int, observed: int) -> bool:
+    """The reservation CAS's validation: the token is still as observed."""
+    return token == observed
+
+
+def _take(hot, plan: IntraStealPlan, amount: int):
+    """The CAS's effect: the reserved entries leave the victim's tail."""
+    return hot.take_from_tail(amount)
+
+
 def execute_steal(state: RunState, block: BlockState, thief_warp: int,
                   plan: IntraStealPlan) -> bool:
     """Steps 2-3 of Algorithm 3: CAS-validate, then transfer locally.
@@ -110,7 +122,7 @@ def execute_steal(state: RunState, block: BlockState, thief_warp: int,
     # atomicCAS(tail, observed, observed + amount): in the simulator the
     # validation and the take are one atomic step, so "token unchanged and
     # still enough work" is exactly CAS success.
-    if hot.tail != plan.observed_tail:
+    if not _cas(hot.tail, plan.observed_tail):
         counters.cas_failures += 1
         return False
     counters.cas_attempts += 1
@@ -124,7 +136,7 @@ def execute_steal(state: RunState, block: BlockState, thief_warp: int,
     # the CAS read above: a protocol that skips or breaks that check
     # still reports the token it actually committed against.
     token_at_commit = hot.tail
-    verts, offs = hot.take_from_tail(amount)
+    verts, offs = _take(hot, plan, amount)
     monitor = state.monitor
     if monitor is not None:
         monitor.on_steal(

@@ -1,11 +1,10 @@
-"""Graph I/O: Matrix Market, edge lists, and a compressed ``.npz`` format.
+"""Graph I/O: Matrix Market and edge lists.
 
 The paper's artifact consumes SuiteSparse ``.mtx`` files; this module
 implements the subset of the Matrix Market exchange format those graphs
 use (``matrix coordinate pattern|real|integer general|symmetric``) plus a
-plain edge-list reader and a compressed ``.npz`` round-trip for saving a
-graph to a file.  The corpus disk cache does not use that pair: it
-writes its own raw CSR files (:mod:`repro.graphs.diskcache`).
+plain edge-list reader and writer.  The one binary graph format is the
+corpus disk cache's raw CSR file (:mod:`repro.graphs.diskcache`).
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ __all__ = [
     "write_matrix_market",
     "read_edge_list",
     "write_edge_list",
-    "save_npz",
-    "load_npz",
 ]
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -185,33 +182,3 @@ def write_edge_list(graph: CSRGraph, path_or_file: Union[PathLike, IO]) -> None:
     finally:
         if should_close:
             fh.close()
-
-
-# ---------------------------------------------------------------------------
-# Binary cache
-# ---------------------------------------------------------------------------
-
-def save_npz(graph: CSRGraph, path: PathLike) -> None:
-    """Save a graph (structure + name + directedness) to a compressed npz."""
-    np.savez_compressed(
-        path,
-        row_ptr=graph.row_ptr,
-        column_idx=graph.column_idx,
-        directed=np.array([graph.directed]),
-        name=np.array([graph.name]),
-    )
-
-
-def load_npz(path: PathLike) -> CSRGraph:
-    """Load a graph saved with :func:`save_npz`."""
-    with np.load(path, allow_pickle=False) as data:
-        for key in ("row_ptr", "column_idx", "directed", "name"):
-            if key not in data:
-                raise GraphFormatError(f"npz file missing array {key!r}")
-        return CSRGraph(
-            data["row_ptr"],
-            data["column_idx"],
-            directed=bool(data["directed"][0]),
-            name=str(data["name"][0]),
-            meta={"source": "npz"},
-        )

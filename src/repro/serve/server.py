@@ -208,7 +208,7 @@ class ServeServer:
         if self._stop_task is not None:
             await self._stop_task
 
-    async def stop(self, *, drain: bool = True) -> None:
+    async def stop(self) -> None:
         """Stop accepting, drain in-flight work, release resources."""
         if self._closing:
             await self._shutdown_done.wait()
@@ -222,7 +222,7 @@ class ServeServer:
             # arrivals) so queued queries complete.
             for batch in self.policy.flush_all():
                 self._launch_batch(batch)
-            if drain and self._exec_tasks:
+            if self._exec_tasks:
                 await asyncio.wait(set(self._exec_tasks),
                                    timeout=self.config.drain_timeout)
             if self._server is not None:

@@ -8,6 +8,7 @@ corpora small enough for the unit-test suite.
 import pytest
 
 from repro.bench import experiments as E
+from repro.bench import harness
 from repro.bench.harness import BenchConfig
 from repro.graphs import collections as col
 from repro.graphs import generators as gen
@@ -51,6 +52,21 @@ class TestFig7:
         for r in res.rows:
             assert r["db_ratio"] > 0
         assert "H100" in res.render()
+
+    def test_jobs_fan_out_each_graph_device_pair(self, tiny_corpus,
+                                                 monkeypatch):
+        serial = E.fig7(FAST, corpus=tiny_corpus[:2])
+        fanned = []
+        fan_out = harness._fan_out
+
+        def spy(tasks, jobs, batch=1):
+            fanned.append((len(tasks), jobs))
+            return fan_out(tasks, jobs, batch)
+
+        monkeypatch.setattr(harness, "_fan_out", spy)
+        assert E.fig7(FAST.with_(jobs=2), corpus=tiny_corpus[:2]) == serial
+        # One fan-out per (graph, device) pair: both methods, every root.
+        assert fanned == [(2 * FAST.n_roots, 2)] * 4
 
 
 class TestFig8:

@@ -105,8 +105,7 @@ class TestReferenceStage:
     it can.
 
     Only drains on the calling thread count: the serve-diff stage runs
-    the case again on the oracle daemon's executor thread, and whether
-    that run drains depends on what the daemon's result cache holds."""
+    the case again on its daemon's engine thread."""
 
     @pytest.fixture
     def drains(self, monkeypatch):

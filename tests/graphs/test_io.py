@@ -1,4 +1,4 @@
-"""Unit tests for graph I/O (Matrix Market, edge lists, npz)."""
+"""Unit tests for graph I/O (Matrix Market, edge lists)."""
 
 import io
 
@@ -8,10 +8,8 @@ import pytest
 from repro.errors import GraphFormatError
 from repro.graphs import generators as gen
 from repro.graphs.io import (
-    load_npz,
     read_edge_list,
     read_matrix_market,
-    save_npz,
     write_edge_list,
     write_matrix_market,
 )
@@ -99,20 +97,3 @@ class TestEdgeList:
         buf.seek(0)
         g = read_edge_list(buf, n_vertices=small_social.n_vertices)
         assert g.n_edges == small_social.n_edges
-
-
-class TestNpz:
-    def test_roundtrip(self, tmp_path, small_road):
-        path = tmp_path / "g.npz"
-        save_npz(small_road, path)
-        g = load_npz(path)
-        assert g.name == small_road.name
-        assert g.directed == small_road.directed
-        assert np.array_equal(g.row_ptr, small_road.row_ptr)
-        assert np.array_equal(g.column_idx, small_road.column_idx)
-
-    def test_missing_key(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, foo=np.array([1]))
-        with pytest.raises(GraphFormatError):
-            load_npz(path)

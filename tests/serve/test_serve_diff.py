@@ -7,13 +7,16 @@ step counts and counters included.
 """
 
 import os
+import tempfile
+from dataclasses import asdict
 
 import pytest
 
+from repro.check import serve_oracle
 from repro.check.cases import FAMILIES, case_from_seed
 from repro.check.differential import check_case
-from repro.check.serve_oracle import ServeOracle, serve_oracle
 from repro.core.diggerbees import run_diggerbees
+from repro.errors import ServeError
 from repro.serve.protocol import dfs_result_to_dict
 
 
@@ -42,40 +45,39 @@ def test_serve_diff_green_on_stress_and_perturbed_cases():
 def test_oracle_payload_equals_direct_execution():
     """The oracle daemon's payload is the canonical payload, both on the
     compute path and on the repeat (cached) path."""
-    from dataclasses import asdict
-
     case = case_from_seed(5)
     graph = case.build_graph()
     config = case.build_config()
     expected = dfs_result_to_dict(
         run_diggerbees(graph, case.root, config=config))
-    served, _ = serve_oracle().query_dfs(graph, case.root, asdict(config),
-                                         no_cache=True)
-    assert served == expected
-    cached, was_cached = serve_oracle().query_dfs(
-        graph, case.root, asdict(config))
-    # First cache-path query may miss (the no_cache one didn't populate)
-    # but the payload must be identical either way; the second must hit.
-    assert cached == expected
-    again, was_cached2 = serve_oracle().query_dfs(
-        graph, case.root, asdict(config))
-    assert was_cached2 and again == expected
+    assert serve_oracle.query_dfs(graph, case.root, asdict(config),
+                                  no_cache=True) == [(expected, False)]
+    # A fresh daemon per call: its first answer computes, the repeat
+    # hits the result cache the first populated.
+    assert serve_oracle.query_dfs(graph, case.root, asdict(config),
+                                  repeats=2) == [(expected, False),
+                                                 (expected, True)]
 
 
-def test_oracle_reuses_resident_graph_by_fingerprint():
+def test_a_served_case_leaves_no_socket_directory(monkeypatch):
+    made = []
+    mkdtemp = tempfile.mkdtemp
+
+    def recording(*args, **kwargs):
+        made.append(mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recording)
     case = case_from_seed(9)
-    g1 = case.build_graph()
-    g2 = case.build_graph()
-    oracle = serve_oracle()
-    assert oracle.register(g1) == oracle.register(g2)
-
-
-def test_stopped_oracle_removes_its_socket_directory():
-    oracle = ServeOracle()  # a fresh daemon, not the process singleton
-    sock_dir = os.path.dirname(oracle.socket_path)
-    assert os.path.isdir(sock_dir)
-    oracle.stop()
-    assert not os.path.exists(sock_dir)
+    graph = case.build_graph()
+    serve_oracle.query_dfs(graph, case.root)
+    # A failing query (a root outside the graph) cleans up too.
+    with pytest.raises(ServeError):
+        serve_oracle.query_dfs(graph, graph.n_vertices)
+    assert len(made) == 2
+    for sock_dir in made:
+        assert os.path.basename(sock_dir).startswith("repro-serve-oracle-")
+        assert not os.path.exists(sock_dir)
 
 
 def test_serve_rung_detects_payload_drift(monkeypatch):
@@ -85,17 +87,13 @@ def test_serve_rung_detects_payload_drift(monkeypatch):
     query — the ladder should report a serve-diff failure, proving the
     comparison has teeth (it is not comparing a value to itself).
     """
-    from repro.check import serve_oracle as oracle_mod
+    real = serve_oracle.query_dfs
 
-    real = oracle_mod.ServeOracle.query_dfs
+    def corrupting(*args, **kwargs):
+        return [({**result, "cycles": result.get("cycles", 0) + 1}, cached)
+                for result, cached in real(*args, **kwargs)]
 
-    def corrupting(self, graph, root, overrides=None, **kwargs):
-        result, cached = real(self, graph, root, overrides, **kwargs)
-        bad = dict(result)
-        bad["cycles"] = bad.get("cycles", 0) + 1
-        return bad, cached
-
-    monkeypatch.setattr(oracle_mod.ServeOracle, "query_dfs", corrupting)
+    monkeypatch.setattr(serve_oracle, "query_dfs", corrupting)
     case = case_from_seed(3)
     failure = check_case(case)
     assert failure is not None and failure.stage == "serve-diff"

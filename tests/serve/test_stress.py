@@ -172,7 +172,7 @@ def test_clean_shutdown_drains_admitted_queries(lockstep_from):
         tasks = [asyncio.ensure_future(
             client.dfs("a", r, no_cache=True)) for r in (0, 7, 14)]
         await until(lambda: server.policy.pending_count() == 3)
-        stopping = asyncio.ensure_future(server.stop(drain=True))
+        stopping = asyncio.ensure_future(server.stop())
         await until(lambda: server.policy.pending_count() == 0)
         gate.set()
         await stopping
