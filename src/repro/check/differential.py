@@ -21,8 +21,8 @@ None).  Each stage is named by the ``stage`` string a failure carries:
 * ``serve-diff`` — send the case's DFS through a fresh
   :mod:`repro.serve` daemon (:func:`repro.check.serve_oracle.query_dfs`);
   the served payload must equal the canonical payload of the primary
-  result, and — for unmutated runs — the repeat query must come back
-  from the result cache, still identical;
+  result, and the repeat query must come back from the result cache,
+  still identical;
 * ``frontier-diff`` — the bit-packed SpMV engine
   (:mod:`repro.core.frontier`) must meet the BFS contract (DFS
   reachability, :func:`~repro.graphs.properties.bfs_levels`, the
@@ -253,8 +253,7 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
     ``mutation`` (a name from :data:`repro.check.mutations.MUTATIONS`)
     applies the named injected bug for the whole ladder — used by the
     mutation sanity suite and by ``repro --mutation`` to replay a
-    mutant's failure.  Mutated runs send one ``no_cache`` query, so an
-    injected bug's output is never memoized.
+    mutant's failure.
 
     ``stress`` cases run the invariant monitor's global sweep after
     every step — transient corruption (e.g. an ABA duplicate that the
@@ -311,16 +310,13 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
         # canonical payload of the direct run.  The case's daemon
         # executes in this process (jobs=0), so the mutation patch is
         # live on its engine thread and injected bugs flow through the
-        # full wire/admission/dispatch stack.
+        # full wire/admission/dispatch stack.  The repeat query must
+        # come back from the result cache the first populated and stay
+        # identical — the memo path serves the same bytes.
         expected = dfs_result_to_dict(result)
-        mutated = mutation is not None
-        # Unmutated runs repeat the query: it must come back from the
-        # result cache the first populated and stay identical — the
-        # memo path serves the same bytes.
         try:
-            answers = serve_oracle.query_dfs(
-                graph, case.root, asdict(case.build_config()),
-                no_cache=mutated, repeats=1 if mutated else 2)
+            answers = serve_oracle.query_dfs(graph, case.root,
+                                             asdict(case.build_config()))
         except ReproError as exc:
             return fail("serve-diff", f"served query failed: "
                                       f"{type(exc).__name__}: {exc}")

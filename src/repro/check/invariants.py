@@ -10,7 +10,9 @@ make DiggerBees' lock-free stealing correct:
   that skips or mis-implements the reservation CAS commits against a
   stale observation; on hardware that is the ABA window, and in the
   simulator this check is the only thing that can see it (the transfer
-  itself still moves well-formed entries).
+  itself still moves well-formed entries).  The mutation suite's ABA
+  mutant skips this CAS as well, so it is caught here, at the same
+  first stale commit as ``intra_skip_cas_validation``.
 * **Flush/publish conservation** — every entry leaving the HotRing in a
   flush must appear, bit-identical and in order, at the top of the
   ColdSeg; every refill must shrink the ColdSeg by exactly what the
@@ -24,7 +26,9 @@ make DiggerBees' lock-free stealing correct:
   every stacked vertex is already claimed (visited), and the global
   ``pending`` counter equals the true entry count.  A
   duplicated steal shows up as a vertex owned by two stacks or as
-  ``actual > pending``; a dropped transfer as ``actual < pending``.
+  ``actual > pending``; a dropped transfer as ``actual < pending`` (the
+  steal hook saw the reserved entries; only this count shows that they
+  never reached the thief).
 * **Steal sanity** — a steal may not move more entries than its plan
   observed, and stolen vertices must already be visited (they were
   claimed before being pushed).

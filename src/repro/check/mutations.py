@@ -2,23 +2,25 @@
 
 Each mutation is a classic lock-free work-stealing failure mode patched
 into the live protocol code: it replaces one named step of a steal
-(``intra_steal._cas`` / ``_take``, ``inter_steal._cas``; the ABA bug
-replaces two) or wraps one stack or claim primitive, and restores the
-originals on exit.  The rest of the protocol runs as written, counters,
-the monitor's ``on_steal`` hook and the victim's contention debt
-included, so a protocol change is exercised by every mutant that goes
-through it.  The fuzzer must catch **every** registered mutation within
-its smoke budget — that is what proves the checker can actually fail,
-the same reasoning as ``tests/core/test_failure_injection.py`` but
-driven end-to-end through the differential fuzz loop.
+(``intra_steal._cas`` / ``_take`` / ``_deliver``, ``inter_steal._cas``;
+the ABA bug replaces two) or wraps one stack or claim primitive, and
+restores the originals on exit.  The rest of the protocol runs as
+written, counters, the monitor's ``on_steal`` hook and the victim's
+contention debt included, so a protocol change is exercised by every
+mutant that goes through it.  The fuzzer must catch **every**
+registered mutation within its smoke budget — that is what proves the
+checker can actually fail, the same reasoning as
+``tests/core/test_failure_injection.py`` but driven end-to-end through
+the differential fuzz loop.
 
 The suite spans the detection layers on purpose:
 
-* bugs whose corruption (duplicated nodes) is caught by the invariant
-  monitor's **global sweep**;
-* bugs caught by the **steal hooks** (a skipped reservation CAS commits
-  against a stale token, which the transfer itself cannot show; a
-  transfer that delivers fewer entries than it reserved);
+* bugs whose corruption (duplicated or lost nodes) is caught by the
+  invariant monitor's **global sweep**;
+* bugs caught by the **steal hook** (a skipped reservation CAS commits
+  against a stale token, which the transfer itself cannot show; the ABA
+  bug skips the same CAS, so its first stale commit is caught here
+  too, exactly where ``intra_skip_cas_validation``'s is);
 * bugs caught by the **flush/refill conservation hooks** (a node lost
   between HotRing flush and ColdSeg publish, a double-popped refill).
 
@@ -78,20 +80,19 @@ def _copy_without_take(take):
     return buggy
 
 
-def _drop_transfer(take):
+def _drop_transfer(deliver):
     """The reservation takes the entries but the fenced copy never lands
     (forgotten ``threadfence_block``): the thief receives nothing."""
-    def buggy(hot, plan, amount):
-        take(hot, plan, amount)
-        return [], []  # BUG: the copy to the thief never lands
-    return buggy
+    return lambda hot, verts, offs: None  # BUG: the copy never lands
 
 
 def _stale_read(take):
     """ABA: the live tail advances, but the copy reads the ring slots at
     the thief's stale observed tail, recycled positions whose contents
     belong to someone else.  A one-level (v1) stack has no ring slots,
-    so it keeps the live step."""
+    so it keeps the live step.  Paired with ``_skip_cas`` (with the CAS
+    intact the observed tail is the live one), so the steal hook catches
+    the first stale commit before any recycled slot reaches a sweep."""
     def buggy(hot, plan, amount):
         taken = take(hot, plan, amount)
         if type(hot) is not HotRing:
@@ -155,8 +156,8 @@ MUTATIONS: Dict[str, Mutation] = {
             name="intra_dropped_transfer",
             description="intra steal removes entries but the fenced copy "
                         "never lands (lost work)",
-            expected_detector="monitor: steal transfer-mismatch hook",
-            patches=((intra_steal, "_take", _drop_transfer),),
+            expected_detector="sweep: fewer stacked entries than pending",
+            patches=((intra_steal, "_deliver", _drop_transfer),),
         ),
         Mutation(
             name="intra_skip_cas_validation",

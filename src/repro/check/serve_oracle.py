@@ -27,30 +27,35 @@ import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import ServeConfig
+from repro.errors import ServeError
 from repro.serve.client import AsyncServeClient
 from repro.serve.corpus import ResidentCorpus
 from repro.serve.server import ServeServer
 
-__all__ = ["query_dfs"]
+__all__ = ["TIMEOUT", "query_dfs"]
+
+#: Seconds one case's exchange with its daemon may take, start to stop.
+TIMEOUT = 120.0
 
 
-def query_dfs(graph, root: int,
-              overrides: Optional[Dict[str, Any]] = None, *,
-              no_cache: bool = False, repeats: int = 1,
+def query_dfs(graph, root: int, overrides: Optional[Dict[str, Any]] = None,
               ) -> List[Tuple[Dict[str, Any], bool]]:
-    """Serve ``graph``'s DFS from ``root`` ``repeats`` times on a fresh
-    daemon; returns each answer's ``(result payload, was_cached)``.
+    """Serve ``graph``'s DFS from ``root`` twice on a fresh daemon;
+    returns both answers' ``(result payload, was_cached)``.
 
     The daemon's socket directory (``repro-serve-oracle-*``) is removed
     before this returns.  Raises :class:`~repro.errors.ServeError` on
-    transport failure or an error response — in the check ladder both
-    are serve-diff failures.
+    transport failure, an error response, or no answer within
+    :data:`TIMEOUT` — in the check ladder each is a serve-diff failure.
     """
 
     async def serve(socket_path: str):
-        # share=False: jobs=0 never ships graphs to workers.
+        # share=False: jobs=0 never ships graphs to workers.  Nothing is
+        # in flight at the stop unless a query timed out, and that one
+        # is abandoned, not drained.
         server = ServeServer(ResidentCorpus(share=False),
-                             ServeConfig(jobs=0, cache_dir="off"))
+                             ServeConfig(jobs=0, cache_dir="off",
+                                         drain_timeout=0.0))
         client = AsyncServeClient()
         try:
             await server.start(socket_path)
@@ -58,9 +63,8 @@ def query_dfs(graph, root: int,
             await client.add_graph("case", graph.row_ptr, graph.column_idx,
                                    directed=graph.directed)
             answers = []
-            for _ in range(repeats):
-                resp = await client.dfs("case", root, config=overrides,
-                                        no_cache=no_cache)
+            for _ in range(2):
+                resp = await client.dfs("case", root, config=overrides)
                 answers.append((resp.result, resp.cached))
             return answers
         finally:
@@ -69,6 +73,10 @@ def query_dfs(graph, root: int,
 
     sock_dir = tempfile.mkdtemp(prefix="repro-serve-oracle-")
     try:
-        return asyncio.run(serve(os.path.join(sock_dir, "oracle.sock")))
+        return asyncio.run(asyncio.wait_for(
+            serve(os.path.join(sock_dir, "oracle.sock")), TIMEOUT))
+    except asyncio.TimeoutError:
+        raise ServeError(
+            f"daemon response timed out after {TIMEOUT:g} s") from None
     finally:
         shutil.rmtree(sock_dir, ignore_errors=True)

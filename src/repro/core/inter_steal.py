@@ -170,8 +170,7 @@ def select_victim(state: RunState, my_block: int,
 
 
 def _cas(token: int, observed: int) -> bool:
-    """The reservation CAS's validation, a named step a test can
-    substitute (see ``intra_steal._cas``)."""
+    """The CAS's validation, a named step (see ``intra_steal._cas``)."""
     return token == observed
 
 

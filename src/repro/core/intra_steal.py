@@ -95,16 +95,19 @@ def select_victim(state: RunState, block: BlockState,
                           best_rest, cfg.intra_steal_amount)
 
 
-# The CAS's two halves are named steps so a test can substitute a faulty
-# one (the ``repro.check`` mutants); ``execute_steal`` looks both up per call.
+# Named steps a test can substitute (the ``repro.check`` mutants), looked
+# up per call: the CAS's validation (the token is still as observed), its
+# take from the victim's tail, and the fenced copy into the thief's ring.
 def _cas(token: int, observed: int) -> bool:
-    """The reservation CAS's validation: the token is still as observed."""
     return token == observed
 
 
 def _take(hot, plan: IntraStealPlan, amount: int):
-    """The CAS's effect: the reserved entries leave the victim's tail."""
     return hot.take_from_tail(amount)
+
+
+def _deliver(hot, verts, offs) -> None:
+    hot.put_batch(verts, offs)
 
 
 def execute_steal(state: RunState, block: BlockState, thief_warp: int,
@@ -151,7 +154,7 @@ def execute_steal(state: RunState, block: BlockState, thief_warp: int,
         )
 
     # threadfence_block() then local copy into the thief's own stack.
-    block.stacks[thief_warp].hot.put_batch(verts, offs)
+    _deliver(block.stacks[thief_warp].hot, verts, offs)
 
     block.set_active(thief_warp, True)
     # Victim-side contention: its tail cache line was invalidated and its

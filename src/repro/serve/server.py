@@ -285,10 +285,15 @@ class ServeServer:
             # Let already-admitted requests finish writing; new reads stop.
             # A cancellation landing inside this cleanup must not leak out:
             # the task would finish cancelled and asyncio's stream callback
-            # logs that as a spurious error at loop teardown.
+            # logs that as a spurious error at loop teardown.  Nor may it
+            # skip the close: a stop that abandons a stuck query cancels
+            # the gather, and the connection's socket must still close.
             try:
                 if conn_tasks:
                     await asyncio.gather(*conn_tasks, return_exceptions=True)
+            except (Exception, asyncio.CancelledError):
+                pass
+            try:
                 writer.close()
                 await writer.wait_closed()
             except (Exception, asyncio.CancelledError):

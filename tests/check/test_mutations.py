@@ -64,7 +64,7 @@ def test_mutation_context_restores_protocol():
             for m in MUTATIONS.values() for owner, attr, _ in m.patches}
     # The steal mutants patch the protocol's named steps.
     assert {(intra_steal, "_cas"), (intra_steal, "_take"),
-            (inter_steal, "_cas")} <= set(live)
+            (intra_steal, "_deliver"), (inter_steal, "_cas")} <= set(live)
     for name, mutation in MUTATIONS.items():
         with apply_mutation(name):
             for owner, attr, _ in mutation.patches:
@@ -76,6 +76,19 @@ def test_mutation_context_restores_protocol():
             assert getattr(owner, attr) is original, (name, attr)
     # And a clean case still passes after all that patching.
     assert check_case(case_from_seed(0, stress=True), stress=True) is None
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_dropped_transfer_is_caught_by_the_sweep(driver):
+    """The steal hook sees the entries the thief reserved, so only the
+    global sweep's entry count can see that they never reached it."""
+    for seed in range(MUTANT_CASE_BUDGET):
+        failure = check_case(DRIVERS[driver](seed), stress=True,
+                             mutation="intra_dropped_transfer")
+        if failure is not None:
+            break
+    assert failure is not None and failure.stage == "invariants"
+    assert "entries were lost" in failure.message
 
 
 @contextmanager

@@ -1,22 +1,26 @@
 """The serve-diff stage of the oracle ladder, through the check CLI."""
 
+import gc
+import threading
+import warnings
+
 from repro.check import serve_oracle
 from repro.check.cases import case_from_seed
 from repro.check.cli import main, run_mutant
 from repro.check.differential import check_case
 from repro.errors import ReproError
+from repro.serve import server as server_mod
 
 
 def _spy_queries(monkeypatch):
-    """Record ``(no_cache, [was_cached per answer])`` for every case
-    the serve oracle serves."""
+    """Record ``[was_cached per answer]`` for every case the serve
+    oracle serves."""
     real = serve_oracle.query_dfs
     calls = []
 
-    def spy(graph, root, overrides=None, *, no_cache=False, repeats=1):
-        answers = real(graph, root, overrides, no_cache=no_cache,
-                       repeats=repeats)
-        calls.append((no_cache, [cached for _, cached in answers]))
+    def spy(graph, root, overrides=None):
+        answers = real(graph, root, overrides)
+        calls.append([cached for _, cached in answers])
         return answers
 
     monkeypatch.setattr(serve_oracle, "query_dfs", spy)
@@ -27,7 +31,7 @@ def test_check_case_serve_passes_on_healthy_engine(monkeypatch):
     calls = _spy_queries(monkeypatch)
     assert check_case(case_from_seed(0)) is None
     # Served once, then repeated: the repeat must hit the result cache.
-    assert calls == [(False, [False, True])]
+    assert calls == [[False, True]]
 
 
 def test_serve_failure_carries_flag_into_repro_command(monkeypatch, capsys):
@@ -69,10 +73,36 @@ def test_run_mutant_detected_through_serve_path(monkeypatch):
     # survives into the reproduction command.
     assert "--mutation claim_lost_store" in failure.repro_command
     # A mutant the earlier stages miss on a case still reaches the
-    # daemon, once and past its result cache, so injected output is
-    # never memoized; the mutation is live on the engine thread, so
-    # the served payload matches the mutated direct run.
+    # daemon; the mutation is live on the engine thread, so the served
+    # payload, and its cached repeat, match the mutated direct run.
     calls = _spy_queries(monkeypatch)
     assert check_case(case_from_seed(0),
                       mutation="inter_skip_cas_validation") is None
-    assert calls == [(True, [False])]
+    assert calls == [[False, True]]
+
+
+def test_a_query_the_daemon_never_answers_fails_serve_diff(monkeypatch):
+    """A served DFS that never completes times out into a serve-diff
+    failure with its repro command, instead of hanging the ladder, and
+    the abandoned daemon still closes its connection's socket."""
+    release = threading.Event()
+
+    def stuck(*args):
+        release.wait(30.0)
+        return []
+
+    monkeypatch.setattr(server_mod, "execute_dfs_batch", stuck)
+    monkeypatch.setattr(serve_oracle, "TIMEOUT", 0.5)
+    gc.collect()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            failure = check_case(case_from_seed(3))
+            gc.collect()
+    finally:
+        release.set()
+    assert failure is not None and failure.stage == "serve-diff"
+    assert "daemon response timed out" in failure.message
+    assert failure.repro_command == "python -m repro.check repro 3"
+    assert not [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)]

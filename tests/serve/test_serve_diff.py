@@ -50,13 +50,10 @@ def test_oracle_payload_equals_direct_execution():
     config = case.build_config()
     expected = dfs_result_to_dict(
         run_diggerbees(graph, case.root, config=config))
-    assert serve_oracle.query_dfs(graph, case.root, asdict(config),
-                                  no_cache=True) == [(expected, False)]
     # A fresh daemon per call: its first answer computes, the repeat
     # hits the result cache the first populated.
-    assert serve_oracle.query_dfs(graph, case.root, asdict(config),
-                                  repeats=2) == [(expected, False),
-                                                 (expected, True)]
+    assert serve_oracle.query_dfs(graph, case.root, asdict(config)) == [
+        (expected, False), (expected, True)]
 
 
 def test_a_served_case_leaves_no_socket_directory(monkeypatch):
