@@ -40,7 +40,7 @@ than the slack slower than DFS.
   in the measured bracket;
 * on both swarm flagships (``starmesh6000``, ``layers2000x3``) the
   swarm engine's per-root wall beats the sequential frontier sweep by
-  >= ``SWARM_SPEEDUP_FLOOR`` (3x, env-overridable).
+  >= ``SWARM_SPEEDUP_FLOOR`` (3x).
 
 Swarm measurement protocol: wall-clock noise on a shared host swings
 a sequential baseline by +-20% between measurement blocks, which is
@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import statistics
 import sys
@@ -110,8 +109,7 @@ from repro.utils.malloc import retain_large_blocks  # noqa: E402
 #: Frontier-over-DFS speedup the gate requires on >= 1 case.
 SPEEDUP_FLOOR = 2.0
 
-#: Per-root swarm-over-sequential-frontier floor on the flagship cases
-#: (override with the SWARM_SPEEDUP_FLOOR environment variable).
+#: Per-root swarm-over-sequential-frontier floor on the flagship cases.
 SWARM_SPEEDUP_FLOOR = 3.0
 
 #: The routed family may be at most this much slower than the faster
@@ -323,7 +321,6 @@ def apply_gate(result: Dict) -> int:
         for f in failures:
             print(f"CROSSOVER GATE FAIL: {f}", file=sys.stderr)
         return 1
-    floor = _swarm_floor()
     by_name = {c["name"]: c for c in cases}
     swarm_bits = ", ".join(
         f"{name} {by_name[name]['speedup_swarm_over_frontier']:.1f}x"
@@ -333,18 +330,12 @@ def apply_gate(result: Dict) -> int:
           f"({best_narrow}); auto within {ROUTING_SLACK:.1f}x of the "
           f"faster family on all {len(cases)} cases at "
           f"DFS_MIN_LEVELS_PER_VERTEX {DFS_MIN_LEVELS_PER_VERTEX}; "
-          f"swarm >= {floor:.1f}x per root ({swarm_bits})")
+          f"swarm >= {SWARM_SPEEDUP_FLOOR:.1f}x per root ({swarm_bits})")
     return 0
-
-
-def _swarm_floor() -> float:
-    return float(os.environ.get("SWARM_SPEEDUP_FLOOR",
-                                SWARM_SPEEDUP_FLOOR))
 
 
 def _gate_swarm_floor(cases: List[Dict]) -> List[str]:
     """Both flagships must clear the per-root swarm speedup floor."""
-    floor = _swarm_floor()
     failures = []
     by_name = {c["name"]: c for c in cases}
     for name in SWARM_FLAGSHIPS:
@@ -353,10 +344,10 @@ def _gate_swarm_floor(cases: List[Dict]) -> List[str]:
             failures.append(f"swarm flagship {name} missing from corpus")
             continue
         got = case["speedup_swarm_over_frontier"]
-        if got < floor:
+        if got < SWARM_SPEEDUP_FLOOR:
             failures.append(
                 f"swarm on {name}: {got:.2f}x per root vs sequential "
-                f"frontier, below the {floor:.1f}x floor "
+                f"frontier, below the {SWARM_SPEEDUP_FLOOR:.1f}x floor "
                 f"(swarm {case['swarm_per_root_wall_seconds']*1e6:.0f}us"
                 f"/root, frontier "
                 f"{case['frontier_seq_per_root_wall_seconds']*1e6:.0f}us"

@@ -370,14 +370,14 @@ def _fan_out(tasks: List[tuple], jobs: int, batch: int = 1,
     runs through :func:`_execute_task`.
 
     Graph payloads are handed to workers zero-copy: each graph object
-    is exported into shared memory once for its lifetime
+    is written to an export file once for its lifetime
     (:func:`repro.graphs.shm.shared_spec`) and units carry only a tiny
-    spec; workers attach and cache per export, so a later fan-out over
-    the same graphs attaches nothing.  The exports are unlinked when
-    their graphs are collected, by :func:`_shutdown_pool` and at exit.
-    Where shared memory is unavailable (the export raises ``OSError``
-    or ``ImportError``) the graphs are pickled into the units instead —
-    results are identical either way; any other export error raises.
+    spec; workers map and cache per export, so a later fan-out over
+    the same graphs maps nothing.  The exports are unlinked when their
+    graphs are collected, by :func:`_shutdown_pool` and at exit.  Where
+    no export can be written (it raises ``OSError``) the graphs are
+    pickled into the units instead — results are identical either way;
+    any other export error raises.
     """
     width = max(1, batch)
     groups: Dict[tuple, List[int]] = {}
@@ -400,13 +400,13 @@ def _fan_out(tasks: List[tuple], jobs: int, batch: int = 1,
         try:
             # Exports outlive this fan-out (they live with the graphs),
             # so the next one sends the same specs and workers keep
-            # the copies they attached.
+            # the copies they mapped.
             wire_units = [(method, shm.shared_spec(graph), roots, cfg)
                           for method, graph, roots, cfg in units]
-        except (OSError, ImportError):
-            # No shared memory here (permissions, no /dev/shm, or a
-            # platform without _posixshmem): fall back to pickling the
-            # graphs into the units.  Any other error is a fault.
+        except OSError:
+            # No export file here (permissions, a full /dev/shm): fall
+            # back to pickling the graphs into the units.  Any other
+            # error is a fault.
             wire_units = units
         handle = lease_pool(jobs)
         try:

@@ -16,6 +16,9 @@ Contract
   :data:`_MAGIC`; four little-endian int64 fields ``n_vertices + 1``,
   arc count, directed flag (0 or 1) and the name's length in bytes;
   ``row_ptr`` and ``column_idx`` as ``<i8``; then the UTF-8 name.
+  :func:`write_csr` and :func:`read_csr` are also the graph hand-off
+  to worker processes (:mod:`repro.graphs.shm`), so a graph has one
+  format outside its process.
 * A hit maps the entry read-only (``mmap.ACCESS_READ``), checks the
   header against the mapping's exact length, and builds the graph over
   plain read-only ``np.frombuffer`` views of the mapping: no byte of the
@@ -79,7 +82,9 @@ __all__ = [
     "clear_disk_cache",
     "stats",
     "reset_stats",
+    "read_csr",
     "resolve_cache_dir",
+    "write_csr",
 ]
 
 #: Process-wide tally for :func:`cached_build` (benchmark reporting:
@@ -165,8 +170,8 @@ def cache_path(kind: str, name: str, params: Mapping, seed: int) -> Optional[Pat
     return d / f"{stem}-{digest}{_SUFFIX}"
 
 
-def _write(graph: CSRGraph, fh: BinaryIO) -> None:
-    """Write ``graph`` as the one file :func:`_read` expects."""
+def write_csr(graph: CSRGraph, fh: BinaryIO) -> None:
+    """Write ``graph`` as the one file :func:`read_csr` expects."""
     name = graph.name.encode("utf-8")
     fh.write(_HEADER.pack(_MAGIC, graph.row_ptr.size, graph.column_idx.size,
                           int(graph.directed), len(name)))
@@ -175,10 +180,11 @@ def _write(graph: CSRGraph, fh: BinaryIO) -> None:
     fh.write(name)
 
 
-def _read(path: Path) -> CSRGraph:
-    """The graph stored at ``path``, over a read-only mapping of it;
-    raises one of ``_BAD_ENTRY`` when the file is empty, short,
-    unreadable or inconsistent."""
+def read_csr(path: Path, meta: Optional[Mapping] = None) -> CSRGraph:
+    """The graph stored at ``path``, over a read-only mapping of it,
+    with ``meta`` (default ``{"source": "diskcache"}``); raises one of
+    ``_BAD_ENTRY`` when the file is empty, short, unreadable or
+    inconsistent."""
     fd = os.open(path, os.O_RDONLY)
     try:
         buf = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
@@ -195,7 +201,8 @@ def _read(path: Path) -> CSRGraph:
                            offset=_HEADER.size)
     return CSRGraph(arrays[:n1], arrays[n1:], directed=bool(directed),
                     name=buf[end:].decode("utf-8"),
-                    meta={"source": "diskcache"})
+                    meta={"source": "diskcache"} if meta is None
+                    else dict(meta))
 
 
 def _prune_once(d: Path) -> None:
@@ -230,7 +237,7 @@ def cached_build(kind: str, name: str, params: Mapping, seed: int,
         return builder()
     _prune_once(path.parent)
     try:
-        graph = _read(path)
+        graph = read_csr(path)
     except FileNotFoundError:
         pass
     except _BAD_ENTRY:
@@ -250,7 +257,7 @@ def cached_build(kind: str, name: str, params: Mapping, seed: int,
                                    suffix=".tmp" + _SUFFIX)
         try:
             with os.fdopen(fd, "wb") as fh:
-                _write(graph, fh)
+                write_csr(graph, fh)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

@@ -3,7 +3,7 @@
 The batch entry points (:mod:`repro.bench`, :mod:`repro.check`) pay
 engine and graph setup on every invocation.  This package amortizes
 that cost across a daemon lifetime: graphs are loaded once (and
-exported to POSIX shared memory when worker processes serve them), and
+exported to a mapped file when worker processes serve them), and
 queried over a newline-delimited JSON protocol on a local socket.
 Frontier-family queries against the same graph that arrive while every
 executor slot is busy coalesce into batches that run in lockstep once

@@ -42,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max queries coalesced into one lockstep batch")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (0 = in-daemon threads); "
-                        "graphs are exported to shared memory only "
-                        "for workers")
+                        "graphs are exported to /dev/shm only for "
+                        "workers")
     p.add_argument("--cache-entries", type=int, default=None,
                    help="per-graph result-cache capacity (0 disables)")
     p.add_argument("--cache-dir", default=None,

@@ -3,15 +3,15 @@
 The daemon's reason to exist is that every batch-mode entry point pays
 engine + graph setup per invocation.  :class:`ResidentCorpus` pays it
 exactly once: each graph is built (through the corpus disk cache where
-applicable), fingerprinted, and exported into POSIX shared memory via
-:mod:`repro.graphs.shm`, so worker processes attach the CSR arrays
-zero-copy for the daemon's whole lifetime.
+applicable), fingerprinted, and, when the daemon has worker processes,
+exported once through :func:`repro.graphs.shm.shared_spec`, so workers
+map the CSR arrays zero-copy for the daemon's whole lifetime.
 
-Where shared memory is unavailable — or a segment turns out to be
-dangling at dispatch time (someone unlinked ``/dev/shm`` entries under
-a live daemon) — the entry degrades to pickling the graph into worker
-tasks: slower, never wrong.  The failure-path tests exercise exactly
-this demotion.
+Where the export cannot be written, or its file turns out to be gone
+at dispatch time (someone unlinked ``/dev/shm`` entries under a live
+daemon), the entry degrades to pickling the graph into worker tasks:
+slower, never wrong.  The failure-path tests exercise exactly this
+demotion.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ServeError
+from repro.graphs import shm
 from repro.graphs.csr import CSRGraph
 
 __all__ = [
@@ -43,36 +44,32 @@ def graph_fingerprint(graph: CSRGraph) -> str:
 
 
 class ResidentGraph:
-    """One resident graph: the in-process CSR plus its shm export."""
+    """One resident graph: the in-process CSR, shared with workers
+    through its :func:`~repro.graphs.shm.shared_spec` export."""
 
-    __slots__ = ("name", "graph", "fingerprint", "shared", "shm_ok",
-                 "_regime")
+    __slots__ = ("name", "graph", "fingerprint", "shm_ok", "_regime")
 
     def __init__(self, name: str, graph: CSRGraph, *, share: bool = True):
         self.name = name
         self.graph = graph
         self.fingerprint = graph_fingerprint(graph)
-        self.shared = None
         self.shm_ok = False
         self._regime: Optional[str] = None
         if share:
             try:
-                from repro.graphs.shm import export_csr
-
-                self.shared = export_csr(graph)
+                shm.shared_spec(graph)
                 self.shm_ok = True
-            except Exception:
-                self.shared = None
-                self.shm_ok = False
+            except OSError:
+                pass
 
     def wire(self):
-        """Worker-task payload: the shm spec when healthy, else the graph."""
-        if self.shm_ok and self.shared is not None:
-            return self.shared.spec
-        return self.graph
+        """Worker-task payload: the export's spec until :meth:`demote`,
+        else the graph itself."""
+        return shm.shared_spec(self.graph) if self.shm_ok else self.graph
 
     def demote(self) -> None:
-        """Mark the shm export unusable (dangling segment observed)."""
+        """Hand the graph to workers pickled from now on (its export
+        failed them)."""
         self.shm_ok = False
 
     def regime(self) -> str:
@@ -88,12 +85,6 @@ class ResidentGraph:
 
             self._regime = graph_regime(self.graph)
         return self._regime
-
-    def close(self) -> None:
-        if self.shared is not None:
-            self.shared.close()
-            self.shared = None
-        self.shm_ok = False
 
     def describe(self) -> Dict:
         return {
@@ -129,7 +120,6 @@ class ResidentCorpus:
         if existing is not None:
             if existing.fingerprint == graph_fingerprint(graph):
                 return existing
-            existing.close()
         entry = ResidentGraph(name, graph, share=self._share)
         self._entries[name] = entry
         return entry
@@ -154,9 +144,9 @@ class ResidentCorpus:
         return [self._entries[n].describe() for n in self.names()]
 
     def close(self) -> None:
-        """Release every shm export (attached workers stay valid)."""
-        for entry in self._entries.values():
-            entry.close()
+        """Drop every entry; a graph's export is unlinked when the graph
+        is collected (workers' mappings stay valid)."""
+        self._entries.clear()
 
 
 # ---------------------------------------------------------------------------

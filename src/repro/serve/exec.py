@@ -3,7 +3,7 @@
 Module-level, picklable functions so the daemon can run them either
 in-process (``jobs = 0``) or across the persistent worker pool of
 :mod:`repro.bench.harness` (``jobs >= 1``) with identical results.
-Workers receive graphs as shared-memory specs (attached and cached by
+Workers receive graphs as export specs (mapped and cached by
 :func:`repro.graphs.shm.resolve_graph`) or, on the pickle-fallback
 path, as the graphs themselves.
 
@@ -13,9 +13,9 @@ other exception, a ``MemoryError`` say) comes back as that task's error
 marker, so one bad query in a lockstep batch cannot poison its
 neighbours, and the daemon never mistakes it for an infrastructure
 fault and runs it again.  Only resolving the graph raises (a dangling
-shm segment: ``OSError``); that, a broken pool and a task the pool
-cannot pickle are infrastructure failures, and the daemon's dispatch
-layer degrades: re-export, pickle, or in-process execution.
+export: ``OSError``); that, a broken pool and a task the pool cannot
+pickle are infrastructure failures, and the daemon's dispatch layer
+degrades: fresh pool, pickle, or in-process execution.
 """
 
 from __future__ import annotations

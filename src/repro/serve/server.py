@@ -28,11 +28,11 @@ Architecture (one process, one event loop):
   :func:`repro.serve.exec.execute_dfs_batch` (one swarm where
   :func:`repro.core.dispatch.run_batch` finds a frontier batch wide
   enough) either in-process (``jobs = 0``) or on the persistent
-  worker pool of :mod:`repro.bench.harness` with zero-copy shm graph
-  hand-off.  Infrastructure failures degrade stepwise — broken pool ->
-  fresh pool -> pickled graph -> in-process — and every demotion is
-  counted in ``stats``; a query is answered wrong never, slower at
-  worst.
+  worker pool of :mod:`repro.bench.harness`, whose workers map each
+  graph's export file (:mod:`repro.graphs.shm`) instead of unpickling
+  it.  Infrastructure failures degrade stepwise — broken pool -> fresh
+  pool -> pickled graph -> in-process — and every demotion is counted
+  in ``stats``; a query is answered wrong never, slower at worst.
 * **Caching** — results are memoized per graph
   (:mod:`repro.serve.cache`), keyed by (op, root, config, graph
   fingerprint, resolved backend).  An entry is the answer's JSON text,
@@ -51,8 +51,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import queue
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import dispatch
@@ -139,6 +141,39 @@ class ServerStats:
         return {f: getattr(self, f) for f in self.FIELDS}
 
 
+class _EngineThread:
+    """The ``jobs = 0`` engine thread: runs submitted calls in order.
+
+    A daemon thread, so an engine call that never returns does not hold
+    the process open at exit (the interpreter joins a
+    ``ThreadPoolExecutor``'s threads).  :meth:`stop` ends it after the
+    calls already queued.
+    """
+
+    def __init__(self) -> None:
+        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
+        threading.Thread(target=self._run, name="serve-exec",
+                         daemon=True).start()
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        self._queue.put((future, fn, args))
+        return future
+
+    def stop(self) -> None:
+        self._queue.put(None)
+
+    def _run(self) -> None:
+        while (item := self._queue.get()) is not None:
+            future, fn, args = item
+            if not future.set_running_or_notify_cancel():
+                continue
+            try:
+                future.set_result(fn(*args))
+            except BaseException as exc:  # the waiter re-raises it
+                future.set_exception(exc)
+
+
 class _PendingQuery:
     """One admitted query waiting for its result."""
 
@@ -180,7 +215,7 @@ class ServeServer:
         self._inflight_keys: Dict[Tuple[str, str], List[_PendingQuery]] = {}
         self._exec_tasks: "set[asyncio.Task]" = set()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._thread_exec: Optional[ThreadPoolExecutor] = None
+        self._engine: Optional[_EngineThread] = None
         self._accepting = False
         self._closing = False
         self._shutdown_done = asyncio.Event()
@@ -234,8 +269,8 @@ class ServeServer:
                 cache.flush()
         finally:
             # Whatever failed above, whoever waits for the stop returns.
-            if self._thread_exec is not None:
-                self._thread_exec.shutdown(wait=False)
+            if self._engine is not None:
+                self._engine.stop()
             self._shutdown_done.set()
 
     def _cache_for(self, entry: ResidentGraph) -> GraphResultCache:
@@ -612,38 +647,37 @@ class ServeServer:
     async def _execute(self, fn, entry: ResidentGraph, *args):
         """Run ``fn(graph, *args)`` at the configured execution tier.
 
-        Degradation ladder for ``jobs >= 1``: healthy pool with shm spec
-        -> (pool broke) one fresh pool -> (shm dangling) pickled graph
-        -> in-process.  A task's own failure, whatever its type, comes
-        back as its error marker (:mod:`repro.serve.exec`) and never
-        triggers demotion, so any other exception from the pool rung is
-        a failure to run the task (one the pool cannot pickle, say) and
-        goes straight to the in-process rung; only those count
-        ``inline_fallbacks``.  Every lease is released on every exit.
+        Degradation ladder for ``jobs >= 1``: healthy pool with the
+        graph's export spec -> (pool broke) one fresh pool -> (export
+        gone or unwritable) pickled graph -> in-process.  A task's own
+        failure, whatever its type, comes back as its error marker
+        (:mod:`repro.serve.exec`) and never triggers demotion, so any
+        other exception from the pool rung is a failure to run the task
+        (one the pool cannot pickle, say) and goes straight to the
+        in-process rung; only those count ``inline_fallbacks``.  Every
+        lease is released on every exit.
         """
         jobs = self.config.jobs
         if jobs >= 1:
             from concurrent.futures.process import BrokenProcessPool
             from repro.bench import harness
 
-            wire = entry.wire()
             for attempt in range(2):
                 handle = harness.lease_pool(jobs)
                 broken = False
                 try:
-                    fut = handle.executor.submit(fn, wire, *args)
+                    fut = handle.executor.submit(fn, entry.wire(), *args)
                     return await asyncio.wrap_future(fut)
                 except BrokenProcessPool:
                     broken = True
                     self.stats.bump("pool_broken")
                 except OSError:
-                    # Dangling shm segment: demote this graph to pickle
+                    # Dangling export: demote this graph to pickle
                     # hand-off and retry on the same (healthy) pool.
                     if not entry.shm_ok:
                         break
                     entry.demote()
                     self.stats.bump("shm_fallbacks")
-                    wire = entry.wire()
                 except Exception:
                     break
                 finally:
@@ -653,12 +687,10 @@ class ServeServer:
 
     async def _execute_inline(self, fn, entry: ResidentGraph, *args):
         """Run ``fn(graph, *args)`` on the daemon's engine thread."""
-        loop = asyncio.get_running_loop()
-        if self._thread_exec is None:
-            self._thread_exec = ThreadPoolExecutor(
-                max_workers=INLINE_THREADS, thread_name_prefix="serve-exec")
-        return await loop.run_in_executor(
-            self._thread_exec, fn, entry.graph, *args)
+        if self._engine is None:
+            self._engine = _EngineThread()
+        return await asyncio.wrap_future(
+            self._engine.submit(fn, entry.graph, *args))
 
 
 def _ms(seconds: float) -> float:

@@ -1,20 +1,23 @@
-"""The fan-out's shared-memory hand-off across fan-outs.
+"""The fan-out's export-file hand-off across fan-outs.
 
 A graph is exported once for as long as it lives, so consecutive sweeps
 over the same graph objects send the same specs and every worker keeps
-the copy it attached.  ``_shutdown_pool`` unlinks the exports, and the
-workers' bounded graph cache evicts without leaving a mapping
-half-closed.  The traversals read that copy in place: no run keeps a
-second one.
+the copy it mapped.  ``_shutdown_pool`` unlinks the exports, and the
+workers' bounded graph cache evicts without leaving a mapping open.
+The traversals read that copy in place: no run keeps a second one.  No
+part of the hand-off starts a resource-tracker process.
 """
 
 import gc
 import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.baselines.pdfs_cpu import run_ckl_pdfs
 from repro.bench import harness
 from repro.bench.harness import BenchConfig, run_sweep
@@ -30,11 +33,7 @@ needs_dev_shm = pytest.mark.skipif(not os.path.isdir("/dev/shm"),
                                    reason="no /dev/shm to list")
 
 
-def _linked(name: str) -> bool:
-    return os.path.exists(os.path.join("/dev/shm", name))
-
-
-def _segments() -> set:
+def _exports() -> set:
     return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
 
 
@@ -58,15 +57,14 @@ def corpus():
 
 @pytest.fixture
 def exports(monkeypatch):
-    """(graph name, segment names) of every export made by the test."""
+    """(graph name, export path) of every export made by the test."""
     made = []
     real = shm.export_csr
 
     def recorded(graph):
-        shared = real(graph)
-        made.append((graph.name,
-                     [seg[0] for seg in shared.spec["segments"]]))
-        return shared
+        spec = real(graph)
+        made.append((graph.name, spec[shm.SPEC_KEY]))
+        return spec
 
     monkeypatch.setattr(shm, "export_csr", recorded)
     yield made
@@ -83,13 +81,31 @@ def test_consecutive_sweeps_export_each_graph_once(corpus, exports):
 
 @needs_dev_shm
 def test_shutdown_pool_unlinks_every_export(corpus, exports):
-    before = _segments()
+    before = _exports()
     run_sweep(METHODS, corpus, FAST, jobs=2)
-    names = [n for _, segments in exports for n in segments]
-    assert len(names) == 4 and all(map(_linked, names))
+    paths = [path for _, path in exports]
+    assert len(paths) == 2 and all(map(os.path.exists, paths))
     harness._shutdown_pool()
-    assert not any(map(_linked, names))
-    assert _segments() <= before
+    assert not any(map(os.path.exists, paths))
+    assert _exports() <= before
+
+
+def test_a_pool_sweep_starts_no_resource_tracker():
+    """A fresh interpreter's jobs=2 sweep hands its graphs over without
+    Python's resource-tracker process."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    script = (
+        "from multiprocessing import resource_tracker\n"
+        "from repro.bench.harness import BenchConfig, run_sweep\n"
+        "from repro.graphs import generators as gen\n"
+        "cfg = BenchConfig(sim_scale=0.05, warps_per_block=2, n_roots=2)\n"
+        "run_sweep(['DiggerBees'], [gen.road_network(200, seed=1)], cfg,\n"
+        "          jobs=2)\n"
+        "print(resource_tracker._resource_tracker._pid)\n")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "None"
 
 
 def test_traversals_keep_no_copy_of_the_graph():
@@ -106,30 +122,32 @@ def test_traversals_keep_no_copy_of_the_graph():
     assert kept < (graph.row_ptr.nbytes + graph.column_idx.nbytes) / 4
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
 def test_worker_cache_eviction_closes_every_handle(monkeypatch):
-    # An evicted entry must release its graph (whose arrays export the
-    # mapped buffers) before its segment handles, or each handle's
-    # close raises BufferError from __del__.  So must the memoryviews
-    # the traversals read an attached graph through.
+    # Each mapped export holds one file descriptor until its graph is
+    # dropped, so an evicted entry must leave none open, and dropping
+    # it must report no error (the memoryviews the traversals read an
+    # attached graph through must not outlive their run either).
     cache = {}
     monkeypatch.setattr(shm, "_WORKER_GRAPH_CACHE", cache)
     monkeypatch.setattr(shm, "_WORKER_GRAPH_CACHE_MAX", 2)
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     graphs = [gen.road_network(60 + 10 * i, seed=i) for i in range(5)]
-    exported = [shm.export_csr(g) for g in graphs]
+    specs = [shm.export_csr(g) for g in graphs]
     try:
-        for graph, shared in zip(graphs, exported):
-            attached = shm.resolve_graph(shared.spec)
+        fds = len(os.listdir("/proc/self/fd"))
+        for graph, spec in zip(graphs, specs):
+            attached = shm.resolve_graph(spec)
             assert _answers(attached) == _answers(graph)
             del attached  # the cache holds the only reference
         assert len(cache) == 2
+        assert len(os.listdir("/proc/self/fd")) == fds + 2
+        cache.clear()
+        assert len(os.listdir("/proc/self/fd")) == fds
     finally:
-        while cache:
-            _, (graph, handles) = cache.popitem()
-            del graph
-            for h in handles:
-                h.close()
-        for shared in exported:
-            shared.close()
+        cache.clear()
+        for spec in specs:
+            os.unlink(spec[shm.SPEC_KEY])
     assert [u.exc_value for u in unraisable] == []

@@ -1,9 +1,16 @@
 """The serve-diff stage of the oracle ladder, through the check CLI."""
 
 import gc
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+import time
 import warnings
+from pathlib import Path
 
+import repro
 from repro.check import serve_oracle
 from repro.check.cases import case_from_seed
 from repro.check.cli import main, run_mutant
@@ -106,3 +113,30 @@ def test_a_query_the_daemon_never_answers_fails_serve_diff(monkeypatch):
     assert failure.repro_command == "python -m repro.check repro 3"
     assert not [str(w.message) for w in caught
                 if issubclass(w.category, ResourceWarning)]
+
+
+def test_a_stuck_engine_does_not_hold_the_process_open():
+    """The abandoned query's engine call never returns in time, yet the
+    process exits as soon as the ladder reports: the daemon's engine
+    thread is not joined at exit."""
+    script = textwrap.dedent("""
+        import time
+        from repro.check import serve_oracle
+        from repro.check.cases import case_from_seed
+        from repro.check.differential import check_case
+        from repro.serve import server
+
+        def stuck(*args):
+            time.sleep(6.0)
+            return []
+
+        server.execute_dfs_batch = stuck
+        serve_oracle.TIMEOUT = 0.5
+        failure = check_case(case_from_seed(0))
+        assert failure is not None and failure.stage == "serve-diff"
+    """)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    start = time.monotonic()
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=60,
+                   env=dict(os.environ, PYTHONPATH=src))
+    assert time.monotonic() - start < 3.0

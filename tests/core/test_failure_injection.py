@@ -13,7 +13,6 @@ import pytest
 from repro.core import DiggerBeesConfig, run_diggerbees
 from repro.core import intra_steal
 from repro.core.state import RunState
-from repro.core.twolevel_stack import WarpStack
 from repro.core.warp_dfs import WarpAgent
 from repro.errors import DeadlockError, SimulationError, ValidationError
 from repro.graphs import generators as gen
@@ -35,24 +34,15 @@ class TestDuplicatingSteal:
         """Bug: the thief copies the victim's entries but the victim's
         tail is never advanced (forgotten CAS write-back).  Entries are
         duplicated; the pending counter and the per-stack contents
-        disagree, and vertices appear in two stacks."""
-        original = intra_steal.execute_steal
+        disagree, and vertices appear in two stacks.  Only the live
+        steal's take step is replaced, so the rest of the protocol runs
+        as written."""
+        def copy_without_remove(hot, plan, amount):
+            # Read the oldest entries WITHOUT removing them.
+            verts, offs = zip(*hot.snapshot()[:amount])
+            return list(verts), list(offs)
 
-        def buggy(state, block, thief_warp, plan):
-            victim = block.stacks[plan.victim_warp]
-            if not isinstance(victim, WarpStack) or len(victim.hot) < plan.amount:
-                return original(state, block, thief_warp, plan)
-            # Read entries WITHOUT removing them (lost CAS write-back).
-            idx = [(victim.hot.tail + j) % victim.hot.size
-                   for j in range(plan.amount)]
-            verts = [victim.hot.vertex[i] for i in idx]
-            offs = [victim.hot.offset[i] for i in idx]
-            block.stacks[thief_warp].hot.put_batch(verts, offs)
-            block.set_active(thief_warp, True)
-            state.counters.intra_steal_successes += 1
-            return True
-
-        monkeypatch.setattr(intra_steal, "execute_steal", buggy)
+        monkeypatch.setattr(intra_steal, "_take", copy_without_remove)
         g = gen.road_network(800, seed=3)
         with pytest.raises((SimulationError, DeadlockError)):
             run_with_invariants(g)
@@ -128,19 +118,12 @@ class TestLostWork:
         """Bug: the thief's CAS succeeds but the copy is lost (e.g. the
         fence was forgotten and the buffer reused).  Entries vanish while
         ``pending`` still counts them: the traversal can never terminate
-        and the engine's deadlock guard must fire."""
-        original = intra_steal.execute_steal
+        and the engine's deadlock guard must fire.  Only the live steal's
+        delivery step is replaced: the take removes the entries ..."""
+        def lossy(hot, verts, offs):
+            pass  # ... but they never land in the thief's ring.
 
-        def lossy(state, block, thief_warp, plan):
-            victim = block.stacks[plan.victim_warp]
-            if not isinstance(victim, WarpStack) or len(victim.hot) < plan.amount:
-                return False
-            victim.hot.take_from_tail(plan.amount)  # removed ...
-            # ... but never delivered to the thief.
-            state.counters.intra_steal_successes += 1
-            return True
-
-        monkeypatch.setattr(intra_steal, "execute_steal", lossy)
+        monkeypatch.setattr(intra_steal, "_deliver", lossy)
         g = gen.road_network(800, seed=3)
         with pytest.raises((DeadlockError, SimulationError)):
             run_diggerbees(g, 0, config=CFG)

@@ -299,7 +299,7 @@ class TestMappedEntries:
         path = diskcache.cache_path("t", "m", {}, 13)
         fd, tmp = tempfile.mkstemp(dir=cache_in_tmp)
         with os.fdopen(fd, "wb") as fh:
-            diskcache._write(other, fh)
+            diskcache.write_csr(other, fh)
         os.replace(tmp, path)
         rebuilt = diskcache.cached_build("t", "m", {}, 13, lambda: 1 / 0)
         assert _same_graph(rebuilt, other)

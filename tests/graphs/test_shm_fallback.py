@@ -1,23 +1,29 @@
-"""Failure-path coverage for the shared-memory graph hand-off.
+"""Failure-path coverage for the export-file graph hand-off.
 
-``repro.graphs.shm`` is best-effort by design: where POSIX shared
-memory is unavailable (permissions, exotic platforms, sandboxes) the
-harness falls back to pickling graphs into worker tasks.  These tests
-pin down the three failure contracts: a partial export leaks nothing, a
-dangling spec fails loudly on attach, and the harness fan-out survives
-an export failure with byte-identical results.  Only the errors that
-mean "no shared memory here" (``OSError``, ``ImportError``) fall back;
-any other export error surfaces.
+``repro.graphs.shm`` is best-effort by design: where no export file can
+be written (permissions, a full ``/dev/shm``) the harness falls back to
+pickling graphs into worker tasks.  These tests pin down the failure
+contracts: a failed export leaks no file, a dangling spec fails loudly
+when a worker maps it, a killed exporter's files are removed by the
+next process's first export, and the harness fan-out survives an
+export failure with byte-identical results.  Only ``OSError`` (no
+export here) falls back; any other export error surfaces.
 """
 
-from multiprocessing import shared_memory
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench.harness import BenchConfig, run_graph
+from repro.graphs import diskcache
 from repro.graphs import generators as gen
 from repro.graphs import shm as shm_mod
-from repro.graphs.shm import attach_csr, export_csr
+from repro.graphs.shm import SPEC_KEY, export_csr, resolve_graph
 
 
 @pytest.fixture
@@ -25,59 +31,72 @@ def graph():
     return gen.road_network(120, seed=5)
 
 
+def _exports(d) -> set:
+    return {n for n in os.listdir(d) if n.startswith("psm_")}
+
+
 def test_export_attach_roundtrip(graph):
-    handle = export_csr(graph)
+    spec = export_csr(graph)
     try:
-        attached, handles = attach_csr(handle.spec)
-        same_rp = (attached.row_ptr == graph.row_ptr).all()
-        same_ci = (attached.column_idx == graph.column_idx).all()
-        same_name = attached.name == graph.name
-        # The attached arrays alias the mapped buffers: drop them before
-        # closing the handles, or the mmap close raises BufferError.
-        del attached
-        for h in handles:
-            h.close()
-        assert same_rp and same_ci and same_name
+        assert os.path.basename(spec[SPEC_KEY]).startswith(
+            f"psm_repro-{os.getpid()}-")
+        attached = diskcache.read_csr(Path(spec[SPEC_KEY]), spec["meta"])
+        assert (attached.row_ptr == graph.row_ptr).all()
+        assert (attached.column_idx == graph.column_idx).all()
+        assert attached.name == graph.name
+        assert attached.directed == graph.directed
+        assert attached.meta == graph.meta
     finally:
-        handle.close()
+        os.unlink(spec[SPEC_KEY])
 
 
-def test_partial_export_failure_unlinks_created_segments(
-        graph, monkeypatch):
-    """If the second segment allocation fails, the first is unlinked —
-    a failed export must not leak named segments."""
-    created = []
-    real = shared_memory.SharedMemory
+def test_failed_export_leaves_no_file(graph, monkeypatch):
+    """A write that fails halfway (a full /dev/shm) removes the file it
+    was writing."""
+    d = "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()
+    before = _exports(d)
 
-    def flaky(*args, **kwargs):
-        if kwargs.get("create") and created:
-            raise OSError("shared memory exhausted (injected)")
-        seg = real(*args, **kwargs)
-        if kwargs.get("create"):
-            created.append(seg.name)
-        return seg
+    def half_written(g, fh):
+        fh.write(b"REPROCSR")
+        raise OSError(28, "No space left on device (injected)")
 
-    monkeypatch.setattr("multiprocessing.shared_memory.SharedMemory", flaky)
+    monkeypatch.setattr(diskcache, "write_csr", half_written)
     with pytest.raises(OSError, match="injected"):
         export_csr(graph)
-    assert len(created) == 1
-    monkeypatch.undo()
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=created[0])
+    assert not _exports(d) - before
 
 
 def test_attach_missing_segment_raises(graph):
-    handle = export_csr(graph)
-    spec = handle.spec
-    handle.close()  # unlinks the names; the spec now dangles
+    """A spec whose export file is gone raises ``FileNotFoundError``
+    when a worker maps it."""
+    spec = export_csr(graph)
+    os.unlink(spec[SPEC_KEY])  # the spec now dangles
     with pytest.raises(FileNotFoundError):
-        attach_csr(spec)
+        resolve_graph(spec)
 
 
-def test_close_is_idempotent(graph):
-    handle = export_csr(graph)
-    handle.close()
-    handle.close()  # second close is a no-op, not an error
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+def test_first_export_removes_dead_exporters_files():
+    """A process's first export deletes the files of exporters that no
+    longer run, and keeps those of a live one."""
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()
+    stale = Path("/dev/shm") / f"psm_repro-{dead.pid}-stale.csr"
+    live = Path("/dev/shm") / f"psm_repro-{os.getpid()}-live.csr"
+    for path in (stale, live):
+        path.write_bytes(b"")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    script = ("from repro.graphs import generators as gen, shm\n"
+              "shm.shared_spec(gen.path_graph(8))\n")
+    try:
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert not stale.exists()
+        assert live.exists()
+    finally:
+        for path in (stale, live):
+            if path.exists():
+                path.unlink()
 
 
 def test_harness_pickle_fallback_matches_shm_results(graph, monkeypatch):
@@ -90,7 +109,7 @@ def test_harness_pickle_fallback_matches_shm_results(graph, monkeypatch):
 
     def broken(_graph):
         attempts.append(_graph)
-        raise OSError("no shared memory here (injected)")
+        raise OSError("no export file here (injected)")
 
     monkeypatch.setattr(shm_mod, "export_csr", broken)
     fallback = run_graph(["DiggerBees"], graph, cfg, jobs=2)
@@ -109,24 +128,11 @@ def test_harness_pickle_fallback_matches_shm_results(graph, monkeypatch):
         run_graph(["Frontier"], graph, cfg, jobs=1))
 
 
-def test_harness_pickle_fallback_without_posixshmem(graph, monkeypatch):
-    """A platform without ``_posixshmem`` cannot import
-    ``multiprocessing.shared_memory``; the fan-out pickles instead."""
-    cfg = BenchConfig(n_roots=3)
-    serial = run_graph(["DiggerBees"], graph, cfg, jobs=1)
-
-    def no_posixshmem(_graph):
-        raise ImportError("No module named '_posixshmem' (injected)")
-
-    monkeypatch.setattr(shm_mod, "export_csr", no_posixshmem)
-    assert run_graph(["DiggerBees"], graph, cfg, jobs=2) == serial
-
-
 def test_harness_surfaces_other_export_errors(graph, monkeypatch):
-    """An export error that does not mean "no shared memory here" is a
-    fault: it propagates out of the fan-out instead of pickling."""
+    """An export error that does not mean "no export here" is a fault:
+    it propagates out of the fan-out instead of pickling."""
     def broken(_graph):
-        raise ValueError("not a shared-memory failure (injected)")
+        raise ValueError("not an export-file failure (injected)")
 
     monkeypatch.setattr(shm_mod, "shared_spec", broken)
     with pytest.raises(ValueError, match="injected"):

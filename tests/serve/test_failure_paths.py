@@ -4,7 +4,7 @@ Four induced failures, each verified against direct execution:
 
 * the worker pool's processes are killed mid-service (BrokenProcessPool)
   -> one retry on a fresh pool answers correctly;
-* the shm segments backing a resident graph are unlinked behind the
+* the export file backing a resident graph is unlinked behind the
   daemon's back -> the graph demotes to pickle hand-off and the query
   still answers correctly;
 * the pool cannot pickle the task -> the lease is released and the
@@ -20,6 +20,7 @@ worker, and never runs a second time in process.
 """
 
 import json
+import os
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.bench import harness
 from repro.core.config import ServeConfig
 from repro.core.diggerbees import run_diggerbees
 from repro.graphs import generators as gen
+from repro.graphs.shm import SPEC_KEY
 from repro.serve.protocol import Request, dfs_result_to_dict
 
 from tests.serve.conftest import serve_session
@@ -73,16 +75,15 @@ def test_dangling_shm_demotes_to_pickle_and_stays_correct():
 
     async def scenario(client, server, corpus, **_):
         # Warm the pool so workers exist, on a *different* graph — the
-        # worker-side attach cache is keyed per export, so the doomed
-        # graph's segments are guaranteed cold.
+        # worker-side graph cache is keyed per export, so the doomed
+        # graph's export is guaranteed cold.
         await client.dfs("warm", 0, no_cache=True)
         await client.add_graph("fresh", fresh.row_ptr, fresh.column_idx)
         entry = corpus.get("fresh")
-        assert entry.shm_ok and entry.shared is not None
-        # Unlink the segment names behind the daemon's back.  The
-        # parent's own mapping stays valid; worker attach now fails.
-        for shm in entry.shared._segments:
-            shm.unlink()
+        assert entry.shm_ok
+        # Unlink the export file behind the daemon's back: a worker's
+        # mapping of it now fails.
+        os.unlink(entry.wire()[SPEC_KEY])
         resp = await client.dfs("fresh", 0, no_cache=True)
         assert resp.ok and resp.result == _expected(fresh, 0)
         assert server.stats.shm_fallbacks >= 1
@@ -302,15 +303,14 @@ def test_cache_survives_daemon_restart_when_intact(tmp_path):
 
 
 def test_dangling_shm_with_jobs_zero_is_a_non_event():
-    """jobs=0 never touches shm for execution: unlinking segments must
+    """jobs=0 never reads the export for execution: unlinking it must
     not even register."""
     graphs = {"g": gen.path_graph(12)}
 
     async def scenario(client, server, corpus, **_):
         entry = corpus.get("g")
-        if entry.shared is not None:
-            for shm in entry.shared._segments:
-                shm.unlink()
+        assert entry.shm_ok
+        os.unlink(entry.wire()[SPEC_KEY])
         resp = await client.dfs("g", 0, no_cache=True)
         assert resp.ok and resp.result == _expected(graphs["g"], 0)
         assert server.stats.shm_fallbacks == 0
